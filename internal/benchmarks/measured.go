@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -82,6 +83,11 @@ type MeasuredPoint struct {
 	ReplanPerSec  float64 `json:"replan_probes_per_sec"`
 	SessionPerSec float64 `json:"session_probes_per_sec"`
 	Speedup       float64 `json:"speedup"`
+	// SessionNSPerProbe and SessionAllocsPerProbe are the session arm's
+	// absolute cost per probe: its wall time, and the process's heap
+	// allocations over the arm, divided by the probe count.
+	SessionNSPerProbe     float64 `json:"session_ns_per_probe"`
+	SessionAllocsPerProbe float64 `json:"session_allocs_per_probe"`
 }
 
 // MeasuredBenchResult is the JSON artifact -exp measured writes
@@ -148,6 +154,13 @@ func runMeasuredArm(ctx context.Context, db *engine.DB, g int, sched [][]map[str
 	return costs, elapsed, nil
 }
 
+// mallocs reports the process's cumulative heap allocation count.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
 // RunMeasuredBench benchmarks lock-free measured probing (Session.Cost with
 // RowsProcessed: execute the immutable compiled skeleton under a per-session
 // value environment and arena) against the pre-session baseline
@@ -158,8 +171,9 @@ func runMeasuredArm(ctx context.Context, db *engine.DB, g int, sched [][]map[str
 // verifies bit-identical RowsProcessed costs per probe and via a sweep hash,
 // identical execute-counter movement, per-probe session accounting, and that
 // the session arm reaches at least 2x the baseline's throughput at 8
-// goroutines. When jsonPath is non-empty the result table is also written
-// there as JSON (BENCH_measured.json).
+// goroutines. Next to that ratio each point reports the session arm's
+// absolute ns and heap allocations per probe. When jsonPath is non-empty the
+// result table is also written there as JSON (BENCH_measured.json).
 func (r *Runner) RunMeasuredBench(ctx context.Context, w io.Writer, jsonPath string, probes int) (*MeasuredBenchResult, error) {
 	if probes <= 0 {
 		probes = 2000
@@ -198,10 +212,12 @@ func (r *Runner) RunMeasuredBench(ctx context.Context, w io.Writer, jsonPath str
 		replanCalls := db.ExecCalls() - before
 		before = db.ExecCalls()
 		sessBefore := db.SessionProbes()
+		mallocsBefore := mallocs()
 		sessionCosts, sessionTime, err := runMeasuredArm(ctx, db, g, sched, session)
 		if err != nil {
 			return nil, err
 		}
+		sessionAllocs := mallocs() - mallocsBefore
 		sessionCalls := db.ExecCalls() - before
 		if sessionCalls != replanCalls {
 			return nil, fmt.Errorf("benchmarks: measured counter parity broken at g=%d: session moved exec_calls by %d, replan by %d",
@@ -231,9 +247,11 @@ func (r *Runner) RunMeasuredBench(ctx context.Context, w io.Writer, jsonPath str
 			SessionPerSec: float64(total) / sessionTime.Seconds(),
 		}
 		pt.Speedup = pt.SessionPerSec / pt.ReplanPerSec
+		pt.SessionNSPerProbe = float64(sessionTime.Nanoseconds()) / float64(total)
+		pt.SessionAllocsPerProbe = float64(sessionAllocs) / float64(total)
 		res.Points = append(res.Points, pt)
-		fmt.Fprintf(w, "goroutines=%-3d replan=%-10.0f probes/s  session=%-10.0f probes/s  speedup=%.2fx\n",
-			g, pt.ReplanPerSec, pt.SessionPerSec, pt.Speedup)
+		fmt.Fprintf(w, "goroutines=%-3d replan=%-10.0f probes/s  session=%-10.0f probes/s  speedup=%.2fx  session %.0f ns/probe %.1f allocs/probe\n",
+			g, pt.ReplanPerSec, pt.SessionPerSec, pt.Speedup, pt.SessionNSPerProbe, pt.SessionAllocsPerProbe)
 	}
 	fmt.Fprintf(w, "all arms bit-identical: probe hash %s, counter parity held\n", res.Hash)
 	for _, pt := range res.Points {

@@ -10,11 +10,11 @@ import (
 )
 
 // Session is a per-goroutine execution context for measured-kind probes
-// (ExecTimeMS, RowsProcessed). It owns the executor scratch arena — row
-// windows, join hash tables — that a probe needs, so any number of sessions
-// may execute probes against one Prepared concurrently: the probe's values
-// travel in an immutable bound view (plan.BindParams), the compiled AST is
-// never written, and nothing is locked. A Session is single-goroutine state;
+// (ExecTimeMS, RowsProcessed). It owns the executor scratch arena — tuple
+// lists, join and IN-set hash indexes — that a probe needs, so any number of
+// sessions may execute probes against one Prepared concurrently: the probe's
+// values travel in an immutable bound view (plan.BindParams), the compiled
+// AST is never written, and nothing is locked. A Session is single-goroutine state;
 // open one per worker (or let Prepared.Cost borrow one from the DB's pool).
 type Session struct {
 	db    *DB
@@ -83,7 +83,6 @@ func (s *Session) costParams(p *Prepared, params []sqltypes.Value, kind CostKind
 func (s *Session) execParams(p *Prepared, params []sqltypes.Value, kind CostKind) (float64, error) {
 	bp := p.cq.BindParams(params)
 	s.db.execCount.Add(1)
-	s.arena.Reset()
 	var cost float64
 	switch kind {
 	case ExecTimeMS:

@@ -1,12 +1,9 @@
 package exec
 
 import (
-	"strings"
-
 	"sqlbarber/internal/plan"
 	"sqlbarber/internal/sqlparser"
 	"sqlbarber/internal/sqltypes"
-	"sqlbarber/internal/storage"
 )
 
 // aggState accumulates one aggregate function over one group.
@@ -21,12 +18,16 @@ type aggState struct {
 	seenAny  bool
 }
 
-func newAggState(call *sqlparser.FuncCall) *aggState {
-	st := &aggState{call: call, sumIsInt: true}
-	if call.Distinct {
-		st.distinct = map[string]bool{}
+// newAggStates returns one group's fresh state for each aggregate call.
+func newAggStates(calls []*sqlparser.FuncCall) []aggState {
+	sts := make([]aggState, len(calls))
+	for i, c := range calls {
+		sts[i] = aggState{call: c, sumIsInt: true}
+		if c.Distinct {
+			sts[i].distinct = map[string]bool{}
+		}
 	}
-	return st
+	return sts
 }
 
 func (st *aggState) add(v sqltypes.Value) {
@@ -45,21 +46,28 @@ func (st *aggState) add(v sqltypes.Value) {
 		st.distinct[k] = true
 	}
 	st.count++
-	if v.IsNumeric() {
-		st.sum += v.Float()
-		if v.Kind() == sqltypes.KindInt {
-			st.sumInt += v.Int()
-		} else {
-			st.sumIsInt = false
+	// Accumulate only what result reads for this function.
+	switch st.call.Name {
+	case "SUM", "AVG":
+		if v.IsNumeric() {
+			st.sum += v.Float()
+			if v.Kind() == sqltypes.KindInt {
+				st.sumInt += v.Int()
+			} else {
+				st.sumIsInt = false
+			}
 		}
+	case "MIN":
+		if !st.seenAny || v.Compare(st.min) < 0 {
+			st.min = v
+		}
+		st.seenAny = true
+	case "MAX":
+		if !st.seenAny || v.Compare(st.max) > 0 {
+			st.max = v
+		}
+		st.seenAny = true
 	}
-	if !st.seenAny || v.Compare(st.min) < 0 {
-		st.min = v
-	}
-	if !st.seenAny || v.Compare(st.max) > 0 {
-		st.max = v
-	}
-	st.seenAny = true
 }
 
 func (st *aggState) result() sqltypes.Value {
@@ -149,69 +157,68 @@ func collectAggCalls(stmt *sqlparser.SelectStmt) []*sqlparser.FuncCall {
 
 // group holds one group's state during aggregation.
 type group struct {
-	repr   []storage.Row // representative tuple for group-key evaluation
-	states []*aggState
+	repr   int // representative tuple for group-key evaluation; -1 for none
+	states []aggState
 }
 
 // aggregate executes grouping and aggregation for aggregate queries,
-// applying HAVING and ORDER BY over the aggregated output.
-func (ex *executor) aggregate(q *plan.Query, parent *env, tuples [][]storage.Row) (*Result, error) {
+// applying HAVING and ORDER BY over the aggregated output. Group keys are
+// built in one reused buffer (see appendKey); groups keep their order of
+// first appearance.
+func (ex *executor) aggregate(q *plan.Query, f *frame, tuples []int32) (*Result, error) {
 	calls := collectAggCalls(q.Stmt)
-	groups := map[string]*group{}
-	var order []string // deterministic group order of first appearance
-	for _, tp := range tuples {
-		e := &env{q: q, rows: tp, parent: parent}
-		var kb strings.Builder
+	index := map[string]int{}
+	var groups []group
+	var key []byte
+	e := &f.e
+	for i := 0; i < len(tuples)/f.n; i++ {
+		f.bind(tupleAt(tuples, i, f.n))
+		key = key[:0]
 		for _, g := range q.Stmt.GroupBy {
 			v, err := ex.eval(g, e)
 			if err != nil {
 				return nil, err
 			}
-			kb.WriteString(v.String())
-			kb.WriteByte(0)
+			key = appendKey(key, v)
 		}
-		key := kb.String()
-		grp, ok := groups[key]
+		gi, ok := index[string(key)]
 		if !ok {
-			grp = &group{repr: tp, states: make([]*aggState, len(calls))}
-			for i, c := range calls {
-				grp.states[i] = newAggState(c)
-			}
-			groups[key] = grp
-			order = append(order, key)
+			gi = len(groups)
+			groups = append(groups, group{repr: i, states: newAggStates(calls)})
+			index[string(key)] = gi
 		}
-		for i, c := range calls {
+		states := groups[gi].states
+		for ci, c := range calls {
 			if c.Star {
-				grp.states[i].add(sqltypes.Null)
+				states[ci].add(sqltypes.Null)
 				continue
 			}
 			v, err := ex.eval(c.Args[0], e)
 			if err != nil {
 				return nil, err
 			}
-			grp.states[i].add(v)
+			states[ci].add(v)
 		}
 	}
 	// A global aggregate over zero rows still produces one group.
 	if len(q.Stmt.GroupBy) == 0 && len(groups) == 0 {
-		grp := &group{repr: ex.window(len(q.Binding.Scope.Tables)),
-			states: make([]*aggState, len(calls))}
-		for i, c := range calls {
-			grp.states[i] = newAggState(c)
-		}
-		groups[""] = grp
-		order = append(order, "")
+		groups = append(groups, group{repr: -1, states: newAggStates(calls)})
 	}
 	cols, _ := ex.outputColumns(q)
 	res := &Result{Columns: cols}
-	var rows []sortable
-	for _, key := range order {
-		grp := groups[key]
-		aggs := make(map[*sqlparser.FuncCall]sqltypes.Value, len(calls))
+	width := len(q.Stmt.Items)
+	vals := make([]sqltypes.Value, len(groups)*width)
+	var keys []sqltypes.Value
+	e.aggs = make(map[*sqlparser.FuncCall]sqltypes.Value, len(calls))
+	for _, grp := range groups {
 		for i, c := range calls {
-			aggs[c] = grp.states[i].result()
+			e.aggs[c] = grp.states[i].result()
 		}
-		e := &env{q: q, rows: grp.repr, parent: parent, aggs: aggs}
+		if grp.repr >= 0 {
+			f.bind(tupleAt(tuples, grp.repr, f.n))
+		} else {
+			clear(e.rows)
+		}
 		if q.Stmt.Having != nil {
 			hv, err := ex.eval(q.Stmt.Having, e)
 			if err != nil {
@@ -221,7 +228,8 @@ func (ex *executor) aggregate(q *plan.Query, parent *env, tuples [][]storage.Row
 				continue
 			}
 		}
-		row := make(storage.Row, 0, len(q.Stmt.Items))
+		k := len(res.Rows)
+		row := vals[k*width : k*width : (k+1)*width]
 		for _, it := range q.Stmt.Items {
 			if it.Star {
 				return nil, rtErrf("SELECT * cannot be combined with aggregation")
@@ -232,15 +240,12 @@ func (ex *executor) aggregate(q *plan.Query, parent *env, tuples [][]storage.Row
 			}
 			row = append(row, v)
 		}
-		keys, err := ex.orderKeys(q, e)
-		if err != nil {
+		res.Rows = append(res.Rows, row)
+		var err error
+		if keys, err = ex.appendOrderKeys(keys, q, e); err != nil {
 			return nil, err
 		}
-		rows = append(rows, sortable{row, keys})
 	}
-	sortRows(rows, q.Stmt.OrderBy)
-	for _, r := range rows {
-		res.Rows = append(res.Rows, r.row)
-	}
+	orderRows(res.Rows, keys, q.Stmt.OrderBy)
 	return res, nil
 }

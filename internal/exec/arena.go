@@ -2,94 +2,141 @@ package exec
 
 import "sqlbarber/internal/storage"
 
-// Arena is per-probe executor scratch: tuple windows (the []storage.Row
-// slices that hold one row per table instance) come from reusable chunks, and
-// join hash tables come from a free list. A session that executes many probes
-// resets the arena between them instead of handing each probe's intermediate
-// state to the garbage collector. Output rows are never arena-backed — a
-// Result must stay valid after Reset.
+// Arena is executor scratch that outlives one probe: the row-index lists a
+// query pipeline passes between its steps (scan outputs and tuple lists) and
+// the hash indexes of hash joins and IN-subquery sets. Every buffer is checked
+// out for one step and checked back in as soon as the next step has consumed
+// it, so a session that executes many probes reuses the same few buffers
+// instead of handing each probe's intermediate state to the garbage
+// collector. Output rows are never arena-backed: a Result stays valid however
+// the arena is reused.
 //
-// An Arena is single-goroutine state: one arena belongs to one session, and
-// nested use (a subquery hash-joining while the outer join's table is live)
-// is safe because tables are checked out of the free list, not shared.
+// Retention is capped. A list longer than arenaMaxList entries, or one that
+// would take the free lists past arenaMaxRetained entries or arenaMaxFree
+// buffers, is dropped on check-in, and so is an index over more than
+// arenaMaxList rows, so one huge probe cannot pin its peak memory in a
+// long-lived session. A buffer a failed probe never checked back in is simply
+// garbage.
+//
+// An Arena is single-goroutine state: one arena belongs to one session.
+// Nested use (a subquery running while the outer query holds its tuple list)
+// is safe because buffers are checked out of the free lists, never shared.
+// The zero Arena is ready to use.
 type Arena struct {
-	chunks [][]storage.Row
-	cur    int // chunk currently being carved
-	off    int // next free index in chunks[cur]
-	tables []map[uint64][]storage.Row
+	lists    [][]int32
+	retained int // summed capacity of lists
+	indexes  []*hashIndex
 }
 
-// arenaChunkRows is the default chunk capacity; windows larger than this get
-// a dedicated chunk.
-const arenaChunkRows = 4096
+const (
+	// arenaMaxList is the largest list capacity (and index size) the arena
+	// keeps for reuse: 2 MiB of int32.
+	arenaMaxList = 1 << 19
+	// arenaMaxRetained bounds the summed capacity of the free lists: 8 MiB.
+	arenaMaxRetained = 1 << 21
+	// arenaMaxFree bounds the number of free buffers of each kind.
+	arenaMaxFree = 8
+)
 
-// Reset recycles everything handed out since the last Reset. The caller must
-// not touch previously returned windows or tables afterwards.
-func (a *Arena) Reset() {
-	a.cur = 0
-	a.off = 0
-}
-
-// window carves a zeroed n-row tuple window. Chunks already carved in this
-// probe stay live (outstanding windows alias them); Reset reclaims them all.
-func (a *Arena) window(n int) []storage.Row {
-	if a.cur < len(a.chunks) && a.off+n > len(a.chunks[a.cur]) {
-		a.cur++
-		a.off = 0
-	}
-	if a.cur >= len(a.chunks) {
-		size := arenaChunkRows
-		if n > size {
-			size = n
+// getList checks out an empty list for about hint entries: the smallest free
+// list with room for hint, else the largest free list, else nil. Append grows
+// a list that turns out too small, and the grown list is what gets checked
+// back in; a caller with an exact need sizes it with slices.Grow.
+func (a *Arena) getList(hint int) []int32 {
+	best := -1
+	for i, b := range a.lists {
+		if best < 0 || fitsBetter(cap(b), cap(a.lists[best]), hint) {
+			best = i
 		}
-		a.chunks = append(a.chunks, make([]storage.Row, size))
-		a.cur = len(a.chunks) - 1
-		a.off = 0
 	}
-	w := a.chunks[a.cur][a.off : a.off+n : a.off+n]
-	a.off += n
-	for i := range w {
-		w[i] = nil
+	if best < 0 {
+		return nil
 	}
-	return w
+	b := a.lists[best]
+	last := len(a.lists) - 1
+	a.lists[best] = a.lists[last]
+	a.lists[last] = nil
+	a.lists = a.lists[:last]
+	a.retained -= cap(b)
+	return b[:0]
 }
 
-// getTable checks a hash table out of the free list (cleared) or allocates
-// one sized for the build side.
-func (a *Arena) getTable(sizeHint int) map[uint64][]storage.Row {
-	if n := len(a.tables); n > 0 {
-		t := a.tables[n-1]
-		a.tables = a.tables[:n-1]
-		clear(t)
-		return t
+// fitsBetter reports whether capacity c suits a request for hint entries
+// better than capacity d: one that fits beats one that does not, the smaller
+// of two that fit wins, and the larger of two that do not.
+func fitsBetter(c, d, hint int) bool {
+	if (c >= hint) != (d >= hint) {
+		return c >= hint
 	}
-	return make(map[uint64][]storage.Row, sizeHint)
+	if c >= hint {
+		return c < d
+	}
+	return c > d
 }
 
-// putTable returns a hash table to the free list once the join is done with
-// it.
-func (a *Arena) putTable(t map[uint64][]storage.Row) {
-	a.tables = append(a.tables, t)
+// putList checks a list back in. The caller must not touch it again.
+func (a *Arena) putList(b []int32) {
+	c := cap(b)
+	if c == 0 || c > arenaMaxList || a.retained+c > arenaMaxRetained || len(a.lists) >= arenaMaxFree {
+		return
+	}
+	a.lists = append(a.lists, b[:0])
+	a.retained += c
 }
 
-// window allocates through the executor's arena when one is attached, and
-// falls back to plain allocation for arena-free runs (DB.Execute, tests).
-func (ex *executor) window(n int) []storage.Row {
-	if ex.ar == nil {
-		return make([]storage.Row, n)
-	}
-	return ex.ar.window(n)
+// hashIndex is a chained hash index over one column of a row list: head maps
+// a value hash to the first position (+1) of its chain, and next[p] links
+// position p to the next position (+1, 0 ends the chain) with the same hash,
+// in list order. Rows whose key is NULL are not indexed.
+type hashIndex struct {
+	head map[uint64]int32
+	next []int32
 }
 
-func (ex *executor) getTable(sizeHint int) map[uint64][]storage.Row {
-	if ex.ar == nil {
-		return make(map[uint64][]storage.Row, sizeHint)
+// buildIndex checks out a hash index and fills it over column col of the
+// rows sel selects (positions index sel), or of every row when sel is nil
+// (positions index rows). Rows shorter than col+1 are skipped.
+func (a *Arena) buildIndex(rows []storage.Row, sel []int32, col int) *hashIndex {
+	n := len(rows)
+	if sel != nil {
+		n = len(sel)
 	}
-	return ex.ar.getTable(sizeHint)
+	var hi *hashIndex
+	if k := len(a.indexes); k > 0 {
+		hi = a.indexes[k-1]
+		a.indexes = a.indexes[:k-1]
+	} else {
+		hi = &hashIndex{head: make(map[uint64]int32, n)}
+	}
+	if cap(hi.next) < n {
+		hi.next = make([]int32, n)
+	}
+	hi.next = hi.next[:n]
+	// Walk backwards so each chain, built by prepending, lists its positions
+	// in ascending order.
+	for p := n - 1; p >= 0; p-- {
+		var r storage.Row
+		if sel != nil {
+			r = rows[sel[p]]
+		} else {
+			r = rows[p]
+		}
+		if col >= len(r) || r[col].IsNull() {
+			continue
+		}
+		h := r[col].Hash()
+		hi.next[p] = hi.head[h]
+		hi.head[h] = int32(p + 1)
+	}
+	return hi
 }
 
-func (ex *executor) putTable(t map[uint64][]storage.Row) {
-	if ex.ar != nil {
-		ex.ar.putTable(t)
+// putIndex checks a hash index back in, emptied. Indexes over more than
+// arenaMaxList rows are dropped (a Go map never shrinks).
+func (a *Arena) putIndex(hi *hashIndex) {
+	if len(hi.next) > arenaMaxList || len(a.indexes) >= arenaMaxFree {
+		return
 	}
+	clear(hi.head)
+	a.indexes = append(a.indexes, hi)
 }

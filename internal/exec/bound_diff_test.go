@@ -45,9 +45,18 @@ func TestBoundExecutionMatchesMaterializedDifferential(t *testing.T) {
 		{NumJoins: spec.Int(2), NumPredicates: spec.Int(3)},
 		{NumJoins: spec.Int(2), NumPredicates: spec.Int(2), NestedQuery: spec.Bool(true), GroupBy: spec.Bool(true)},
 		{NumJoins: spec.Int(0), NumPredicates: spec.Int(2), ComplexScalar: spec.Bool(true)},
+		// IN-subquery and GROUP BY shapes for the executor's IN hash sets and
+		// reused group-key buffer, all through the one shared arena below.
+		{NumJoins: spec.Int(1), NumPredicates: spec.Int(1), NestedQuery: spec.Bool(true)},
+		{NumJoins: spec.Int(0), NumPredicates: spec.Int(1), GroupBy: spec.Bool(true), NumAggregations: spec.Int(1)},
+		{NumJoins: spec.Int(2), NumPredicates: spec.Int(1), NestedQuery: spec.Bool(true), GroupBy: spec.Bool(true), NumAggregations: spec.Int(2)},
 	}
 	const probesPerTemplate = 8
 	compared := 0
+	// arenaIn and arenaGroup count arena-run probes of templates with an IN
+	// subquery and with GROUP BY. One arena serves every probe, unreset, as a
+	// session's does.
+	arenaIn, arenaGroup := 0, 0
 	var arena exec.Arena
 	for _, ds := range datasets {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -94,13 +103,18 @@ func TestBoundExecutionMatchesMaterializedDifferential(t *testing.T) {
 						return
 					}
 					compareResults(t, ds.name, seed, si, pi, "RunBound", sql, ref, got)
-					arena.Reset()
 					gotA, err := exec.RunBoundArena(store, bp, &arena)
 					if err != nil {
 						t.Fatalf("%s seed %d spec %d probe %d: RunBoundArena: %v", ds.name, seed, si, pi, err)
 					}
 					compareResults(t, ds.name, seed, si, pi, "RunBoundArena", sql, ref, gotA)
 					compared++
+					if strings.Contains(tmpl.SQL(), " IN (SELECT ") {
+						arenaIn++
+					}
+					if len(stmt.GroupBy) > 0 {
+						arenaGroup++
+					}
 				}
 				if len(bindings) == 0 {
 					check(0, nil, tmpl.SQL())
@@ -127,7 +141,11 @@ func TestBoundExecutionMatchesMaterializedDifferential(t *testing.T) {
 	if compared < 300 {
 		t.Fatalf("differential fuzz compared only %d probes; expected at least 300", compared)
 	}
-	t.Logf("differential fuzz: %d bound-vs-materialized executions, all identical", compared)
+	if arenaIn == 0 || arenaGroup == 0 {
+		t.Fatalf("shared-arena probes: %d with an IN subquery, %d with GROUP BY; want both > 0", arenaIn, arenaGroup)
+	}
+	t.Logf("differential fuzz: %d bound-vs-materialized executions, all identical (%d IN-subquery, %d GROUP BY through the shared arena)",
+		compared, arenaIn, arenaGroup)
 }
 
 // runMaterialized is the test-only reference implementation: the

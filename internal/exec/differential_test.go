@@ -42,7 +42,7 @@ func refEval(t *testing.T, db *storage.Database, q *plan.Query) []storage.Row {
 		tuples = next
 	}
 	// Full condition: all ON clauses AND the whole WHERE.
-	ex := &executor{db: db, subCache: map[*sqlparser.SelectStmt]*Result{}}
+	ex := &executor{db: db, ar: new(Arena)}
 	var conds []sqlparser.Expr
 	for _, j := range stmt.Joins {
 		conds = append(conds, j.On)

@@ -1,9 +1,9 @@
 package exec
 
 import (
+	"math"
 	"strings"
 
-	"sqlbarber/internal/plan"
 	"sqlbarber/internal/sqlparser"
 	"sqlbarber/internal/sqltypes"
 )
@@ -108,13 +108,13 @@ func (ex *executor) eval(e sqlparser.Expr, en *env) (sqltypes.Value, error) {
 	case *sqlparser.InExpr:
 		return ex.evalIn(t, en)
 	case *sqlparser.ExistsExpr:
-		res, err := ex.runSub(t.Sub, en)
+		res, _, err := ex.runSub(t.Sub, en)
 		if err != nil {
 			return sqltypes.Null, err
 		}
 		return sqltypes.NewBool((len(res.Rows) > 0) != t.Not), nil
 	case *sqlparser.SubqueryExpr:
-		res, err := ex.runSub(t.Sub, en)
+		res, _, err := ex.runSub(t.Sub, en)
 		if err != nil {
 			return sqltypes.Null, err
 		}
@@ -224,16 +224,11 @@ func (ex *executor) evalIn(t *sqlparser.InExpr, en *env) (sqltypes.Value, error)
 		return sqltypes.Null, nil
 	}
 	if t.Sub != nil {
-		res, err := ex.runSub(t.Sub, en)
+		found, err := ex.inSub(t.Sub, x, en)
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		for _, r := range res.Rows {
-			if len(r) > 0 && x.Equal(r[0]) {
-				return sqltypes.NewBool(!t.Not), nil
-			}
-		}
-		return sqltypes.NewBool(t.Not), nil
+		return sqltypes.NewBool(found != t.Not), nil
 	}
 	for _, item := range t.List {
 		v, err := ex.eval(item, en)
@@ -249,13 +244,14 @@ func (ex *executor) evalIn(t *sqlparser.InExpr, en *env) (sqltypes.Value, error)
 
 // evalScalarFunc implements the non-aggregate builtins.
 func (ex *executor) evalScalarFunc(t *sqlparser.FuncCall, en *env) (sqltypes.Value, error) {
-	args := make([]sqltypes.Value, len(t.Args))
-	for i, a := range t.Args {
+	var buf [4]sqltypes.Value
+	args := buf[:0]
+	for _, a := range t.Args {
 		v, err := ex.eval(a, en)
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
 	switch t.Name {
 	case "ABS":
@@ -296,42 +292,95 @@ func (ex *executor) evalScalarFunc(t *sqlparser.FuncCall, en *env) (sqltypes.Val
 	return sqltypes.Null, rtErrf("function %q does not exist", t.Name)
 }
 
-// runSub executes a nested SELECT, caching results of uncorrelated
-// subqueries for the lifetime of the outer statement.
-func (ex *executor) runSub(sub *sqlparser.SelectStmt, en *env) (*Result, error) {
+// cachedSub is an uncorrelated subquery's result, kept for the lifetime of
+// the outer statement, plus the hash set of its first column once an IN
+// predicate has asked for one.
+type cachedSub struct {
+	res *Result
+	// set indexes res.Rows by first-column value; nil until first built, and
+	// for good when a member is NaN (noSet).
+	set   *hashIndex
+	noSet bool
+}
+
+// runSub executes a nested SELECT. An uncorrelated subquery (a plan-time
+// fact, plan.Query.Correlated) runs once per statement and also returns its
+// cache entry; a correlated one reruns for every outer row and returns a nil
+// entry.
+func (ex *executor) runSub(sub *sqlparser.SelectStmt, en *env) (*Result, *cachedSub, error) {
 	sq, ok := en.q.Subplans[sub]
 	if !ok {
-		return nil, rtErrf("subquery was not planned")
+		return nil, nil, rtErrf("subquery was not planned")
 	}
-	correlated := isCorrelated(sq)
-	if !correlated {
-		if res, ok := ex.subCache[sub]; ok {
-			return res, nil
+	if !sq.Correlated {
+		if cs, ok := ex.subCache[sub]; ok {
+			return cs.res, cs, nil
 		}
 	}
 	res, err := ex.runQuery(sq, en)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if !correlated {
-		ex.subCache[sub] = res
+	if sq.Correlated {
+		return res, nil, nil
 	}
-	return res, nil
+	if ex.subCache == nil {
+		ex.subCache = map[*sqlparser.SelectStmt]*cachedSub{}
+	}
+	cs := &cachedSub{res: res}
+	ex.subCache[sub] = cs
+	return res, cs, nil
 }
 
-// isCorrelated reports whether the subquery references outer columns.
-func isCorrelated(q *plan.Query) bool {
-	for _, ref := range q.Binding.Cols {
-		if ref.Level > 0 {
-			return true
+// inSub reports whether non-NULL x equals the first column of some row of the
+// subquery's result. An uncorrelated subquery answers from its hash set; the
+// answer is exactly that of the linear x.Equal(r[0]) scan, which correlated
+// subqueries keep, as do lookups the set cannot answer.
+func (ex *executor) inSub(sub *sqlparser.SelectStmt, x sqltypes.Value, en *env) (bool, error) {
+	res, cs, err := ex.runSub(sub, en)
+	if err != nil {
+		return false, err
+	}
+	if cs != nil {
+		if found, ok := cs.lookup(ex.ar, x); ok {
+			return found, nil
 		}
 	}
-	for _, sp := range q.Subplans {
-		if isCorrelated(sp) {
-			return true
+	for _, r := range res.Rows {
+		if len(r) > 0 && x.Equal(r[0]) {
+			return true, nil
 		}
 	}
-	return false
+	return false, nil
+}
+
+// lookup answers "x equals some member" from the hash set, building it on
+// first use. ok is false where hashing cannot agree with Compare, which makes
+// NaN equal to every number: for a NaN x, and for good once a member is NaN.
+func (cs *cachedSub) lookup(ar *Arena, x sqltypes.Value) (found, ok bool) {
+	if cs.noSet || isNaN(x) {
+		return false, false
+	}
+	rows := cs.res.Rows
+	if cs.set == nil {
+		for _, r := range rows {
+			if len(r) > 0 && isNaN(r[0]) {
+				cs.noSet = true
+				return false, false
+			}
+		}
+		cs.set = ar.buildIndex(rows, nil, 0)
+	}
+	for p := cs.set.head[x.Hash()]; p != 0; p = cs.set.next[p-1] {
+		if x.Equal(rows[p-1][0]) {
+			return true, true
+		}
+	}
+	return false, true
+}
+
+func isNaN(v sqltypes.Value) bool {
+	return v.Kind() == sqltypes.KindFloat && math.IsNaN(v.Float())
 }
 
 // likeMatch implements SQL LIKE with % and _ wildcards.

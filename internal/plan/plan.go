@@ -108,6 +108,10 @@ type Query struct {
 	JoinExtra [][]sqlparser.Expr
 	// Subplans holds the plan of each nested SELECT.
 	Subplans map[*sqlparser.SelectStmt]*Query
+	// Correlated reports whether this query, or any subquery nested in it,
+	// references a column of an enclosing query. An uncorrelated subquery's
+	// result is the same for every outer row, so the executor runs it once.
+	Correlated bool
 
 	// subOrder lists the direct subplans in syntactic order. Cost roll-ups
 	// sum subplan totals in this order, never in map-iteration order, so two
@@ -196,6 +200,13 @@ func buildWithParent(schema *catalog.Schema, stmt *sqlparser.SelectStmt, parent 
 		}
 		q.Subplans[sub] = sq
 		q.subOrder = append(q.subOrder, sq)
+		q.Correlated = q.Correlated || sq.Correlated
+	}
+	for _, ref := range b.Cols {
+		if ref.Level > 0 {
+			q.Correlated = true
+			break
+		}
 	}
 	q.placeConjuncts()
 	q.precompute()

@@ -35,6 +35,9 @@ var roundTripCorpus = []string{
 	"SELECT name FROM users WHERE name = '}{'",
 	"SELECT name FROM users WHERE name = 'über ''quoted'' {brace}'",
 	"SELECT name FROM users WHERE name = ''",
+	// Negated float zero: -0.0 must not render as "-0" (an integer).
+	"SELECT---------------.0",
+	"SELECT -0.0, - -.0, -0 FROM users",
 	// Placeholders with odd-but-legal names.
 	"SELECT name FROM users WHERE age > { p_spaced }",
 	"SELECT name FROM users WHERE age > {p-1.x}",

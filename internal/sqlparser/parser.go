@@ -513,7 +513,13 @@ func (p *parser) parseUnary() (Expr, error) {
 			return nil, err
 		}
 		if lit, ok := x.(*Literal); ok && lit.Value.IsNumeric() {
-			return &Literal{Value: lit.Value.Neg()}, nil
+			v := lit.Value.Neg()
+			if v.Kind() == sqltypes.KindFloat && v.Float() == 0 {
+				// -0.0 would render as "-0", which re-parses as the integer
+				// 0: fold to +0.0 so rendering stays a fixpoint.
+				v = sqltypes.NewFloat(0)
+			}
+			return &Literal{Value: v}, nil
 		}
 		return &UnaryExpr{Op: "-", X: x}, nil
 	}

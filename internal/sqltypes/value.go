@@ -6,7 +6,6 @@ package sqltypes
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -197,31 +196,47 @@ func (v Value) Equal(o Value) bool {
 
 // Hash returns a hash of the value suitable for hash joins and grouping.
 // Values that are Compare-equal hash identically (ints and equal floats
-// included).
+// included, and -0.0 with +0.0). NaN compares equal to every number, so no
+// hash can agree with Compare for it; callers that may meet NaN must fall
+// back to Compare. The hash is 64-bit FNV-1a over a kind-specific encoding.
 func (v Value) Hash() uint64 {
-	h := fnv.New64a()
+	h := uint64(fnvOffset64)
 	switch v.kind {
 	case KindNull:
-		h.Write([]byte{0})
+		h = fnvByte(h, 0)
 	case KindInt:
-		writeUint64(h, uint64(math.Float64bits(float64(v.i))))
+		h = fnvUint64(h, math.Float64bits(float64(v.i)))
 	case KindFloat:
-		writeUint64(h, math.Float64bits(v.f))
+		f := v.f
+		if f == 0 {
+			f = 0 // -0.0 == +0.0 under Compare, so both hash as +0.0
+		}
+		h = fnvUint64(h, math.Float64bits(f))
 	case KindString:
-		h.Write([]byte{3})
-		h.Write([]byte(v.s))
+		h = fnvByte(h, 3)
+		for i := 0; i < len(v.s); i++ {
+			h = fnvByte(h, v.s[i])
+		}
 	case KindBool:
-		h.Write([]byte{4, byte(v.i)})
+		h = fnvByte(fnvByte(h, 4), byte(v.i))
 	}
-	return h.Sum64()
+	return h
 }
 
-func writeUint64(h interface{ Write([]byte) (int, error) }, u uint64) {
-	var b [8]byte
+// FNV-1a 64-bit parameters (as in hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvUint64 mixes u in little-endian byte order.
+func fnvUint64(h, u uint64) uint64 {
 	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
+		h = fnvByte(h, byte(u>>(8*i)))
 	}
-	h.Write(b[:])
+	return h
 }
 
 // Add returns v + o with numeric promotion; NULL if either operand is NULL

@@ -1,6 +1,8 @@
 package sqltypes
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -136,6 +138,73 @@ func TestHashEqualityConsistency(t *testing.T) {
 	}
 	if NewString("a").Hash() == NewString("b").Hash() {
 		t.Error("different strings should hash differently (fnv collision this small is a bug)")
+	}
+}
+
+// TestHashCompareEqualPairs pins Hash's contract on every kind of
+// Compare-equal pair: equal values hash identically.
+func TestHashCompareEqualPairs(t *testing.T) {
+	cases := []struct {
+		name string
+		a, b Value
+	}{
+		{"int 3 / float 3.0", NewInt(3), NewFloat(3)},
+		{"float -0.0 / float +0.0", NewFloat(math.Copysign(0, -1)), NewFloat(0)},
+		{"float -0.0 / int 0", NewFloat(math.Copysign(0, -1)), NewInt(0)},
+		{"int -7 / float -7.0", NewInt(-7), NewFloat(-7)},
+		{"int 2^53 / float 2^53", NewInt(1 << 53), NewFloat(1 << 53)},
+		{"equal strings", NewString("BUILDING"), NewString("BUILD" + "ING")},
+		{"empty strings", NewString(""), NewString("")},
+		{"true / true", NewBool(true), NewBool(true)},
+		{"false / false", NewBool(false), NewBool(false)},
+		{"NULL / NULL", Null, Null},
+	}
+	for _, c := range cases {
+		if c.a.Compare(c.b) != 0 {
+			t.Fatalf("%s: not Compare-equal, the case is wrong", c.name)
+		}
+		if c.a.Hash() != c.b.Hash() {
+			t.Errorf("%s: Compare-equal values hash %#x and %#x", c.name, c.a.Hash(), c.b.Hash())
+		}
+	}
+}
+
+// TestHashMatchesFNVEncoding pins every hash other than -0.0's to the value
+// a hash/fnv FNV-1a over the kind encoding gives, so hash-bucketed results
+// keep their exact order.
+func TestHashMatchesFNVEncoding(t *testing.T) {
+	ref := func(v Value) uint64 {
+		h := fnv.New64a()
+		u64 := func(u uint64) {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], u)
+			h.Write(b[:])
+		}
+		switch v.Kind() {
+		case KindNull:
+			h.Write([]byte{0})
+		case KindInt:
+			u64(math.Float64bits(float64(v.Int())))
+		case KindFloat:
+			u64(math.Float64bits(v.Float()))
+		case KindString:
+			h.Write([]byte{3})
+			h.Write([]byte(v.Str()))
+		case KindBool:
+			h.Write([]byte{4, byte(v.Int())})
+		}
+		return h.Sum64()
+	}
+	vals := []Value{Null, NewBool(false), NewBool(true), NewString(""), NewString("a"),
+		NewString("Customer#000000001"), NewFloat(math.NaN()), NewFloat(math.Inf(-1)),
+		NewFloat(0), NewFloat(1e-300), NewFloat(0.1), NewInt(math.MinInt64), NewInt(math.MaxInt64)}
+	for i := int64(-1000); i <= 1000; i += 7 {
+		vals = append(vals, NewInt(i), NewFloat(float64(i)/3))
+	}
+	for _, v := range vals {
+		if got, want := v.Hash(), ref(v); got != want {
+			t.Errorf("Hash(%s %v) = %#x, want %#x", v.Kind(), v, got, want)
+		}
 	}
 }
 

@@ -124,88 +124,33 @@ go test -run '^$' -fuzz '^FuzzPlaceholderRewrite$' -fuzztime 10s ./internal/sqlp
 echo "== scripts/covergate.sh (per-package coverage floors) =="
 ./scripts/covergate.sh
 
-echo "== cmd/benchmarks -exp obs (observability overhead smoke) =="
-obs_ok=0
-for attempt in 1 2 3; do
-  if go run ./cmd/benchmarks -exp obs; then
-    obs_ok=1
-    break
+# Steps 7-12: the benchmark smokes, in order. Each row is
+# name|description|extra flags; every smoke gets up to 3 attempts, each in a
+# fresh process, and fails the chain only when all 3 fail.
+smokes=(
+  "obs|observability overhead smoke|"
+  "probe|compiled-probing smoke|-probejson BENCH_probe.json"
+  "measured|measured-probe smoke|-measuredjson BENCH_measured.json"
+  "intervals|static cost-interval smoke|-intervalsjson BENCH_intervals.json"
+  "resilience|oracle resilience smoke|-resiliencejson BENCH_resilience.json"
+  "surrogate|surrogate-engine smoke|-surrogatejson BENCH_surrogate.json"
+)
+for smoke in "${smokes[@]}"; do
+  IFS='|' read -r name desc flags <<<"${smoke}"
+  echo "== cmd/benchmarks -exp ${name} (${desc}) =="
+  ok=0
+  for attempt in 1 2 3; do
+    # ${flags} is deliberately unquoted: it is a list of words.
+    if go run ./cmd/benchmarks -exp "${name}" ${flags}; then
+      ok=1
+      break
+    fi
+    echo "${name} smoke attempt ${attempt} failed; retrying in a fresh process" >&2
+  done
+  if [ "${ok}" -ne 1 ]; then
+    echo "${name} smoke failed 3 consecutive attempts — treating as a real regression" >&2
+    exit 1
   fi
-  echo "obs smoke attempt ${attempt} failed; retrying in a fresh process" >&2
 done
-if [ "${obs_ok}" -ne 1 ]; then
-  echo "obs smoke failed 3 consecutive attempts — treating as a real regression" >&2
-  exit 1
-fi
-
-echo "== cmd/benchmarks -exp probe (compiled-probing smoke) =="
-probe_ok=0
-for attempt in 1 2 3; do
-  if go run ./cmd/benchmarks -exp probe -probejson BENCH_probe.json; then
-    probe_ok=1
-    break
-  fi
-  echo "probe smoke attempt ${attempt} failed; retrying in a fresh process" >&2
-done
-if [ "${probe_ok}" -ne 1 ]; then
-  echo "probe smoke failed 3 consecutive attempts — treating as a real regression" >&2
-  exit 1
-fi
-
-echo "== cmd/benchmarks -exp measured (measured-probe smoke) =="
-measured_ok=0
-for attempt in 1 2 3; do
-  if go run ./cmd/benchmarks -exp measured -measuredjson BENCH_measured.json; then
-    measured_ok=1
-    break
-  fi
-  echo "measured smoke attempt ${attempt} failed; retrying in a fresh process" >&2
-done
-if [ "${measured_ok}" -ne 1 ]; then
-  echo "measured smoke failed 3 consecutive attempts — treating as a real regression" >&2
-  exit 1
-fi
-
-echo "== cmd/benchmarks -exp intervals (static cost-interval smoke) =="
-intervals_ok=0
-for attempt in 1 2 3; do
-  if go run ./cmd/benchmarks -exp intervals -intervalsjson BENCH_intervals.json; then
-    intervals_ok=1
-    break
-  fi
-  echo "intervals smoke attempt ${attempt} failed; retrying in a fresh process" >&2
-done
-if [ "${intervals_ok}" -ne 1 ]; then
-  echo "intervals smoke failed 3 consecutive attempts — treating as a real regression" >&2
-  exit 1
-fi
-
-echo "== cmd/benchmarks -exp resilience (oracle resilience smoke) =="
-resilience_ok=0
-for attempt in 1 2 3; do
-  if go run ./cmd/benchmarks -exp resilience -resiliencejson BENCH_resilience.json; then
-    resilience_ok=1
-    break
-  fi
-  echo "resilience smoke attempt ${attempt} failed; retrying in a fresh process" >&2
-done
-if [ "${resilience_ok}" -ne 1 ]; then
-  echo "resilience smoke failed 3 consecutive attempts — treating as a real regression" >&2
-  exit 1
-fi
-
-echo "== cmd/benchmarks -exp surrogate (surrogate-engine smoke) =="
-surrogate_ok=0
-for attempt in 1 2 3; do
-  if go run ./cmd/benchmarks -exp surrogate -surrogatejson BENCH_surrogate.json; then
-    surrogate_ok=1
-    break
-  fi
-  echo "surrogate smoke attempt ${attempt} failed; retrying in a fresh process" >&2
-done
-if [ "${surrogate_ok}" -ne 1 ]; then
-  echo "surrogate smoke failed 3 consecutive attempts — treating as a real regression" >&2
-  exit 1
-fi
 
 echo "== all checks passed =="
