@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -30,6 +31,22 @@ type SurrogatePoint struct {
 	PredictSpeedup    float64 `json:"predict_speedup"`
 }
 
+// SurrogateFitCost is the absolute cost of one refit at the shape the BO
+// loop actually fits — a few dozen to a few hundred observations, a handful
+// of dimensions, one worker — for both engines. The large corpus of the
+// speedup points amortizes per-Train and per-tree set-up (scratch, stream
+// seeding, presort) that dominates at this shape.
+type SurrogateFitCost struct {
+	Samples          int     `json:"samples"`
+	Dims             int     `json:"dims"`
+	Trees            int     `json:"trees"`
+	Workers          int     `json:"workers"`
+	FlatNSPerFit     int64   `json:"flat_ns_per_fit"`
+	FlatAllocsPerFit float64 `json:"flat_allocs_per_fit"`
+	RefNSPerFit      int64   `json:"reference_ns_per_fit"`
+	RefAllocsPerFit  float64 `json:"reference_allocs_per_fit"`
+}
+
 // SurrogateBenchResult is the JSON artifact -exp surrogate writes
 // (BENCH_surrogate.json).
 type SurrogateBenchResult struct {
@@ -39,6 +56,7 @@ type SurrogateBenchResult struct {
 	Probes     int              `json:"probes"`
 	SearchHash string           `json:"search_hash"`
 	Points     []SurrogatePoint `json:"points"`
+	BOFit      SurrogateFitCost `json:"bo_fit"`
 }
 
 // surrogateData draws a deterministic synthetic regression corpus: unit-cube
@@ -87,6 +105,33 @@ func surrogateSearchHash(seed int64, train bo.TrainFunc) string {
 		fmt.Fprintf(h, "-> %.17g\n", ob.Y)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// fitCost runs fits back-to-back refits through fit, reseeding one rng so
+// only the fit itself is timed and counted, and returns the best per-fit
+// wall time and heap-allocation count over rounds rounds.
+func fitCost(seed int64, rounds, fits int, fit func(rng *rand.Rand)) (nsPerFit int64, allocsPerFit float64) {
+	rng := rand.New(rand.NewSource(seed))
+	fit(rng) // warm-up: pooled scratch and caches
+	var m0, m1 runtime.MemStats
+	for round := 0; round < rounds; round++ {
+		runtime.ReadMemStats(&m0)
+		start := time.Now()
+		for i := 0; i < fits; i++ {
+			rng.Seed(seed)
+			fit(rng)
+		}
+		ns := time.Since(start).Nanoseconds() / int64(fits)
+		runtime.ReadMemStats(&m1)
+		allocs := float64(m1.Mallocs-m0.Mallocs) / float64(fits)
+		if round == 0 || ns < nsPerFit {
+			nsPerFit = ns
+		}
+		if round == 0 || allocs < allocsPerFit {
+			allocsPerFit = allocs
+		}
+	}
+	return nsPerFit, allocsPerFit
 }
 
 // runPredictArm scores the probe set across g goroutines, each owning a
@@ -209,6 +254,22 @@ func (r *Runner) RunSurrogateBench(ctx context.Context, w io.Writer, jsonPath st
 			pt.FlatPredictPerSec, pt.RefPredictPerSec, pt.PredictSpeedup)
 	}
 	fmt.Fprintf(w, "per-tree differential equality held; BO search hash %s identical under both engines\n", res.SearchHash)
+
+	// Absolute refit cost at the BO shape (128 observations x 4 dims, 16
+	// trees, one worker). Reported, not gated.
+	bx, by := surrogateData(r.Seed+2, 128, 4)
+	bo := rf.Options{NumTrees: 16, Workers: 1}
+	res.BOFit = SurrogateFitCost{Samples: len(bx), Dims: 4, Trees: bo.NumTrees, Workers: bo.Workers}
+	res.BOFit.FlatNSPerFit, res.BOFit.FlatAllocsPerFit = fitCost(r.Seed, rounds, 100, func(rng *rand.Rand) {
+		rf.Train(rng, bx, by, bo)
+	})
+	res.BOFit.RefNSPerFit, res.BOFit.RefAllocsPerFit = fitCost(r.Seed, rounds, 100, func(rng *rand.Rand) {
+		rf.ReferenceTrain(rng, bx, by, bo)
+	})
+	fmt.Fprintf(w, "BO-shape refit (%dx%d, %d trees, %d worker): flat=%.1fus %.0f allocs  ref=%.1fus %.0f allocs per fit\n",
+		res.BOFit.Samples, res.BOFit.Dims, res.BOFit.Trees, res.BOFit.Workers,
+		float64(res.BOFit.FlatNSPerFit)/1e3, res.BOFit.FlatAllocsPerFit,
+		float64(res.BOFit.RefNSPerFit)/1e3, res.BOFit.RefAllocsPerFit)
 
 	last := res.Points[len(res.Points)-1]
 	if last.FitSpeedup < 2 {

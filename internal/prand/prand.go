@@ -4,6 +4,13 @@
 // derived from (seed, stage tag, task coordinates), so the bytes a task
 // draws never depend on which goroutine ran it or in what order — the
 // foundation of the "-parallel N is byte-identical to sequential" guarantee.
+//
+// Streams are math/rand's: New wraps a Source, which reproduces
+// rand.NewSource draw for draw but seeds lazily by jump-ahead (see Source).
+// Like math/rand, it reduces every seed mod 2³¹−1, so seeds congruent mod
+// 2³¹−1 share a stream: Mix's 63-bit outputs select one of only 2³¹−1
+// streams. The reduction is kept deliberately, since changing it would
+// change every stream and with it every golden workload.
 package prand
 
 import "math/rand"
@@ -39,10 +46,11 @@ func Mix(vals ...int64) int64 {
 	return int64(h &^ (1 << 63)) // non-negative for rand.NewSource friendliness
 }
 
-// New returns a *rand.Rand seeded from the mixed coordinates. Each caller
-// owns the returned generator; it is not safe for concurrent use.
+// New returns a *rand.Rand over a Source seeded from the mixed coordinates;
+// its stream is rand.New(rand.NewSource(Mix(vals...)))'s. Each caller owns
+// the returned generator; it is not safe for concurrent use.
 func New(vals ...int64) *rand.Rand {
-	return rand.New(rand.NewSource(Mix(vals...)))
+	return rand.New(NewSource(Mix(vals...)))
 }
 
 // HashString folds a string into an int64 coordinate (FNV-1a), letting

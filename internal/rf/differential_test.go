@@ -9,22 +9,24 @@ import (
 )
 
 // fuzzDataset draws one random (X, y) training corpus: mixed continuous,
-// integer-ish, and duplicate-heavy feature columns so stable-tie handling
-// and group-boundary thresholds are exercised, plus occasional constant and
-// near-constant targets.
+// integer-ish, duplicate-heavy and signed-zero feature columns so stable-tie
+// handling, rank ties (-0 == +0) and group-boundary thresholds are
+// exercised, plus occasional constant and near-constant targets.
 func fuzzDataset(rng *rand.Rand, n, dims int) ([][]float64, []float64) {
 	X := make([][]float64, n)
 	y := make([]float64, n)
 	for i := range X {
 		row := make([]float64, dims)
 		for f := range row {
-			switch f % 3 {
+			switch f % 4 {
 			case 0:
 				row[f] = rng.Float64()
 			case 1:
 				row[f] = float64(rng.Intn(5)) // heavy ties
-			default:
+			case 2:
 				row[f] = math.Floor(rng.Float64()*100) / 10
+			default:
+				row[f] = signedZeroColumn[rng.Intn(len(signedZeroColumn))]
 			}
 		}
 		X[i] = row
@@ -84,6 +86,11 @@ func TestDifferentialFlatVsReference(t *testing.T) {
 		}
 	}
 }
+
+// signedZeroColumn is the value pool of the signed-zero column: -0 and +0
+// compare equal, so the flat engine must give them one rank and keep them in
+// bootstrap order, exactly as the reference's sort.SliceStable(<) does.
+var signedZeroColumn = []float64{math.Copysign(0, -1), 0, 0, -1, 0.5}
 
 func fuzzPoint(rng *rand.Rand, dims int) []float64 {
 	x := make([]float64, dims)

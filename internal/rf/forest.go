@@ -6,26 +6,31 @@
 // flatNode records in one shared []flatNode (preorder, so a split's left
 // child is always the next record and only the right-child index is stored).
 // Training is allocation-free on the per-node hot path — a column-major
-// feature matrix is built once per Train, each tree presorts its bootstrap
-// sample once per feature, and every node reuses the tree's scratch buffers
-// for gathering, scoring, and stable in-place partitioning. Split search is
-// O(n log n) per feature per tree: one stable presort, then a single
+// feature matrix and the dense rank of every feature value are built once
+// per Train, each tree presorts its bootstrap sample once per feature with a
+// stable counting sort over those ranks, and every node reuses the tree's
+// scratch buffers for gathering, scoring, and stable in-place partitioning.
+// Split search is O(n) per feature per tree for the presort, then a single
 // prefix-sum sweep of (count, Σy, Σy²) scores every candidate threshold at a
 // node in O(n), instead of re-sorting and rescanning per candidate.
 //
 // Trees fit in parallel (Options.Workers) and merge in tree order; because
 // every tree's bootstrap sample and prand stream seed are drawn serially up
 // front from the caller's rng, the forest bytes are identical at any worker
-// count. reference.go keeps a deliberately naive pointer-based
+// count. Builders, their buffers and their prand.Source live in a pooled
+// trainer and are reused across trees and Train calls: a tree reseeds its
+// builder's source (O(1), by jump-ahead) instead of allocating a fresh
+// math/rand state. reference.go keeps a deliberately naive pointer-based
 // implementation of the same algorithm as the differential-testing oracle
 // and benchmark baseline.
 package rf
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"sqlbarber/internal/prand"
@@ -96,39 +101,27 @@ func Train(rng *rand.Rand, X [][]float64, y []float64, opts Options) *Forest {
 		return &Forest{}
 	}
 	n, dims := len(X), len(X[0])
-	// Column-major feature matrix, built once: cols[f*n+i] = X[i][f]. Every
-	// gather during split search walks one contiguous column.
-	cols := make([]float64, dims*n)
-	for i, row := range X {
-		for f := 0; f < dims; f++ {
-			cols[f*n+i] = row[f]
-		}
-	}
+	workers := min(opts.Workers, opts.NumTrees)
+	tr := trainers.Get().(*trainer)
+	defer tr.release()
+	tr.reset(X, n, dims, opts.NumTrees, workers)
 	// Serial up-front draws: bootstrap samples and per-tree stream seeds.
 	// Nothing after this point touches the shared rng, so worker count can
 	// never change what a tree computes.
-	boots := make([]int32, opts.NumTrees*n)
-	seeds := make([]int64, opts.NumTrees)
 	for t := 0; t < opts.NumTrees; t++ {
-		bs := boots[t*n : (t+1)*n]
+		bs := tr.boots[t*n : (t+1)*n]
 		for i := range bs {
 			bs[i] = int32(rng.Intn(n))
 		}
-		seeds[t] = rng.Int63()
+		tr.seeds[t] = rng.Int63()
 	}
 
-	perTree := make([][]flatNode, opts.NumTrees)
-	fit := func(t int) {
-		b := newTreeBuilder(cols, y, n, dims, opts, prand.New(seeds[t]))
-		perTree[t] = b.build(boots[t*n : (t+1)*n])
-	}
-	workers := opts.Workers
-	if workers > opts.NumTrees {
-		workers = opts.NumTrees
+	for _, b := range tr.builders[:workers] {
+		b.reset(tr, y, n, dims, opts)
 	}
 	if workers <= 1 {
 		for t := 0; t < opts.NumTrees; t++ {
-			fit(t)
+			tr.fit(0, t)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -138,7 +131,7 @@ func Train(rng *rand.Rand, X [][]float64, y []float64, opts Options) *Forest {
 			go func() {
 				defer wg.Done()
 				for t := range next {
-					fit(t)
+					tr.fit(w, t)
 				}
 			}()
 		}
@@ -149,23 +142,23 @@ func Train(rng *rand.Rand, X [][]float64, y []float64, opts Options) *Forest {
 		wg.Wait()
 	}
 
-	// Ordered merge: concatenate per-tree node runs in tree order, rebasing
-	// right-child indices onto the shared array.
+	// Ordered merge: copy each tree's node run out of its builder into the
+	// shared array in tree order, rebasing right-child indices.
 	total := 0
-	for _, ns := range perTree {
-		total += len(ns)
+	for _, sp := range tr.spans {
+		total += int(sp.end - sp.start)
 	}
 	f := &Forest{
 		nodes: make([]flatNode, 0, total),
 		roots: make([]int32, opts.NumTrees),
 		dims:  dims,
 	}
-	for t, ns := range perTree {
+	for t, sp := range tr.spans {
 		off := int32(len(f.nodes))
 		f.roots[t] = off
-		for _, nd := range ns {
+		for _, nd := range tr.builders[sp.builder].nodes[sp.start:sp.end] {
 			if nd.feature != leafFeature {
-				nd.right += off
+				nd.right += off - sp.start
 			}
 			f.nodes = append(f.nodes, nd)
 		}
@@ -173,47 +166,126 @@ func Train(rng *rand.Rand, X [][]float64, y []float64, opts Options) *Forest {
 	return f
 }
 
-// treeBuilder owns all scratch state for fitting one tree. Buffers are
-// allocated once in newTreeBuilder; the per-node recursion never allocates
-// (pinned by barbervet rule R010).
+// trainers recycles Train scratch across calls: BO refits a small forest
+// after every few observations, so fresh buffers (and a fresh math/rand
+// state per tree) would otherwise cost more than the split search itself.
+var trainers = sync.Pool{New: func() any { return new(trainer) }}
+
+// trainer is the scratch of one Train call: the shared read-only inputs every
+// tree builder sees, the serial up-front draws, and one builder per worker.
+type trainer struct {
+	// cols is the column-major feature matrix, cols[f*n+i] = X[i][f]: every
+	// gather during split search walks one contiguous column.
+	cols []float64
+	// ranks[f*n+i] is the dense rank of X[i][f] among column f's distinct
+	// values (== ties, so -0 and +0 share a rank). Tree presorts are counting
+	// sorts over these.
+	ranks    []int32
+	idx      []int32 // rank computation scratch
+	boots    []int32 // per-tree bootstrap samples, n each
+	seeds    []int64 // per-tree prand stream seeds
+	spans    []treeSpan
+	builders []*treeBuilder
+}
+
+// fit builds tree t on builders[w] and records where its nodes landed.
+func (tr *trainer) fit(w, t int) {
+	b := tr.builders[w]
+	start := len(b.nodes)
+	b.build(tr.boots[t*b.n:(t+1)*b.n], tr.seeds[t])
+	tr.spans[t] = treeSpan{builder: int32(w), start: int32(start), end: int32(len(b.nodes))}
+}
+
+// treeSpan locates one fitted tree: nodes[start:end] of builders[builder].
+type treeSpan struct{ builder, start, end int32 }
+
+func (tr *trainer) reset(X [][]float64, n, dims, trees, workers int) {
+	tr.cols = resize(tr.cols, dims*n)
+	for i, row := range X {
+		for f := 0; f < dims; f++ {
+			tr.cols[f*n+i] = row[f]
+		}
+	}
+	tr.ranks = resize(tr.ranks, dims*n)
+	tr.idx = resize(tr.idx, n)
+	for f := 0; f < dims; f++ {
+		col := tr.cols[f*n : (f+1)*n]
+		for i := range tr.idx {
+			tr.idx[i] = int32(i)
+		}
+		slices.SortFunc(tr.idx, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
+		rank, ranks := int32(0), tr.ranks[f*n:(f+1)*n]
+		for k, i := range tr.idx {
+			if k > 0 && col[i] != col[tr.idx[k-1]] {
+				rank++
+			}
+			ranks[i] = rank
+		}
+	}
+	tr.boots = resize(tr.boots, trees*n)
+	tr.seeds = resize(tr.seeds, trees)
+	tr.spans = resize(tr.spans, trees)
+	for len(tr.builders) < workers {
+		tr.builders = append(tr.builders, &treeBuilder{rng: rand.New(prand.NewSource(0))})
+	}
+}
+
+// release drops the builders' references to the caller's targets and
+// returns the scratch to the pool.
+func (tr *trainer) release() {
+	for _, b := range tr.builders {
+		b.y = nil
+	}
+	trainers.Put(tr)
+}
+
+// resize returns s with length n, reusing its backing array when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// treeBuilder owns all scratch state for fitting trees. It lives in a pooled
+// trainer, so its buffers are reused across trees and across Train calls;
+// the per-node recursion never allocates (pinned by barbervet rule R010).
 type treeBuilder struct {
-	cols []float64 // column-major features, shared and read-only
-	y    []float64 // targets, shared and read-only
-	n    int       // sample count (= bootstrap size)
-	dims int
-	opts Options
-	rng  *rand.Rand
+	cols  []float64 // column-major features, shared and read-only
+	ranks []int32   // dense feature-value ranks, shared and read-only
+	y     []float64 // targets, shared and read-only
+	n     int       // sample count (= bootstrap size)
+	dims  int
+	opts  Options
+	// rng runs on a prand.Source reseeded per tree, so a tree's draws are
+	// exactly prand.New(seed)'s without allocating a generator per tree.
+	rng *rand.Rand
 
 	// order holds dims+1 blocks of n indices over the bootstrap sample.
 	// Block 0 is row order (bootstrap draw order; leaf means and purity
 	// checks read it). Block f+1 is the sample stably sorted by feature f —
-	// sorted once here, then kept sorted through every split by stable
-	// partitioning, so nodes never re-sort.
+	// counting-sorted by rank once per tree, then kept sorted through every
+	// split by stable partitioning, so nodes never re-sort.
 	order    []int32
 	scratch  []int32   // right-half staging for stable partition
+	counts   []int32   // counting-sort bucket offsets, one per rank
 	vals, ys []float64 // per-node gather buffers for the score sweep
 	featPerm []int     // persistent permutation for per-node feature draws
-	nodes    []flatNode
+	// nodes holds every tree this builder fits in one Train, back to back;
+	// right-child indices are relative to the start of this slice.
+	nodes []flatNode
 }
 
-func newTreeBuilder(cols, y []float64, n, dims int, opts Options, rng *rand.Rand) *treeBuilder {
-	b := &treeBuilder{
-		cols:     cols,
-		y:        y,
-		n:        n,
-		dims:     dims,
-		opts:     opts,
-		rng:      rng,
-		order:    make([]int32, (dims+1)*n),
-		scratch:  make([]int32, n),
-		vals:     make([]float64, n),
-		ys:       make([]float64, n),
-		featPerm: make([]int, dims),
-	}
-	for f := range b.featPerm {
-		b.featPerm[f] = f
-	}
-	return b
+func (b *treeBuilder) reset(tr *trainer, y []float64, n, dims int, opts Options) {
+	b.cols, b.ranks, b.y = tr.cols, tr.ranks, y
+	b.n, b.dims, b.opts = n, dims, opts
+	b.order = resize(b.order, (dims+1)*n)
+	b.scratch = resize(b.scratch, n)
+	b.counts = resize(b.counts, n+1)
+	b.vals = resize(b.vals, n)
+	b.ys = resize(b.ys, n)
+	b.featPerm = resize(b.featPerm, dims)
+	b.nodes = b.nodes[:0]
 }
 
 // block returns the order block for feature f (block -1 is row order).
@@ -221,20 +293,41 @@ func (b *treeBuilder) block(f int) []int32 {
 	return b.order[(f+1)*b.n : (f+2)*b.n]
 }
 
-func (b *treeBuilder) build(bootstrap []int32) []flatNode {
+// build fits one tree on the bootstrap sample, drawing features from the
+// stream prand.New(seed) would give, and appends its nodes to b.nodes.
+func (b *treeBuilder) build(bootstrap []int32, seed int64) {
+	b.rng.Seed(prand.Mix(seed))
+	for f := range b.featPerm {
+		b.featPerm[f] = f
+	}
+	b.presort(bootstrap)
+	b.grow(0, b.n, 0)
+}
+
+// presort fills the order blocks from the bootstrap sample: block -1 in draw
+// order, block f by a stable counting sort on feature f's ranks. Ties keep
+// bootstrap order, so each block is exactly the permutation
+// sort.SliceStable(<) gives, and every node's sweep sees the same
+// (value, y) sequence the reference oracle produces — in O(n) per feature.
+func (b *treeBuilder) presort(bootstrap []int32) {
 	copy(b.block(-1), bootstrap)
 	for f := 0; f < b.dims; f++ {
+		ranks := b.ranks[f*b.n : (f+1)*b.n]
+		counts := b.counts
+		clear(counts)
+		for _, i := range bootstrap {
+			counts[ranks[i]+1]++
+		}
+		for r := 1; r < len(counts); r++ {
+			counts[r] += counts[r-1]
+		}
 		blk := b.block(f)
-		copy(blk, bootstrap)
-		base := f * b.n
-		// Stable: ties keep bootstrap order, so every node's sweep sees the
-		// same (value, y) sequence the reference oracle produces.
-		sort.SliceStable(blk, func(a, c int) bool {
-			return b.cols[base+int(blk[a])] < b.cols[base+int(blk[c])]
-		})
+		for _, i := range bootstrap {
+			r := ranks[i]
+			blk[counts[r]] = i
+			counts[r]++
+		}
 	}
-	b.grow(0, b.n, 0)
-	return b.nodes
 }
 
 // grow fits the node over rows [lo, hi) of every order block and returns its

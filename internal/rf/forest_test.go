@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -248,4 +250,78 @@ func TestConcurrentTrainAndPredictBatch(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPresortMatchesSliceStable pins the counting presort to the permutation
+// the stable comparison sort gives, on bootstraps with repeats over
+// duplicate-heavy and signed-zero columns.
+func TestPresortMatchesSliceStable(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 64, 200} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		X, y := fuzzDataset(rng, n, 4)
+		tr := new(trainer)
+		tr.reset(X, n, 4, 1, 1)
+		b := tr.builders[0]
+		b.reset(tr, y, n, 4, Options{}.withDefaults())
+		boot := make([]int32, n)
+		for i := range boot {
+			boot[i] = int32(rng.Intn(n))
+		}
+		b.presort(boot)
+		if !slices.Equal(b.block(-1), boot) {
+			t.Fatalf("n=%d: row block %v != bootstrap %v", n, b.block(-1), boot)
+		}
+		for f := 0; f < 4; f++ {
+			want := slices.Clone(boot)
+			sort.SliceStable(want, func(a, c int) bool { return X[want[a]][f] < X[want[c]][f] })
+			if got := b.block(f); !slices.Equal(got, want) {
+				t.Fatalf("n=%d feature %d: counting presort %v != sort.SliceStable %v", n, f, got, want)
+			}
+		}
+	}
+}
+
+// TestTrainAllocationCeiling pins the cost of a warm refit at the shape the
+// BO loop fits (128 observations x 4 dims, 16 trees, one worker): with
+// pooled builders, only the returned Forest and its two slices allocate
+// (measured 3; the ceiling leaves ~20% headroom). The minimum over
+// several runs is taken because sync.Pool may drop scratch at a GC, and
+// under the race detector it drops Puts at random.
+func TestTrainAllocationCeiling(t *testing.T) {
+	const ceiling = 4
+	rng := rand.New(rand.NewSource(5))
+	X := make([][]float64, 128)
+	y := make([]float64, 128)
+	for i := range X {
+		X[i] = []float64{rng.Float64(), rng.Float64(), float64(rng.Intn(5)), rng.Float64()}
+		y[i] = 3*X[i][0] + rng.NormFloat64()
+	}
+	opts := Options{NumTrees: 16, Workers: 1}
+	fit := func() {
+		rng.Seed(1)
+		Train(rng, X, y, opts)
+	}
+	allocs := math.Inf(1)
+	for i := 0; i < 10; i++ {
+		allocs = min(allocs, testing.AllocsPerRun(1, fit))
+	}
+	if allocs > ceiling {
+		t.Fatalf("warm Train allocated %.0f times, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestPooledScratchLeaksNothing refits a small corpus after a larger one
+// (wider, more rows, more trees, more workers) has grown the pooled
+// scratch: the small forest must come out byte-identical to its first fit.
+func TestPooledScratchLeaksNothing(t *testing.T) {
+	small := func() *Forest {
+		X, y := fuzzDataset(rand.New(rand.NewSource(21)), 30, 2)
+		return Train(rand.New(rand.NewSource(22)), X, y, Options{NumTrees: 4, Workers: 1})
+	}
+	first := small()
+	X, y := fuzzDataset(rand.New(rand.NewSource(23)), 400, 6)
+	Train(rand.New(rand.NewSource(24)), X, y, Options{NumTrees: 24, Workers: 4})
+	if again := small(); !reflect.DeepEqual(first, again) {
+		t.Fatal("refit after a larger Train differs from the first fit")
+	}
 }

@@ -523,7 +523,7 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 	return res
 }
 
-// objective is Equation (5): 0 inside [cl, cr), otherwise a relative
+// objective is Equation (5): 0 inside [cl, cr], otherwise a relative
 // distance in (0, 1].
 func objective(c float64, iv stats.Interval) float64 {
 	cl, cr := iv.Lo, iv.Hi

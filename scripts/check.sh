@@ -15,15 +15,21 @@
 #                              changes goroutine interleavings enough to shake
 #                              out scheduling-dependent results the default
 #                              pass can miss
-#   5. go test -fuzz (sqlparser smoke)
-#                            — 10-second native-fuzzing smokes over the two
-#                              sqlparser fuzz targets: FuzzParse checks the
-#                              render ∘ parse round-trip fixpoint on arbitrary
-#                              input, FuzzPlaceholderRewrite checks that
-#                              placeholder substitution never corrupts
-#                              adversarial neighbouring string literals. At
-#                              ~25k execs/sec per target this explores ~250k
-#                              mutated inputs per run beyond the seed corpus
+#   5. go test -fuzz (fuzz smokes)
+#                            — 10-second native-fuzzing smokes over four
+#                              targets. FuzzParse checks the render ∘ parse
+#                              round-trip fixpoint on arbitrary input, and
+#                              FuzzPlaceholderRewrite checks that placeholder
+#                              substitution never corrupts adversarial
+#                              neighbouring string literals (sqlparser; at
+#                              ~25k execs/sec each explores ~250k mutated
+#                              inputs per run beyond the seed corpus).
+#                              FuzzForestDifferential checks that the flat
+#                              random forest predicts exactly what the naive
+#                              pointer oracle does on arbitrary corpora (rf),
+#                              and FuzzSourceMatchesMathRand checks that
+#                              prand.Source reproduces math/rand draw for draw
+#                              for arbitrary seeds and stream lengths (prand)
 #   6. scripts/covergate.sh  — per-package statement-coverage floors over
 #                              internal/, from scripts/coverage_baseline.txt.
 #                              Floors sit ~5 points below measured coverage,
@@ -117,9 +123,11 @@ go test -race -shuffle=on ./...
 echo "== GOMAXPROCS=2 go test -race ./... =="
 GOMAXPROCS=2 go test -race ./...
 
-echo "== go test -fuzz (sqlparser fuzz smoke, 10s per target) =="
+echo "== go test -fuzz (fuzz smokes, 10s per target) =="
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sqlparser
 go test -run '^$' -fuzz '^FuzzPlaceholderRewrite$' -fuzztime 10s ./internal/sqlparser
+go test -run '^$' -fuzz '^FuzzForestDifferential$' -fuzztime 10s ./internal/rf
+go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 10s ./internal/prand
 
 echo "== scripts/covergate.sh (per-package coverage floors) =="
 ./scripts/covergate.sh
