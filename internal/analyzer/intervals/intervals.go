@@ -74,31 +74,9 @@ func Analyze(schema *catalog.Schema, t *sqltemplate.Template, kind engine.CostKi
 	if kind != engine.Cardinality && kind != engine.PlanCost {
 		return a.unavailable(fmt.Sprintf("cost kind %s is measured, not estimated; no static bounds exist", kind))
 	}
-	// Compile a fresh parse: plan.Compile takes ownership of the statement
-	// and rewrites its placeholders, so the template's own AST must not be
-	// handed over.
-	stmt, err := sqlparser.Parse(t.SQL())
+	cq, space, domains, err := Compile(schema, t)
 	if err != nil {
-		return a.unavailable("template does not re-parse: " + err.Error())
-	}
-	cq, err := plan.Compile(schema, stmt)
-	if err != nil {
-		return a.unavailable("template does not compile: " + err.Error())
-	}
-	bindings, err := t.BindPlaceholders(schema)
-	if err != nil {
-		return a.unavailable("placeholders do not bind: " + err.Error())
-	}
-	var space *profiler.SearchSpace
-	domains := map[string]plan.ParamDomain{}
-	if len(bindings) > 0 {
-		space, err = profiler.BuildSearchSpace(t, bindings)
-		if err != nil {
-			return a.unavailable("no sampleable domain: " + err.Error())
-		}
-		for _, d := range space.Dims {
-			domains[d.Binding.Name] = domainOf(d)
-		}
+		return a.unavailable(err.Error())
 	}
 	est, err := cq.EstimateBounds(domains)
 	if err != nil {
@@ -118,7 +96,7 @@ func Analyze(schema *catalog.Schema, t *sqltemplate.Template, kind engine.CostKi
 		})
 		return a
 	}
-	if len(bindings) > 0 && flatWidth(a.Bounds) {
+	if space != nil && flatWidth(a.Bounds) {
 		a.Flat = true
 		a.Diagnostics = append(a.Diagnostics, analyzer.Diagnostic{
 			Code:     analyzer.CodeIntervalFlat,
@@ -156,6 +134,36 @@ func metricOf(est plan.BoundsEstimate, kind engine.CostKind) plan.CostBounds {
 // estimator epsilon (relative to magnitude, absolute near zero).
 func flatWidth(b plan.CostBounds) bool {
 	return stats.ApproxEqual(b.Lo, b.Hi)
+}
+
+// Compile compiles t against schema and derives the slot domains Analyze
+// bounds it under: each placeholder's profiler search dimension, soundly
+// widened by domainOf. space is nil when t has no placeholder.
+func Compile(schema *catalog.Schema, t *sqltemplate.Template) (cq *plan.CompiledQuery, space *profiler.SearchSpace, domains map[string]plan.ParamDomain, err error) {
+	// Compile a fresh parse: plan.Compile takes ownership of the statement
+	// and rewrites its placeholders, so the template's own AST must not be
+	// handed over.
+	stmt, err := sqlparser.Parse(t.SQL())
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("template does not re-parse: %w", err)
+	}
+	if cq, err = plan.Compile(schema, stmt); err != nil {
+		return nil, nil, nil, fmt.Errorf("template does not compile: %w", err)
+	}
+	bindings, err := t.BindPlaceholders(schema)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("placeholders do not bind: %w", err)
+	}
+	domains = map[string]plan.ParamDomain{}
+	if len(bindings) > 0 {
+		if space, err = profiler.BuildSearchSpace(t, bindings); err != nil {
+			return nil, nil, nil, fmt.Errorf("no sampleable domain: %w", err)
+		}
+		for _, d := range space.Dims {
+			domains[d.Binding.Name] = domainOf(d)
+		}
+	}
+	return cq, space, domains, nil
 }
 
 // domainOf converts one profiler search dimension into the sound ParamDomain
@@ -233,13 +241,7 @@ func projectBox(cq *plan.CompiledQuery, space *profiler.SearchSpace, full map[st
 		keptLo, keptHi := math.Inf(1), math.Inf(-1)
 		cut := false
 		for c := 0; c < boxCells; c++ {
-			cl := p.Lo + span*float64(c)/boxCells
-			ch := p.Lo + span*float64(c+1)/boxCells
-			doms := make(map[string]plan.ParamDomain, len(full))
-			for k, v := range full {
-				doms[k] = v
-			}
-			doms[d.Binding.Name] = widenNumeric(cl, ch, p.Integer)
+			cl, ch, doms := cellDomains(full, d.Binding.Name, p, c)
 			est, err := cq.EstimateBounds(doms)
 			if err != nil {
 				return nil
@@ -268,4 +270,19 @@ func projectBox(cq *plan.CompiledQuery, space *profiler.SearchSpace, full map[st
 		return nil
 	}
 	return box
+}
+
+// cellDomains returns cell c of numeric dimension p, [cl, ch], and the slot
+// domains projectBox bounds it under: the named slot restricted to the
+// (widened) cell, every other slot at its full domain.
+func cellDomains(full map[string]plan.ParamDomain, name string, p bo.Param, c int) (cl, ch float64, doms map[string]plan.ParamDomain) {
+	span := p.Hi - p.Lo
+	cl = p.Lo + span*float64(c)/boxCells
+	ch = p.Lo + span*float64(c+1)/boxCells
+	doms = make(map[string]plan.ParamDomain, len(full))
+	for k, v := range full {
+		doms[k] = v
+	}
+	doms[name] = widenNumeric(cl, ch, p.Integer)
+	return cl, ch, doms
 }

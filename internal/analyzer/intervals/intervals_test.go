@@ -2,6 +2,11 @@ package intervals_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
 	"sync"
 	"testing"
 
@@ -228,4 +233,131 @@ func TestIntervalAnalysisConcurrentWithProbes(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// The two constants below pin exact bits. They were computed before the
+// plan estimators were rewritten as one generic definition over a
+// point/interval domain; a change to either means an estimate moved, and
+// with it the search boxes, the probes and the workloads.
+const (
+	boundsHashPinned   = "598818bd83b379c9"
+	estimateHashPinned = "68820d007c310ca4"
+)
+
+// TestExactBitsPinned hashes the float64 bits of every EstimateBounds
+// result over the soundness corpus: each template at its full slot domains,
+// and at every per-cell domain projectBox bounds when it narrows the BO
+// search box. The soundness fuzz checks containment only, so a looser or
+// tighter bound would pass it while changing the boxes BO searches. The
+// same corpus pins the point side too: CostWith at each LHS environment and
+// unit-cube corner, plus the EXPLAIN text of a fresh plan.Build of the SQL
+// rendered at each corner (scan kinds and per-operator estimates).
+func TestExactBitsPinned(t *testing.T) {
+	bh, eh := sha256.New(), sha256.New()
+	put := func(h hash.Hash, fs ...float64) {
+		for _, f := range fs {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(f))
+		}
+	}
+	addBounds := func(est plan.BoundsEstimate) {
+		put(bh, est.Rows.Lo, est.Rows.Hi, est.Cost.Lo, est.Cost.Hi)
+	}
+	bounds, estimates := 0, 0
+	for _, open := range []func(int64) *engine.DB{
+		func(seed int64) *engine.DB { return engine.OpenTPCH(seed, 0.05) },
+		func(seed int64) *engine.DB { return engine.OpenIMDB(seed, 0.05) },
+	} {
+		for seed := int64(1); seed <= 3; seed++ {
+			db := open(seed)
+			for ti, tmpl := range generateTemplates(t, db, seed) {
+				cq, space, full, err := intervals.Compile(db.Schema(), tmpl)
+				if err != nil {
+					t.Fatalf("seed %d template %d: %v", seed, ti, err)
+				}
+				est, err := cq.EstimateBounds(full)
+				if err != nil {
+					t.Fatalf("seed %d template %d: bounds: %v", seed, ti, err)
+				}
+				addBounds(est)
+				bounds++
+				if space == nil {
+					continue
+				}
+				box := space.BOSpace()
+				for i, d := range space.Dims {
+					if d.Options != nil || !(box[i].Hi-box[i].Lo > 0) {
+						continue
+					}
+					for c := 0; c < intervals.BoxCells; c++ {
+						_, _, doms := intervals.CellDomains(full, d.Binding.Name, box[i], c)
+						est, err := cq.EstimateBounds(doms)
+						if err != nil {
+							t.Fatalf("seed %d template %d cell %d/%d: bounds: %v", seed, ti, i, c, err)
+						}
+						addBounds(est)
+						bounds++
+					}
+				}
+				rng := prand.New(seed, prand.StageProfile, prand.HashString(tmpl.SQL()))
+				unit := stats.LatinHypercube(rng, 300, len(space.Dims))
+				corners := unitCorners(len(space.Dims))
+				for pi, u := range append(unit, corners...) {
+					vals := space.ValuesFor(box.Denormalize(u))
+					est, err := cq.CostWith(vals)
+					if err != nil {
+						t.Fatalf("seed %d template %d probe %d: CostWith: %v", seed, ti, pi, err)
+					}
+					put(eh, est.Rows, est.Cost)
+					estimates++
+					if pi < len(unit) {
+						continue
+					}
+					sql, err := tmpl.Instantiate(vals)
+					if err != nil {
+						t.Fatalf("seed %d template %d probe %d: instantiate: %v", seed, ti, pi, err)
+					}
+					stmt, err := sqlparser.Parse(sql)
+					if err != nil {
+						t.Fatalf("seed %d template %d probe %d: parse: %v", seed, ti, pi, err)
+					}
+					q, err := plan.Build(db.Schema(), stmt)
+					if err != nil {
+						t.Fatalf("seed %d template %d probe %d: build: %v", seed, ti, pi, err)
+					}
+					eh.Write([]byte(q.Explain()))
+					put(eh, q.TotalCost())
+				}
+			}
+		}
+	}
+	gotB := hex.EncodeToString(bh.Sum(nil))[:16]
+	gotE := hex.EncodeToString(eh.Sum(nil))[:16]
+	t.Logf("%d bounds hashed: %s; %d estimates hashed: %s", bounds, gotB, estimates, gotE)
+	if gotB != boundsHashPinned {
+		t.Errorf("bounds hash %s over %d results, want %s: some EstimateBounds result changed bits", gotB, bounds, boundsHashPinned)
+	}
+	if gotE != estimateHashPinned {
+		t.Errorf("estimate hash %s over %d probes, want %s: some CostWith or Build result changed bits", gotE, estimates, estimateHashPinned)
+	}
+}
+
+// unitCorners returns the exact unit-cube corners the soundness fuzz
+// stresses: all-lo, all-hi, and each single-dimension extreme with the
+// other dimensions at the midpoint.
+func unitCorners(dims int) [][]float64 {
+	corners := [][]float64{make([]float64, dims), make([]float64, dims)}
+	for i := range corners[1] {
+		corners[1][i] = 1
+	}
+	for d := 0; d < dims; d++ {
+		lo := make([]float64, dims)
+		hi := make([]float64, dims)
+		for i := range hi {
+			hi[i] = 0.5
+			lo[i] = 0.5
+		}
+		lo[d], hi[d] = 0, 1
+		corners = append(corners, lo, hi)
+	}
+	return corners
 }

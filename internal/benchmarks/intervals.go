@@ -8,10 +8,12 @@ import (
 	"os"
 	"time"
 
+	"sqlbarber/internal/analyzer/intervals"
 	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
 	"sqlbarber/internal/obs"
+	"sqlbarber/internal/plan"
 	"sqlbarber/internal/prand"
 	"sqlbarber/internal/profiler"
 	"sqlbarber/internal/stats"
@@ -53,6 +55,74 @@ type IntervalsBenchResult struct {
 	BaselineDistance float64          `json:"baseline_distance"`
 	BaselineHash     string           `json:"baseline_workload_hash"`
 	Points           []IntervalsPoint `json:"points"`
+	// BoundsNSPerCall and BoundsAllocsPerCall are the absolute cost of one
+	// plan.EstimateBounds call: the best of boundsRounds passes over every
+	// valid template of the first intervals arm at its full slot domains.
+	BoundsNSPerCall     float64 `json:"bounds_ns_per_call"`
+	BoundsAllocsPerCall float64 `json:"bounds_allocs_per_call"`
+}
+
+// boundsRounds and boundsPasses size the EstimateBounds timing: each round
+// bounds every template boundsPasses times, and the best round is kept.
+const (
+	boundsRounds = 3
+	boundsPasses = 50
+)
+
+// boundsCallCost times plan.EstimateBounds on every valid template of res,
+// each compiled once at the slot domains intervals.Analyze bounds, and
+// returns the best per-call wall time and heap-allocation count
+// over boundsRounds rounds.
+func (r *Runner) boundsCallCost(res *core.Result) (nsPerCall, allocsPerCall float64, err error) {
+	schema := TPCH.Open(r.Seed, r.Scale.SF).Schema()
+	type boundsCase struct {
+		cq      *plan.CompiledQuery
+		domains map[string]plan.ParamDomain
+	}
+	var cases []boundsCase
+	for _, gr := range res.GenResults {
+		if !gr.Valid || gr.Template == nil {
+			continue
+		}
+		cq, _, domains, err := intervals.Compile(schema, gr.Template)
+		if err != nil {
+			continue // Analyze reports such a template unavailable
+		}
+		cases = append(cases, boundsCase{cq, domains})
+	}
+	if len(cases) == 0 {
+		return 0, 0, fmt.Errorf("benchmarks: no valid template to bound")
+	}
+	pass := func() error {
+		for _, c := range cases {
+			if _, err := c.cq.EstimateBounds(c.domains); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := pass(); err != nil { // warm-up
+		return 0, 0, err
+	}
+	calls := float64(boundsPasses * len(cases))
+	for round := 0; round < boundsRounds; round++ {
+		before := mallocs()
+		start := time.Now()
+		for i := 0; i < boundsPasses; i++ {
+			if err := pass(); err != nil {
+				return 0, 0, err
+			}
+		}
+		ns := float64(time.Since(start).Nanoseconds()) / calls
+		allocs := float64(mallocs()-before) / calls
+		if round == 0 || ns < nsPerCall {
+			nsPerCall = ns
+		}
+		if round == 0 || allocs < allocsPerCall {
+			allocsPerCall = allocs
+		}
+	}
+	return nsPerCall, allocsPerCall, nil
 }
 
 // intervalsArm runs the full pipeline once at the given worker count and
@@ -282,6 +352,11 @@ func (r *Runner) RunIntervalsBench(ctx context.Context, w io.Writer, jsonPath st
 		checked, intervalsFalsePruneProbes)
 	fmt.Fprintf(w, "determinism: all %d worker levels produced workload %s with %d DBMS calls\n",
 		len(res.Points), res.Points[0].Hash, res.Points[0].DBCalls)
+	if res.BoundsNSPerCall, res.BoundsAllocsPerCall, err = r.boundsCallCost(first); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "EstimateBounds: %.0f ns/call %.1f allocs/call (%d valid templates at full slot domains)\n",
+		res.BoundsNSPerCall, res.BoundsAllocsPerCall, res.Templates)
 
 	if res.Pruned == 0 {
 		return nil, fmt.Errorf("benchmarks: intervals stage pruned nothing on the seed corpus")

@@ -81,6 +81,11 @@ type ProbePoint struct {
 	ReplanPerSec   float64 `json:"replan_probes_per_sec"`
 	CompiledPerSec float64 `json:"compiled_probes_per_sec"`
 	Speedup        float64 `json:"speedup"`
+	// CompiledNSPerProbe and CompiledAllocsPerProbe are the compiled arm's
+	// absolute cost per probe: its wall time, and the process's heap
+	// allocations over the arm, divided by the probe count.
+	CompiledNSPerProbe     float64 `json:"compiled_ns_per_probe"`
+	CompiledAllocsPerProbe float64 `json:"compiled_allocs_per_probe"`
 }
 
 // ProbeBenchResult is the JSON artifact -exp probe writes (BENCH_probe.json).
@@ -198,10 +203,12 @@ func (r *Runner) RunProbeBench(ctx context.Context, w io.Writer, jsonPath string
 		}
 		replanCalls := db.ExplainCalls() - before
 		before = db.ExplainCalls()
+		mallocsBefore := mallocs()
 		compiledCosts, compiledTime, err := runProbeArm(ctx, g, sched, compiled)
 		if err != nil {
 			return nil, err
 		}
+		compiledAllocs := mallocs() - mallocsBefore
 		compiledCalls := db.ExplainCalls() - before
 		if compiledCalls != replanCalls {
 			return nil, fmt.Errorf("benchmarks: probe counter parity broken at g=%d: compiled moved explain_calls by %d, replan by %d",
@@ -228,9 +235,11 @@ func (r *Runner) RunProbeBench(ctx context.Context, w io.Writer, jsonPath string
 			CompiledPerSec: total / compiledTime.Seconds(),
 		}
 		pt.Speedup = pt.CompiledPerSec / pt.ReplanPerSec
+		pt.CompiledNSPerProbe = float64(compiledTime.Nanoseconds()) / total
+		pt.CompiledAllocsPerProbe = float64(compiledAllocs) / total
 		res.Points = append(res.Points, pt)
-		fmt.Fprintf(w, "goroutines=%-3d replan=%-10.0f probes/s  compiled=%-10.0f probes/s  speedup=%.2fx\n",
-			g, pt.ReplanPerSec, pt.CompiledPerSec, pt.Speedup)
+		fmt.Fprintf(w, "goroutines=%-3d replan=%-10.0f probes/s  compiled=%-10.0f probes/s  speedup=%.2fx  compiled %.0f ns/probe %.1f allocs/probe\n",
+			g, pt.ReplanPerSec, pt.CompiledPerSec, pt.Speedup, pt.CompiledNSPerProbe, pt.CompiledAllocsPerProbe)
 	}
 	fmt.Fprintf(w, "all arms bit-identical: probe hash %s, counter parity held\n", res.Hash)
 	for _, pt := range res.Points {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"sqlbarber/internal/plan"
+	"sqlbarber/internal/sqlparser"
 	"sqlbarber/internal/sqltypes"
 )
 
@@ -45,5 +47,46 @@ func TestSessionCostAllocationCeiling(t *testing.T) {
 	const ceiling = 44
 	if allocs > ceiling {
 		t.Fatalf("measured probe allocates %.0f times, ceiling %d", allocs, ceiling)
+	}
+}
+
+// estimateSink keeps the compiled estimates below observable.
+var estimateSink plan.Estimate
+
+// TestEstimateWithAllocationCeiling is the allocation gate for estimate
+// probes (Cardinality, PlanCost): a compiled EstimateWith allocates nothing
+// on a subquery-free template, and only the per-probe subplan totals when
+// the template nests a subquery.
+func TestEstimateWithAllocationCeiling(t *testing.T) {
+	db := OpenTPCH(7, 0.002)
+	vals := map[string]sqltypes.Value{"p_1": sqltypes.NewInt(20000), "p_2": sqltypes.NewInt(20)}
+	for _, tc := range []struct {
+		name    string
+		sql     string
+		ceiling float64
+	}{
+		{"no subquery", "SELECT c.c_mktsegment, COUNT(*) FROM customer AS c " +
+			"JOIN orders AS o ON c.c_custkey = o.o_custkey " +
+			"WHERE o.o_totalprice > {p_1} AND c.c_acctbal BETWEEN {p_2} AND 5000 " +
+			"GROUP BY c.c_mktsegment ORDER BY c.c_mktsegment LIMIT 10", 0},
+		{"IN subquery", allocTemplate, 2},
+	} {
+		stmt, err := sqlparser.Parse(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cq, err := plan.Compile(db.Schema(), stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		params, err := cq.BindVals(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() { estimateSink = cq.EstimateWith(params) })
+		t.Logf("%s: %.0f allocs per EstimateWith", tc.name, allocs)
+		if allocs > tc.ceiling {
+			t.Errorf("%s: EstimateWith allocates %.0f times, ceiling %.0f", tc.name, allocs, tc.ceiling)
+		}
 	}
 }

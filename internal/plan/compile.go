@@ -23,8 +23,9 @@ import (
 //
 // Value-dependent *structure* decisions (the sargable index-scan flip) are
 // not frozen into the skeleton — they are re-evaluated at their decision
-// points inside the shared estimators, which is what makes EstimateWith
-// bit-identical to a fresh Build of the value-substituted statement.
+// points inside the one roll-up Build also runs, which is what makes
+// EstimateWith bit-identical to a fresh Build of the value-substituted
+// statement.
 type CompiledQuery struct {
 	schema *catalog.Schema
 	stmt   *sqlparser.SelectStmt
@@ -100,24 +101,15 @@ func Compile(schema *catalog.Schema, stmt *sqlparser.SelectStmt) (*CompiledQuery
 			c.slotIdx[lit] = i
 		}
 	}
-	q, err := Build(schema, stmt)
+	q, post, err := build(schema, stmt)
 	if err != nil {
 		return nil, err
 	}
-	c.root = q
-	c.post = appendPostOrder(nil, q)
+	c.root, c.post = q, post
 	for _, sub := range c.post {
 		c.memoize(sub)
 	}
 	return c, nil
-}
-
-// appendPostOrder flattens the subplan tree, children before parents.
-func appendPostOrder(out []*Query, q *Query) []*Query {
-	for _, sp := range q.subOrder {
-		out = appendPostOrder(out, sp)
-	}
-	return append(out, q)
 }
 
 // memoize fills one plan's selectivity memos: conjuncts free of parameter
@@ -135,7 +127,7 @@ func (c *CompiledQuery) memoize(q *Query) {
 			if c.exprHasSlot(e) {
 				out[i].dynamic = true
 			} else {
-				out[i].sel = q.Binding.selectivity(nil, e)
+				out[i].sel = q.Binding.Selectivity(e)
 			}
 		}
 		return out
@@ -276,31 +268,13 @@ func (c *CompiledQuery) BindValsInto(dst []sqltypes.Value, vals map[string]sqlty
 
 // EstimateWith evaluates the compiled plan at the given parameter vector
 // (as produced by BindVals) and returns estimates bit-identical to parsing
-// and Building the value-substituted SQL: subplan totals roll up bottom-up
-// in syntactic order, then the root operators re-estimate under the probe
-// values. It performs no allocation beyond the tiny per-probe environment,
-// mutates nothing, and is safe for unlimited concurrency.
+// and Building the value-substituted SQL: it runs the same point roll-up
+// Build runs, reading slot values from the vector. It allocates nothing
+// beyond the subplan totals of a statement with subqueries, mutates
+// nothing, and is safe for unlimited concurrency.
 func (c *CompiledQuery) EstimateWith(params []sqltypes.Value) Estimate {
-	ev := &valueEnv{slots: c.slotIdx, vals: params}
-	if len(c.post) > 1 {
-		ev.subTot = make(map[*Query]float64, len(c.post)-1)
-	}
-	var rows, cost float64
-	for _, q := range c.post {
-		rows, cost = q.estimateRollup(ev)
-		if q != c.root {
-			tot := cost
-			for _, sp := range q.subOrder {
-				tot += ev.subTot[sp]
-			}
-			ev.subTot[q] = tot
-		}
-	}
-	total := cost
-	for _, sp := range c.root.subOrder {
-		total += ev.subTot[sp]
-	}
-	return Estimate{Rows: rows, Cost: total}
+	rows, cost := estimate[point](valueEnv{slots: c.slotIdx, vals: params}, c.post)
+	return Estimate{Rows: float64(rows), Cost: float64(cost)}
 }
 
 // CostWith validates, normalizes, and estimates in one call — the

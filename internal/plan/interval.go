@@ -1,35 +1,37 @@
 package plan
 
-// Interval-domain abstract interpretation of a compiled plan: EstimateBounds
-// evaluates the same estimator arithmetic EstimateWith runs, but over
-// interval-valued parameter slots instead of one concrete value vector,
+// The interval domain: EstimateBounds runs the one cost model of cost.go
+// over interval-valued parameter slots instead of one value vector,
 // yielding sound bounds on every probe's outcome.
 //
 // Soundness argument. IEEE-754 round-to-nearest is monotone: for one
 // primitive float operation (+, -, *, /, math.Max, math.Min, math.Ceil),
-// y1 <= y2 implies fl(y1) <= fl(y2). Every interval operator below mirrors
-// the exact operation tree of its concrete counterpart (same association,
-// same constants), so evaluating each primitive at interval endpoints bounds
-// the floating-point result of evaluating it anywhere inside — with no ulp
-// slack. The two places where exact endpoint evaluation is not guaranteed
-// are handled conservatively:
+// y1 <= y2 implies fl(y1) <= fl(y2). The interval domain evaluates the very
+// operation tree the point domain evaluates — it is the same generic code —
+// with each primitive taken at its interval endpoints, so it bounds the
+// floating-point result anywhere inside with no ulp slack. Three kinds of
+// leaf need more than endpoint evaluation:
 //
-//   - math.Log2 is not guaranteed monotone at ulp granularity, so its
-//     interval form widens the endpoints by a few ulps outward;
-//   - fracBelowX is float-monotone by construction, but its interval form
-//     still widens one ulp and clamps to [0, 1] (the concrete result is
-//     provably inside) as belt and suspenders.
+//   - primitives without a monotonicity guarantee: Go's math.Log2 carries
+//     none at ulp granularity, so ival.log2 widens its endpoints 4 ulps
+//     outward;
+//   - per-value estimator leaves: fracBelowX is float-monotone by
+//     construction, but its range form still widens one ulp and clamps to
+//     [0, 1] (the concrete result is provably inside); eqSel over a numeric
+//     range hulls the no-MCV-hit value with every numeric MCV frequency the
+//     range can reach; a categorical slot takes the hull of the point
+//     estimate at each of its options;
+//   - value-dependent branches: a condition the domain may decide either way
+//     (outcome maybe) contributes the hull of every branch an environment
+//     could reach — the sargable index-scan flip (seq-scan vs index-scan
+//     cost, idxCost being monotone in selectivity), the sort-cost two-row
+//     threshold, and every constant-vs-default selectivity branch.
 //
 // Interval arithmetic treats correlated subexpressions (the same slot
 // appearing twice) as independent; that loses tightness, never soundness.
-// Value-dependent control flow is handled by taking the hull of every branch
-// an environment could reach — most prominently the sargable index-scan
-// flip, where the bound is the hull of the seq-scan and index-scan costs
-// whenever the flip decision is not provably constant over the domain.
 
 import (
 	"math"
-	"strings"
 
 	"sqlbarber/internal/catalog"
 	"sqlbarber/internal/sqlparser"
@@ -73,9 +75,8 @@ type BoundsEstimate struct {
 //	Rows.Lo <= EstimateWith(v).Rows <= Rows.Hi
 //	Cost.Lo <= EstimateWith(v).Cost <= Cost.Hi
 //
-// It mirrors EstimateWith's bottom-up walk: subplan totals accumulate in
-// syntactic order, then each plan's operators re-estimate over intervals.
-// Like EstimateWith it mutates nothing and is safe for unlimited concurrency
+// It runs the roll-up EstimateWith runs, in the interval domain. Like
+// EstimateWith it mutates nothing and is safe for unlimited concurrency
 // alongside concrete probes on the same CompiledQuery.
 func (c *CompiledQuery) EstimateBounds(domains map[string]ParamDomain) (BoundsEstimate, error) {
 	var missing []string
@@ -87,53 +88,51 @@ func (c *CompiledQuery) EstimateBounds(domains map[string]ParamDomain) (BoundsEs
 	if len(missing) > 0 {
 		return BoundsEstimate{}, &MissingParamsError{Names: missing}
 	}
-	env := &ivalEnv{cq: c, doms: make([]ParamDomain, len(c.names))}
+	// Probe values pass through NormalizeValue before reaching the
+	// estimators, so categorical options are normalized here too; numeric
+	// ranges are unaffected (normalization preserves numeric value exactly).
+	env := ivalEnv{slots: c.slotIdx, consts: make([]constRange, len(c.names))}
+	sets := make([]constSet, len(c.names))
 	for i, name := range c.names {
-		env.doms[i] = domains[name]
-	}
-	if len(c.post) > 1 {
-		env.subTot = make(map[*Query]ival, len(c.post)-1)
-	}
-	var rows, cost ival
-	for _, q := range c.post {
-		rows, cost = q.boundsRollup(env)
-		if q != c.root {
-			tot := cost
-			for _, sp := range q.subOrder {
-				tot = addI(tot, env.subTot[sp])
-			}
-			env.subTot[q] = tot
+		d := domains[name]
+		if d.Numeric {
+			sets[i] = constSet{lo: d.Lo, hi: d.Hi}
+			env.consts[i] = constRange{kind: crRange, set: &sets[i]}
+			continue
 		}
+		sets[i].opts = make([]sqltypes.Value, len(d.Options))
+		for j, o := range d.Options {
+			sets[i].opts[j] = NormalizeValue(o)
+		}
+		env.consts[i] = constRange{kind: crOptions, set: &sets[i]}
 	}
-	total := cost
-	for _, sp := range c.root.subOrder {
-		total = addI(total, env.subTot[sp])
-	}
+	rows, cost := estimate[ival](env, c.post)
 	return BoundsEstimate{
 		Rows: CostBounds{Lo: rows.lo, Hi: rows.hi},
-		Cost: CostBounds{Lo: total.lo, Hi: total.hi},
+		Cost: CostBounds{Lo: cost.lo, Hi: cost.hi},
 	}, nil
 }
-
-// ---- interval primitives ----
 
 // ival is a closed float interval [lo, hi].
 type ival struct{ lo, hi float64 }
 
-func pt(x float64) ival { return ival{x, x} }
+func (ival) of(x float64) ival      { return ival{x, x} }
+func (a ival) add(b ival) ival      { return ival{a.lo + b.lo, a.hi + b.hi} }
+func (a ival) sub(b ival) ival      { return ival{a.lo - b.hi, a.hi - b.lo} }
+func (a ival) scale(c float64) ival { return a.mul(ival{c, c}) }
 
-func hullI(a, b ival) ival {
-	return ival{math.Min(a.lo, b.lo), math.Max(a.hi, b.hi)}
-}
+// div divides by a positive constant (fl-division is monotone in the
+// numerator for c > 0).
+func (a ival) div(c float64) ival { return ival{a.lo / c, a.hi / c} }
+func (a ival) max(b ival) ival    { return ival{math.Max(a.lo, b.lo), math.Max(a.hi, b.hi)} }
+func (a ival) min(b ival) ival    { return ival{math.Min(a.lo, b.lo), math.Min(a.hi, b.hi)} }
+func (a ival) clamp01() ival      { return ival{clamp01(a.lo), clamp01(a.hi)} }
+func (a ival) hull(b ival) ival   { return ival{math.Min(a.lo, b.lo), math.Max(a.hi, b.hi)} }
 
-func addI(a, b ival) ival { return ival{a.lo + b.lo, a.hi + b.hi} }
-
-func subI(a, b ival) ival { return ival{a.lo - b.hi, a.hi - b.lo} }
-
-// mulI takes the hull of the four corner products: fl-multiplication is
+// mul takes the hull of the four corner products: fl-multiplication is
 // monotone in each argument (direction set by the other's sign), so its
 // extremes over a box occur at corners.
-func mulI(a, b ival) ival {
+func (a ival) mul(b ival) ival {
 	p1, p2, p3, p4 := a.lo*b.lo, a.lo*b.hi, a.hi*b.lo, a.hi*b.hi
 	return ival{
 		math.Min(math.Min(p1, p2), math.Min(p3, p4)),
@@ -141,705 +140,109 @@ func mulI(a, b ival) ival {
 	}
 }
 
-// divPtI divides by a positive point divisor (fl-division is monotone in the
-// numerator for c > 0).
-func divPtI(a ival, c float64) ival { return ival{a.lo / c, a.hi / c} }
-
-func maxI(a, b ival) ival { return ival{math.Max(a.lo, b.lo), math.Max(a.hi, b.hi)} }
-
-func minI(a, b ival) ival { return ival{math.Min(a.lo, b.lo), math.Min(a.hi, b.hi)} }
-
-func clamp01I(a ival) ival { return ival{clamp01(a.lo), clamp01(a.hi)} }
-
-// ulpsOut widens an interval n ulps outward, absorbing primitives whose fl
-// behaviour is not provably monotone (math.Log2).
-func ulpsOut(a ival, n int) ival {
-	lo, hi := a.lo, a.hi
-	for i := 0; i < n; i++ {
-		lo = math.Nextafter(lo, math.Inf(-1))
-		hi = math.Nextafter(hi, math.Inf(1))
-	}
-	return ival{lo, hi}
-}
-
-// log2I bounds math.Log2 over a positive interval, widened 4 ulps outward
+// log2 bounds math.Log2 over a positive interval, widened 4 ulps outward
 // because Go's Log2 carries no monotonicity guarantee.
-func log2I(a ival) ival {
-	return ulpsOut(ival{math.Log2(a.lo), math.Log2(a.hi)}, 4)
-}
+func (a ival) log2() ival { return ival{math.Log2(a.lo), math.Log2(a.hi)}.ulpsOut(4) }
 
-// ---- evaluation environment ----
-
-// ivalEnv is the interval analogue of valueEnv: instead of one value per
-// slot it carries the slot's whole domain.
-type ivalEnv struct {
-	cq     *CompiledQuery
-	doms   []ParamDomain
-	subTot map[*Query]ival
-}
-
-// domOf returns the domain of a slot literal, or ok=false for plain
-// literals.
-func (env *ivalEnv) domOf(lit *sqlparser.Literal) (ParamDomain, bool) {
-	i, ok := env.cq.slotIdx[lit]
-	if !ok {
-		return ParamDomain{}, false
+func (a ival) less(b ival) outcome {
+	switch {
+	case a.hi < b.lo:
+		return yes
+	case a.lo < b.hi:
+		return maybe
 	}
-	return env.doms[i], true
+	return no
 }
 
-// ---- constant ranges ----
-
-// constRange classifies what valueEnv.constValue can return for an
-// expression across every in-domain environment.
-const (
-	crNone    = iota // constValue is never ok
-	crPoint          // one fixed value in every environment
-	crRange          // a numeric slot: any value in [lo, hi]
-	crOptions        // a finite candidate set
-)
-
-type constRange struct {
-	kind int
-	val  sqltypes.Value   // crPoint
-	lo   float64          // crRange
-	hi   float64          // crRange
-	opts []sqltypes.Value // crOptions
-	// sometimes marks that some environments additionally yield ok=false
-	// (a negated categorical slot with mixed numeric/non-numeric options).
-	sometimes bool
+// ulpsOut widens an interval n ulps outward.
+func (a ival) ulpsOut(n int) ival {
+	for i := 0; i < n; i++ {
+		a = ival{math.Nextafter(a.lo, math.Inf(-1)), math.Nextafter(a.hi, math.Inf(1))}
+	}
+	return a
 }
 
-// constPossible reports whether some environment yields a constant.
-func (cr constRange) constPossible() bool { return cr.kind != crNone }
+// ivalEnv is the interval domain's environment: instead of one value per
+// slot it carries what the slot reads across its whole domain.
+type ivalEnv struct {
+	slots  map[*sqlparser.Literal]int
+	consts []constRange
+}
 
-// nonconstPossible reports whether some environment yields no constant.
-func (cr constRange) nonconstPossible() bool { return cr.kind == crNone || cr.sometimes }
-
-// constRangeOf mirrors valueEnv.constValue over domains. Probe values pass
-// through NormalizeValue before reaching the estimators, so categorical
-// options are normalized here too; numeric ranges are unaffected
-// (normalization preserves numeric value exactly).
-func (b *Binding) constRangeOf(env *ivalEnv, e sqlparser.Expr) constRange {
+// constOf is valueEnv.constValue over domains: a slot reads its domain, a
+// plain literal its one value.
+func (env ivalEnv) constOf(e sqlparser.Expr) constRange {
 	if lit, ok := e.(*sqlparser.Literal); ok {
-		if d, isSlot := env.domOf(lit); isSlot {
-			if d.Numeric {
-				return constRange{kind: crRange, lo: d.Lo, hi: d.Hi}
-			}
-			opts := make([]sqltypes.Value, len(d.Options))
-			for j, o := range d.Options {
-				opts[j] = NormalizeValue(o)
-			}
-			return constRange{kind: crOptions, opts: opts}
+		if i, isSlot := env.slots[lit]; isSlot {
+			return env.consts[i]
 		}
 		return constRange{kind: crPoint, val: lit.Value}
 	}
 	if u, ok := e.(*sqlparser.UnaryExpr); ok && u.Op == "-" {
-		in := b.constRangeOf(env, u.X)
+		in := env.constOf(u.X)
 		switch in.kind {
 		case crPoint:
 			if in.val.IsNumeric() {
 				return constRange{kind: crPoint, val: in.val.Neg()}
 			}
 		case crRange:
-			return constRange{kind: crRange, lo: -in.hi, hi: -in.lo, sometimes: in.sometimes}
+			return constRange{kind: crRange, set: &constSet{lo: -in.set.hi, hi: -in.set.lo}, sometimes: in.sometimes}
 		case crOptions:
-			out := constRange{kind: crOptions, sometimes: in.sometimes}
-			for _, v := range in.opts {
+			out := constRange{kind: crOptions, set: &constSet{}, sometimes: in.sometimes}
+			for _, v := range in.set.opts {
 				if v.IsNumeric() {
-					out.opts = append(out.opts, v.Neg())
+					out.set.opts = append(out.set.opts, v.Neg())
 				} else {
 					out.sometimes = true
 				}
 			}
-			if len(out.opts) == 0 {
+			if len(out.set.opts) == 0 {
 				return constRange{kind: crNone}
 			}
 			return out
 		}
-		return constRange{kind: crNone}
 	}
 	return constRange{kind: crNone}
 }
 
-// ---- selectivity ranges ----
-
-// conjSelRange is the interval form of conjSel: memoized static conjuncts
-// come back as exact points.
-func (q *Query) conjSelRange(env *ivalEnv, memo []memoSel, i int, c sqlparser.Expr) ival {
-	if memo != nil && !memo[i].dynamic {
-		return pt(memo[i].sel)
-	}
-	return q.Binding.selRange(env, c)
-}
-
-// selRange mirrors Binding.selectivity case by case. Slot-free expressions
-// are evaluated concretely (the environment cannot influence them), so only
-// genuinely parameter-dependent shapes pay for interval reasoning.
-func (b *Binding) selRange(env *ivalEnv, e sqlparser.Expr) ival {
-	if !env.cq.exprHasSlot(e) {
-		return pt(b.selectivity(nil, e))
-	}
-	switch t := e.(type) {
-	case *sqlparser.BinaryExpr:
-		switch t.Op {
-		case sqlparser.OpAnd:
-			return clamp01I(mulI(b.selRange(env, t.L), b.selRange(env, t.R)))
-		case sqlparser.OpOr:
-			sl, sr := b.selRange(env, t.L), b.selRange(env, t.R)
-			return clamp01I(subI(addI(sl, sr), mulI(sl, sr)))
-		case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
-			return b.comparisonSelRange(env, t)
-		}
-		return pt(defaultIneqSel)
-	case *sqlparser.UnaryExpr:
-		if t.Op == "NOT" {
-			return clamp01I(subI(pt(1), b.selRange(env, t.X)))
-		}
-		return pt(defaultIneqSel)
-	case *sqlparser.BetweenExpr:
-		return b.betweenSelRange(env, t)
-	case *sqlparser.InExpr:
-		if t.Sub != nil {
-			// Constant selectivity regardless of slot values inside the sub.
-			return pt(b.selectivity(nil, e))
-		}
-		col := b.column(t.X)
-		s := pt(0)
-		for _, item := range t.List {
-			cr := b.constRangeOf(env, item)
-			var term ival
-			has := false
-			if cr.constPossible() && col != nil {
-				term, has = b.eqSelRange(col, cr), true
-			}
-			if cr.nonconstPossible() || col == nil {
-				d := pt(defaultEqSel)
-				if has {
-					term = hullI(term, d)
-				} else {
-					term = d
-				}
-			}
-			s = addI(s, term)
-		}
-		s = clamp01I(s)
-		if t.Not {
-			return clamp01I(subI(pt(1), s))
-		}
-		return s
-	case *sqlparser.ExistsExpr:
-		return pt(b.selectivity(nil, e))
-	case *sqlparser.LikeExpr:
-		return b.likeSelRange(env, t)
-	case *sqlparser.IsNullExpr:
-		// Column resolution is static; slot values never reach the formula.
-		return pt(b.selectivity(nil, e))
-	case *sqlparser.Literal:
-		d, isSlot := env.domOf(t)
-		if !isSlot || d.Numeric {
-			// Numeric probe values are never booleans.
-			return pt(defaultIneqSel)
-		}
-		out := ival{}
-		first := true
-		for _, o := range d.Options {
-			v := NormalizeValue(o)
-			s := defaultIneqSel
-			if v.Kind() == sqltypes.KindBool {
-				if v.Bool() {
-					s = 1
-				} else {
-					s = 0
-				}
-			}
-			if first {
-				out, first = pt(s), false
-			} else {
-				out = hullI(out, pt(s))
-			}
-		}
-		if first {
-			return pt(defaultIneqSel)
-		}
-		return out
-	}
-	return pt(defaultIneqSel)
-}
-
-// betweenSelRange mirrors the BetweenExpr case of selectivity.
-func (b *Binding) betweenSelRange(env *ivalEnv, t *sqlparser.BetweenExpr) ival {
-	col := b.column(t.X)
-	crLo := b.constRangeOf(env, t.Lo)
-	crHi := b.constRangeOf(env, t.Hi)
-	var out ival
-	has := false
-	if col != nil && crLo.constPossible() && crHi.constPossible() {
-		s := subI(addI(b.rangeSelRange(col, crLo, sqlparser.OpGe), b.rangeSelRange(col, crHi, sqlparser.OpLe)), pt(1))
-		if t.Not {
-			s = subI(pt(1), s)
-		}
-		out, has = clamp01I(s), true
-	}
-	if col == nil || crLo.nonconstPossible() || crHi.nonconstPossible() {
-		var d ival
-		if t.Not {
-			d = pt(clamp01(1 - defaultIneqSel*defaultIneqSel))
-		} else {
-			d = pt(defaultIneqSel * defaultIneqSel)
-		}
-		if has {
-			out = hullI(out, d)
-		} else {
-			out = d
-		}
-	}
-	return out
-}
-
-// likeSelRange mirrors the LikeExpr case of selectivity.
-func (b *Binding) likeSelRange(env *ivalEnv, t *sqlparser.LikeExpr) ival {
-	// likeAt replicates the concrete scalar for one pattern value known to
-	// come back from constValue.
-	likeAt := func(v sqltypes.Value) float64 {
-		s := defaultLikeSel
-		if v.Kind() == sqltypes.KindString {
-			pat := v.Str()
-			if strings.HasPrefix(pat, "%") {
-				s = 0.1
-			}
-			if !strings.ContainsAny(pat, "%_") {
-				if col := b.column(t.X); col != nil {
-					s = b.eqSel(col, v)
-				} else {
-					s = defaultEqSel
-				}
-			}
-		}
-		if t.Not {
-			return clamp01(1 - s)
-		}
-		return s
-	}
-	def := defaultLikeSel
-	if t.Not {
-		def = clamp01(1 - defaultLikeSel)
-	}
-	cr := b.constRangeOf(env, t.Pattern)
-	switch cr.kind {
+// eqSel bounds equality selectivity over what k reads. For a numeric range
+// the candidates are the no-MCV-hit value (always included: the hull may
+// only grow) plus every numeric MCV frequency whose value the range can
+// reach — non-numeric MCVs can never Equal a numeric probe value.
+func (ivalEnv) eqSel(b *Binding, col *catalog.Column, k constRange) ival {
+	switch k.kind {
 	case crPoint:
-		out := pt(likeAt(cr.val))
-		if cr.nonconstPossible() {
-			out = hullI(out, pt(def))
+		return ival{}.of(b.eqSel(col, k.val))
+	case crOptions:
+		out := ival{}.of(b.eqSel(col, k.set.opts[0]))
+		for _, v := range k.set.opts[1:] {
+			out = out.hull(ival{}.of(b.eqSel(col, v)))
 		}
 		return out
 	case crRange:
-		// Numeric values are never KindString, so the pattern logic is inert.
-		return pt(def)
-	case crOptions:
-		out := pt(likeAt(cr.opts[0]))
-		for _, v := range cr.opts[1:] {
-			out = hullI(out, pt(likeAt(v)))
-		}
-		if cr.nonconstPossible() {
-			out = hullI(out, pt(def))
-		}
-		return out
-	}
-	return pt(def)
-}
-
-// comparisonSelRange mirrors comparisonSel: the column-vs-constant
-// orientation is value-independent, the constant side becomes a range.
-func (b *Binding) comparisonSelRange(env *ivalEnv, e *sqlparser.BinaryExpr) ival {
-	col := b.column(e.L)
-	var cr constRange
-	op := e.Op
-	if col != nil {
-		cr = b.constRangeOf(env, e.R)
-	} else {
-		col = b.column(e.R)
-		cr = b.constRangeOf(env, e.L)
-		op = flipOp(op)
-	}
-	defSel := defaultIneqSel
-	if op == sqlparser.OpEq {
-		defSel = defaultEqSel
-	}
-	if col == nil {
-		return pt(defSel)
-	}
-	var out ival
-	has := false
-	if cr.constPossible() {
-		switch op {
-		case sqlparser.OpEq:
-			out = b.eqSelRange(col, cr)
-		case sqlparser.OpNe:
-			out = clamp01I(subI(pt(1), b.eqSelRange(col, cr)))
-		default:
-			out = b.rangeSelRange(col, cr, op)
-		}
-		has = true
-	}
-	if cr.nonconstPossible() {
-		d := pt(defSel)
-		if has {
-			out = hullI(out, d)
-		} else {
-			out = d
-		}
-	}
-	return out
-}
-
-// eqSelRange bounds eqSel over a constant range. For a numeric range the
-// candidates are the no-MCV-hit value (always included: the hull may only
-// grow) plus every numeric MCV frequency whose value the range can reach —
-// non-numeric MCVs can never Equal a numeric probe value.
-func (b *Binding) eqSelRange(col *catalog.Column, cr constRange) ival {
-	switch cr.kind {
-	case crPoint:
-		return pt(b.eqSel(col, cr.val))
-	case crOptions:
-		out := pt(b.eqSel(col, cr.opts[0]))
-		for _, v := range cr.opts[1:] {
-			out = hullI(out, pt(b.eqSel(col, v)))
-		}
-		return out
-	case crRange:
-		st := &col.Stats
-		mcvTotal := 0.0
-		for _, mv := range st.MostCommon {
-			mcvTotal += mv.Freq
-		}
-		restVal := defaultEqSel
-		if rest := float64(st.NDistinct - len(st.MostCommon)); rest > 0 {
-			restVal = clamp01((1 - mcvTotal - st.NullFrac) / rest)
-		}
-		out := pt(restVal)
-		for _, mv := range st.MostCommon {
+		out := ival{}.of(eqSelRest(&col.Stats))
+		for _, mv := range col.Stats.MostCommon {
 			if mv.Value.IsNumeric() {
 				f := mv.Value.Float()
-				if f >= cr.lo && f <= cr.hi {
-					out = hullI(out, pt(mv.Freq))
+				if f >= k.set.lo && f <= k.set.hi {
+					out = out.hull(ival{}.of(mv.Freq))
 				}
 			}
 		}
 		return out
 	}
-	return pt(defaultEqSel)
+	return ival{}.of(defaultEqSel)
 }
 
-// rangeSelRange bounds rangeSel over a constant range. fracBelowX is
+// fracBelow bounds fracBelowX over what k reads. fracBelowX is
 // float-monotone nondecreasing with results in [0, 1], so endpoint
-// evaluation bounds it exactly; one ulp of widening is kept anyway.
-func (b *Binding) rangeSelRange(col *catalog.Column, cr constRange, op sqlparser.BinaryOp) ival {
-	switch cr.kind {
-	case crPoint:
-		return pt(b.rangeSel(col, cr.val, op))
-	case crOptions:
-		out := pt(b.rangeSel(col, cr.opts[0], op))
-		for _, v := range cr.opts[1:] {
-			out = hullI(out, pt(b.rangeSel(col, v, op)))
-		}
-		return out
-	case crRange:
-		st := &col.Stats
-		if st.Min.IsNull() || !st.Min.IsNumeric() {
-			// The guard in rangeSel is value-independent here: numeric-range
-			// probe values are always numeric.
-			return pt(defaultIneqSel)
-		}
-		fb := ulpsOut(ival{fracBelowX(st, cr.lo), fracBelowX(st, cr.hi)}, 1)
-		fb = ival{math.Max(0, fb.lo), math.Min(1, fb.hi)}
-		notNull := 1 - st.NullFrac
-		switch op {
-		case sqlparser.OpLt:
-			return clamp01I(mulI(fb, pt(notNull)))
-		case sqlparser.OpLe:
-			return clamp01I(mulI(addI(fb, b.eqSelRange(col, cr)), pt(notNull)))
-		case sqlparser.OpGt:
-			return clamp01I(mulI(subI(subI(pt(1), fb), b.eqSelRange(col, cr)), pt(notNull)))
-		case sqlparser.OpGe:
-			return clamp01I(mulI(subI(pt(1), fb), pt(notNull)))
-		}
-		return pt(defaultIneqSel)
+// evaluation bounds a range exactly; one ulp of widening is kept anyway.
+func (ivalEnv) fracBelow(st *catalog.ColumnStats, k constRange) ival {
+	if k.kind == crPoint {
+		return ival{}.of(fracBelowX(st, k.val.Float()))
 	}
-	return pt(defaultIneqSel)
+	fb := ival{fracBelowX(st, k.set.lo), fracBelowX(st, k.set.hi)}.ulpsOut(1)
+	return ival{math.Max(0, fb.lo), math.Min(1, fb.hi)}
 }
 
-// ---- sargability over domains ----
-
-// Tri-state outcome of a value-dependent predicate over all environments.
-const (
-	triNever = iota
-	triSometimes
-	triAlways
-)
-
-// constOkTri classifies constValue's ok result over all environments.
-func (b *Binding) constOkTri(env *ivalEnv, e sqlparser.Expr) int {
-	cr := b.constRangeOf(env, e)
-	switch {
-	case !cr.constPossible():
-		return triNever
-	case cr.nonconstPossible():
-		return triSometimes
-	}
-	return triAlways
-}
-
-// sargableTri mirrors sargableIndexColumn over all environments: whether the
-// filter can (never / sometimes / always) drive an index scan.
-func sargableTri(b *Binding, env *ivalEnv, f sqlparser.Expr) int {
-	colOK := func(colExpr sqlparser.Expr) bool {
-		col := b.column(colExpr)
-		return col != nil && col.Indexed
-	}
-	switch t := f.(type) {
-	case *sqlparser.BinaryExpr:
-		if !t.Op.IsComparison() {
-			return triNever
-		}
-		okR := b.constOkTri(env, t.R)
-		okL := b.constOkTri(env, t.L)
-		// Collect the sargability outcome of every reachable branch of the
-		// concrete if/else-if: R const -> column from L; else L const ->
-		// column from R; else not sargable.
-		var outcomes []bool
-		if okR != triNever {
-			outcomes = append(outcomes, colOK(t.L))
-		}
-		if okR != triAlways {
-			if okL != triNever {
-				outcomes = append(outcomes, colOK(t.R))
-			}
-			if okL != triAlways {
-				outcomes = append(outcomes, false)
-			}
-		}
-		all, any := true, false
-		for _, o := range outcomes {
-			all = all && o
-			any = any || o
-		}
-		switch {
-		case !any:
-			return triNever
-		case all:
-			return triAlways
-		}
-		return triSometimes
-	case *sqlparser.BetweenExpr:
-		if colOK(t.X) {
-			return triAlways
-		}
-		return triNever
-	case *sqlparser.InExpr:
-		if t.Sub == nil && colOK(t.X) {
-			return triAlways
-		}
-		return triNever
-	}
-	return triNever
-}
-
-// ---- operator roll-up over intervals ----
-
-// boundsRollup is estimateRollup over intervals: the same operator walk,
-// each estimator replaced by its interval mirror.
-func (q *Query) boundsRollup(env *ivalEnv) (rows, cost ival) {
-	se := q.scanBounds(env, 0)
-	rows, cost = se.rows, se.cost
-	for i := range q.Stmt.Joins {
-		rE := q.scanBounds(env, i+1)
-		rows, cost = q.joinBounds(env, i, rows, cost, rE)
-	}
-	if len(q.Residual) > 0 {
-		rows, cost = q.residualBounds(env, rows, cost)
-	}
-	if q.isAgg {
-		rows, cost = q.aggBounds(rows, cost)
-		if q.Stmt.Having != nil {
-			rows, cost = havingBounds(rows, cost)
-		}
-	}
-	if q.Stmt.Distinct {
-		cost = distinctBounds(rows, cost)
-	}
-	if len(q.Stmt.OrderBy) > 0 {
-		cost = addI(cost, sortBounds(rows))
-	}
-	if q.Stmt.Limit >= 0 {
-		rows = minI(rows, pt(float64(q.Stmt.Limit)))
-	}
-	return rows, cost
-}
-
-// scanBoundsRes is the interval analogue of scanEst.
-type scanBoundsRes struct {
-	rows, cost ival
-}
-
-// scanBounds mirrors scanEstimate. The seq-scan cost is value-independent;
-// the index-scan flip depends on the best sargable selectivity m =
-// min(1, min over sargable filters), which is bounded here by [mLo, mHi]:
-// mLo admits every possibly-sargable filter (more sargables can only lower
-// the min), mHi only provably-sargable ones. The flip triggers exactly when
-// m < 0.2 (and rows > 64), and the index cost is monotone nondecreasing in
-// m, giving three cases: never flips, always flips (hull of min(idx, seq) at
-// the endpoints), or ambiguous (hull of both branches).
-func (q *Query) scanBounds(env *ivalEnv, tableIdx int) scanBoundsRes {
-	inst := q.Binding.Scope.Tables[tableIdx]
-	filters := q.ScanFilters[tableIdx]
-	var memo []memoSel
-	if q.scanMemo != nil {
-		memo = q.scanMemo[tableIdx]
-	}
-	rows := float64(inst.Table.RowCount)
-	selI := pt(1)
-	mLo, mHi := 1.0, 1.0
-	for fi, f := range filters {
-		sI := q.conjSelRange(env, memo, fi, f)
-		selI = mulI(selI, sI)
-		switch sargableTri(q.Binding, env, f) {
-		case triAlways:
-			mLo = math.Min(mLo, sI.lo)
-			mHi = math.Min(mHi, sI.hi)
-		case triSometimes:
-			mLo = math.Min(mLo, sI.lo)
-		}
-	}
-	res := scanBoundsRes{rows: maxI(pt(1), mulI(pt(rows), selI))}
-	pages := math.Max(1, float64(inst.Table.SizeBytes)/pageSize)
-	seqCost := pages*seqPageCost + rows*cpuTupleCost + rows*cpuOperatorCost*float64(len(filters))
-	res.cost = pt(seqCost)
-	if mLo < 0.2 && rows > 64 {
-		idxLo := idxCostAt(rows, pages, len(filters), mLo)
-		if mHi < 0.2 {
-			res.cost = ival{math.Min(idxLo, seqCost), math.Min(idxCostAt(rows, pages, len(filters), mHi), seqCost)}
-		} else {
-			res.cost = ival{math.Min(idxLo, seqCost), seqCost}
-		}
-	}
-	return res
-}
-
-// idxCostAt replicates scanEstimate's index-scan arithmetic at one best
-// selectivity; it is fl-monotone nondecreasing in s.
-func idxCostAt(rows, pages float64, numFilters int, s float64) float64 {
-	idxRows := math.Max(1, rows*s)
-	return math.Ceil(math.Log2(rows+1))*cpuOperatorCost*4 +
-		idxRows*(cpuIndexTupleCost+randomPageCost*pages/rows) +
-		idxRows*cpuOperatorCost*float64(numFilters)
-}
-
-// joinBounds mirrors joinEstimate.
-func (q *Query) joinBounds(env *ivalEnv, joinIdx int, lRows, lCost ival, r scanBoundsRes) (rows, cost ival) {
-	rRows := r.rows
-	var memo []memoSel
-	if q.extraMemo != nil {
-		memo = q.extraMemo[joinIdx]
-	}
-	extraSel := pt(1)
-	for ci, c := range q.JoinExtra[joinIdx] {
-		extraSel = mulI(extraSel, q.conjSelRange(env, memo, ci, c))
-	}
-	if q.JoinEqui[joinIdx] != nil {
-		nd := q.joinND[joinIdx]
-		rows = maxI(pt(1), mulI(divPtI(mulI(lRows, rRows), nd), extraSel))
-		cost = addI(addI(addI(addI(lCost, r.cost),
-			mulI(addI(lRows, rRows), pt(cpuTupleCost))),
-			mulI(mulI(rRows, pt(cpuOperatorCost)), pt(2))),
-			mulI(rows, pt(cpuOperatorCost)))
-	} else {
-		rows = maxI(pt(1), mulI(mulI(mulI(lRows, rRows), pt(defaultIneqSel)), extraSel))
-		cost = addI(addI(lCost, r.cost), mulI(mulI(lRows, rRows), pt(cpuOperatorCost)))
-	}
-	if q.Stmt.Joins[joinIdx].Type == sqlparser.JoinLeft {
-		// Per environment rows' = max(rows, lRows); max is fl-exact and
-		// monotone in both arguments.
-		rows = maxI(rows, lRows)
-	}
-	return rows, cost
-}
-
-// residualBounds mirrors residualEstimate, including its per-conjunct
-// subplan-cost grouping.
-func (q *Query) residualBounds(env *ivalEnv, inRows, inCost ival) (rows, cost ival) {
-	sel := pt(1)
-	for ci, c := range q.Residual {
-		sel = mulI(sel, q.conjSelRange(env, q.residMemo, ci, c))
-	}
-	subCost := pt(0)
-	for ci := range q.Residual {
-		c := pt(0)
-		for _, sp := range q.residSubs[ci] {
-			c = addI(c, env.subTot[sp])
-		}
-		subCost = addI(subCost, c)
-	}
-	rows = maxI(pt(1), mulI(inRows, sel))
-	cost = addI(addI(inCost, mulI(mulI(inRows, pt(cpuOperatorCost)), pt(float64(len(q.Residual))))), subCost)
-	return rows, cost
-}
-
-// aggBounds mirrors aggEstimate.
-func (q *Query) aggBounds(inRows, inCost ival) (rows, cost ival) {
-	groups := pt(1)
-	if len(q.Stmt.GroupBy) > 0 {
-		groups = q.groupBounds(inRows)
-	}
-	rows = groups
-	cost = addI(addI(inCost,
-		mulI(mulI(inRows, pt(cpuOperatorCost)), pt(float64(q.numAggs+len(q.Stmt.GroupBy)+1)))),
-		mulI(groups, pt(cpuTupleCost)))
-	return rows, cost
-}
-
-// groupBounds mirrors groupEstimate. Its early return fires only when the
-// running product exceeds inRows, and every factor is >= 1, so the concrete
-// result always equals max(1, min(full product, inRows)) — the form bounded
-// here.
-func (q *Query) groupBounds(inRows ival) ival {
-	prod := pt(1)
-	for _, g := range q.Stmt.GroupBy {
-		if col := q.Binding.column(g); col != nil && col.Stats.NDistinct > 0 {
-			prod = mulI(prod, pt(float64(col.Stats.NDistinct)))
-		} else {
-			prod = mulI(prod, maxI(pt(1), divPtI(inRows, 10)))
-		}
-	}
-	return maxI(pt(1), minI(prod, inRows))
-}
-
-// havingBounds mirrors havingEstimate.
-func havingBounds(inRows, inCost ival) (rows, cost ival) {
-	return maxI(pt(1), mulI(inRows, pt(defaultIneqSel))), addI(inCost, mulI(inRows, pt(cpuOperatorCost)))
-}
-
-// distinctBounds mirrors distinctCost.
-func distinctBounds(rows, cost ival) ival {
-	return addI(cost, mulI(mulI(rows, pt(cpuOperatorCost)), pt(2)))
-}
-
-// sortBounds mirrors sortCost: below two rows the cost is a constant, at two
-// or more the n·log n formula applies, and when the row bound straddles the
-// threshold the hull of both branches is taken.
-func sortBounds(r ival) ival {
-	if r.hi < 2 {
-		return pt(cpuOperatorCost)
-	}
-	lo := r.lo
-	straddles := lo < 2
-	if straddles {
-		lo = 2
-	}
-	rr := ival{lo, r.hi}
-	f := mulI(mulI(mulI(pt(2), rr), log2I(rr)), pt(cpuOperatorCost))
-	if straddles {
-		f = hullI(f, pt(cpuOperatorCost))
-	}
-	return f
-}
+func (ivalEnv) node(*Query, opKind, int, ival, ival, string) {}

@@ -117,6 +117,9 @@ type Query struct {
 	// sum subplan totals in this order, never in map-iteration order, so two
 	// builds of the same statement always produce bit-identical totals.
 	subOrder []*Query
+	// pos is this plan's position in its statement's post-ordered subplan
+	// tree (postOrder), where the roll-up keeps its total.
+	pos int
 
 	// Value-independent skeleton facts, precomputed once per Build so the
 	// per-probe roll-up of a compiled query touches no ASTs beyond the
@@ -155,25 +158,42 @@ func (q *Query) EstimatedRows() float64 { return q.Root.Rows() }
 
 // TotalCost returns the estimated total plan cost, including subquery plans.
 // Subplan totals accumulate in syntactic order (subOrder), so the float sum
-// is reproducible; hand-assembled Query values without subOrder fall back to
-// the Subplans map.
+// is reproducible.
 func (q *Query) TotalCost() float64 {
 	c := q.Root.Cost()
-	if q.subOrder == nil && len(q.Subplans) > 0 {
-		for _, sp := range q.Subplans {
-			c += sp.TotalCost()
-		}
-		return c
-	}
 	for _, sp := range q.subOrder {
 		c += sp.TotalCost()
 	}
 	return c
 }
 
-// Build binds and plans a statement against the schema.
+// Build binds and plans a statement against the schema: the skeleton of
+// every (sub)plan, then one point roll-up over the post-ordered subplan tree
+// that assembles each plan's operator tree from its estimates.
 func Build(schema *catalog.Schema, stmt *sqlparser.SelectStmt) (*Query, error) {
-	return buildWithParent(schema, stmt, nil)
+	q, _, err := build(schema, stmt)
+	return q, err
+}
+
+// build is Build also returning the post-ordered subplan tree.
+func build(schema *catalog.Schema, stmt *sqlparser.SelectStmt) (*Query, []*Query, error) {
+	q, err := buildWithParent(schema, stmt, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	post := postOrder(nil, q)
+	estimate[point](valueEnv{tree: &treeBuilder{}}, post)
+	return q, post, nil
+}
+
+// postOrder flattens the subplan tree, children before parents in syntactic
+// order, and records each plan's position.
+func postOrder(out []*Query, q *Query) []*Query {
+	for _, sp := range q.subOrder {
+		out = postOrder(out, sp)
+	}
+	q.pos = len(out)
+	return append(out, q)
 }
 
 func buildWithParent(schema *catalog.Schema, stmt *sqlparser.SelectStmt, parent *Scope) (*Query, error) {
@@ -186,9 +206,8 @@ func buildWithParent(schema *catalog.Schema, stmt *sqlparser.SelectStmt, parent 
 		Binding:  b,
 		Subplans: map[*sqlparser.SelectStmt]*Query{},
 	}
-	// Plan subqueries first (they contribute cost once each), visiting them
-	// in syntactic order so every build of this statement rolls costs up in
-	// the same sequence.
+	// Plan subqueries first, visiting them in syntactic order so every
+	// build of this statement rolls costs up in the same sequence.
 	for _, sub := range directSubqueries(stmt) {
 		sb, ok := b.Subqueries[sub]
 		if !ok {
@@ -210,7 +229,6 @@ func buildWithParent(schema *catalog.Schema, stmt *sqlparser.SelectStmt, parent 
 	}
 	q.placeConjuncts()
 	q.precompute()
-	q.buildTree()
 	return q, nil
 }
 
@@ -427,152 +445,6 @@ func (q *Query) extractEqui(c sqlparser.Expr, rightIdx int) *EquiKeys {
 	return nil
 }
 
-// buildTree assembles the physical plan bottom-up. All estimation arithmetic
-// lives in the shared (rows, cost) estimators below — buildTree only wraps
-// their results in Node structures, so a compiled roll-up (estimateRollup)
-// that runs the same estimators reproduces these numbers bit-for-bit.
-func (q *Query) buildTree() {
-	se := q.scanEstimate(nil, 0)
-	var node Node = q.newScanNode(0, se)
-	for i := range q.Stmt.Joins {
-		rE := q.scanEstimate(nil, i+1)
-		right := q.newScanNode(i+1, rE)
-		j := &JoinNode{JoinType: q.Stmt.Joins[i].Type, Left: node, Right: right}
-		if ek := q.JoinEqui[i]; ek != nil {
-			j.HasEqui = true
-			j.LeftKey, j.RightKey = ek.Left, ek.Right
-		}
-		j.rows, j.cost = q.joinEstimate(nil, i, node.Rows(), node.Cost(), rE)
-		node = j
-	}
-	if len(q.Residual) > 0 {
-		f := &FilterNode{Input: node, Conds: q.Residual}
-		f.rows, f.cost = q.residualEstimate(nil, node.Rows(), node.Cost())
-		node = f
-	}
-	if q.isAgg {
-		a := &AggNode{Input: node, GroupBy: q.Stmt.GroupBy, NumAggs: q.numAggs}
-		a.rows, a.cost = q.aggEstimate(node.Rows(), node.Cost())
-		node = a
-		if q.Stmt.Having != nil {
-			f := &FilterNode{Input: node, Conds: []sqlparser.Expr{q.Stmt.Having}}
-			f.rows, f.cost = havingEstimate(node.Rows(), node.Cost())
-			node = f
-		}
-	}
-	if q.Stmt.Distinct {
-		d := &DistinctNode{Input: node}
-		d.rows = node.Rows()
-		d.cost = distinctCost(node.Rows(), node.Cost())
-		node = d
-	}
-	if len(q.Stmt.OrderBy) > 0 {
-		s := &SortNode{Input: node}
-		s.rows = node.Rows()
-		s.cost = node.Cost() + sortCost(node.Rows())
-		node = s
-	}
-	if q.Stmt.Limit >= 0 {
-		l := &LimitNode{Input: node, N: q.Stmt.Limit}
-		l.rows = math.Min(node.Rows(), float64(q.Stmt.Limit))
-		l.cost = node.Cost()
-		node = l
-	}
-	q.Root = node
-}
-
-// estimateRollup recomputes the root operator's (rows, cost) under the probe
-// values in ev without allocating a plan tree. It walks exactly the operator
-// sequence buildTree assembles and calls the same estimators, so its numbers
-// equal a fresh Build of the value-substituted statement bit-for-bit.
-func (q *Query) estimateRollup(ev *valueEnv) (rows, cost float64) {
-	se := q.scanEstimate(ev, 0)
-	rows, cost = se.rows, se.cost
-	for i := range q.Stmt.Joins {
-		rE := q.scanEstimate(ev, i+1)
-		rows, cost = q.joinEstimate(ev, i, rows, cost, rE)
-	}
-	if len(q.Residual) > 0 {
-		rows, cost = q.residualEstimate(ev, rows, cost)
-	}
-	if q.isAgg {
-		rows, cost = q.aggEstimate(rows, cost)
-		if q.Stmt.Having != nil {
-			rows, cost = havingEstimate(rows, cost)
-		}
-	}
-	if q.Stmt.Distinct {
-		cost = distinctCost(rows, cost)
-	}
-	if len(q.Stmt.OrderBy) > 0 {
-		cost = cost + sortCost(rows)
-	}
-	if q.Stmt.Limit >= 0 {
-		rows = math.Min(rows, float64(q.Stmt.Limit))
-	}
-	return rows, cost
-}
-
-// conjSel returns one conjunct's selectivity, serving memoized static values
-// when the memo says the conjunct carries no parameter slot.
-func (q *Query) conjSel(ev *valueEnv, memo []memoSel, i int, c sqlparser.Expr) float64 {
-	if memo != nil && !memo[i].dynamic {
-		return memo[i].sel
-	}
-	return q.Binding.selectivity(ev, c)
-}
-
-// residualEstimate applies the residual FilterNode arithmetic.
-func (q *Query) residualEstimate(ev *valueEnv, inRows, inCost float64) (rows, cost float64) {
-	sel := 1.0
-	for ci, c := range q.Residual {
-		sel *= q.conjSel(ev, q.residMemo, ci, c)
-	}
-	subCost := 0.0
-	for ci := range q.Residual {
-		// Group per conjunct before adding to subCost — float addition is
-		// not associative, and this preserves the historical summation shape.
-		c := 0.0
-		for _, sp := range q.residSubs[ci] {
-			c += ev.subTotal(sp)
-		}
-		subCost += c
-	}
-	rows = math.Max(1, inRows*sel)
-	cost = inCost + inRows*cpuOperatorCost*float64(len(q.Residual)) + subCost
-	return rows, cost
-}
-
-// aggEstimate applies the AggNode arithmetic.
-func (q *Query) aggEstimate(inRows, inCost float64) (rows, cost float64) {
-	groups := 1.0
-	if len(q.Stmt.GroupBy) > 0 {
-		groups = q.groupEstimate(inRows)
-	}
-	rows = groups
-	cost = inCost +
-		inRows*cpuOperatorCost*float64(q.numAggs+len(q.Stmt.GroupBy)+1) +
-		groups*cpuTupleCost
-	return rows, cost
-}
-
-// havingEstimate applies the HAVING FilterNode arithmetic.
-func havingEstimate(inRows, inCost float64) (rows, cost float64) {
-	return math.Max(1, inRows*defaultIneqSel), inCost + inRows*cpuOperatorCost
-}
-
-// distinctCost applies the DistinctNode cost arithmetic (rows pass through).
-func distinctCost(rows, cost float64) float64 {
-	return cost + rows*cpuOperatorCost*2
-}
-
-func sortCost(rows float64) float64 {
-	if rows < 2 {
-		return cpuOperatorCost
-	}
-	return 2 * rows * math.Log2(rows) * cpuOperatorCost
-}
-
 func (q *Query) countAggs() int {
 	n := 0
 	count := func(e sqlparser.Expr) {
@@ -591,146 +463,6 @@ func (q *Query) countAggs() int {
 		n = 1
 	}
 	return n
-}
-
-// groupEstimate bounds the number of groups by the product of group-key
-// distinct counts, capped at input rows (PostgreSQL's heuristic).
-func (q *Query) groupEstimate(inRows float64) float64 {
-	prod := 1.0
-	for _, g := range q.Stmt.GroupBy {
-		if col := q.Binding.column(g); col != nil && col.Stats.NDistinct > 0 {
-			prod *= float64(col.Stats.NDistinct)
-		} else {
-			prod *= math.Max(1, inRows/10)
-		}
-		if prod > inRows {
-			return math.Max(1, inRows)
-		}
-	}
-	return math.Max(1, math.Min(prod, inRows))
-}
-
-// scanEst is the value-dependent outcome of estimating one table scan.
-type scanEst struct {
-	rows, cost float64
-	useIndex   bool
-	idxCol     string
-}
-
-// scanEstimate applies the ScanNode arithmetic: per-filter selectivities
-// (memoized when static), the sequential-scan cost, and the sargable
-// index-scan flip re-evaluated at its decision point per probe.
-func (q *Query) scanEstimate(ev *valueEnv, tableIdx int) scanEst {
-	inst := q.Binding.Scope.Tables[tableIdx]
-	filters := q.ScanFilters[tableIdx]
-	var memo []memoSel
-	if q.scanMemo != nil {
-		memo = q.scanMemo[tableIdx]
-	}
-	rows := float64(inst.Table.RowCount)
-	sel := 1.0
-	bestIdxSel := 1.0
-	bestIdxCol := ""
-	for fi, f := range filters {
-		s := q.conjSel(ev, memo, fi, f)
-		sel *= s
-		if col, ok := sargableIndexColumn(q.Binding, ev, f); ok && s < bestIdxSel {
-			bestIdxSel = s
-			bestIdxCol = col
-		}
-	}
-	est := scanEst{rows: math.Max(1, rows*sel)}
-	pages := math.Max(1, float64(inst.Table.SizeBytes)/pageSize)
-	seqCost := pages*seqPageCost + rows*cpuTupleCost + rows*cpuOperatorCost*float64(len(filters))
-	est.cost = seqCost
-	if bestIdxCol != "" && bestIdxSel < 0.2 && rows > 64 {
-		idxRows := math.Max(1, rows*bestIdxSel)
-		idxCost := math.Ceil(math.Log2(rows+1))*cpuOperatorCost*4 +
-			idxRows*(cpuIndexTupleCost+randomPageCost*pages/rows) +
-			idxRows*cpuOperatorCost*float64(len(filters))
-		if idxCost < seqCost {
-			est.cost = idxCost
-			est.useIndex = true
-			est.idxCol = bestIdxCol
-		}
-	}
-	return est
-}
-
-// newScanNode wraps a scan estimate in its plan node.
-func (q *Query) newScanNode(tableIdx int, est scanEst) *ScanNode {
-	inst := q.Binding.Scope.Tables[tableIdx]
-	n := &ScanNode{
-		TableIdx: tableIdx,
-		Table:    inst.Table,
-		RefName:  inst.RefName,
-		Filters:  q.ScanFilters[tableIdx],
-		UseIndex: est.useIndex,
-		IndexCol: est.idxCol,
-	}
-	n.rows, n.cost = est.rows, est.cost
-	return n
-}
-
-// sargableIndexColumn reports an indexed column usable for an index scan
-// when the filter has the shape `col op const` (or BETWEEN) on it.
-func sargableIndexColumn(b *Binding, ev *valueEnv, f sqlparser.Expr) (string, bool) {
-	var colExpr sqlparser.Expr
-	switch t := f.(type) {
-	case *sqlparser.BinaryExpr:
-		if !t.Op.IsComparison() {
-			return "", false
-		}
-		if _, ok := ev.constValue(t.R); ok {
-			colExpr = t.L
-		} else if _, ok := ev.constValue(t.L); ok {
-			colExpr = t.R
-		}
-	case *sqlparser.BetweenExpr:
-		colExpr = t.X
-	case *sqlparser.InExpr:
-		if t.Sub == nil {
-			colExpr = t.X
-		}
-	}
-	if colExpr == nil {
-		return "", false
-	}
-	col := b.column(colExpr)
-	if col == nil || !col.Indexed {
-		return "", false
-	}
-	return col.Name, true
-}
-
-// joinEstimate applies the JoinNode arithmetic for join clause joinIdx given
-// the left subtree's (rows, cost) and the right scan's estimate.
-func (q *Query) joinEstimate(ev *valueEnv, joinIdx int, lRows, lCost float64, r scanEst) (rows, cost float64) {
-	rRows := r.rows
-	var memo []memoSel
-	if q.extraMemo != nil {
-		memo = q.extraMemo[joinIdx]
-	}
-	extraSel := 1.0
-	for ci, c := range q.JoinExtra[joinIdx] {
-		extraSel *= q.conjSel(ev, memo, ci, c)
-	}
-	if q.JoinEqui[joinIdx] != nil {
-		nd := q.joinND[joinIdx]
-		rows = math.Max(1, lRows*rRows/nd*extraSel)
-		cost = lCost + r.cost +
-			(lRows+rRows)*cpuTupleCost + // probe + build tuple handling
-			rRows*cpuOperatorCost*2 + // hash build
-			rows*cpuOperatorCost
-	} else {
-		// Nested loop with arbitrary ON predicate.
-		rows = math.Max(1, lRows*rRows*defaultIneqSel*extraSel)
-		cost = lCost + r.cost + lRows*rRows*cpuOperatorCost
-	}
-	if q.Stmt.Joins[joinIdx].Type == sqlparser.JoinLeft && rows < lRows {
-		rows = lRows
-	}
-	return rows, cost
 }
 
 func (q *Query) keyDistinct(c *sqlparser.ColumnRef) float64 {

@@ -54,7 +54,8 @@
 #                              baseline at 1/2/8 goroutines, failing on any
 #                              cost divergence, probe-hash drift, counter
 #                              disparity, or if compiled probing does not
-#                              beat re-planning. Refreshes BENCH_probe.json.
+#                              beat re-planning. Gates only (refresh
+#                              BENCH_probe.json by hand).
 #                              Timing-sensitive like the obs smoke, so it
 #                              gets the same 3-attempt fresh-process retry
 #   9. cmd/benchmarks -exp measured
@@ -66,7 +67,8 @@
 #                              failing on any RowsProcessed divergence,
 #                              probe-hash drift, counter disparity, or if the
 #                              session arm falls below 2x baseline throughput
-#                              at 8 goroutines. Refreshes BENCH_measured.json.
+#                              at 8 goroutines. Gates only (refresh
+#                              BENCH_measured.json by hand).
 #                              Timing-sensitive, so it gets the same 3-attempt
 #                              fresh-process retry
 #  10. cmd/benchmarks -exp intervals
@@ -77,10 +79,11 @@
 #                              eliminated, every pruned template survives a
 #                              dense false-prune re-probe (zero observations
 #                              in any wanted band), and 1/2/8-worker runs
-#                              produce byte-identical workloads. Refreshes
-#                              BENCH_intervals.json. Retried like the other
-#                              smokes for consistency (its gates are all
-#                              deterministic, so retries should never differ)
+#                              produce byte-identical workloads. Gates only
+#                              (refresh BENCH_intervals.json by hand).
+#                              Retried like the other smokes for consistency
+#                              (its gates are all deterministic, so retries
+#                              should never differ)
 #  11. cmd/benchmarks -exp resilience
 #                            — the oracle-resilience smoke: runs the pipeline
 #                              through the retry/fault-injection middleware
@@ -90,9 +93,9 @@
 #                              a cold-then-warm persistent prompt-cache pair,
 #                              failing unless the warm rerun pays ≥30% fewer
 #                              LLM calls while reproducing the same workload.
-#                              Refreshes BENCH_resilience.json. Retried like
-#                              the other smokes for consistency (its gates
-#                              are deterministic)
+#                              Gates only (refresh BENCH_resilience.json by
+#                              hand). Retried like the other smokes for
+#                              consistency (its gates are deterministic)
 #  12. cmd/benchmarks -exp surrogate
 #                            — the surrogate-engine smoke: fits and probes the
 #                              flat random-forest engine against the naive
@@ -102,7 +105,8 @@
 #                              prediction mismatch, BO search-hash divergence
 #                              between the two engines, or if the flat engine
 #                              falls below 2x fit / 3x batched-predict speed
-#                              at 8 goroutines. Refreshes BENCH_surrogate.json.
+#                              at 8 goroutines. Gates only (refresh
+#                              BENCH_surrogate.json by hand).
 #                              Timing-sensitive, so it gets the same 3-attempt
 #                              fresh-process retry
 #
@@ -134,14 +138,17 @@ echo "== scripts/covergate.sh (per-package coverage floors) =="
 
 # Steps 7-12: the benchmark smokes, in order. Each row is
 # name|description|extra flags; every smoke gets up to 3 attempts, each in a
-# fresh process, and fails the chain only when all 3 fail.
+# fresh process, and fails the chain only when all 3 fail. The empty JSON
+# paths make the smokes gate without rewriting the BENCH_*.json files, so a
+# diff to one of them means someone refreshed it on purpose, with
+# `go run ./cmd/benchmarks -exp X` (whose flag defaults write the file).
 smokes=(
   "obs|observability overhead smoke|"
-  "probe|compiled-probing smoke|-probejson BENCH_probe.json"
-  "measured|measured-probe smoke|-measuredjson BENCH_measured.json"
-  "intervals|static cost-interval smoke|-intervalsjson BENCH_intervals.json"
-  "resilience|oracle resilience smoke|-resiliencejson BENCH_resilience.json"
-  "surrogate|surrogate-engine smoke|-surrogatejson BENCH_surrogate.json"
+  "probe|compiled-probing smoke|-probejson="
+  "measured|measured-probe smoke|-measuredjson="
+  "intervals|static cost-interval smoke|-intervalsjson="
+  "resilience|oracle resilience smoke|-resiliencejson="
+  "surrogate|surrogate-engine smoke|-surrogatejson="
 )
 for smoke in "${smokes[@]}"; do
   IFS='|' read -r name desc flags <<<"${smoke}"
