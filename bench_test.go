@@ -11,10 +11,12 @@ import (
 	"testing"
 
 	"sqlbarber/internal/benchmarks"
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/realworld"
+	"sqlbarber/internal/refine"
+	"sqlbarber/internal/search"
 	"sqlbarber/internal/stats"
 )
 
@@ -176,31 +178,23 @@ func BenchmarkTable2Cost(b *testing.B) {
 
 // ---- Design-choice ablations (DESIGN.md §4) ----
 
-func ablationConfig(seed int64) core.Config {
-	db := engine.OpenTPCH(seed, 0.2)
-	return core.Config{
-		DB:       db,
-		Oracle:   llm.NewSim(llm.SimOptions{Seed: seed}),
-		CostKind: engine.Cardinality,
-		Specs:    realworld.RedsetSpecs(seed)[:16],
-		Target:   stats.Uniform(0, 1200, 6, 90),
-		Seed:     seed,
-	}
-}
-
 // ablationSeeds averages out per-seed noise in the small ablation setups.
 var ablationSeeds = []int64{1, 2, 3, 4, 5}
 
-// runAblation runs the modified pipeline across the ablation seeds and
-// reports mean distance plus a mean secondary metric.
-func runAblation(b *testing.B, metricName string, mod func(*core.Config), metric func(*core.Result) float64) {
+// runAblation runs the pipeline with the ablation's option across the
+// ablation seeds and reports mean distance plus a mean secondary metric.
+func runAblation(b *testing.B, metricName string, opt pipeline.Option, metric func(*pipeline.Result) float64) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		var distSum, metricSum float64
 		for _, seed := range ablationSeeds {
-			cfg := ablationConfig(seed)
-			mod(&cfg)
-			res, err := core.Generate(context.Background(), cfg)
+			p, err := pipeline.New(engine.OpenTPCH(seed, 0.2), llm.NewSim(llm.SimOptions{Seed: seed}),
+				realworld.RedsetSpecs(seed)[:16], stats.Uniform(0, 1200, 6, 90),
+				pipeline.WithSeed(seed), pipeline.WithCostKind(engine.Cardinality), opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := p.Run(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -222,8 +216,8 @@ func BenchmarkAblationLHS(b *testing.B) {
 	}{{"LHS", false}, {"Independent", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			runAblation(b, "mean_db_calls",
-				func(c *core.Config) { c.IndependentSampling = mode.ind },
-				func(r *core.Result) float64 { return float64(r.DBCalls) })
+				pipeline.WithAblations(pipeline.Ablations{IndependentSampling: mode.ind}),
+				func(r *pipeline.Result) float64 { return float64(r.DBCalls) })
 		})
 	}
 }
@@ -232,18 +226,13 @@ func BenchmarkAblationLHS(b *testing.B) {
 // against phase-1-only refinement (mean over seeds).
 func BenchmarkAblationHistory(b *testing.B) {
 	for _, mode := range []struct {
-		name   string
-		phase1 bool
-	}{{"WithHistory", false}, {"Phase1Only", true}} {
+		name string
+		opts refine.Options
+	}{{"WithHistory", refine.Options{}}, {"Phase1Only", refine.Options{K2: 1, M2: 1}}} {
 		b.Run(mode.name, func(b *testing.B) {
 			runAblation(b, "mean_accepted_templates",
-				func(c *core.Config) {
-					if mode.phase1 {
-						c.RefineOpts.K2 = 1
-						c.RefineOpts.M2 = 1
-					}
-				},
-				func(r *core.Result) float64 { return float64(r.RefineStats.Accepted) })
+				pipeline.WithRefineOptions(mode.opts),
+				func(r *pipeline.Result) float64 { return float64(r.RefineStats.Accepted) })
 		})
 	}
 }
@@ -258,8 +247,8 @@ func BenchmarkAblationCloseness(b *testing.B) {
 	}{{"Weighted10", 0 /* default 10 */}, {"AllTemplates", 1000}} {
 		b.Run(mode.name, func(b *testing.B) {
 			runAblation(b, "mean_search_evals",
-				func(c *core.Config) { c.SearchOpts.SampleSize = mode.sample },
-				func(r *core.Result) float64 { return float64(r.SearchStats.Evaluations) })
+				pipeline.WithSearchOptions(search.Options{SampleSize: mode.sample}),
+				func(r *pipeline.Result) float64 { return float64(r.SearchStats.Evaluations) })
 		})
 	}
 }

@@ -3,10 +3,13 @@ package sqlbarber
 import (
 	"bytes"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -116,6 +119,41 @@ func TestCLIBarbervet(t *testing.T) {
 	for _, code := range []string{"R001", "R002", "R003", "R004"} {
 		if !strings.Contains(string(out), code) {
 			t.Errorf("fixture output missing rule %s:\n%s", code, out)
+		}
+	}
+}
+
+// TestCLIHTTPOracleRetryBudget pins how many requests one failed oracle call
+// costs the CLI against an endpoint that always answers 503: the -llm-policy
+// retry budget exactly, and 3 without a policy. The HTTP oracle sends one
+// request per call, so the policy's retry layer is the only one.
+func TestCLIHTTPOracleRetryBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test skipped in -short mode")
+	}
+	bin := buildTool(t, t.TempDir(), "sqlbarber", "./cmd/sqlbarber")
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Error(w, "overloaded", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	for _, tc := range []struct {
+		policy []string
+		want   int64
+	}{
+		{nil, 3},
+		{[]string{"-llm-policy", "retry=4"}, 4},
+		{[]string{"-llm-policy", "retry=1"}, 1},
+	} {
+		hits.Store(0)
+		args := append([]string{"-dataset", "tpch", "-sf", "0.01", "-queries", "10", "-llm-url", srv.URL}, tc.policy...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil {
+			t.Fatalf("%v: generation against an always-503 endpoint succeeded:\n%s", tc.policy, out)
+		}
+		if got := hits.Load(); got != tc.want {
+			t.Errorf("%v: one failed call sent %d requests, want %d\n%s", tc.policy, got, tc.want, out)
 		}
 	}
 }

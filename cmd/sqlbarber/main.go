@@ -20,10 +20,10 @@ import (
 	"syscall"
 	"time"
 
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
 	"sqlbarber/internal/obs"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/realworld"
 	"sqlbarber/internal/spec"
 	"sqlbarber/internal/stats"
@@ -48,7 +48,7 @@ func main() {
 		llmURL     = flag.String("llm-url", "", "OpenAI-compatible endpoint; when set, a hosted model replaces the built-in simulated LLM")
 		llmModel   = flag.String("llm-model", "o3-mini", "chat model name for -llm-url")
 		llmCache   = flag.String("llm-cache", "", "persistent prompt-cache directory; a warm rerun with the same seed pays zero LLM calls")
-		llmPolicy  = flag.String("llm-policy", "", "oracle resilience policy, e.g. retry=4,backoff=100ms,hedge=500ms,breaker=5,rate=2,conc=8")
+		llmPolicy  = flag.String("llm-policy", "", "oracle resilience policy, e.g. retry=4,backoff=100ms,hedge=500ms,breaker=5,rate=2,conc=8 (with -llm-url, retry defaults to 3)")
 		verbose    = flag.Bool("v", false, "print pipeline progress")
 		report     = flag.Bool("report", false, "print a run report (span times, counters, histograms) to stderr")
 		traceOut   = flag.String("trace", "", "write the run's span trace as JSONL to this file")
@@ -118,32 +118,44 @@ func main() {
 		}
 		oracle, ledger = sim, sim.Ledger()
 	}
-	opts := []core.Option{
-		core.WithSeed(*seed),
-		core.WithParallel(*parallel),
-		core.WithCostKind(kind),
+	opts := []pipeline.Option{
+		pipeline.WithSeed(*seed),
+		pipeline.WithParallel(*parallel),
+		pipeline.WithCostKind(kind),
 	}
+	var policy pipeline.ResiliencePolicy
 	if *llmPolicy != "" {
-		policy, err := core.ParseResiliencePolicy(*llmPolicy)
-		if err != nil {
+		var err error
+		if policy, err = pipeline.ParseResiliencePolicy(*llmPolicy); err != nil {
 			fatal("parsing -llm-policy: %v", err)
 		}
-		opts = append(opts, core.WithResilience(policy))
+	}
+	if *llmURL != "" && policy.Retry.MaxAttempts == 0 {
+		// The HTTP oracle sends one request per call; the policy's retry
+		// layer is the only one, with 3 attempts unless -llm-policy says.
+		policy.Retry.MaxAttempts = 3
+	}
+	if *llmPolicy != "" || *llmURL != "" {
+		opts = append(opts, pipeline.WithResilience(policy))
 	}
 	if *llmCache != "" {
-		opts = append(opts, core.WithOracleCacheDir(*llmCache))
+		opts = append(opts, pipeline.WithOracleCacheDir(*llmCache))
 	}
 	var collector *obs.Collector
+	sink := obs.Nop
 	if *report || *traceOut != "" || *metricsOut != "" {
 		collector = obs.NewCollector()
-		opts = append(opts, core.WithObs(collector))
+		sink = collector
 	}
 	if *verbose {
-		opts = append(opts, core.WithProgress(func(elapsed time.Duration, dist float64) {
-			fmt.Fprintf(os.Stderr, "  t=%-12s distance=%.1f\n", elapsed.Round(time.Millisecond), dist)
-		}))
+		sink = obs.OnEvent(sink, func(e obs.Event) {
+			if e.Kind == obs.KindProgress {
+				fmt.Fprintf(os.Stderr, "  t=%-12s distance=%.1f\n", e.Dur.Round(time.Millisecond), e.Value)
+			}
+		})
 	}
-	p, err := core.New(db, oracle, specs, target, opts...)
+	opts = append(opts, pipeline.WithObs(sink))
+	p, err := pipeline.New(db, oracle, specs, target, opts...)
 	if err != nil {
 		fatal("invalid configuration: %v", err)
 	}

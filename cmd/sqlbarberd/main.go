@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"sqlbarber/internal/llm"
+	"sqlbarber/internal/llm/resilience"
 	"sqlbarber/internal/server"
 )
 
@@ -52,10 +53,14 @@ func main() {
 	}
 	if *llmURL != "" {
 		url, model := *llmURL, *llmModel
-		opts.Oracle = func(int64) llm.Oracle {
-			return llm.NewHTTPOracle(url,
+		// The HTTP oracle sends one request per call; each job's oracle
+		// retries transient failures up to 3 attempts, under any retry
+		// policy the job itself carries.
+		opts.Oracle = func(seed int64) llm.Oracle {
+			h := llm.NewHTTPOracle(url,
 				llm.WithAPIKey(os.Getenv("OPENAI_API_KEY")),
 				llm.WithModel(model))
+			return llm.Chain(h, resilience.NewRetry(llm.RetryPolicy{MaxAttempts: 3}, nil, seed))
 		}
 	}
 

@@ -9,9 +9,9 @@ import (
 	"fmt"
 	"log"
 
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/spec"
 	"sqlbarber/internal/sqltemplate"
 	"sqlbarber/internal/stats"
@@ -29,9 +29,9 @@ func main() {
 	}
 
 	target := stats.Normal(0, 1200, 6, 60, 600, 250)
-	p, err := core.New(db, llm.NewSim(llm.SimOptions{Seed: 7}), specs, target,
-		core.WithSeed(7),
-		core.WithCostKind(engine.Cardinality),
+	p, err := pipeline.New(db, llm.NewSim(llm.SimOptions{Seed: 7}), specs, target,
+		pipeline.WithSeed(7),
+		pipeline.WithCostKind(engine.Cardinality),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -11,9 +11,9 @@ import (
 	"log"
 	"math"
 
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/spec"
 	"sqlbarber/internal/stats"
 )
@@ -38,9 +38,9 @@ func main() {
 		{NumJoins: spec.Int(0), NumPredicates: spec.Int(1), GroupBy: spec.Bool(true)},
 	}
 
-	p, err := core.New(db, llm.NewSim(llm.SimOptions{Seed: 99}), specs, target,
-		core.WithSeed(99),
-		core.WithCostKind(engine.Cardinality),
+	p, err := pipeline.New(db, llm.NewSim(llm.SimOptions{Seed: 99}), specs, target,
+		pipeline.WithSeed(99),
+		pipeline.WithCostKind(engine.Cardinality),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -8,9 +8,9 @@ import (
 	"fmt"
 	"log"
 
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/spec"
 	"sqlbarber/internal/stats"
 )
@@ -31,9 +31,9 @@ func main() {
 
 	// 4. Generate: New validates everything up front (coded errors), Run
 	// executes the pipeline.
-	p, err := core.New(db, llm.NewSim(llm.SimOptions{Seed: 42}), specs, target,
-		core.WithSeed(42),
-		core.WithCostKind(engine.Cardinality),
+	p, err := pipeline.New(db, llm.NewSim(llm.SimOptions{Seed: 42}), specs, target,
+		pipeline.WithSeed(42),
+		pipeline.WithCostKind(engine.Cardinality),
 	)
 	if err != nil {
 		log.Fatal(err)
@@ -61,7 +61,7 @@ func main() {
 	}
 }
 
-func costsOf(res *core.Result) []float64 {
+func costsOf(res *pipeline.Result) []float64 {
 	out := make([]float64, len(res.Workload))
 	for i, q := range res.Workload {
 		out[i] = q.Cost

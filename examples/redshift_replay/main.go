@@ -10,9 +10,9 @@ import (
 	"fmt"
 	"log"
 
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/realworld"
 )
 
@@ -23,9 +23,9 @@ func main() {
 	specs := realworld.RedsetSpecs(21)
 	target := realworld.RedsetCost(0, 2500, 10, 300)
 
-	p, err := core.New(db, oracle, specs, target,
-		core.WithSeed(21),
-		core.WithCostKind(engine.PlanCost),
+	p, err := pipeline.New(db, oracle, specs, target,
+		pipeline.WithSeed(21),
+		pipeline.WithCostKind(engine.PlanCost),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -12,9 +12,9 @@ import (
 	"log"
 	"sort"
 
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/realworld"
 	"sqlbarber/internal/workload"
 )
@@ -24,10 +24,10 @@ func main() {
 	v13 := engine.OpenTPCH(8, 0.3)
 
 	// 1. Generate a frozen, realistic benchmark workload against v13.
-	p, err := core.New(v13, llm.NewSim(llm.SimOptions{Seed: 8}),
+	p, err := pipeline.New(v13, llm.NewSim(llm.SimOptions{Seed: 8}),
 		realworld.RedsetSpecs(8), realworld.RedsetCost(0, 1500, 8, 200),
-		core.WithSeed(8),
-		core.WithCostKind(engine.PlanCost),
+		pipeline.WithSeed(8),
+		pipeline.WithCostKind(engine.PlanCost),
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -7,10 +7,10 @@ import (
 	"sort"
 	"time"
 
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/generator"
 	"sqlbarber/internal/llm"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/realworld"
 )
 
@@ -206,7 +206,7 @@ func (r *Runner) RunFigure8Ablation(ctx context.Context, w io.Writer) ([]Ablatio
 	target := b.Target(0, r.Scale.RangeHi, r.Scale.QueryDivisor)
 	// Each variant is one Ablations value; its String() is the exact label
 	// the paper's legend (and this table) uses.
-	variants := []core.Ablations{
+	variants := []pipeline.Ablations{
 		{},
 		{DisableRefine: true},
 		{NaiveSearch: true},
@@ -214,10 +214,10 @@ func (r *Runner) RunFigure8Ablation(ctx context.Context, w io.Writer) ([]Ablatio
 	fmt.Fprintf(w, "=== Figure 8(b): convergence | IMDB, Redset_Cost, %d queries ===\n", target.Total())
 	var out []AblationSeries
 	for _, a := range variants {
-		p, err := core.New(db, llm.NewSim(llm.SimOptions{Seed: r.Seed}), r.Specs(), target.Clone(),
-			core.WithSeed(r.Seed),
-			core.WithCostKind(engine.PlanCost),
-			core.WithAblations(a),
+		p, err := pipeline.New(db, llm.NewSim(llm.SimOptions{Seed: r.Seed}), r.Specs(), target.Clone(),
+			pipeline.WithSeed(r.Seed),
+			pipeline.WithCostKind(engine.PlanCost),
+			pipeline.WithAblations(a),
 		)
 		if err != nil {
 			return out, err
@@ -260,9 +260,9 @@ func (r *Runner) RunTable2(ctx context.Context, w io.Writer) ([]CostRow, error) 
 			return rows, err
 		}
 		oracle := llm.NewSim(llm.SimOptions{Seed: r.Seed})
-		p, err := core.New(db, oracle, r.Specs(), b.Target(0, r.Scale.RangeHi, r.Scale.QueryDivisor),
-			core.WithSeed(r.Seed),
-			core.WithCostKind(engine.PlanCost),
+		p, err := pipeline.New(db, oracle, r.Specs(), b.Target(0, r.Scale.RangeHi, r.Scale.QueryDivisor),
+			pipeline.WithSeed(r.Seed),
+			pipeline.WithCostKind(engine.PlanCost),
 		)
 		if err != nil {
 			return rows, err

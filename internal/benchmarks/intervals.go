@@ -9,10 +9,10 @@ import (
 	"time"
 
 	"sqlbarber/internal/analyzer/intervals"
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
 	"sqlbarber/internal/obs"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/plan"
 	"sqlbarber/internal/prand"
 	"sqlbarber/internal/profiler"
@@ -73,7 +73,7 @@ const (
 // each compiled once at the slot domains intervals.Analyze bounds, and
 // returns the best per-call wall time and heap-allocation count
 // over boundsRounds rounds.
-func (r *Runner) boundsCallCost(res *core.Result) (nsPerCall, allocsPerCall float64, err error) {
+func (r *Runner) boundsCallCost(res *pipeline.Result) (nsPerCall, allocsPerCall float64, err error) {
 	schema := TPCH.Open(r.Seed, r.Scale.SF).Schema()
 	type boundsCase struct {
 		cq      *plan.CompiledQuery
@@ -128,18 +128,18 @@ func (r *Runner) boundsCallCost(res *core.Result) (nsPerCall, allocsPerCall floa
 // intervalsArm runs the full pipeline once at the given worker count and
 // returns the result plus its collector snapshot. disable switches the
 // static cost-interval stage off (the baseline arm).
-func (r *Runner) intervalsArm(ctx context.Context, workers int, disable bool, target *stats.TargetDistribution) (*core.Result, obs.Snapshot, time.Duration, error) {
+func (r *Runner) intervalsArm(ctx context.Context, workers int, disable bool, target *stats.TargetDistribution) (*pipeline.Result, obs.Snapshot, time.Duration, error) {
 	// A fresh database per arm isolates evaluation counters and the plan
 	// cache, so every arm does identical work.
 	db := TPCH.Open(r.Seed, r.Scale.SF)
 	collector := obs.NewCollector()
 	start := time.Now()
-	p, err := core.New(db, llm.NewSim(llm.SimOptions{Seed: r.Seed}), r.Specs(), target.Clone(),
-		core.WithSeed(r.Seed),
-		core.WithCostKind(engine.PlanCost),
-		core.WithParallel(workers),
-		core.WithObs(collector),
-		core.WithAblations(core.Ablations{DisableIntervals: disable}),
+	p, err := pipeline.New(db, llm.NewSim(llm.SimOptions{Seed: r.Seed}), r.Specs(), target.Clone(),
+		pipeline.WithSeed(r.Seed),
+		pipeline.WithCostKind(engine.PlanCost),
+		pipeline.WithParallel(workers),
+		pipeline.WithObs(collector),
+		pipeline.WithAblations(pipeline.Ablations{DisableIntervals: disable}),
 	)
 	if err != nil {
 		return nil, obs.Snapshot{}, 0, err
@@ -175,7 +175,7 @@ func inWantedBand(c float64, target *stats.TargetDistribution) bool {
 // costed on the DBMS. A single observation inside a wanted band is a false
 // prune — the static bounds claimed the band was unreachable, and a probe
 // reached it.
-func (r *Runner) verifyNoFalsePrunes(ctx context.Context, res *core.Result, target *stats.TargetDistribution) (int, error) {
+func (r *Runner) verifyNoFalsePrunes(ctx context.Context, res *pipeline.Result, target *stats.TargetDistribution) (int, error) {
 	if len(res.PrunedTemplates) == 0 {
 		return 0, nil
 	}
@@ -282,7 +282,7 @@ func (r *Runner) RunIntervalsBench(ctx context.Context, w io.Writer, jsonPath st
 		baseElapsed.Round(time.Millisecond), res.BaselineProbes, base.DBCalls, base.Distance, res.BaselineHash)
 
 	// Intervals arms at 1, 2, and 8 workers.
-	var first *core.Result
+	var first *pipeline.Result
 	for _, workers := range []int{1, 2, 8} {
 		ires, snap, elapsed, err := r.intervalsArm(ctx, workers, false, target)
 		if err != nil {

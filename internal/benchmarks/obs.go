@@ -8,10 +8,10 @@ import (
 	"runtime/debug"
 	"time"
 
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
 	"sqlbarber/internal/obs"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/stats"
 )
 
@@ -80,14 +80,14 @@ func (r *Runner) RunObsOverhead(ctx context.Context, w io.Writer) (ObsOverheadRe
 		// A fresh database per run isolates the evaluation counters and the
 		// plan cache so every run does identical work.
 		db := TPCH.Open(r.Seed, r.Scale.SF)
-		opts := []core.Option{
-			core.WithSeed(r.Seed),
-			core.WithCostKind(engine.Cardinality),
+		opts := []pipeline.Option{
+			pipeline.WithSeed(r.Seed),
+			pipeline.WithCostKind(engine.Cardinality),
 		}
 		if collector != nil {
-			opts = append(opts, core.WithObs(collector))
+			opts = append(opts, pipeline.WithObs(collector))
 		}
-		p, err := core.New(db, llm.NewSim(llm.SimOptions{Seed: r.Seed}), r.Specs(), target.Clone(), opts...)
+		p, err := pipeline.New(db, llm.NewSim(llm.SimOptions{Seed: r.Seed}), r.Specs(), target.Clone(), opts...)
 		if err != nil {
 			return 0, 0, "", err
 		}

@@ -8,9 +8,9 @@ import (
 	"io"
 	"time"
 
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/prand"
 	"sqlbarber/internal/sqltemplate"
 	"sqlbarber/internal/sqltypes"
@@ -60,10 +60,10 @@ func (r *Runner) RunParallelScaling(ctx context.Context, w io.Writer, levels []i
 		db := TPCH.Open(r.Seed, r.Scale.SF)
 		target := stats.Uniform(0, r.Scale.RangeHi, 5, 600/r.Scale.QueryDivisor)
 		start := time.Now()
-		p, err := core.New(db, llm.NewSim(llm.SimOptions{Seed: r.Seed, Latency: latency}), r.Specs(), target,
-			core.WithSeed(r.Seed),
-			core.WithCostKind(engine.Cardinality),
-			core.WithParallel(lvl),
+		p, err := pipeline.New(db, llm.NewSim(llm.SimOptions{Seed: r.Seed, Latency: latency}), r.Specs(), target,
+			pipeline.WithSeed(r.Seed),
+			pipeline.WithCostKind(engine.Cardinality),
+			pipeline.WithParallel(lvl),
 		)
 		if err != nil {
 			return out, err

@@ -8,10 +8,10 @@ import (
 	"os"
 	"time"
 
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
 	"sqlbarber/internal/obs"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/stats"
 )
 
@@ -75,17 +75,17 @@ func (r *Runner) RunResilienceBench(ctx context.Context, w io.Writer, jsonPath s
 
 	// run executes one pipeline arm and returns the result, the base-oracle
 	// ledger, the metric snapshot, and the elapsed wall clock.
-	run := func(workers int, extra ...core.Option) (*core.Result, *llm.Ledger, obs.Snapshot, time.Duration, error) {
+	run := func(workers int, extra ...pipeline.Option) (*pipeline.Result, *llm.Ledger, obs.Snapshot, time.Duration, error) {
 		db := TPCH.Open(r.Seed, r.Scale.SF)
 		sim := llm.NewSim(llm.SimOptions{Seed: r.Seed})
 		collector := obs.NewCollector()
-		opts := append([]core.Option{
-			core.WithSeed(r.Seed),
-			core.WithCostKind(engine.Cardinality),
-			core.WithParallel(workers),
-			core.WithObs(collector),
+		opts := append([]pipeline.Option{
+			pipeline.WithSeed(r.Seed),
+			pipeline.WithCostKind(engine.Cardinality),
+			pipeline.WithParallel(workers),
+			pipeline.WithObs(collector),
 		}, extra...)
-		p, err := core.New(db, sim, r.Specs(), target, opts...)
+		p, err := pipeline.New(db, sim, r.Specs(), target, opts...)
 		if err != nil {
 			return nil, nil, obs.Snapshot{}, 0, err
 		}
@@ -109,7 +109,7 @@ func (r *Runner) RunResilienceBench(ctx context.Context, w io.Writer, jsonPath s
 
 	// Faulty arms: recovery must hold at every worker count. The fake clock
 	// makes the retry backoff free, so the arm measures recovery, not sleep.
-	policy := core.ResiliencePolicy{
+	policy := pipeline.ResiliencePolicy{
 		Retry:         llm.RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Millisecond, Jitter: 0.3},
 		FaultRate:     resilienceFaultRate,
 		FaultAttempts: 2,
@@ -117,7 +117,7 @@ func (r *Runner) RunResilienceBench(ctx context.Context, w io.Writer, jsonPath s
 		Clock:         llm.NewFakeClock(),
 	}
 	for _, workers := range []int{1, 2, 8} {
-		fres, _, snap, elapsed, err := run(workers, core.WithResilience(policy))
+		fres, _, snap, elapsed, err := run(workers, pipeline.WithResilience(policy))
 		if err != nil {
 			return nil, fmt.Errorf("benchmarks: faulty arm workers=%d failed despite retry budget: %w", workers, err)
 		}
@@ -146,13 +146,13 @@ func (r *Runner) RunResilienceBench(ctx context.Context, w io.Writer, jsonPath s
 		return res, err
 	}
 	defer os.RemoveAll(cacheDir)
-	cold, coldLedger, _, coldElapsed, err := run(1, core.WithOracleCacheDir(cacheDir))
+	cold, coldLedger, _, coldElapsed, err := run(1, pipeline.WithOracleCacheDir(cacheDir))
 	if err != nil {
 		return res, err
 	}
 	res.ColdLLMCalls = coldLedger.Calls()
 	res.ColdMS = coldElapsed.Milliseconds()
-	warm, warmLedger, _, warmElapsed, err := run(1, core.WithOracleCacheDir(cacheDir))
+	warm, warmLedger, _, warmElapsed, err := run(1, pipeline.WithOracleCacheDir(cacheDir))
 	if err != nil {
 		return res, err
 	}

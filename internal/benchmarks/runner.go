@@ -9,10 +9,10 @@ import (
 	"sqlbarber/internal/baselines/baseline"
 	"sqlbarber/internal/baselines/hillclimb"
 	"sqlbarber/internal/baselines/learnedsqlgen"
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/generator"
 	"sqlbarber/internal/llm"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/realworld"
 	"sqlbarber/internal/spec"
 	"sqlbarber/internal/sqltemplate"
@@ -69,7 +69,7 @@ func (r MethodResult) ProjectedE2E() time.Duration {
 type Runner struct {
 	Scale Scale
 	Seed  int64
-	// Parallel is forwarded to core.Config.Parallel for SQLBarber runs
+	// Parallel is forwarded to pipeline.WithParallel for SQLBarber runs
 	// (default 1; results are byte-identical for any value).
 	Parallel int
 
@@ -157,10 +157,10 @@ func (r *Runner) runMethodOn(ctx context.Context, m Method, b Benchmark, ds Data
 		if parallel < 1 {
 			parallel = 1
 		}
-		p, err := core.New(db, llm.NewSim(llm.SimOptions{Seed: r.Seed}), r.Specs(), target,
-			core.WithSeed(r.Seed),
-			core.WithCostKind(kind),
-			core.WithParallel(parallel),
+		p, err := pipeline.New(db, llm.NewSim(llm.SimOptions{Seed: r.Seed}), r.Specs(), target,
+			pipeline.WithSeed(r.Seed),
+			pipeline.WithCostKind(kind),
+			pipeline.WithParallel(parallel),
 		)
 		if err != nil {
 			return res, err

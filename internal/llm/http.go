@@ -13,12 +13,11 @@ import (
 	"time"
 
 	"sqlbarber/internal/obs"
-	"sqlbarber/internal/prand"
 	"sqlbarber/internal/spec"
 )
 
-// RetryPolicy configures transient-failure retries. It is shared by
-// HTTPOracle's built-in retry loop and the resilience.Retry middleware.
+// RetryPolicy configures transient-failure retries for the resilience.Retry
+// middleware.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries including the first call.
 	// Zero or negative means "unset" (callers apply their own default).
@@ -88,41 +87,17 @@ func parseRetryAfter(v string, now time.Time) time.Duration {
 // server; pointing the base URL at https://api.openai.com/v1 with a key
 // makes the whole pipeline run on a hosted model.
 //
-// Construct it with NewHTTPOracle(baseURL, ...HTTPOption). The exported
-// fields remain assignable for compatibility with pre-option callers but are
-// deprecated as a construction surface.
+// Each call sends exactly one request. Failures that may pass on their own
+// (a transport error, HTTP 429 or 5xx) are returned retryable, everything
+// else reports Retryable() == false; retrying is the job of the
+// resilience.Retry middleware, which honours the Retry-After a
+// RateLimitError carries.
 type HTTPOracle struct {
-	// BaseURL is the API root, e.g. "https://api.openai.com/v1".
-	BaseURL string
-	// APIKey is sent as a bearer token when non-empty.
-	//
-	// Deprecated: prefer WithAPIKey.
-	APIKey string
-	// Model names the chat model (default "o3-mini").
-	//
-	// Deprecated: prefer WithModel.
-	Model string
-	// Client is the HTTP client (default: 60s timeout).
-	//
-	// Deprecated: prefer WithClient.
-	Client *http.Client
-	// MaxRetries bounds retry attempts on transient failures (default 2).
-	//
-	// Deprecated: prefer WithRetryPolicy; ignored when Retry.MaxAttempts
-	// is set.
-	MaxRetries int
-	// Backoff is the initial sleep before the first retry, doubling per
-	// attempt. Zero disables backoff. The sleep is context-aware:
-	// cancellation interrupts it immediately.
-	//
-	// Deprecated: prefer WithRetryPolicy; ignored when Retry.MaxAttempts
-	// is set.
-	Backoff time.Duration
-	// Retry, when MaxAttempts > 0, supersedes MaxRetries/Backoff.
-	Retry RetryPolicy
-
-	clock  Clock
-	ledger Ledger
+	baseURL string
+	apiKey  string
+	model   string
+	client  *http.Client
+	ledger  Ledger
 }
 
 var (
@@ -142,48 +117,33 @@ type HTTPOption func(*HTTPOracle)
 func WithModel(model string) HTTPOption {
 	return func(o *HTTPOracle) {
 		if model != "" {
-			o.Model = model
+			o.model = model
 		}
 	}
 }
 
 // WithAPIKey sets the bearer token sent with each request.
 func WithAPIKey(key string) HTTPOption {
-	return func(o *HTTPOracle) { o.APIKey = key }
+	return func(o *HTTPOracle) { o.apiKey = key }
 }
 
-// WithClient substitutes the HTTP client (timeouts, transports, proxies).
+// WithClient substitutes the HTTP client (timeouts, transports, proxies;
+// default: 60s timeout).
 func WithClient(c *http.Client) HTTPOption {
 	return func(o *HTTPOracle) {
 		if c != nil {
-			o.Client = c
+			o.client = c
 		}
 	}
 }
 
-// WithRetryPolicy replaces the default retry behaviour (3 attempts, no
-// backoff sleep) with an explicit policy.
-func WithRetryPolicy(p RetryPolicy) HTTPOption {
-	return func(o *HTTPOracle) { o.Retry = p }
-}
-
-// WithHTTPClock substitutes the clock used for backoff sleeps; tests use a
-// FakeClock so retry schedules are instant and assertable.
-func WithHTTPClock(c Clock) HTTPOption {
-	return func(o *HTTPOracle) {
-		if c != nil {
-			o.clock = c
-		}
-	}
-}
-
-// NewHTTPOracle creates a client for an OpenAI-compatible endpoint.
+// NewHTTPOracle creates a client for an OpenAI-compatible endpoint rooted at
+// baseURL, e.g. "https://api.openai.com/v1".
 func NewHTTPOracle(baseURL string, opts ...HTTPOption) *HTTPOracle {
 	o := &HTTPOracle{
-		BaseURL:    strings.TrimRight(baseURL, "/"),
-		Model:      "o3-mini",
-		Client:     &http.Client{Timeout: 60 * time.Second},
-		MaxRetries: 2,
+		baseURL: strings.TrimRight(baseURL, "/"),
+		model:   "o3-mini",
+		client:  &http.Client{Timeout: 60 * time.Second},
 	}
 	for _, opt := range opts {
 		opt(o)
@@ -219,128 +179,71 @@ type chatResponse struct {
 	} `json:"error"`
 }
 
-// effectivePolicy resolves the retry configuration: an explicit Retry policy
-// wins; otherwise the deprecated MaxRetries/Backoff fields are translated so
-// pre-option callers keep their exact behaviour.
-func (o *HTTPOracle) effectivePolicy() RetryPolicy {
-	if o.Retry.MaxAttempts > 0 {
-		return o.Retry
-	}
-	retries := o.MaxRetries
-	if retries < 0 {
-		retries = 0
-	}
-	return RetryPolicy{MaxAttempts: retries + 1, BaseBackoff: o.Backoff}
-}
+// permanentError marks a failure that retrying the same request cannot fix.
+type permanentError struct{ err error }
 
-func (o *HTTPOracle) clockOrSystem() Clock {
-	if o.clock != nil {
-		return o.clock
-	}
-	return SystemClock
-}
+func (e permanentError) Error() string   { return e.err.Error() }
+func (e permanentError) Unwrap() error   { return e.err }
+func (e permanentError) Retryable() bool { return false }
 
-// retryDelay computes the wait before retry attempt number attempt (≥1): the
-// server's Retry-After when the previous failure carried one, otherwise the
-// current exponential backoff, capped and deterministically jittered.
-func retryDelay(p RetryPolicy, backoff time.Duration, lastErr error, fingerprint string, attempt int) time.Duration {
-	d := backoff
-	var rl *RateLimitError
-	if errors.As(lastErr, &rl) && rl.RetryAfter > 0 {
-		d = rl.RetryAfter
-	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	if p.Jitter > 0 && d > 0 {
-		rng := prand.New(prand.StageOracle, prand.HashString(fingerprint), int64(attempt))
-		d += time.Duration(p.Jitter * float64(d) * rng.Float64())
-	}
-	return d
-}
-
-// complete sends one chat turn and returns the assistant text. Transient
-// failures are retried with exponential backoff — or the server's explicit
-// Retry-After pacing on 429/503 — and the caller's context cancels both
-// in-flight requests and backoff sleeps.
+// complete sends one chat turn and returns the assistant text. The caller's
+// context cancels the request; an already-cancelled context sends nothing.
 func (o *HTTPOracle) complete(ctx context.Context, prompt string) (string, error) {
+	if err := ctx.Err(); err != nil {
+		return "", fmt.Errorf("llm: chat completion cancelled: %w", err)
+	}
+	text, err := o.send(ctx, prompt)
+	if err != nil {
+		return "", fmt.Errorf("llm: chat completion failed: %w", err)
+	}
+	return text, nil
+}
+
+func (o *HTTPOracle) send(ctx context.Context, prompt string) (string, error) {
 	body, err := json.Marshal(chatRequest{
-		Model:    o.Model,
+		Model:    o.model,
 		Messages: []chatMessage{{Role: "user", Content: prompt}},
 	})
 	if err != nil {
-		return "", err
+		return "", permanentError{err}
 	}
-	p := o.effectivePolicy()
-	clock := o.clockOrSystem()
-	backoff := p.BaseBackoff
-	var lastErr error
-	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if d := retryDelay(p, backoff, lastErr, prompt, attempt); d > 0 {
-				if err := clock.Sleep(ctx, d); err != nil {
-					return "", fmt.Errorf("llm: chat completion cancelled during backoff: %w", err)
-				}
-			}
-			backoff *= 2
-		}
-		if err := ctx.Err(); err != nil {
-			return "", fmt.Errorf("llm: chat completion cancelled: %w", err)
-		}
-		text, retryable, err := o.completeOnce(ctx, body, prompt)
-		if err == nil {
-			return text, nil
-		}
-		lastErr = err
-		if !retryable || ctx.Err() != nil {
-			break
-		}
-	}
-	return "", fmt.Errorf("llm: chat completion failed: %w", lastErr)
-}
-
-func (o *HTTPOracle) completeOnce(ctx context.Context, body []byte, prompt string) (text string, retryable bool, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		o.BaseURL+"/chat/completions", bytes.NewReader(body))
+		o.baseURL+"/chat/completions", bytes.NewReader(body))
 	if err != nil {
-		return "", false, err
+		return "", permanentError{err}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if o.APIKey != "" {
-		req.Header.Set("Authorization", "Bearer "+o.APIKey)
+	if o.apiKey != "" {
+		req.Header.Set("Authorization", "Bearer "+o.apiKey)
 	}
-	client := o.Client
-	if client == nil {
-		client = &http.Client{Timeout: 60 * time.Second}
-	}
-	resp, err := client.Do(req)
+	resp, err := o.client.Do(req)
 	if err != nil {
-		return "", true, err
+		return "", err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
 	if err != nil {
-		return "", true, err
+		return "", err
 	}
 	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500 {
-		return "", true, &RateLimitError{
+		return "", &RateLimitError{
 			Status:     resp.StatusCode,
-			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"), o.clockOrSystem().Now()),
+			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"), SystemClock.Now()),
 			Body:       truncate(string(data), 200),
 		}
 	}
 	if resp.StatusCode != http.StatusOK {
-		return "", false, fmt.Errorf("status %d: %s", resp.StatusCode, truncate(string(data), 200))
+		return "", permanentError{fmt.Errorf("status %d: %s", resp.StatusCode, truncate(string(data), 200))}
 	}
 	var cr chatResponse
 	if err := json.Unmarshal(data, &cr); err != nil {
-		return "", false, fmt.Errorf("decoding response: %w", err)
+		return "", permanentError{fmt.Errorf("decoding response: %w", err)}
 	}
 	if cr.Error != nil {
-		return "", false, fmt.Errorf("api error: %s", cr.Error.Message)
+		return "", permanentError{fmt.Errorf("api error: %s", cr.Error.Message)}
 	}
 	if len(cr.Choices) == 0 {
-		return "", false, fmt.Errorf("empty choices")
+		return "", permanentError{errors.New("empty choices")}
 	}
 	content := cr.Choices[0].Message.Content
 	if cr.Usage.PromptTokens > 0 || cr.Usage.CompletionTokens > 0 {
@@ -350,7 +253,7 @@ func (o *HTTPOracle) completeOnce(ctx context.Context, body []byte, prompt strin
 	} else {
 		o.ledger.Record(prompt, content)
 	}
-	return content, false, nil
+	return content, nil
 }
 
 func truncate(s string, n int) string {

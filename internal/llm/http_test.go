@@ -12,7 +12,6 @@ import (
 
 	"sqlbarber/internal/datagen"
 	"sqlbarber/internal/spec"
-	"sqlbarber/internal/stats"
 )
 
 // stubServer mimics an OpenAI-compatible chat endpoint, answering with a
@@ -93,48 +92,6 @@ func TestHTTPOracleUnstructuredJudgment(t *testing.T) {
 	}
 }
 
-func TestHTTPOracleRetriesTransientErrors(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			http.Error(w, "overloaded", http.StatusServiceUnavailable)
-			return
-		}
-		json.NewEncoder(w).Encode(map[string]any{
-			"choices": []map[string]any{{"message": map[string]any{"role": "assistant", "content": "SELECT 1 FROM t"}}},
-		})
-	}))
-	defer srv.Close()
-	o := NewHTTPOracle(srv.URL)
-	req := RefineRequest{Schema: datagen.TPCH(1, 0.01).Schema, TemplateSQL: "SELECT 1 FROM t",
-		Target: stats.Interval{Lo: 0, Hi: 10}}
-	sql, err := o.RefineTemplate(context.Background(), req)
-	if err != nil {
-		t.Fatalf("retry failed: %v", err)
-	}
-	if sql != "SELECT 1 FROM t" || hits.Load() != 2 {
-		t.Fatalf("sql=%q hits=%d", sql, hits.Load())
-	}
-}
-
-func TestHTTPOracleFatalErrorsDoNotRetry(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		http.Error(w, `{"error":{"message":"invalid model"}}`, http.StatusBadRequest)
-	}))
-	defer srv.Close()
-	o := NewHTTPOracle(srv.URL)
-	db := datagen.TPCH(1, 0.01)
-	_, err := o.FixExecution(context.Background(), "SELECT 1", "syntax error", GenerateRequest{Schema: db.Schema})
-	if err == nil {
-		t.Fatal("fatal status must error")
-	}
-	if hits.Load() != 1 {
-		t.Fatalf("fatal status retried: %d hits", hits.Load())
-	}
-}
-
 func TestExtractSQLVariants(t *testing.T) {
 	cases := []struct {
 		in, want string
@@ -177,43 +134,6 @@ func TestHTTPOracleDrivesGeneratorEndToEnd(t *testing.T) {
 	ok, _, err := o.ValidateSemantics(context.Background(), sql, s)
 	if err != nil || !ok {
 		t.Fatalf("validate: %v %v", ok, err)
-	}
-}
-
-// TestHTTPOracleCancelDuringBackoff verifies the caller's context interrupts
-// the retry/backoff sleep: with a server that always answers 503 and a long
-// backoff, cancellation must return promptly instead of sleeping out the
-// schedule.
-func TestHTTPOracleCancelDuringBackoff(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		http.Error(w, "overloaded", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-	o := NewHTTPOracle(srv.URL)
-	o.MaxRetries = 5
-	o.Backoff = time.Hour
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := o.GenerateTemplate(ctx, GenerateRequest{Schema: datagen.TPCH(1, 0.01).Schema})
-		done <- err
-	}()
-	for hits.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("cancelled completion must return an error")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not interrupt backoff sleep")
-	}
-	if hits.Load() != 1 {
-		t.Fatalf("expected no retries after cancellation, got %d hits", hits.Load())
 	}
 }
 
@@ -279,72 +199,6 @@ func TestSimLLMForkDeterministic(t *testing.T) {
 	}
 }
 
-// TestHTTPOracleHonorsRetryAfter is the regression test for the Retry-After
-// fix: a 429 carrying "Retry-After: 7" must make the oracle wait exactly the
-// server-requested 7 seconds instead of its own 1-second exponential step.
-func TestHTTPOracleHonorsRetryAfter(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			w.Header().Set("Retry-After", "7")
-			http.Error(w, "rate limited", http.StatusTooManyRequests)
-			return
-		}
-		json.NewEncoder(w).Encode(map[string]any{
-			"choices": []map[string]any{{"message": map[string]any{"role": "assistant", "content": "SELECT 1 FROM t"}}},
-		})
-	}))
-	defer srv.Close()
-	clock := NewFakeClock()
-	o := NewHTTPOracle(srv.URL,
-		WithRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second}),
-		WithHTTPClock(clock))
-	sql, err := o.FixExecution(context.Background(), "SELECT 1", "syntax error",
-		GenerateRequest{Schema: datagen.TPCH(1, 0.01).Schema})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sql != "SELECT 1 FROM t" || hits.Load() != 2 {
-		t.Fatalf("sql=%q hits=%d", sql, hits.Load())
-	}
-	sleeps := clock.Sleeps()
-	if len(sleeps) != 1 || sleeps[0] != 7*time.Second {
-		t.Fatalf("backoff ignored Retry-After, slept %v (want [7s])", sleeps)
-	}
-}
-
-// TestHTTPOracleRetryAfterCappedByMaxBackoff verifies MaxBackoff bounds even
-// server-requested waits, so a hostile/misconfigured endpoint cannot park the
-// pipeline for an hour.
-func TestHTTPOracleRetryAfterCappedByMaxBackoff(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) == 1 {
-			w.Header().Set("Retry-After", "3600")
-			http.Error(w, "rate limited", http.StatusServiceUnavailable)
-			return
-		}
-		json.NewEncoder(w).Encode(map[string]any{
-			"choices": []map[string]any{{"message": map[string]any{"role": "assistant", "content": "SELECT 1 FROM t"}}},
-		})
-	}))
-	defer srv.Close()
-	clock := NewFakeClock()
-	o := NewHTTPOracle(srv.URL,
-		WithRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Second, MaxBackoff: 30 * time.Second}),
-		WithHTTPClock(clock))
-	if _, err := o.RefineTemplate(context.Background(), RefineRequest{
-		Schema: datagen.TPCH(1, 0.01).Schema, TemplateSQL: "SELECT 1 FROM t",
-		Target: stats.Interval{Lo: 0, Hi: 10},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sleeps := clock.Sleeps()
-	if len(sleeps) != 1 || sleeps[0] != 30*time.Second {
-		t.Fatalf("Retry-After not capped by MaxBackoff: slept %v (want [30s])", sleeps)
-	}
-}
-
 // TestParseRetryAfter covers the header's two RFC forms plus junk.
 func TestParseRetryAfter(t *testing.T) {
 	now := time.Date(2025, 6, 1, 12, 0, 0, 0, time.UTC)
@@ -365,36 +219,5 @@ func TestParseRetryAfter(t *testing.T) {
 		if got := parseRetryAfter(tc.in, now); got != tc.want {
 			t.Errorf("parseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
 		}
-	}
-}
-
-// TestHTTPOracleDeprecatedFieldsStillWork pins the compatibility contract:
-// pre-option callers that poke MaxRetries/Backoff directly keep their exact
-// retry behaviour (3 total attempts here), and an explicit RetryPolicy
-// supersedes those fields when set.
-func TestHTTPOracleDeprecatedFieldsStillWork(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		http.Error(w, "overloaded", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-	o := NewHTTPOracle(srv.URL, WithHTTPClock(NewFakeClock()))
-	o.MaxRetries = 2
-	o.Backoff = time.Millisecond
-	req := GenerateRequest{Schema: datagen.TPCH(1, 0.01).Schema}
-	if _, err := o.GenerateTemplate(context.Background(), req); err == nil {
-		t.Fatal("exhausted retries must error")
-	}
-	if hits.Load() != 3 {
-		t.Fatalf("deprecated MaxRetries=2 made %d attempts, want 3", hits.Load())
-	}
-	hits.Store(0)
-	o.Retry = RetryPolicy{MaxAttempts: 1}
-	if _, err := o.GenerateTemplate(context.Background(), req); err == nil {
-		t.Fatal("exhausted retries must error")
-	}
-	if hits.Load() != 1 {
-		t.Fatalf("explicit policy did not supersede deprecated fields: %d attempts, want 1", hits.Load())
 	}
 }

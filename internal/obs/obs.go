@@ -302,11 +302,33 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 }
 
 // OnEvent wraps a sink so fn sees every event emitted through it or any
-// span derived from it, before the event reaches the inner sink. It is the
-// adapter that folds the deprecated pipeline.Config.Progress callback into
-// the event stream.
+// span derived from it, before the event reaches the inner sink. A caller
+// watches progress this way (the CLI's -v, the daemon's SSE stream). When
+// inner adopts counters (Binder), the wrapper forwards BindCounter and
+// MarkVolatileHistogram to it, so a callback over a Collector still reports
+// every subsystem counter.
 func OnEvent(inner Sink, fn func(Event)) Sink {
-	return &teeSink{inner: inner, fn: fn}
+	t := &teeSink{inner: inner, fn: fn}
+	if b, ok := inner.(Binder); ok {
+		return bindingTee{teeSink: t, b: b}
+	}
+	return t
+}
+
+// bindingTee is a teeSink over a Binder.
+type bindingTee struct {
+	*teeSink
+	b Binder
+}
+
+func (t bindingTee) BindCounter(name string, c *Counter, volatile bool) {
+	t.b.BindCounter(name, c, volatile)
+}
+
+func (t bindingTee) MarkVolatileHistogram(name string) {
+	if hm, ok := t.inner.(HistogramMarker); ok {
+		hm.MarkVolatileHistogram(name)
+	}
 }
 
 type teeSink struct {

@@ -185,6 +185,24 @@ func TestOnEventTee(t *testing.T) {
 	if got := len(c.Events()); got != 7 {
 		t.Fatalf("collector recorded %d events, want 7", got)
 	}
+	// Counter adoption passes through the tee to the collector; a tee over
+	// a sink that adopts nothing offers no Binder.
+	b, ok := tee.(Binder)
+	if !ok {
+		t.Fatal("a tee over a Collector must forward Binder")
+	}
+	if _, ok := tee.(HistogramMarker); !ok {
+		t.Fatal("a tee over a Collector must forward HistogramMarker")
+	}
+	var n Counter
+	n.Add(5)
+	b.BindCounter("tee_bound", &n, false)
+	if got := c.Snapshot().Counter("tee_bound"); got != 5 {
+		t.Fatalf("counter bound through the tee reads %d in the snapshot, want 5", got)
+	}
+	if _, ok := OnEvent(Nop, func(Event) {}).(Binder); ok {
+		t.Fatal("a tee over Nop must not claim to adopt counters")
+	}
 }
 
 // TestWriteJSONL pins the exporter's line format.

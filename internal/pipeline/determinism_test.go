@@ -73,30 +73,27 @@ func TestParallelByteIdentical(t *testing.T) {
 			// and returns the run signature plus the rendered stable metric
 			// snapshot ("" when unobserved).
 			run := func(parallel int, observed, faulty bool) (string, string) {
-				cfg := Config{
-					DB:       ds.open(),
-					Oracle:   llm.NewSim(llm.SimOptions{Seed: 17}),
-					CostKind: ds.kind,
-					Specs:    smallSpecs(),
-					Target:   stats.Uniform(0, 1200, 4, 40),
-					Seed:     17,
-					Parallel: parallel,
-				}
+				db := ds.open()
+				opts := []Option{WithSeed(17), WithCostKind(ds.kind), WithParallel(parallel)}
 				if faulty {
-					cfg.Resilience = &ResiliencePolicy{
+					opts = append(opts, WithResilience(ResiliencePolicy{
 						Retry:         llm.RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Millisecond, Jitter: 0.3},
 						FaultRate:     0.2,
 						FaultAttempts: 2,
 						FaultSeed:     17,
 						Clock:         llm.NewFakeClock(),
-					}
+					}))
 				}
 				var collector *obs.Collector
 				if observed {
 					collector = obs.NewCollector()
-					cfg.Obs = collector
+					opts = append(opts, WithObs(collector))
 				}
-				res, err := Run(context.Background(), cfg)
+				p, err := New(db, llm.NewSim(llm.SimOptions{Seed: 17}), smallSpecs(), stats.Uniform(0, 1200, 4, 40), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := p.Run(context.Background())
 				if err != nil {
 					t.Fatalf("parallel=%d observed=%v: %v", parallel, observed, err)
 				}

@@ -179,49 +179,48 @@ func TestObsCountersMatchSubsystemGetters(t *testing.T) {
 	}
 }
 
-// TestProgressShimReplaysEventStream asserts the deprecated Config.Progress
-// callback still fires, fed from KindProgress events, and agrees with the
-// Result trajectory.
-func TestProgressShimReplaysEventStream(t *testing.T) {
-	cfg := smallConfig(25)
+// TestProgressAndObsCompose pins the composition the CLI's -v -report uses:
+// a progress callback teed over a collector with obs.OnEvent. The callback
+// sees the whole trajectory in order with non-decreasing elapsed times,
+// ending at the result's distance; the collector records the same progress
+// events; and the tee still passes counter adoption and volatile-histogram
+// marking through, so the snapshot matches the subsystems' own getters and
+// the oracle latency histogram stays out of the stable snapshot.
+func TestProgressAndObsCompose(t *testing.T) {
+	collector := obs.NewCollector()
 	var mu sync.Mutex
 	var dists []float64
-	cfg.Progress = func(elapsed time.Duration, distance float64) {
-		mu.Lock()
-		dists = append(dists, distance)
-		mu.Unlock()
-	}
-	res, err := Run(context.Background(), cfg)
+	var elapsed []time.Duration
+	sink := obs.OnEvent(collector, func(e obs.Event) {
+		if e.Kind == obs.KindProgress {
+			mu.Lock()
+			dists = append(dists, e.Value)
+			elapsed = append(elapsed, e.Dur)
+			mu.Unlock()
+		}
+	})
+	p := smallPipeline(t, 27, llm.NewSim(llm.SimOptions{Seed: 27}), WithObs(sink),
+		WithResilience(ResiliencePolicy{Retry: llm.RetryPolicy{MaxAttempts: 2}}))
+	res, err := p.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dists) == 0 {
-		t.Fatal("deprecated Progress callback never fired")
+		t.Fatal("progress callback starved when a collector is attached")
 	}
 	if len(dists) != len(res.Trajectory) {
 		t.Fatalf("callback fired %d times, trajectory has %d points", len(dists), len(res.Trajectory))
 	}
-	for i, p := range res.Trajectory {
-		if dists[i] != p.Distance {
-			t.Fatalf("sample %d: callback saw %g, trajectory has %g", i, dists[i], p.Distance)
+	for i, pt := range res.Trajectory {
+		if dists[i] != pt.Distance {
+			t.Fatalf("sample %d: callback saw %g, trajectory has %g", i, dists[i], pt.Distance)
+		}
+		if i > 0 && elapsed[i] < elapsed[i-1] {
+			t.Fatalf("elapsed went backwards: %v after %v", elapsed[i], elapsed[i-1])
 		}
 	}
-}
-
-// TestProgressAndObsCompose asserts the shim tees progress into the callback
-// while the collector still records everything.
-func TestProgressAndObsCompose(t *testing.T) {
-	collector := obs.NewCollector()
-	cfg := smallConfig(27)
-	cfg.Obs = collector
-	var calls int
-	var mu sync.Mutex
-	cfg.Progress = func(time.Duration, float64) { mu.Lock(); calls++; mu.Unlock() }
-	if _, err := Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("Progress callback starved when a collector is attached")
+	if last := dists[len(dists)-1]; last != res.Distance {
+		t.Fatalf("final progress distance %v != result %v", last, res.Distance)
 	}
 	var progress int
 	for _, e := range collector.Events() {
@@ -229,7 +228,23 @@ func TestProgressAndObsCompose(t *testing.T) {
 			progress++
 		}
 	}
-	if progress != calls {
-		t.Fatalf("collector saw %d progress events, callback fired %d times", progress, calls)
+	if progress != len(dists) {
+		t.Fatalf("collector saw %d progress events, callback fired %d times", progress, len(dists))
+	}
+	snap := collector.Snapshot()
+	if got, want := snap.Counter(obs.MDBExplainCalls), p.cfg.DB.ExplainCalls(); got == 0 || got != want {
+		t.Errorf("%s = %d through the tee, DB reports %d", obs.MDBExplainCalls, got, want)
+	}
+	if got, want := snap.Counter(obs.MLLMOracleCalls), p.cfg.Oracle.(llm.Metered).Ledger().Calls(); got == 0 || got != want {
+		t.Errorf("%s = %d through the tee, ledger reports %d", obs.MLLMOracleCalls, got, want)
+	}
+	var latency *obs.HistogramPoint
+	for i := range snap.Histograms {
+		if snap.Histograms[i].Name == obs.HLLMLatencyMS {
+			latency = &snap.Histograms[i]
+		}
+	}
+	if latency == nil || latency.Count == 0 || !latency.Volatile {
+		t.Errorf("%s through the tee: %+v, want a recorded volatile histogram", obs.HLLMLatencyMS, latency)
 	}
 }

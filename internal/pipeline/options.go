@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/generator"
@@ -131,16 +130,6 @@ func WithSearchOptions(o search.Options) Option {
 	}
 }
 
-// WithProgress registers a distance-trajectory callback. It is implemented
-// through the obs event stream (a KindProgress event per sample); prefer
-// WithObs and reading the events directly.
-func WithProgress(fn func(elapsed time.Duration, distance float64)) Option {
-	return func(c *Config) error {
-		c.Progress = fn
-		return nil
-	}
-}
-
 // Pipeline is a validated, ready-to-run workload-generation task built by
 // New. It is immutable after construction; Run may be called any number of
 // times (each call is an independent generation against the same database).
@@ -179,12 +168,12 @@ func New(db *engine.DB, oracle llm.Oracle, specs []spec.Spec, target *stats.Targ
 	return &Pipeline{cfg: cfg}, nil
 }
 
-// Config returns a copy of the validated configuration (primarily for tests
-// and callers that need to inspect the effective settings).
-func (p *Pipeline) Config() Config { return p.cfg }
-
-// Run executes the pipeline; see the package-level Run for cancellation and
-// partial-result semantics.
+// Run executes the pipeline: generate → intervals → profile →
+// refine/search → assemble. Cancelling ctx stops work at the next stage (or
+// intra-stage wave) boundary and returns a partial Result — Partial is set,
+// CancelledStage names the stage that observed the cancellation, and the
+// workload holds the best queries gathered before the cut. Hard failures (no
+// valid templates, oracle breakdown) return an error.
 func (p *Pipeline) Run(ctx context.Context) (*Result, error) {
-	return Run(ctx, p.cfg)
+	return run(ctx, p.cfg)
 }

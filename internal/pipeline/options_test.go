@@ -8,7 +8,6 @@ import (
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
 	"sqlbarber/internal/obs"
-	"sqlbarber/internal/spec"
 	"sqlbarber/internal/stats"
 )
 
@@ -75,7 +74,7 @@ func TestNewDefaultsAndOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := p.Config()
+	cfg := p.cfg
 	if cfg.Parallel != 1 {
 		t.Errorf("default Parallel = %d, want 1", cfg.Parallel)
 	}
@@ -95,42 +94,10 @@ func TestNewDefaultsAndOverrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg = p.Config()
+	cfg = p.cfg
 	if cfg.Seed != 42 || cfg.Parallel != 4 || cfg.CostKind != engine.PlanCost ||
 		cfg.ProfileFraction != 0.5 || !cfg.Ablations.NaiveSearch || cfg.Obs != obs.Sink(sink) {
 		t.Errorf("options not applied: %+v", cfg)
-	}
-}
-
-// TestPipelineRunMatchesPackageRun asserts the constructor path and the
-// legacy Config path produce byte-identical results.
-func TestPipelineRunMatchesPackageRun(t *testing.T) {
-	mk := func() (*engine.DB, llm.Oracle, []spec.Spec, *stats.TargetDistribution) {
-		return engine.OpenTPCH(11, 0.05), llm.NewSim(llm.SimOptions{Seed: 11}),
-			smallSpecs(), stats.Uniform(0, 1200, 4, 30)
-	}
-
-	db, oracle, specs, target := mk()
-	p, err := New(db, oracle, specs, target, WithSeed(11), WithCostKind(engine.Cardinality))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaNew, err := p.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	db, oracle, specs, target = mk()
-	viaConfig, err := Run(context.Background(), Config{
-		DB: db, Oracle: oracle, Specs: specs, Target: target,
-		Seed: 11, CostKind: engine.Cardinality,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if runSignature(viaNew) != runSignature(viaConfig) {
-		t.Fatalf("constructor and legacy Config paths diverged:\n%s",
-			firstDiff(runSignature(viaNew), runSignature(viaConfig)))
 	}
 }
 
@@ -153,25 +120,32 @@ func TestAblationsString(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAblationFieldsMerge asserts the old boolean Config fields
-// still reach the stages by OR-merging into Ablations.
-func TestDeprecatedAblationFieldsMerge(t *testing.T) {
-	run := func(set func(*Config)) string {
-		cfg := smallConfig(13)
-		set(&cfg)
-		res, err := Run(context.Background(), cfg)
+// TestAblationVariantsRun asserts each paper ablation reaches the stages:
+// every variant still yields a workload that differs from the full method's.
+func TestAblationVariantsRun(t *testing.T) {
+	run := func(t *testing.T, a Ablations) string {
+		res, err := smallPipeline(t, 13, llm.NewSim(llm.SimOptions{Seed: 13}), WithAblations(a)).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(res.Workload) == 0 {
+			t.Fatal("empty workload")
+		}
 		return runSignature(res)
 	}
-	oldField := run(func(c *Config) { c.DisableRefine = true })
-	newField := run(func(c *Config) { c.Ablations = Ablations{DisableRefine: true} })
-	baseline := run(func(c *Config) {})
-	if oldField != newField {
-		t.Fatal("deprecated DisableRefine diverged from Ablations.DisableRefine")
-	}
-	if oldField == baseline {
-		t.Fatal("DisableRefine had no effect — merge is broken")
+	baseline := run(t, Ablations{})
+	for _, tc := range []struct {
+		name string
+		a    Ablations
+	}{
+		{"NoRefinePrune", Ablations{DisableRefine: true}},
+		{"NaiveSearch", Ablations{NaiveSearch: true}},
+		{"NoLHS", Ablations{IndependentSampling: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if run(t, tc.a) == baseline {
+				t.Fatalf("%s had no effect on the run", tc.a)
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ package pipeline
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"strings"
 	"time"
@@ -68,15 +67,6 @@ func (a Ablations) String() string {
 	return strings.Join(parts, "+")
 }
 
-// merge folds the deprecated per-field switches into the struct (either
-// spelling enables an ablation, so old configurations keep working).
-func (a Ablations) merge(disableRefine, naiveSearch, independent bool) Ablations {
-	a.DisableRefine = a.DisableRefine || disableRefine
-	a.NaiveSearch = a.NaiveSearch || naiveSearch
-	a.IndependentSampling = a.IndependentSampling || independent
-	return a
-}
-
 // Config describes one workload-generation task.
 type Config struct {
 	// DB is the target database.
@@ -109,20 +99,6 @@ type Config struct {
 	// full method.
 	Ablations Ablations
 
-	// DisableRefine turns off Algorithm 2.
-	//
-	// Deprecated: set Ablations.DisableRefine. Either spelling works; they
-	// are OR-merged at Run.
-	DisableRefine bool
-	// NaiveSearch replaces BO with random search.
-	//
-	// Deprecated: set Ablations.NaiveSearch.
-	NaiveSearch bool
-	// IndependentSampling disables LHS during profiling.
-	//
-	// Deprecated: set Ablations.IndependentSampling.
-	IndependentSampling bool
-
 	// GenOpts, RefineOpts, SearchOpts override component defaults.
 	GenOpts    generator.Options
 	RefineOpts refine.Options
@@ -137,17 +113,10 @@ type Config struct {
 	OracleCache *storage.PromptCache
 
 	// Obs receives the run's trace and metrics (spans, counters, gauges,
-	// histograms). Nil means obs.Nop: observation is pure, so attaching a
-	// sink never changes the generated workload.
+	// histograms) and the distance trajectory as obs.KindProgress events.
+	// Nil means obs.Nop: observation is pure, so attaching a sink never
+	// changes the generated workload.
 	Obs obs.Sink
-
-	// Progress, when non-nil, receives the distance trajectory while the
-	// predicate search runs.
-	//
-	// Deprecated: attach an obs sink and watch obs.KindProgress events
-	// (obs.OnEvent adapts a callback). This field is kept working through
-	// exactly that shim.
-	Progress func(elapsed time.Duration, distance float64)
 }
 
 // ProgressPoint is one sample of the distance-over-time trajectory.
@@ -198,7 +167,7 @@ type Result struct {
 }
 
 // RunState is the shared state stages read and write. A fresh one is built
-// per Run; stages communicate exclusively through it.
+// per run; stages communicate exclusively through it.
 type RunState struct {
 	Cfg   Config
 	Start time.Time
@@ -254,37 +223,26 @@ type Stage interface {
 }
 
 // Stages returns the standard pipeline in execution order. Assembly is not
-// listed: it is unconditional and runs inside Run after the stage loop.
+// listed: it is unconditional and runs after the stage loop.
 func Stages() []Stage {
 	return []Stage{generateStage{}, intervalsStage{}, profileStage{}, refineSearchStage{}}
 }
 
-// Run executes the pipeline. On context cancellation it returns a partial
-// Result (Partial=true, CancelledStage set) assembled from the queries
-// gathered so far rather than an error; hard failures (no valid templates,
-// oracle breakdown) return an error as before.
-func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.DB == nil || cfg.Oracle == nil || cfg.Target == nil {
-		return nil, fmt.Errorf("pipeline: DB, Oracle, and Target are required")
-	}
-	if cfg.ProfileFraction <= 0 {
-		cfg.ProfileFraction = 0.15
-	}
-	if cfg.Parallel <= 0 {
-		cfg.Parallel = 1
-	}
-	cfg.Ablations = cfg.Ablations.merge(cfg.DisableRefine, cfg.NaiveSearch, cfg.IndependentSampling)
+// run executes the pipeline over a configuration New has validated and
+// defaulted. On context cancellation it returns a partial Result
+// (Partial=true, CancelledStage set) assembled from the queries gathered so
+// far rather than an error; hard failures (no valid templates, oracle
+// breakdown) return an error.
+func run(ctx context.Context, cfg Config) (*Result, error) {
 	cfg.Oracle = chainOracle(&cfg)
 
 	sink := cfg.Obs
 	if sink == nil {
 		sink = obs.Nop
 	}
-	// Adopt the subsystem-owned counters into the metric snapshot before any
-	// wrapping: the Binder assertion matches the Collector itself, not the
-	// tee the Progress shim adds. Binding the same memory the subsystems
-	// mutate is what makes snapshot totals and DB/ledger getters identical
-	// by construction.
+	// Adopt the subsystem-owned counters into the metric snapshot. Binding
+	// the same memory the subsystems mutate is what makes snapshot totals
+	// and DB/ledger getters identical by construction.
 	if b, ok := sink.(obs.Binder); ok {
 		cfg.DB.BindObs(b)
 		if m, ok := cfg.Oracle.(llm.Metered); ok {
@@ -301,15 +259,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	if cfg.Progress != nil {
-		fn := cfg.Progress
-		sink = obs.OnEvent(sink, func(e obs.Event) {
-			if e.Kind == obs.KindProgress {
-				fn(e.Dur, e.Value)
-			}
-		})
-	}
-
 	ctx, runSpan := obs.StartSpan(obs.NewContext(ctx, sink), "run",
 		obs.A("parallel", strconv.Itoa(cfg.Parallel)),
 		obs.A("ablations", cfg.Ablations.String()),
@@ -367,9 +316,9 @@ func assemble(rs *RunState) {
 	res.Elapsed = rs.Sink.Now().Sub(rs.Start)
 	res.DBCalls = rs.Cfg.DB.ExplainCalls() + rs.Cfg.DB.ExecCalls() - rs.startCalls
 	res.Trajectory = append(res.Trajectory, ProgressPoint{Elapsed: res.Elapsed, Distance: res.Distance})
-	// The final trajectory sample flows through the event stream too, so the
-	// deprecated Progress shim replays the complete trajectory and trace
-	// consumers see the achieved distance without reading the Result.
+	// The final trajectory sample flows through the event stream too, so
+	// progress watchers replay the complete trajectory and trace consumers
+	// see the achieved distance without reading the Result.
 	rs.Sink.Emit(obs.Event{Kind: obs.KindProgress, Name: "distance", Value: res.Distance, Dur: res.Elapsed})
 
 	rs.Sink.Gauge(obs.GWorkloadQueries, float64(len(res.Workload)))

@@ -21,22 +21,23 @@ func smallSpecs() []spec.Spec {
 	}
 }
 
-func smallConfig(seed int64) Config {
-	return Config{
-		DB:       engine.OpenTPCH(seed, 0.05),
-		Oracle:   llm.NewSim(llm.SimOptions{Seed: seed}),
-		CostKind: engine.Cardinality,
-		Specs:    smallSpecs(),
-		Target:   stats.Uniform(0, 1500, 4, 40),
-		Seed:     seed,
+// smallPipeline builds the small TPC-H cardinality task most pipeline tests
+// share, over the given oracle and with any extra options.
+func smallPipeline(t *testing.T, seed int64, oracle llm.Oracle, opts ...Option) *Pipeline {
+	t.Helper()
+	p, err := New(engine.OpenTPCH(seed, 0.05), oracle, smallSpecs(), stats.Uniform(0, 1500, 4, 40),
+		append([]Option{WithSeed(seed), WithCostKind(engine.Cardinality)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return p
 }
 
 // TestPipelineStageTimings checks the staged decomposition is observable: a
 // full run reports one timing entry per stage, in execution order, ending
 // with the unconditional assemble stage.
 func TestPipelineStageTimings(t *testing.T) {
-	res, err := Run(context.Background(), smallConfig(5))
+	res, err := smallPipeline(t, 5, llm.NewSim(llm.SimOptions{Seed: 5})).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,18 +61,31 @@ func TestPipelineStageTimings(t *testing.T) {
 	}
 }
 
+// TestPipelineFailsWhenNoTemplates asserts a run whose specs no template can
+// satisfy fails with an error instead of returning an empty workload.
+func TestPipelineFailsWhenNoTemplates(t *testing.T) {
+	p, err := New(engine.OpenTPCH(1, 0.05), llm.NewSim(llm.Perfect(1)),
+		[]spec.Spec{{NumJoins: spec.Int(30)}}, // impossible
+		stats.Uniform(0, 100, 2, 4), WithSeed(1), WithCostKind(engine.Cardinality))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(context.Background()); err == nil {
+		t.Fatal("no-valid-template case must error")
+	}
+}
+
 // TestPipelineCancelReturnsPartial cancels mid-generation (the simulated
 // oracle sleeps per call, so the cut lands inside the generate stage) and
 // checks the contract: no error, Partial set, the cancelling stage named,
 // a valid (possibly empty) Result, and a prompt return.
 func TestPipelineCancelReturnsPartial(t *testing.T) {
-	cfg := smallConfig(7)
-	cfg.Oracle = llm.NewSim(llm.SimOptions{Seed: 7, Latency: 20 * time.Millisecond})
+	p := smallPipeline(t, 7, llm.NewSim(llm.SimOptions{Seed: 7, Latency: 20 * time.Millisecond}))
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
 	before := runtime.NumGoroutine()
 	start := time.Now()
-	res, err := Run(ctx, cfg)
+	res, err := p.Run(ctx)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("cancelled run must return a partial result, got error: %v", err)
@@ -104,7 +118,7 @@ func TestPipelineCancelReturnsPartial(t *testing.T) {
 func TestPipelinePreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, smallConfig(9))
+	res, err := smallPipeline(t, 9, llm.NewSim(llm.SimOptions{Seed: 9})).Run(ctx)
 	if err != nil {
 		t.Fatalf("pre-cancelled run: %v", err)
 	}
@@ -116,12 +130,5 @@ func TestPipelinePreCancelled(t *testing.T) {
 	}
 	if res.DBCalls != 0 {
 		t.Fatalf("pre-cancelled run consumed %d DBMS calls", res.DBCalls)
-	}
-}
-
-// TestPipelineConfigValidation preserves the legacy required-field errors.
-func TestPipelineConfigValidation(t *testing.T) {
-	if _, err := Run(context.Background(), Config{}); err == nil {
-		t.Fatal("empty config must error")
 	}
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -14,8 +15,9 @@ import (
 
 // Coded errors for the resilience options; match with errors.Is.
 var (
-	// ErrBadResilience reports an invalid resilience policy (negative knobs,
-	// out-of-range rates, or a fault window the retry budget cannot cover).
+	// ErrBadResilience reports an invalid resilience policy (negative knobs
+	// or durations, non-finite or out-of-range rates, or a fault window the
+	// retry budget cannot cover).
 	ErrBadResilience = errors.New("pipeline: invalid resilience policy")
 	// ErrBadCacheDir reports an oracle cache directory that cannot be opened.
 	ErrBadCacheDir = errors.New("pipeline: oracle cache dir unusable")
@@ -81,9 +83,19 @@ func (p ResiliencePolicy) validate() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrBadResilience, fmt.Sprintf(format, args...))
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"jitter", p.Retry.Jitter}, {"hedge percentile", p.HedgePercentile}, {"rate", p.RateLimit}, {"fault rate", p.FaultRate}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return bad("%s %g is not finite", f.name, f.v)
+		}
+	}
 	switch {
 	case p.Retry.MaxAttempts < 0:
 		return bad("retry attempts %d < 0", p.Retry.MaxAttempts)
+	case p.Retry.BaseBackoff < 0 || p.Retry.MaxBackoff < 0 || p.BreakerCooldown < 0:
+		return bad("backoff, max backoff and cooldown must be >= 0")
 	case p.Retry.Jitter < 0 || p.Retry.Jitter > 1:
 		return bad("jitter %g outside [0, 1]", p.Retry.Jitter)
 	case p.HedgeAfter < 0:

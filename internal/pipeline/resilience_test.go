@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -38,6 +39,14 @@ func TestResilienceOptionValidation(t *testing.T) {
 		{"fault rate > 1", WithResilience(ResiliencePolicy{FaultRate: 1.5, Retry: llm.RetryPolicy{MaxAttempts: 9}}), ErrBadResilience},
 		{"faults without retry budget", WithResilience(ResiliencePolicy{FaultRate: 0.2}), ErrBadResilience},
 		{"faults equal to retry budget", WithResilience(ResiliencePolicy{FaultRate: 0.2, FaultAttempts: 3, Retry: llm.RetryPolicy{MaxAttempts: 3}}), ErrBadResilience},
+		{"jitter NaN", WithResilience(ResiliencePolicy{Retry: llm.RetryPolicy{MaxAttempts: 2, Jitter: math.NaN()}}), ErrBadResilience},
+		{"rate NaN", WithResilience(ResiliencePolicy{RateLimit: math.NaN()}), ErrBadResilience},
+		{"rate +Inf", WithResilience(ResiliencePolicy{RateLimit: math.Inf(1)}), ErrBadResilience},
+		{"fault NaN", WithResilience(ResiliencePolicy{FaultRate: math.NaN(), Retry: llm.RetryPolicy{MaxAttempts: 9}}), ErrBadResilience},
+		{"hedge percentile NaN", WithResilience(ResiliencePolicy{HedgePercentile: math.NaN()}), ErrBadResilience},
+		{"negative backoff", WithResilience(ResiliencePolicy{Retry: llm.RetryPolicy{MaxAttempts: 2, BaseBackoff: -time.Second}}), ErrBadResilience},
+		{"negative max backoff", WithResilience(ResiliencePolicy{Retry: llm.RetryPolicy{MaxAttempts: 2, MaxBackoff: -time.Second}}), ErrBadResilience},
+		{"negative cooldown", WithResilience(ResiliencePolicy{BreakerThreshold: 3, BreakerCooldown: -time.Second}), ErrBadResilience},
 		{"empty cache dir", WithOracleCacheDir("  "), ErrBadCacheDir},
 		{"cache dir is a file", WithOracleCacheDir(filepath.Join(blocked, "sub")), ErrBadCacheDir},
 	}
@@ -89,6 +98,15 @@ func TestParseResiliencePolicy(t *testing.T) {
 		"fault=0.5",         // no retry budget to recover with
 		"retry=2,fault=0.5", // budget not above the default fault window
 		"retry=4,jitter=2",  // out of range
+		"retry=4,jitter=NaN",
+		"rate=NaN",
+		"rate=+Inf",
+		"rate=-Inf",
+		"retry=4,fault=NaN",
+		"hedgepct=NaN",
+		"backoff=-1s",
+		"maxbackoff=-1s",
+		"cooldown=-1s",
 	} {
 		if _, err := ParseResiliencePolicy(bad); !errors.Is(err, ErrBadResilience) {
 			t.Errorf("ParseResiliencePolicy(%q) = %v, want ErrBadResilience", bad, err)
@@ -127,4 +145,45 @@ func TestOracleCacheWarmRunServesFromDisk(t *testing.T) {
 	if warmCalls != 0 {
 		t.Fatalf("warm rerun paid %d oracle calls, want 0 (all prompts cached)", warmCalls)
 	}
+}
+
+// FuzzParseResiliencePolicy feeds arbitrary -llm-policy strings to the
+// parser. Property: a rejected string reports ErrBadResilience, and an
+// accepted one yields a policy that re-validates and holds only finite,
+// in-range values.
+func FuzzParseResiliencePolicy(f *testing.F) {
+	for _, seed := range []string{
+		"retry=4,backoff=100ms,maxbackoff=2s,jitter=0.3,hedge=500ms,hedgepct=0.95,breaker=5,cooldown=30s,rate=2.5,burst=4,conc=8",
+		"retry=4,fault=0.2,faultattempts=2,faultseed=17",
+		"retry=4,jitter=NaN",
+		"rate=+Inf",
+		"hedgepct=NaN",
+		"backoff=-1s",
+		"fault=NaN,retry=9",
+		"",
+		"warp=9",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParseResiliencePolicy(s)
+		if err != nil {
+			if !errors.Is(err, ErrBadResilience) {
+				t.Fatalf("ParseResiliencePolicy(%q) = %v, want ErrBadResilience", s, err)
+			}
+			return
+		}
+		if err := p.validate(); err != nil {
+			t.Fatalf("accepted %q but the policy does not re-validate: %v", s, err)
+		}
+		inUnit := func(v float64) bool { return v >= 0 && v <= 1 }
+		switch {
+		case !inUnit(p.Retry.Jitter), !inUnit(p.FaultRate), !(p.HedgePercentile >= 0 && p.HedgePercentile < 1),
+			!(p.RateLimit >= 0) || math.IsInf(p.RateLimit, 0):
+			t.Fatalf("accepted %q with a non-finite or out-of-range value: %+v", s, p)
+		case p.Retry.MaxAttempts < 0 || p.Retry.BaseBackoff < 0 || p.Retry.MaxBackoff < 0 || p.HedgeAfter < 0 ||
+			p.BreakerThreshold < 0 || p.BreakerCooldown < 0 || p.RateBurst < 0 || p.MaxConcurrent < 0 || p.FaultAttempts < 0:
+			t.Fatalf("accepted %q with a negative value: %+v", s, p)
+		}
+	})
 }

@@ -293,8 +293,8 @@ func (refineSearchStage) Run(ctx context.Context, rs *RunState) error {
 			dist := workload.Distance(sel, cfg.Target)
 			pt := ProgressPoint{Elapsed: sink.Now().Sub(rs.Start), Distance: dist}
 			res.Trajectory = append(res.Trajectory, pt)
-			// The progress event doubles as the deprecated Config.Progress
-			// callback: Run's obs.OnEvent shim replays it to the function.
+			// Progress watchers (the CLI's -v through obs.OnEvent, the
+			// daemon's SSE stream) read the trajectory from this event.
 			sink.Emit(obs.Event{Kind: obs.KindProgress, Name: "distance", Value: pt.Distance, Dur: pt.Elapsed})
 		}
 		var sstats search.Stats
@@ -305,7 +305,7 @@ func (refineSearchStage) Run(ctx context.Context, rs *RunState) error {
 		res.SearchStats.BadCombinations += sstats.BadCombinations
 
 		sel := workload.SelectWorkload(rs.Queries, cfg.Target)
-		if workload.Distance(sel, cfg.Target) == 0 || cfg.DisableRefine {
+		if workload.Distance(sel, cfg.Target) == 0 {
 			break
 		}
 	}

@@ -1,6 +1,6 @@
 // Package server is sqlbarberd's job service: an HTTP/JSON front end that
-// accepts workload-generation requests, runs each as one core.New pipeline on
-// a bounded worker pool, and exposes the job lifecycle — submit, status,
+// accepts workload-generation requests, runs each as one pipeline.New(...).Run
+// on a bounded worker pool, and exposes the job lifecycle — submit, status,
 // cancel (mapped to context cancellation, so partial workloads survive),
 // result download, and a live SSE progress stream teed off the job's obs
 // events. Determinism carries across the service boundary: a job's artifact
@@ -11,10 +11,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/realworld"
 	"sqlbarber/internal/spec"
 	"sqlbarber/internal/stats"
@@ -41,10 +42,10 @@ type JobRequest struct {
 	Parallel        int             `json:"parallel,omitempty"`         // default 1; output is byte-identical at any value
 	ProfileFraction float64         `json:"profile_fraction,omitempty"` // (0,1]; 0 keeps the pipeline default
 	Format          string          `json:"format,omitempty"`           // sql|json (default sql)
-	Resilience      string          `json:"resilience,omitempty"`       // core.ParseResiliencePolicy grammar
+	Resilience      string          `json:"resilience,omitempty"`       // pipeline.ParseResiliencePolicy grammar
 
 	specs  []spec.Spec
-	policy *core.ResiliencePolicy
+	policy *pipeline.ResiliencePolicy
 	kind   engine.CostKind
 }
 
@@ -138,13 +139,36 @@ func (r *JobRequest) normalize() error {
 		r.specs = realworld.RedsetSpecs(r.Seed)
 	}
 	if r.Resilience != "" {
-		policy, err := core.ParseResiliencePolicy(r.Resilience)
+		policy, err := pipeline.ParseResiliencePolicy(r.Resilience)
 		if err != nil {
 			return badReq("parsing resilience policy: %v", err)
 		}
 		r.policy = &policy
 	}
+	// The fields can each be in range and still combine into a degenerate
+	// target, e.g. a range so narrow the normal's spread underflows to 0.
+	if !validTarget(r.target(), r.Queries) {
+		return badReq("distribution %q over range_hi %v cannot place %d queries in %d intervals",
+			r.Distribution, r.RangeHi, r.Queries, r.Intervals)
+	}
 	return nil
+}
+
+// validTarget reports whether t assigns exactly queries non-negative counts
+// over intervals with finite bounds.
+func validTarget(t *stats.TargetDistribution, queries int) bool {
+	if t == nil || len(t.Counts) != len(t.Intervals) {
+		return false
+	}
+	finite := func(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+	total := 0
+	for i, c := range t.Counts {
+		if c < 0 || !finite(t.Intervals[i].Lo) || !finite(t.Intervals[i].Hi) {
+			return false
+		}
+		total += c
+	}
+	return total == queries
 }
 
 // target builds the request's cost-target distribution. Pure function of the

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"testing"
 
 	"sqlbarber/internal/engine"
@@ -82,6 +85,9 @@ func TestNormalizeRejections(t *testing.T) {
 		"format":       {Format: "csv"},
 		"specs":        {Specs: json.RawMessage(`{"oops"`)},
 		"policy":       {Resilience: "retry=never"},
+		// The normal's stddev (range_hi/5) underflows to 0, so every weight
+		// is NaN or 0 and no query could be placed.
+		"degenerate normal": {Distribution: "normal", RangeHi: 5e-324},
 	}
 	for name, r := range cases {
 		if err := r.normalize(); !errors.Is(err, ErrBadJobRequest) {
@@ -108,4 +114,53 @@ func TestEveryDistributionBuildsATarget(t *testing.T) {
 			t.Errorf("%s: target has zero total count", dist)
 		}
 	}
+}
+
+// FuzzJobRequest decodes arbitrary submit bodies the way the handler does
+// and checks the contract workers rely on: a request normalize accepts has
+// a target that assigns exactly Queries non-negative counts over intervals
+// with finite bounds, and a rejected one reports ErrBadJobRequest.
+func FuzzJobRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"dataset":"imdb","cost_kind":"plancost","distribution":"redset","queries":50,"intervals":5,"range_hi":900}`,
+		`{"distribution":"normal","range_hi":5e-324}`,
+		`{"distribution":"normal","range_hi":1e308,"intervals":500,"queries":10000}`,
+		`{"distribution":"snowset-card","range_hi":1e-300,"intervals":3}`,
+		`{"distribution":"snowset-cost","queries":1,"intervals":500}`,
+		`{"specs":[{"template_id":1,"num_joins":1}],"resilience":"retry=3,backoff=10ms"}`,
+		`{"resilience":"rate=NaN"}`,
+		`{"warp":9}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var r JobRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&r); err != nil && !errors.Is(err, io.EOF) {
+			return
+		}
+		if err := r.normalize(); err != nil {
+			if !errors.Is(err, ErrBadJobRequest) {
+				t.Fatalf("normalize(%s) = %v, want ErrBadJobRequest", body, err)
+			}
+			return
+		}
+		tgt := r.target()
+		if tgt == nil || len(tgt.Counts) != len(tgt.Intervals) {
+			t.Fatalf("accepted %s but target() is malformed: %+v", body, tgt)
+		}
+		total := 0
+		for i, c := range tgt.Counts {
+			iv := tgt.Intervals[i]
+			if c < 0 || math.IsNaN(iv.Lo) || math.IsInf(iv.Lo, 0) || math.IsNaN(iv.Hi) || math.IsInf(iv.Hi, 0) {
+				t.Fatalf("accepted %s but interval %d is [%v, %v] with count %d", body, i, iv.Lo, iv.Hi, c)
+			}
+			total += c
+		}
+		if total != r.Queries {
+			t.Fatalf("accepted %s but the target places %d queries, want %d", body, total, r.Queries)
+		}
+	})
 }

@@ -10,10 +10,10 @@ import (
 	"strconv"
 	"time"
 
-	"sqlbarber/internal/core"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
 	"sqlbarber/internal/obs"
+	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/storage"
 	"sqlbarber/internal/workload"
 )
@@ -135,23 +135,23 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 			})
 		}
 	})
-	popts := []core.Option{
-		core.WithSeed(req.Seed),
-		core.WithParallel(req.Parallel),
-		core.WithCostKind(req.kind),
-		core.WithObs(sink),
+	popts := []pipeline.Option{
+		pipeline.WithSeed(req.Seed),
+		pipeline.WithParallel(req.Parallel),
+		pipeline.WithCostKind(req.kind),
+		pipeline.WithObs(sink),
 	}
 	if req.ProfileFraction > 0 {
-		popts = append(popts, core.WithProfileFraction(req.ProfileFraction))
+		popts = append(popts, pipeline.WithProfileFraction(req.ProfileFraction))
 	}
 	if req.policy != nil {
 		policy := *req.policy
 		if policy.Clock == nil {
 			policy.Clock = s.opts.ResilienceClock
 		}
-		popts = append(popts, core.WithResilience(policy))
+		popts = append(popts, pipeline.WithResilience(policy))
 	}
-	p, err := core.New(db, s.opts.Oracle(req.Seed), req.specs, target, popts...)
+	p, err := pipeline.New(db, s.opts.Oracle(req.Seed), req.specs, target, popts...)
 	if err != nil {
 		j.finishFailed("building pipeline: " + err.Error())
 		return

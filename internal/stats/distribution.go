@@ -29,19 +29,17 @@ func (d *TargetDistribution) Clone() *TargetDistribution {
 }
 
 // FromWeights builds a target distribution over intervals that allocates
-// total queries proportionally to the (non-negative) weights, distributing
-// rounding leftovers to the largest-weight intervals first so the counts sum
-// exactly to total.
+// total queries proportionally to the weights, distributing rounding
+// leftovers to the largest-weight intervals first so the counts sum exactly
+// to total. Negative and NaN weights count as zero; when no weight is
+// positive every count is zero.
 func FromWeights(ivs Intervals, weights []float64, total int) *TargetDistribution {
 	if len(weights) != len(ivs) {
 		panic("stats: weights length mismatch")
 	}
 	sum := 0.0
 	for _, w := range weights {
-		if w < 0 {
-			w = 0
-		}
-		sum += w
+		sum += positive(w)
 	}
 	counts := make([]int, len(ivs))
 	if sum == 0 || total <= 0 {
@@ -54,7 +52,7 @@ func FromWeights(ivs Intervals, weights []float64, total int) *TargetDistributio
 	assigned := 0
 	rems := make([]rem, len(ivs))
 	for i, w := range weights {
-		exact := float64(total) * math.Max(w, 0) / sum
+		exact := float64(total) * positive(w) / sum
 		counts[i] = int(exact)
 		assigned += counts[i]
 		rems[i] = rem{i, exact - float64(counts[i])}
@@ -71,6 +69,14 @@ func FromWeights(ivs Intervals, weights []float64, total int) *TargetDistributio
 		assigned++
 	}
 	return &TargetDistribution{Intervals: ivs, Counts: counts}
+}
+
+// positive returns w, or 0 when w is negative, zero or NaN.
+func positive(w float64) float64 {
+	if w > 0 {
+		return w
+	}
+	return 0
 }
 
 // Uniform builds a uniform target distribution of total queries over n

@@ -96,6 +96,20 @@ func TestFromWeightsExactTotal(t *testing.T) {
 	}
 }
 
+// TestFromWeightsNaNCountsAsZero checks a NaN weight gets no queries and
+// does not poison the others, and that all-NaN weights yield all-zero counts.
+func TestFromWeightsNaNCountsAsZero(t *testing.T) {
+	ivs := SplitRange(0, 4, 4)
+	d := FromWeights(ivs, []float64{math.NaN(), 1, 1, 2}, 8)
+	if d.Counts[0] != 0 || d.Counts[1] != 2 || d.Counts[2] != 2 || d.Counts[3] != 4 {
+		t.Fatalf("counts %v, want [0 2 2 4]", d.Counts)
+	}
+	d = FromWeights(ivs, []float64{math.NaN(), math.NaN(), 0, math.NaN()}, 10)
+	if d.Total() != 0 {
+		t.Fatalf("all-NaN weights placed %d queries: %v", d.Total(), d.Counts)
+	}
+}
+
 func TestFromWeightsProperty(t *testing.T) {
 	f := func(seed int64, totalRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))

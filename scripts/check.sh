@@ -6,17 +6,22 @@
 #                              unseeded math/rand in internal/, stdout prints
 #                              in library code, mutex copies, discarded
 #                              engine.DB errors, context/goroutine discipline
-#   3. go test -race -shuffle=on ./...
+#   3. no Deprecated: in product code
+#                            — fails if any non-test .go file outside bench/
+#                              carries a "Deprecated:" marker, so a new
+#                              compatibility shim has to be argued for instead
+#                              of accumulating
+#   4. go test -race -shuffle=on ./...
 #                            — the full suite under the race detector with
 #                              shuffled test order, so determinism cannot hide
 #                              behind accidental ordering
-#   4. GOMAXPROCS=2 go test -race ./...
+#   5. GOMAXPROCS=2 go test -race ./...
 #                            — a second pass pinned to two OS threads, which
 #                              changes goroutine interleavings enough to shake
 #                              out scheduling-dependent results the default
 #                              pass can miss
-#   5. go test -fuzz (fuzz smokes)
-#                            — 10-second native-fuzzing smokes over four
+#   6. go test -fuzz (fuzz smokes)
+#                            — 10-second native-fuzzing smokes over six
 #                              targets. FuzzParse checks the render ∘ parse
 #                              round-trip fixpoint on arbitrary input, and
 #                              FuzzPlaceholderRewrite checks that placeholder
@@ -29,13 +34,20 @@
 #                              pointer oracle does on arbitrary corpora (rf),
 #                              and FuzzSourceMatchesMathRand checks that
 #                              prand.Source reproduces math/rand draw for draw
-#                              for arbitrary seeds and stream lengths (prand)
-#   6. scripts/covergate.sh  — per-package statement-coverage floors over
+#                              for arbitrary seeds and stream lengths (prand).
+#                              FuzzParseResiliencePolicy checks that an
+#                              accepted -llm-policy string yields a policy
+#                              that re-validates with only finite, in-range
+#                              values (pipeline), and FuzzJobRequest checks
+#                              that a daemon job request normalize accepts
+#                              has a target placing exactly its query count
+#                              over finite intervals (server)
+#   7. scripts/covergate.sh  — per-package statement-coverage floors over
 #                              internal/, from scripts/coverage_baseline.txt.
 #                              Floors sit ~5 points below measured coverage,
 #                              so routine churn passes but deleting tests or
 #                              landing a large untested surface fails
-#   7. cmd/benchmarks -exp obs
+#   8. cmd/benchmarks -exp obs
 #                            — the observability overhead smoke: runs the
 #                              pipeline with and without a live collector,
 #                              fails if the workloads differ byte-for-byte or
@@ -47,7 +59,7 @@
 #                              can still skew one process, so the step retries
 #                              in a fresh process up to 3 times; a real
 #                              regression fails all attempts
-#   8. cmd/benchmarks -exp probe
+#   9. cmd/benchmarks -exp probe
 #                            — the compiled-probing smoke: costs the same
 #                              deterministic probe schedule through compiled
 #                              parametric plans and through the re-plan
@@ -58,7 +70,7 @@
 #                              BENCH_probe.json by hand).
 #                              Timing-sensitive like the obs smoke, so it
 #                              gets the same 3-attempt fresh-process retry
-#   9. cmd/benchmarks -exp measured
+#  10. cmd/benchmarks -exp measured
 #                            — the measured-probe smoke: executes the same
 #                              deterministic probe schedule through per-session
 #                              value-environment execution and through the
@@ -71,7 +83,7 @@
 #                              BENCH_measured.json by hand).
 #                              Timing-sensitive, so it gets the same 3-attempt
 #                              fresh-process retry
-#  10. cmd/benchmarks -exp intervals
+#  11. cmd/benchmarks -exp intervals
 #                            — the static cost-interval smoke: runs the
 #                              pipeline with the intervals stage on and off
 #                              against a low-band plan-cost target, failing
@@ -84,7 +96,7 @@
 #                              Retried like the other smokes for consistency
 #                              (its gates are all deterministic, so retries
 #                              should never differ)
-#  11. cmd/benchmarks -exp resilience
+#  12. cmd/benchmarks -exp resilience
 #                            — the oracle-resilience smoke: runs the pipeline
 #                              through the retry/fault-injection middleware
 #                              chain with a deterministic 20% fault schedule,
@@ -96,7 +108,7 @@
 #                              Gates only (refresh BENCH_resilience.json by
 #                              hand). Retried like the other smokes for
 #                              consistency (its gates are deterministic)
-#  12. cmd/benchmarks -exp surrogate
+#  13. cmd/benchmarks -exp surrogate
 #                            — the surrogate-engine smoke: fits and probes the
 #                              flat random-forest engine against the naive
 #                              pointer reference on a fixed synthetic corpus
@@ -121,6 +133,14 @@ go vet ./...
 echo "== barbervet ./... =="
 go run ./cmd/barbervet ./...
 
+echo "== no Deprecated: in product code =="
+deprecated=$(grep -rl --include='*.go' --exclude='*_test.go' 'Deprecated:' . | grep -v '^\./bench/' || true)
+if [ -n "${deprecated}" ]; then
+  echo "non-test Go files outside bench/ carry Deprecated: markers:" >&2
+  echo "${deprecated}" >&2
+  exit 1
+fi
+
 echo "== go test -race -shuffle=on ./... =="
 go test -race -shuffle=on ./...
 
@@ -132,11 +152,13 @@ go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/sqlparser
 go test -run '^$' -fuzz '^FuzzPlaceholderRewrite$' -fuzztime 10s ./internal/sqlparser
 go test -run '^$' -fuzz '^FuzzForestDifferential$' -fuzztime 10s ./internal/rf
 go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 10s ./internal/prand
+go test -run '^$' -fuzz '^FuzzParseResiliencePolicy$' -fuzztime 10s ./internal/pipeline
+go test -run '^$' -fuzz '^FuzzJobRequest$' -fuzztime 10s ./internal/server
 
 echo "== scripts/covergate.sh (per-package coverage floors) =="
 ./scripts/covergate.sh
 
-# Steps 7-12: the benchmark smokes, in order. Each row is
+# Steps 8-13: the benchmark smokes, in order. Each row is
 # name|description|extra flags; every smoke gets up to 3 attempts, each in a
 # fresh process, and fails the chain only when all 3 fail. The empty JSON
 # paths make the smokes gate without rewriting the BENCH_*.json files, so a
