@@ -271,3 +271,38 @@ func TestCLIDaemonDrainsOnSigterm(t *testing.T) {
 		t.Fatalf("artifact has no annotations:\n%.200s", data)
 	}
 }
+
+// TestCLIRejectsUnknownCostKind pins -cost parsing in both binaries that
+// take it: an unrecognised name must fail before any dataset is opened
+// rather than silently run cardinality. plan_cost is the spelling a
+// workload file's annotations use, so it is the likely mistake.
+func TestCLIRejectsUnknownCostKind(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test skipped in -short mode")
+	}
+	dir := t.TempDir()
+	gen := buildTool(t, dir, "sqlbarber", "./cmd/sqlbarber")
+	replay := buildTool(t, dir, "replay", "./cmd/replay")
+	workloadFile := filepath.Join(dir, "w.sql")
+	if err := os.WriteFile(workloadFile, []byte("-- template=1 cardinality=5.00\nSELECT r_regionkey FROM region;\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cmd  *exec.Cmd
+	}{
+		{"sqlbarber -cost plan_cost", exec.Command(gen, "-cost", "plan_cost",
+			"-dataset", "tpch", "-sf", "0.01", "-queries", "4", "-intervals", "2", "-range", "100")},
+		{"replay -cost bogus", exec.Command(replay, "-cost", "bogus",
+			"-dataset", "tpch", "-sf", "0.01", "-tol", "1e12", "-in", workloadFile)},
+	} {
+		out, err := tc.cmd.CombinedOutput()
+		if err == nil {
+			t.Errorf("%s: exited 0, want a non-zero exit\n%s", tc.name, out)
+			continue
+		}
+		if !strings.Contains(string(out), "cardinality, plancost, or rows") {
+			t.Errorf("%s: error does not name the valid cost kinds:\n%s", tc.name, out)
+		}
+	}
+}

@@ -672,17 +672,16 @@ func checkFloatEquality(f *ast.File, d *floatDecls, report func(token.Pos, strin
 	}
 }
 
-// slotOwnerPkgs are the internal packages allowed to write a compiled
-// statement's literal slots (R008): internal/plan owns slot assignment (the
-// CostReplan baseline's AssignSlots), and internal/sqlparser owns the AST
-// types themselves. Everywhere else a `.Value =` write on an AST literal
-// mutates a skeleton that concurrent lock-free probes are reading; values
-// must travel through a value environment (CompiledQuery.BindEnv/BindParams)
-// instead.
-var slotOwnerPkgs = map[string]bool{"plan": true, "sqlparser": true}
+// slotOwnerPkgs are the internal packages allowed to write an AST literal's
+// value (R008): internal/sqlparser owns the AST types themselves. Everywhere
+// else — internal/plan included, since nothing writes a compiled statement
+// after Compile — a `.Value =` write on an AST literal mutates a skeleton
+// that concurrent lock-free probes are reading; values must travel through a
+// value environment (CompiledQuery.BindParams) instead.
+var slotOwnerPkgs = map[string]bool{"sqlparser": true}
 
-// isSlotOwnerDir reports whether the directory lies inside internal/plan or
-// internal/sqlparser (any depth). Like classifyDir it looks only at the
+// isSlotOwnerDir reports whether the directory lies inside internal/sqlparser
+// (any depth). Like classifyDir it looks only at the
 // segments after the innermost testdata so fixtures can emulate placement.
 func isSlotOwnerDir(path string) bool {
 	abs, err := filepath.Abs(path)
@@ -707,7 +706,7 @@ func isSlotOwnerDir(path string) bool {
 // checkLiteralSlotWrite flags assignments into a `.Value` field in files that
 // import the SQL AST package (R008). After plan compilation the only legal
 // carrier for probe values is the immutable value environment; writing a
-// literal slot from engine, exec, profiler, or any other non-owner package
+// literal slot from plan, engine, exec, profiler, or any other non-owner package
 // re-introduces the shared-AST mutation that serialized measured probes.
 // The check is syntactic (no type information), so it keys on the AST import:
 // a file that never imports internal/sqlparser cannot hold an AST literal.
@@ -726,8 +725,8 @@ func checkLiteralSlotWrite(f *ast.File, report func(token.Pos, string, string)) 
 				continue
 			}
 			report(sel.Pos(), "R008",
-				"write to a compiled statement's literal slot outside internal/plan; "+
-					"probe values must travel through the value environment (CompiledQuery.BindEnv/BindParams), never AST mutation")
+				"write to a compiled statement's literal slot outside internal/sqlparser; "+
+					"probe values must travel through the value environment (CompiledQuery.BindParams), never AST mutation")
 		}
 		return true
 	})

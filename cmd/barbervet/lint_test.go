@@ -197,6 +197,26 @@ func TestSlotFixtureTripsR008(t *testing.T) {
 	}
 }
 
+// TestPlanSlotFixtureTripsR008 asserts internal/plan has no R008 exemption:
+// the plan/badslot fixture, which re-creates the deleted slot-assignment loop
+// inside an emulated internal/plan package, produces exactly one R008
+// finding.
+func TestPlanSlotFixtureTripsR008(t *testing.T) {
+	findings, err := LintDir(filepath.Join("testdata", "internal", "plan", "badslot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r008 int
+	for _, f := range findings {
+		if f.Code == "R008" {
+			r008++
+		}
+	}
+	if r008 != 1 {
+		t.Errorf("R008 fired %d time(s) in internal/plan, want 1 (slot-assignment loop): %v", r008, findings)
+	}
+}
+
 // TestSlotRuleScopedToASTImporters asserts R008 stays silent in files that do
 // not import the AST package: badpkg assigns freely to its own fields.
 func TestSlotRuleScopedToASTImporters(t *testing.T) {
@@ -212,18 +232,20 @@ func TestSlotRuleScopedToASTImporters(t *testing.T) {
 }
 
 // TestIsSlotOwnerDir checks testdata-aware slot-owner path detection: the
-// packages allowed to write literal slots are internal/plan and
-// internal/sqlparser only.
+// only package allowed to write literal slots is internal/sqlparser;
+// internal/plan lost its exemption once nothing wrote a compiled statement
+// after Compile.
 func TestIsSlotOwnerDir(t *testing.T) {
 	cases := []struct {
 		path string
 		want bool
 	}{
-		{"/repo/internal/plan", true},
+		{"/repo/internal/plan", false},
 		{"/repo/internal/sqlparser", true},
 		{"/repo/internal/engine", false},
 		{"/repo/internal/exec", false},
-		{"/repo/cmd/barbervet/testdata/internal/plan/badfloat", true},
+		{"/repo/cmd/barbervet/testdata/internal/plan/badfloat", false},
+		{"/repo/cmd/barbervet/testdata/internal/plan/badslot", false},
 		{"/repo/cmd/barbervet/testdata/internal/engine/badslot", false},
 	}
 	for _, tc := range cases {

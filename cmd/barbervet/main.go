@@ -36,7 +36,7 @@
 //	      as float64 when it is a float literal, a name or struct field
 //	      declared float64, a float64() conversion, a math.* call, or a
 //	      same-package call with a single float64 result.)
-//	R008  literal-slot write outside internal/plan: a `.Value =` assignment
+//	R008  literal-slot write outside internal/sqlparser: a `.Value =` assignment
 //	      on an AST literal in a file importing internal/sqlparser. Probe
 //	      values must travel through the value environment, never shared-AST
 //	      mutation.

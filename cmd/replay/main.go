@@ -32,19 +32,16 @@ func main() {
 	)
 	flag.Parse()
 
+	kind, err := engine.ParseCostKind(*costKind)
+	if err != nil {
+		fatal("-cost: %v", err)
+	}
 	var db *engine.DB
 	switch strings.ToLower(*dataset) {
 	case "imdb":
 		db = engine.OpenIMDB(*seed, *sf)
 	default:
 		db = engine.OpenTPCH(*seed, *sf)
-	}
-	kind := engine.Cardinality
-	switch strings.ToLower(*costKind) {
-	case "plancost":
-		kind = engine.PlanCost
-	case "rows":
-		kind = engine.RowsProcessed
 	}
 
 	r := os.Stdin

@@ -56,6 +56,10 @@ func main() {
 	)
 	flag.Parse()
 
+	kind, err := engine.ParseCostKind(*costKind)
+	if err != nil {
+		fatal("-cost: %v", err)
+	}
 	var db *engine.DB
 	switch strings.ToLower(*dataset) {
 	case "tpch":
@@ -64,14 +68,6 @@ func main() {
 		db = engine.OpenIMDB(*seed, *sf)
 	default:
 		fatal("unknown dataset %q (want tpch or imdb)", *dataset)
-	}
-
-	kind := engine.Cardinality
-	switch strings.ToLower(*costKind) {
-	case "plancost":
-		kind = engine.PlanCost
-	case "rows":
-		kind = engine.RowsProcessed
 	}
 
 	var target *stats.TargetDistribution
@@ -92,7 +88,6 @@ func main() {
 
 	specs := realworld.RedsetSpecs(*seed)
 	if *specJSON != "" {
-		var err error
 		specs, err = spec.ParseJSON([]byte(*specJSON))
 		if err != nil {
 			fatal("parsing -spec: %v", err)
@@ -125,7 +120,6 @@ func main() {
 	}
 	var policy pipeline.ResiliencePolicy
 	if *llmPolicy != "" {
-		var err error
 		if policy, err = pipeline.ParseResiliencePolicy(*llmPolicy); err != nil {
 			fatal("parsing -llm-policy: %v", err)
 		}

@@ -2,10 +2,8 @@ package benchmarks
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"sqlbarber/internal/analyzer/intervals"
@@ -366,15 +364,5 @@ func (r *Runner) RunIntervalsBench(ctx context.Context, w io.Writer, jsonPath st
 			100*res.SavedFraction, 100*intervalsSavingsFloor)
 	}
 
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "wrote %s\n", jsonPath)
-	}
-	return res, nil
+	return res, writeBenchJSON(w, jsonPath, res)
 }

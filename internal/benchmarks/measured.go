@@ -2,13 +2,9 @@ package benchmarks
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
-	"sync"
-	"time"
 
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/prand"
@@ -26,9 +22,9 @@ const measuredScaleSF = 0.002
 
 // measuredTemplates is the workload mix for measured probing: multi-join
 // statements over the fixed-size dimension tables (region, nation, supplier)
-// with uncorrelated subqueries. Each uncorrelated subquery costs the re-plan
-// arm a full subplan compilation per probe but executes only once per
-// statement through the executor's subquery cache — exactly the
+// with uncorrelated subqueries. Each uncorrelated subquery costs the re-parse
+// arm a full subplan parse and compilation per probe but executes only once
+// per statement through the executor's subquery cache — exactly the
 // plan-heavy/execution-light shape where per-probe re-planning dominates.
 var measuredTemplates = []probeTemplate{
 	{
@@ -78,9 +74,9 @@ var measuredTemplates = []probeTemplate{
 // experiment.
 type MeasuredPoint struct {
 	Goroutines    int     `json:"goroutines"`
-	ReplanNS      int64   `json:"replan_ns"`
+	ReparseNS     int64   `json:"reparse_ns"`
 	SessionNS     int64   `json:"session_ns"`
-	ReplanPerSec  float64 `json:"replan_probes_per_sec"`
+	ReparsePerSec float64 `json:"reparse_probes_per_sec"`
 	SessionPerSec float64 `json:"session_probes_per_sec"`
 	Speedup       float64 `json:"speedup"`
 	// SessionNSPerProbe and SessionAllocsPerProbe are the session arm's
@@ -100,60 +96,6 @@ type MeasuredBenchResult struct {
 	Points    []MeasuredPoint `json:"points"`
 }
 
-// measuredSchedule precomputes the deterministic binding schedule, indexed
-// [probe][template], outside the timed region.
-func measuredSchedule(seed int64, probes int) [][]map[string]sqltypes.Value {
-	sched := make([][]map[string]sqltypes.Value, probes)
-	for i := range sched {
-		row := make([]map[string]sqltypes.Value, len(measuredTemplates))
-		for t, tmpl := range measuredTemplates {
-			row[t] = tmpl.vals(seed, i)
-		}
-		sched[i] = row
-	}
-	return sched
-}
-
-// runMeasuredArm executes the measured schedule across g goroutines, each
-// owning a contiguous slice of the probe index range and its own engine
-// Session, writing costs into fixed slots so the result is schedule-ordered
-// regardless of interleaving. cost is the per-probe call under test.
-func runMeasuredArm(ctx context.Context, db *engine.DB, g int, sched [][]map[string]sqltypes.Value,
-	cost func(ctx context.Context, s *engine.Session, t int, vals map[string]sqltypes.Value) (float64, error)) ([]float64, time.Duration, error) {
-	probes := len(sched)
-	costs := make([]float64, probes*len(measuredTemplates))
-	errs := make([]error, g)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < g; w++ {
-		lo := w * probes / g
-		hi := (w + 1) * probes / g
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := db.NewSession()
-			for i := lo; i < hi; i++ {
-				for t := range measuredTemplates {
-					c, err := cost(ctx, s, t, sched[i][t])
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					costs[i*len(measuredTemplates)+t] = c
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	return costs, elapsed, nil
-}
-
 // mallocs reports the process's cumulative heap allocation count.
 func mallocs() uint64 {
 	var ms runtime.MemStats
@@ -161,11 +103,11 @@ func mallocs() uint64 {
 	return ms.Mallocs
 }
 
-// RunMeasuredBench benchmarks lock-free measured probing (Session.Cost with
-// RowsProcessed: execute the immutable compiled skeleton under a per-session
-// value environment and arena) against the pre-session baseline
-// (Prepared.CostReplan: assign literal slots and re-plan the bound AST under
-// a mutex, then execute) at several goroutine counts. Both arms run the
+// RunMeasuredBench benchmarks lock-free measured probing (Prepared.Cost with
+// RowsProcessed: execute the immutable compiled skeleton under a value
+// environment with a pooled session's arena) against the re-parse baseline
+// (DB.Cost on the binding rendered into SQL: lex, parse, bind, plan and
+// execute per probe) at several goroutine counts. Both arms run the
 // identical deterministic probe schedule over a plan-heavy two-template mix
 // on a fixed small TPC-H instance (see measuredScaleSF); the benchmark
 // verifies bit-identical RowsProcessed costs per probe and via a sweep hash,
@@ -187,11 +129,15 @@ func (r *Runner) RunMeasuredBench(ctx context.Context, w io.Writer, jsonPath str
 		}
 		preps[i] = p
 	}
-	session := func(ctx context.Context, s *engine.Session, t int, vals map[string]sqltypes.Value) (float64, error) {
-		return s.Cost(ctx, preps[t], vals, engine.RowsProcessed)
+	sched, sqls, err := probeSchedule(measuredTemplates, r.Seed, probes)
+	if err != nil {
+		return nil, err
 	}
-	replan := func(ctx context.Context, _ *engine.Session, t int, vals map[string]sqltypes.Value) (float64, error) {
-		return preps[t].CostReplan(ctx, vals, engine.RowsProcessed)
+	session := func(ctx context.Context, i, t int) (float64, error) {
+		return preps[t].Cost(ctx, sched[i][t], engine.RowsProcessed)
+	}
+	reparse := func(ctx context.Context, i, t int) (float64, error) {
+		return db.Cost(ctx, sqls[i][t], engine.RowsProcessed)
 	}
 
 	res := &MeasuredBenchResult{
@@ -199,38 +145,37 @@ func (r *Runner) RunMeasuredBench(ctx context.Context, w io.Writer, jsonPath str
 		Templates: len(measuredTemplates),
 		ScaleSF:   measuredScaleSF,
 	}
-	sched := measuredSchedule(r.Seed, probes)
 	fmt.Fprintf(w, "=== Measured-probe microbenchmark | %d templates x %d probes on TPC-H sf=%.3f ===\n",
 		len(measuredTemplates), probes, measuredScaleSF)
 	total := int64(probes * len(measuredTemplates))
 	for _, g := range []int{1, 2, 8} {
 		before := db.ExecCalls()
-		replanCosts, replanTime, err := runMeasuredArm(ctx, db, g, sched, replan)
+		reparseCosts, reparseTime, err := runProbeArm(ctx, g, probes, len(measuredTemplates), reparse)
 		if err != nil {
 			return nil, err
 		}
-		replanCalls := db.ExecCalls() - before
+		reparseCalls := db.ExecCalls() - before
 		before = db.ExecCalls()
 		sessBefore := db.SessionProbes()
 		mallocsBefore := mallocs()
-		sessionCosts, sessionTime, err := runMeasuredArm(ctx, db, g, sched, session)
+		sessionCosts, sessionTime, err := runProbeArm(ctx, g, probes, len(measuredTemplates), session)
 		if err != nil {
 			return nil, err
 		}
 		sessionAllocs := mallocs() - mallocsBefore
 		sessionCalls := db.ExecCalls() - before
-		if sessionCalls != replanCalls {
-			return nil, fmt.Errorf("benchmarks: measured counter parity broken at g=%d: session moved exec_calls by %d, replan by %d",
-				g, sessionCalls, replanCalls)
+		if sessionCalls != reparseCalls {
+			return nil, fmt.Errorf("benchmarks: measured counter parity broken at g=%d: session moved exec_calls by %d, reparse by %d",
+				g, sessionCalls, reparseCalls)
 		}
 		if moved := db.SessionProbes() - sessBefore; moved != total {
 			return nil, fmt.Errorf("benchmarks: measured session accounting broken at g=%d: %d session probes for %d probes",
 				g, moved, total)
 		}
-		for i := range replanCosts {
-			if sessionCosts[i] != replanCosts[i] {
-				return nil, fmt.Errorf("benchmarks: measured cost diverged at g=%d index %d: session %.9g != replan %.9g",
-					g, i, sessionCosts[i], replanCosts[i])
+		for i := range reparseCosts {
+			if sessionCosts[i] != reparseCosts[i] {
+				return nil, fmt.Errorf("benchmarks: measured cost diverged at g=%d index %d: session %.9g != reparse %.9g",
+					g, i, sessionCosts[i], reparseCosts[i])
 			}
 		}
 		hash := probeHash(sessionCosts)
@@ -241,37 +186,27 @@ func (r *Runner) RunMeasuredBench(ctx context.Context, w io.Writer, jsonPath str
 		}
 		pt := MeasuredPoint{
 			Goroutines:    g,
-			ReplanNS:      replanTime.Nanoseconds(),
+			ReparseNS:     reparseTime.Nanoseconds(),
 			SessionNS:     sessionTime.Nanoseconds(),
-			ReplanPerSec:  float64(total) / replanTime.Seconds(),
+			ReparsePerSec: float64(total) / reparseTime.Seconds(),
 			SessionPerSec: float64(total) / sessionTime.Seconds(),
 		}
-		pt.Speedup = pt.SessionPerSec / pt.ReplanPerSec
+		pt.Speedup = pt.SessionPerSec / pt.ReparsePerSec
 		pt.SessionNSPerProbe = float64(sessionTime.Nanoseconds()) / float64(total)
 		pt.SessionAllocsPerProbe = float64(sessionAllocs) / float64(total)
 		res.Points = append(res.Points, pt)
-		fmt.Fprintf(w, "goroutines=%-3d replan=%-10.0f probes/s  session=%-10.0f probes/s  speedup=%.2fx  session %.0f ns/probe %.1f allocs/probe\n",
-			g, pt.ReplanPerSec, pt.SessionPerSec, pt.Speedup, pt.SessionNSPerProbe, pt.SessionAllocsPerProbe)
+		fmt.Fprintf(w, "goroutines=%-3d reparse=%-10.0f probes/s  session=%-10.0f probes/s  speedup=%.2fx  session %.0f ns/probe %.1f allocs/probe\n",
+			g, pt.ReparsePerSec, pt.SessionPerSec, pt.Speedup, pt.SessionNSPerProbe, pt.SessionAllocsPerProbe)
 	}
 	fmt.Fprintf(w, "all arms bit-identical: probe hash %s, counter parity held\n", res.Hash)
 	for _, pt := range res.Points {
 		if pt.Speedup <= 1 {
-			return nil, fmt.Errorf("benchmarks: session probing did not beat re-planning at g=%d (%.2fx)",
+			return nil, fmt.Errorf("benchmarks: session probing did not beat re-parsing at g=%d (%.2fx)",
 				pt.Goroutines, pt.Speedup)
 		}
 		if pt.Goroutines == 8 && pt.Speedup < 2 {
 			return nil, fmt.Errorf("benchmarks: session probing below the 2x bar at g=8 (%.2fx)", pt.Speedup)
 		}
 	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "wrote %s\n", jsonPath)
-	}
-	return res, nil
+	return res, writeBenchJSON(w, jsonPath, res)
 }

@@ -118,8 +118,8 @@ func (r PreparedBenchResult) Speedup() float64 {
 	return float64(r.ReparseTime) / float64(r.PreparedTime)
 }
 
-// RunPreparedMicrobench times the prepared-template fast path (parse and
-// bind once, re-plan per probe) against the legacy full lex/parse/bind per
+// RunPreparedMicrobench times the prepared-template fast path (parse, bind
+// and compile once, evaluate per probe) against the legacy full lex/parse/bind per
 // probe, verifying both arms agree on every cost.
 func (r *Runner) RunPreparedMicrobench(ctx context.Context, w io.Writer, probes int) (PreparedBenchResult, error) {
 	if probes <= 0 {
@@ -170,7 +170,7 @@ func (r *Runner) RunPreparedMicrobench(ctx context.Context, w io.Writer, probes 
 	res.ReparseTime = time.Since(start)
 
 	fmt.Fprintf(w, "=== Prepared-template microbenchmark | %d probes on TPC-H sf=%.1f ===\n", probes, r.Scale.SF)
-	fmt.Fprintf(w, "prepared (parse once, re-plan per probe): %-12s %.1f µs/probe\n",
+	fmt.Fprintf(w, "prepared (compile once, eval per probe):  %-12s %.1f µs/probe\n",
 		res.PreparedTime.Round(time.Millisecond), float64(res.PreparedTime.Microseconds())/float64(probes))
 	fmt.Fprintf(w, "reparse  (full lex/parse/bind per probe): %-12s %.1f µs/probe\n",
 		res.ReparseTime.Round(time.Millisecond), float64(res.ReparseTime.Microseconds())/float64(probes))

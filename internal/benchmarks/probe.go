@@ -13,6 +13,7 @@ import (
 
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/prand"
+	"sqlbarber/internal/sqltemplate"
 	"sqlbarber/internal/sqltypes"
 )
 
@@ -76,9 +77,9 @@ var probeTemplates = []probeTemplate{
 // ProbePoint is one (goroutines, arm timings) row of the probe experiment.
 type ProbePoint struct {
 	Goroutines     int     `json:"goroutines"`
-	ReplanNS       int64   `json:"replan_ns"`
+	ReparseNS      int64   `json:"reparse_ns"`
 	CompiledNS     int64   `json:"compiled_ns"`
-	ReplanPerSec   float64 `json:"replan_probes_per_sec"`
+	ReparsePerSec  float64 `json:"reparse_probes_per_sec"`
 	CompiledPerSec float64 `json:"compiled_probes_per_sec"`
 	Speedup        float64 `json:"speedup"`
 	// CompiledNSPerProbe and CompiledAllocsPerProbe are the compiled arm's
@@ -107,30 +108,44 @@ func probeHash(costs []float64) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// probeSchedule precomputes the full deterministic binding schedule,
-// indexed [probe][template]. Generating the bindings outside the timed
-// region keeps both arms' measurements about probe serving, not about
-// drawing random values.
-func probeSchedule(seed int64, probes int) [][]map[string]sqltypes.Value {
-	sched := make([][]map[string]sqltypes.Value, probes)
-	for i := range sched {
-		row := make([]map[string]sqltypes.Value, len(probeTemplates))
-		for t, tmpl := range probeTemplates {
-			row[t] = tmpl.vals(seed, i)
+// probeSchedule precomputes the full deterministic binding schedule over a
+// template mix, indexed [probe][template], and the same bindings rendered
+// into SQL for the re-parse arm. Generating and rendering the bindings
+// outside the timed region keeps both arms' measurements about probe
+// serving, not about drawing random values or formatting literals.
+func probeSchedule(templates []probeTemplate, seed int64, probes int) ([][]map[string]sqltypes.Value, [][]string, error) {
+	parsed := make([]*sqltemplate.Template, len(templates))
+	for t, tmpl := range templates {
+		pt, err := sqltemplate.Parse(tmpl.SQL)
+		if err != nil {
+			return nil, nil, fmt.Errorf("benchmarks: template %s: %w", tmpl.Name, err)
 		}
-		sched[i] = row
+		parsed[t] = pt
 	}
-	return sched
+	sched := make([][]map[string]sqltypes.Value, probes)
+	sqls := make([][]string, probes)
+	for i := range sched {
+		sched[i] = make([]map[string]sqltypes.Value, len(templates))
+		sqls[i] = make([]string, len(templates))
+		for t, tmpl := range templates {
+			sched[i][t] = tmpl.vals(seed, i)
+			sql, err := parsed[t].Instantiate(sched[i][t])
+			if err != nil {
+				return nil, nil, fmt.Errorf("benchmarks: template %s probe %d: %w", tmpl.Name, i, err)
+			}
+			sqls[i][t] = sql
+		}
+	}
+	return sched, sqls, nil
 }
 
-// runProbeArm executes the probe schedule across g goroutines, each owning a
-// contiguous slice of the probe index range, writing costs into fixed slots
-// so the result is schedule-ordered regardless of interleaving. cost is the
-// per-probe call under test (compiled estimate or re-plan baseline).
-func runProbeArm(ctx context.Context, g int, sched [][]map[string]sqltypes.Value,
-	cost func(ctx context.Context, t int, vals map[string]sqltypes.Value) (float64, error)) ([]float64, time.Duration, error) {
-	probes := len(sched)
-	costs := make([]float64, probes*len(probeTemplates))
+// runProbeArm executes a probes x templates schedule across g goroutines,
+// each owning a contiguous slice of the probe index range, writing costs into
+// fixed slots so the result is schedule-ordered regardless of interleaving.
+// cost is the per-probe call under test, given the probe and template index.
+func runProbeArm(ctx context.Context, g, probes, templates int,
+	cost func(ctx context.Context, i, t int) (float64, error)) ([]float64, time.Duration, error) {
+	costs := make([]float64, probes*templates)
 	errs := make([]error, g)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -141,13 +156,13 @@ func runProbeArm(ctx context.Context, g int, sched [][]map[string]sqltypes.Value
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				for t := range probeTemplates {
-					c, err := cost(ctx, t, sched[i][t])
+				for t := 0; t < templates; t++ {
+					c, err := cost(ctx, i, t)
 					if err != nil {
 						errs[w] = err
 						return
 					}
-					costs[i*len(probeTemplates)+t] = c
+					costs[i*templates+t] = c
 				}
 			}
 		}(w, lo, hi)
@@ -163,14 +178,14 @@ func runProbeArm(ctx context.Context, g int, sched [][]map[string]sqltypes.Value
 }
 
 // RunProbeBench benchmarks compiled parametric probing (Prepared.Cost:
-// lock-free EstimateWith through the compiled skeleton) against the
-// pre-compilation baseline (Prepared.CostReplan: assign literal slots under a
-// mutex and re-run the full planner) at several goroutine counts. Both arms
-// run the identical deterministic probe schedule over a three-template TPC-H
-// mix; the benchmark verifies bit-identical costs (per probe and via a sweep
-// hash), identical DBMS-evaluation counter movement, and that the compiled
-// arm wins at every level. When jsonPath is non-empty the result table is
-// also written there as JSON (BENCH_probe.json).
+// lock-free EstimateWith through the compiled skeleton) against the re-parse
+// baseline (DB.Cost on the binding rendered into SQL: lex, parse, bind and
+// plan per probe) at several goroutine counts. Both arms run the identical
+// deterministic probe schedule over a three-template TPC-H mix; the
+// benchmark verifies bit-identical costs (per probe and via a sweep hash),
+// identical DBMS-evaluation counter movement, and that the compiled arm wins
+// at every level. When jsonPath is non-empty the result table is also
+// written there as JSON (BENCH_probe.json).
 func (r *Runner) RunProbeBench(ctx context.Context, w io.Writer, jsonPath string, probes int) (*ProbeBenchResult, error) {
 	if probes <= 0 {
 		probes = 2000
@@ -184,40 +199,43 @@ func (r *Runner) RunProbeBench(ctx context.Context, w io.Writer, jsonPath string
 		}
 		preps[i] = p
 	}
-	compiled := func(ctx context.Context, t int, vals map[string]sqltypes.Value) (float64, error) {
-		return preps[t].Cost(ctx, vals, engine.Cardinality)
+	sched, sqls, err := probeSchedule(probeTemplates, r.Seed, probes)
+	if err != nil {
+		return nil, err
 	}
-	replan := func(ctx context.Context, t int, vals map[string]sqltypes.Value) (float64, error) {
-		return preps[t].CostReplan(ctx, vals, engine.Cardinality)
+	compiled := func(ctx context.Context, i, t int) (float64, error) {
+		return preps[t].Cost(ctx, sched[i][t], engine.Cardinality)
+	}
+	reparse := func(ctx context.Context, i, t int) (float64, error) {
+		return db.Cost(ctx, sqls[i][t], engine.Cardinality)
 	}
 
 	res := &ProbeBenchResult{Probes: probes * len(probeTemplates), Templates: len(probeTemplates)}
-	sched := probeSchedule(r.Seed, probes)
 	fmt.Fprintf(w, "=== Probe microbenchmark | %d templates x %d probes on TPC-H sf=%.1f ===\n",
 		len(probeTemplates), probes, r.Scale.SF)
 	for _, g := range []int{1, 2, 8} {
 		before := db.ExplainCalls()
-		replanCosts, replanTime, err := runProbeArm(ctx, g, sched, replan)
+		reparseCosts, reparseTime, err := runProbeArm(ctx, g, probes, len(probeTemplates), reparse)
 		if err != nil {
 			return nil, err
 		}
-		replanCalls := db.ExplainCalls() - before
+		reparseCalls := db.ExplainCalls() - before
 		before = db.ExplainCalls()
 		mallocsBefore := mallocs()
-		compiledCosts, compiledTime, err := runProbeArm(ctx, g, sched, compiled)
+		compiledCosts, compiledTime, err := runProbeArm(ctx, g, probes, len(probeTemplates), compiled)
 		if err != nil {
 			return nil, err
 		}
 		compiledAllocs := mallocs() - mallocsBefore
 		compiledCalls := db.ExplainCalls() - before
-		if compiledCalls != replanCalls {
-			return nil, fmt.Errorf("benchmarks: probe counter parity broken at g=%d: compiled moved explain_calls by %d, replan by %d",
-				g, compiledCalls, replanCalls)
+		if compiledCalls != reparseCalls {
+			return nil, fmt.Errorf("benchmarks: probe counter parity broken at g=%d: compiled moved explain_calls by %d, reparse by %d",
+				g, compiledCalls, reparseCalls)
 		}
-		for i := range replanCosts {
-			if compiledCosts[i] != replanCosts[i] {
-				return nil, fmt.Errorf("benchmarks: probe cost diverged at g=%d index %d: compiled %.9g != replan %.9g",
-					g, i, compiledCosts[i], replanCosts[i])
+		for i := range reparseCosts {
+			if compiledCosts[i] != reparseCosts[i] {
+				return nil, fmt.Errorf("benchmarks: probe cost diverged at g=%d index %d: compiled %.9g != reparse %.9g",
+					g, i, compiledCosts[i], reparseCosts[i])
 			}
 		}
 		hash := probeHash(compiledCosts)
@@ -229,34 +247,41 @@ func (r *Runner) RunProbeBench(ctx context.Context, w io.Writer, jsonPath string
 		total := float64(probes * len(probeTemplates))
 		pt := ProbePoint{
 			Goroutines:     g,
-			ReplanNS:       replanTime.Nanoseconds(),
+			ReparseNS:      reparseTime.Nanoseconds(),
 			CompiledNS:     compiledTime.Nanoseconds(),
-			ReplanPerSec:   total / replanTime.Seconds(),
+			ReparsePerSec:  total / reparseTime.Seconds(),
 			CompiledPerSec: total / compiledTime.Seconds(),
 		}
-		pt.Speedup = pt.CompiledPerSec / pt.ReplanPerSec
+		pt.Speedup = pt.CompiledPerSec / pt.ReparsePerSec
 		pt.CompiledNSPerProbe = float64(compiledTime.Nanoseconds()) / total
 		pt.CompiledAllocsPerProbe = float64(compiledAllocs) / total
 		res.Points = append(res.Points, pt)
-		fmt.Fprintf(w, "goroutines=%-3d replan=%-10.0f probes/s  compiled=%-10.0f probes/s  speedup=%.2fx  compiled %.0f ns/probe %.1f allocs/probe\n",
-			g, pt.ReplanPerSec, pt.CompiledPerSec, pt.Speedup, pt.CompiledNSPerProbe, pt.CompiledAllocsPerProbe)
+		fmt.Fprintf(w, "goroutines=%-3d reparse=%-10.0f probes/s  compiled=%-10.0f probes/s  speedup=%.2fx  compiled %.0f ns/probe %.1f allocs/probe\n",
+			g, pt.ReparsePerSec, pt.CompiledPerSec, pt.Speedup, pt.CompiledNSPerProbe, pt.CompiledAllocsPerProbe)
 	}
 	fmt.Fprintf(w, "all arms bit-identical: probe hash %s, counter parity held\n", res.Hash)
 	for _, pt := range res.Points {
 		if pt.Speedup <= 1 {
-			return nil, fmt.Errorf("benchmarks: compiled probing did not beat re-planning at g=%d (%.2fx)",
+			return nil, fmt.Errorf("benchmarks: compiled probing did not beat re-parsing at g=%d (%.2fx)",
 				pt.Goroutines, pt.Speedup)
 		}
 	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "wrote %s\n", jsonPath)
+	return res, writeBenchJSON(w, jsonPath, res)
+}
+
+// writeBenchJSON writes a benchmark result as indented JSON to path and
+// reports it on w; an empty path writes nothing.
+func writeBenchJSON(w io.Writer, path string, res any) error {
+	if path == "" {
+		return nil
 	}
-	return res, nil
+	data, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s\n", path)
+	return nil
 }

@@ -2,7 +2,6 @@ package benchmarks
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -23,6 +22,15 @@ const resilienceFaultRate = 0.2
 // cache rerun must eliminate for the bench to pass.
 const resilienceCacheWinFloor = 0.30
 
+// callCost is one arm's absolute cost per LLM call the pipeline made, served
+// either by the base oracle or by the prompt cache: the arm's wall time and
+// the process's heap allocations over the run, divided by the call count.
+type callCost struct {
+	LLMCalls      int64   `json:"llm_calls"`
+	NSPerCall     float64 `json:"ns_per_call"`
+	AllocsPerCall float64 `json:"allocs_per_call"`
+}
+
 // ResiliencePoint is one faulty-oracle arm of the resilience experiment.
 type ResiliencePoint struct {
 	Workers int    `json:"workers"`
@@ -30,22 +38,31 @@ type ResiliencePoint struct {
 	Retries int64  `json:"retries"`
 	Faults  int64  `json:"faults_injected"`
 	Hash    string `json:"workload_hash"`
+	callCost
 }
 
 // ResilienceBenchResult is the BENCH_resilience.json artifact: the recovery
 // gate (identical workload hash under injected faults at every worker count)
 // and the cache-win gate (a warm rerun pays at least 30% fewer LLM calls).
 type ResilienceBenchResult struct {
-	FaultRate    float64           `json:"fault_rate"`
-	BaselineHash string            `json:"baseline_hash"`
-	BaselineMS   int64             `json:"baseline_ms"`
-	Points       []ResiliencePoint `json:"faulty_points"`
+	FaultRate       float64           `json:"fault_rate"`
+	BaselineHash    string            `json:"baseline_hash"`
+	BaselineMS      int64             `json:"baseline_ms"`
+	BaselinePerCall callCost          `json:"baseline_per_call"`
+	Points          []ResiliencePoint `json:"faulty_points"`
 
-	ColdLLMCalls int64   `json:"cold_llm_calls"`
-	WarmLLMCalls int64   `json:"warm_llm_calls"`
-	ColdMS       int64   `json:"cold_ms"`
-	WarmMS       int64   `json:"warm_ms"`
-	CacheSavings float64 `json:"cache_savings"`
+	ColdLLMCalls int64    `json:"cold_llm_calls"`
+	WarmLLMCalls int64    `json:"warm_llm_calls"`
+	ColdMS       int64    `json:"cold_ms"`
+	WarmMS       int64    `json:"warm_ms"`
+	ColdPerCall  callCost `json:"cold_per_call"`
+	WarmPerCall  callCost `json:"warm_per_call"`
+	CacheSavings float64  `json:"cache_savings"`
+}
+
+// String renders the per-call figures for the experiment's text output.
+func (c callCost) String() string {
+	return fmt.Sprintf("calls=%-4d %.0f ns/call %.0f allocs/call", c.LLMCalls, c.NSPerCall, c.AllocsPerCall)
 }
 
 // counterValue reads a named counter out of a metric snapshot (0 if absent).
@@ -58,6 +75,28 @@ func counterValue(snap obs.Snapshot, name string) int64 {
 	return 0
 }
 
+// resilienceArm is one pipeline run of the resilience experiment.
+type resilienceArm struct {
+	res     *pipeline.Result
+	ledger  *llm.Ledger
+	snap    obs.Snapshot
+	elapsed time.Duration
+	allocs  uint64
+}
+
+// perCall divides the arm's wall time and allocations by the LLM calls the
+// pipeline made: calls that reached the base oracle plus prompt-cache hits.
+// Faulted attempts never reach the base, so every arm of one seed makes the
+// same calls and the per-call figures compare across arms.
+func (a resilienceArm) perCall() callCost {
+	c := callCost{LLMCalls: a.ledger.Calls() + counterValue(a.snap, obs.MLLMCacheHits)}
+	if c.LLMCalls > 0 {
+		c.NSPerCall = float64(a.elapsed.Nanoseconds()) / float64(c.LLMCalls)
+		c.AllocsPerCall = float64(a.allocs) / float64(c.LLMCalls)
+	}
+	return c
+}
+
 // RunResilienceBench measures what the oracle middleware chain guarantees
 // rather than how fast it is. Recovery: with a deterministic 20% fault
 // schedule and a retry budget above the fault window, the workload hash must
@@ -65,17 +104,18 @@ func counterValue(snap obs.Snapshot, name string) int64 {
 // never entropy. Cache win: a warm rerun over a persistent prompt cache with
 // the same seed must pay at least 30% fewer LLM calls than the cold run (in
 // practice zero) while reproducing the identical workload. Either gate
-// failing is returned as an error so CI trips. When jsonPath is non-empty
-// the result is also written there as JSON.
+// failing is returned as an error so CI trips. Next to the gates every arm
+// reports its absolute ns and heap allocations per LLM call. When jsonPath
+// is non-empty the result is also written there as JSON.
 func (r *Runner) RunResilienceBench(ctx context.Context, w io.Writer, jsonPath string) (*ResilienceBenchResult, error) {
 	target := stats.Uniform(0, r.Scale.RangeHi, 5, 600/r.Scale.QueryDivisor)
 	res := &ResilienceBenchResult{FaultRate: resilienceFaultRate}
 	fmt.Fprintf(w, "=== Oracle resilience | TPC-H sf=%.1f, %.0f%% injected faults, persistent prompt cache ===\n",
 		r.Scale.SF, resilienceFaultRate*100)
 
-	// run executes one pipeline arm and returns the result, the base-oracle
-	// ledger, the metric snapshot, and the elapsed wall clock.
-	run := func(workers int, extra ...pipeline.Option) (*pipeline.Result, *llm.Ledger, obs.Snapshot, time.Duration, error) {
+	// run executes one pipeline arm: the result, the base-oracle ledger, the
+	// metric snapshot, and the wall clock and allocations of the run.
+	run := func(workers int, extra ...pipeline.Option) (resilienceArm, error) {
 		db := TPCH.Open(r.Seed, r.Scale.SF)
 		sim := llm.NewSim(llm.SimOptions{Seed: r.Seed})
 		collector := obs.NewCollector()
@@ -87,25 +127,29 @@ func (r *Runner) RunResilienceBench(ctx context.Context, w io.Writer, jsonPath s
 		}, extra...)
 		p, err := pipeline.New(db, sim, r.Specs(), target, opts...)
 		if err != nil {
-			return nil, nil, obs.Snapshot{}, 0, err
+			return resilienceArm{}, err
 		}
+		mallocsBefore := mallocs()
 		start := time.Now()
 		cres, err := p.Run(ctx)
 		if err != nil {
-			return nil, nil, obs.Snapshot{}, 0, err
+			return resilienceArm{}, err
 		}
-		return cres, sim.Ledger(), collector.Snapshot(), time.Since(start), nil
+		elapsed := time.Since(start)
+		return resilienceArm{res: cres, ledger: sim.Ledger(), snap: collector.Snapshot(),
+			elapsed: elapsed, allocs: mallocs() - mallocsBefore}, nil
 	}
 
 	// Fault-free baseline.
-	base, _, _, baseElapsed, err := run(1)
+	base, err := run(1)
 	if err != nil {
 		return nil, err
 	}
-	res.BaselineHash = workloadHash(base.Workload)
-	res.BaselineMS = baseElapsed.Milliseconds()
-	fmt.Fprintf(w, "baseline    workers=1  elapsed=%-10s workload=%s\n",
-		baseElapsed.Round(time.Millisecond), res.BaselineHash)
+	res.BaselineHash = workloadHash(base.res.Workload)
+	res.BaselineMS = base.elapsed.Milliseconds()
+	res.BaselinePerCall = base.perCall()
+	fmt.Fprintf(w, "baseline    workers=1  elapsed=%-10s %s workload=%s\n",
+		base.elapsed.Round(time.Millisecond), res.BaselinePerCall, res.BaselineHash)
 
 	// Faulty arms: recovery must hold at every worker count. The fake clock
 	// makes the retry backoff free, so the arm measures recovery, not sleep.
@@ -117,20 +161,21 @@ func (r *Runner) RunResilienceBench(ctx context.Context, w io.Writer, jsonPath s
 		Clock:         llm.NewFakeClock(),
 	}
 	for _, workers := range []int{1, 2, 8} {
-		fres, _, snap, elapsed, err := run(workers, pipeline.WithResilience(policy))
+		arm, err := run(workers, pipeline.WithResilience(policy))
 		if err != nil {
 			return nil, fmt.Errorf("benchmarks: faulty arm workers=%d failed despite retry budget: %w", workers, err)
 		}
 		pt := ResiliencePoint{
-			Workers: workers,
-			MS:      elapsed.Milliseconds(),
-			Retries: counterValue(snap, obs.MLLMRetries),
-			Faults:  counterValue(snap, obs.MLLMFaultsInjected),
-			Hash:    workloadHash(fres.Workload),
+			Workers:  workers,
+			MS:       arm.elapsed.Milliseconds(),
+			Retries:  counterValue(arm.snap, obs.MLLMRetries),
+			Faults:   counterValue(arm.snap, obs.MLLMFaultsInjected),
+			Hash:     workloadHash(arm.res.Workload),
+			callCost: arm.perCall(),
 		}
 		res.Points = append(res.Points, pt)
-		fmt.Fprintf(w, "faulty      workers=%-2d elapsed=%-10s retries=%-5d faults=%-5d workload=%s\n",
-			workers, elapsed.Round(time.Millisecond), pt.Retries, pt.Faults, pt.Hash)
+		fmt.Fprintf(w, "faulty      workers=%-2d elapsed=%-10s %s retries=%-5d faults=%-5d workload=%s\n",
+			workers, arm.elapsed.Round(time.Millisecond), pt.callCost, pt.Retries, pt.Faults, pt.Hash)
 		if pt.Hash != res.BaselineHash {
 			return res, fmt.Errorf("benchmarks: recovery gate failed: workers=%d workload %s != fault-free %s",
 				workers, pt.Hash, res.BaselineHash)
@@ -146,28 +191,30 @@ func (r *Runner) RunResilienceBench(ctx context.Context, w io.Writer, jsonPath s
 		return res, err
 	}
 	defer os.RemoveAll(cacheDir)
-	cold, coldLedger, _, coldElapsed, err := run(1, pipeline.WithOracleCacheDir(cacheDir))
+	cold, err := run(1, pipeline.WithOracleCacheDir(cacheDir))
 	if err != nil {
 		return res, err
 	}
-	res.ColdLLMCalls = coldLedger.Calls()
-	res.ColdMS = coldElapsed.Milliseconds()
-	warm, warmLedger, _, warmElapsed, err := run(1, pipeline.WithOracleCacheDir(cacheDir))
+	res.ColdLLMCalls = cold.ledger.Calls()
+	res.ColdMS = cold.elapsed.Milliseconds()
+	res.ColdPerCall = cold.perCall()
+	warm, err := run(1, pipeline.WithOracleCacheDir(cacheDir))
 	if err != nil {
 		return res, err
 	}
-	res.WarmLLMCalls = warmLedger.Calls()
-	res.WarmMS = warmElapsed.Milliseconds()
+	res.WarmLLMCalls = warm.ledger.Calls()
+	res.WarmMS = warm.elapsed.Milliseconds()
+	res.WarmPerCall = warm.perCall()
 	if res.ColdLLMCalls > 0 {
 		res.CacheSavings = 1 - float64(res.WarmLLMCalls)/float64(res.ColdLLMCalls)
 	}
-	fmt.Fprintf(w, "cache cold  workers=1  elapsed=%-10s llmcalls=%-6d workload=%s\n",
-		coldElapsed.Round(time.Millisecond), res.ColdLLMCalls, workloadHash(cold.Workload))
-	fmt.Fprintf(w, "cache warm  workers=1  elapsed=%-10s llmcalls=%-6d savings=%.0f%% workload=%s\n",
-		warmElapsed.Round(time.Millisecond), res.WarmLLMCalls, res.CacheSavings*100, workloadHash(warm.Workload))
-	if workloadHash(warm.Workload) != workloadHash(cold.Workload) {
-		return res, fmt.Errorf("benchmarks: warm cache rerun changed the workload: %s != %s",
-			workloadHash(warm.Workload), workloadHash(cold.Workload))
+	coldHash, warmHash := workloadHash(cold.res.Workload), workloadHash(warm.res.Workload)
+	fmt.Fprintf(w, "cache cold  workers=1  elapsed=%-10s %s paid=%-6d workload=%s\n",
+		cold.elapsed.Round(time.Millisecond), res.ColdPerCall, res.ColdLLMCalls, coldHash)
+	fmt.Fprintf(w, "cache warm  workers=1  elapsed=%-10s %s paid=%-6d savings=%.0f%% workload=%s\n",
+		warm.elapsed.Round(time.Millisecond), res.WarmPerCall, res.WarmLLMCalls, res.CacheSavings*100, warmHash)
+	if warmHash != coldHash {
+		return res, fmt.Errorf("benchmarks: warm cache rerun changed the workload: %s != %s", warmHash, coldHash)
 	}
 	if res.ColdLLMCalls == 0 {
 		return res, fmt.Errorf("benchmarks: cold run paid no LLM calls; cache arm is vacuous")
@@ -179,15 +226,5 @@ func (r *Runner) RunResilienceBench(ctx context.Context, w io.Writer, jsonPath s
 
 	fmt.Fprintf(w, "gates: recovery (hash %s at 1/2/8 workers under %.0f%% faults) and cache win (%.0f%% >= %.0f%%) hold\n",
 		res.BaselineHash, resilienceFaultRate*100, res.CacheSavings*100, resilienceCacheWinFloor*100)
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return res, err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return res, err
-		}
-		fmt.Fprintf(w, "wrote %s\n", jsonPath)
-	}
-	return res, nil
+	return res, writeBenchJSON(w, jsonPath, res)
 }

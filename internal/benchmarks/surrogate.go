@@ -4,11 +4,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -278,15 +276,5 @@ func (r *Runner) RunSurrogateBench(ctx context.Context, w io.Writer, jsonPath st
 	if last.PredictSpeedup < 3 {
 		return nil, fmt.Errorf("benchmarks: batched predict speedup %.2fx at g=%d below the 3x gate", last.PredictSpeedup, last.Goroutines)
 	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(w, "wrote %s\n", jsonPath)
-	}
-	return res, nil
+	return res, writeBenchJSON(w, jsonPath, res)
 }

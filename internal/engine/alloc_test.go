@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"testing"
 
 	"sqlbarber/internal/plan"
@@ -28,15 +27,14 @@ func TestSessionCostAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	sess := db.NewSession()
+	sess := db.newSession()
 	vals := map[string]sqltypes.Value{"p_1": sqltypes.NewInt(20000), "p_2": sqltypes.NewInt(20)}
-	rows, err := sess.Cost(ctx, prep, vals, RowsProcessed)
+	rows, err := sessionCost(sess, prep, vals, RowsProcessed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := sess.Cost(ctx, prep, vals, RowsProcessed); err != nil {
+		if _, err := sessionCost(sess, prep, vals, RowsProcessed); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -60,6 +61,21 @@ func (k CostKind) String() string {
 	return fmt.Sprintf("CostKind(%d)", uint8(k))
 }
 
+// ParseCostKind maps a command-line or job-request cost name to its kind:
+// cardinality, plancost, or rows, case-insensitively. Any other name is an
+// error naming the valid ones.
+func ParseCostKind(name string) (CostKind, error) {
+	switch strings.ToLower(name) {
+	case "cardinality":
+		return Cardinality, nil
+	case "plancost":
+		return PlanCost, nil
+	case "rows":
+		return RowsProcessed, nil
+	}
+	return 0, fmt.Errorf("engine: unknown cost kind %q (want cardinality, plancost, or rows)", name)
+}
+
 // ExplainResult is the engine's answer to an EXPLAIN request.
 type ExplainResult struct {
 	Cardinality float64
@@ -72,9 +88,8 @@ type ExplainResult struct {
 type DB struct {
 	store *storage.Database
 	plans *planCache
-	// sessions pools execution sessions for probe paths that do not manage
-	// their own (Prepared.Cost on a measured kind): arenas survive across
-	// borrowings instead of being rebuilt per probe.
+	// sessions pools execution sessions for measured probes: arenas survive
+	// across borrowings instead of being rebuilt per probe.
 	sessions sync.Pool
 
 	// The evaluation counters are obs.Counters so an observability
@@ -89,7 +104,7 @@ type DB struct {
 	// Probe schedules are seed-deterministic, so both are stable metrics.
 	preparedProbes  obs.Counter
 	preparedBatches obs.Counter
-	// sessionsOpened counts NewSession calls (explicit plus pool misses) —
+	// sessionsOpened counts sessions opened on pool misses —
 	// scheduling-dependent, exported volatile. sessionProbes counts measured
 	// probes served through sessions — schedule-deterministic, stable.
 	sessionsOpened obs.Counter
@@ -169,8 +184,8 @@ func (db *DB) PreparedProbes() int64 { return db.preparedProbes.Load() }
 // PreparedBatches reports how many Prepared.CostBatch sweeps were served.
 func (db *DB) PreparedBatches() int64 { return db.preparedBatches.Load() }
 
-// SessionsOpened reports how many execution sessions were opened (explicit
-// NewSession calls plus pool misses). Scheduling-dependent under parallelism.
+// SessionsOpened reports how many execution sessions were opened (session
+// pool misses). Scheduling-dependent under parallelism.
 func (db *DB) SessionsOpened() int64 { return db.sessionsOpened.Load() }
 
 // SessionProbes reports how many measured-kind probes were served through
@@ -285,37 +300,6 @@ func (db *DB) Cost(ctx context.Context, sql string, kind CostKind) (float64, err
 		return float64(time.Since(start).Microseconds()) / 1000, nil
 	case RowsProcessed:
 		res, err := db.Execute(sql)
-		if err != nil {
-			return 0, err
-		}
-		return float64(res.RowsTouched), nil
-	}
-	return 0, fmt.Errorf("engine: unknown cost kind %v", kind)
-}
-
-// costOfPlan evaluates an already-planned query under the requested metric,
-// incrementing the same evaluation counters Cost does: one explain per
-// optimizer-estimated probe, one execute per measured probe. This is the
-// shared tail of DB.Cost and Prepared.Cost, guaranteeing identical
-// DBMS-evaluation accounting for prepared and re-parsed probes.
-func (db *DB) costOfPlan(q *plan.Query, kind CostKind) (float64, error) {
-	switch kind {
-	case Cardinality:
-		db.explainCount.Add(1)
-		return q.EstimatedRows(), nil
-	case PlanCost:
-		db.explainCount.Add(1)
-		return q.TotalCost(), nil
-	case ExecTimeMS:
-		db.execCount.Add(1)
-		start := time.Now()
-		if _, err := exec.Run(db.store, q); err != nil {
-			return 0, err
-		}
-		return float64(time.Since(start).Microseconds()) / 1000, nil
-	case RowsProcessed:
-		db.execCount.Add(1)
-		res, err := exec.Run(db.store, q)
 		if err != nil {
 			return 0, err
 		}

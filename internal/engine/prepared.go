@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
+	"sqlbarber/internal/exec"
 	"sqlbarber/internal/obs"
 	"sqlbarber/internal/plan"
 	"sqlbarber/internal/sqlparser"
@@ -17,20 +19,15 @@ import (
 // lock-free against the immutable compiled skeleton: optimizer-estimated
 // probes (Cardinality, PlanCost) evaluate through the parametric-plan
 // estimator, and measured probes (ExecTimeMS, RowsProcessed) execute the
-// skeleton under an immutable value environment (plan.BindParams) inside an
-// engine Session. Nothing is written into the AST after Compile, so any
-// number of goroutines may mix probe kinds on one Prepared concurrently —
-// this is the hot path of §5.1 profiling sweeps and §5.3 BO search.
+// skeleton under an immutable value environment (plan.BindParams) with an
+// execution session's scratch arena. Nothing is written into the AST after
+// Compile, so any number of goroutines may mix probe kinds on one Prepared
+// concurrently — this is the hot path of §5.1 profiling sweeps and §5.3 BO
+// search.
 type Prepared struct {
 	db   *DB
 	text string
 	cq   *plan.CompiledQuery
-
-	// replanMu serializes CostReplan only — the pre-compilation baseline that
-	// assigns values into the statement's literal slots and re-plans the
-	// bound AST. It exists for benchmarks and differential tests; no
-	// production probe path takes it.
-	replanMu sync.Mutex
 }
 
 // Prepare parses and plan-compiles the template SQL once. The compiled
@@ -60,7 +57,7 @@ func (p *Prepared) Placeholders() []string { return p.cq.Placeholders() }
 // requested metric. Values are validated and normalized before anything
 // else — a probe with missing placeholders has no effect. No kind locks or
 // touches the AST: estimate kinds go through the compiled evaluator, measured
-// kinds borrow a pooled Session and execute under a value environment. Cost
+// kinds borrow a pooled session and execute under a value environment. Cost
 // increments the same DBMS-evaluation counters as DB.Cost, so a prepared run
 // reports identical evaluation counts to a re-parse run.
 func (p *Prepared) Cost(ctx context.Context, vals map[string]sqltypes.Value, kind CostKind) (float64, error) {
@@ -71,7 +68,7 @@ func (p *Prepared) Cost(ctx context.Context, vals map[string]sqltypes.Value, kin
 	if err != nil {
 		return 0, fmt.Errorf("engine: prepared cost: %w", err)
 	}
-	return p.costParams(params, kind)
+	return p.probe(nil, params, kind)
 }
 
 // CostBatch evaluates the template at a sweep of placeholder bindings,
@@ -96,31 +93,13 @@ func (p *Prepared) CostBatch(ctx context.Context, vals []map[string]sqltypes.Val
 		if err != nil {
 			return out, fmt.Errorf("engine: prepared cost: %w", err)
 		}
-		c, err := p.costParams(params, kind)
+		c, err := p.probe(nil, params, kind)
 		if err != nil {
 			return out, err
 		}
 		out = append(out, c)
 	}
 	return out, nil
-}
-
-// costParams serves one validated probe.
-func (p *Prepared) costParams(params []sqltypes.Value, kind CostKind) (float64, error) {
-	switch kind {
-	case Cardinality, PlanCost:
-		p.db.explainCount.Add(1)
-		p.db.preparedProbes.Add(1)
-		est := p.cq.EstimateWith(params)
-		if kind == Cardinality {
-			return est.Rows, nil
-		}
-		return est.Cost, nil
-	default:
-		s := p.db.getSession()
-		defer p.db.putSession(s)
-		return s.execParams(p, params, kind)
-	}
 }
 
 // CostBatchParallel evaluates a sweep of placeholder bindings across
@@ -155,13 +134,13 @@ func (p *Prepared) CostBatchParallel(ctx context.Context, vals []map[string]sqlt
 	if workers > len(vals) {
 		workers = len(vals)
 	}
-	serve := func(s *Session, lo, hi int) {
+	serve := func(s *session, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if err := ctx.Err(); err != nil {
 				errs[i] = err
 				continue
 			}
-			out[i], errs[i] = s.costParams(p, paramsList[i], kind)
+			out[i], errs[i] = p.probe(s, paramsList[i], kind)
 		}
 	}
 	if workers <= 1 {
@@ -196,38 +175,75 @@ func (p *Prepared) CostBatchParallel(ctx context.Context, vals []map[string]sqlt
 	return out, nil
 }
 
-// CostReplan is the pre-compilation baseline: assign the values into the
-// AST's literal slots under a lock and re-run the full planner (and, for
-// measured kinds, execute the re-built bound plan). The `-exp probe` and
-// `-exp measured` microbenchmarks use it as the serialized re-plan arm that
-// compiled lock-free probing is measured against, and the differential tests
-// use it as the literal-materialized reference. Results are bit-identical to
-// Cost; production probe paths never come here.
-func (p *Prepared) CostReplan(ctx context.Context, vals map[string]sqltypes.Value, kind CostKind) (float64, error) {
-	if err := ctx.Err(); err != nil {
+// probe serves one validated probe. Estimate kinds go through the compiled
+// evaluator and never touch a session. Measured kinds bind the parameter
+// vector as an immutable value environment over the compiled skeleton and
+// execute it with s's arena, borrowing a pooled session when s is nil.
+// Counter movement mirrors DB.Cost exactly — one explain per estimate, one
+// execute per measured attempt — plus one prepared probe per success and one
+// session probe per measured success.
+func (p *Prepared) probe(s *session, params []sqltypes.Value, kind CostKind) (float64, error) {
+	db := p.db
+	if kind == Cardinality || kind == PlanCost {
+		db.explainCount.Add(1)
+		db.preparedProbes.Add(1)
+		est := p.cq.EstimateWith(params)
+		if kind == Cardinality {
+			return est.Rows, nil
+		}
+		return est.Cost, nil
+	}
+	if !kind.Measured() {
+		return 0, fmt.Errorf("engine: unknown cost kind %v", kind)
+	}
+	if s == nil {
+		s = db.getSession()
+		defer db.putSession(s)
+	}
+	bp := p.cq.BindParams(params)
+	db.execCount.Add(1)
+	start := time.Now()
+	res, err := exec.RunBoundArena(db.store, bp, &s.arena)
+	if err != nil {
 		return 0, err
 	}
-	params, err := p.cq.BindVals(vals)
-	if err != nil {
-		return 0, fmt.Errorf("engine: prepared cost: %w", err)
+	cost := float64(res.RowsTouched)
+	if kind == ExecTimeMS {
+		cost = float64(time.Since(start).Microseconds()) / 1000
 	}
-	return p.replanParams(params, kind)
+	db.preparedProbes.Add(1)
+	db.sessionProbes.Add(1)
+	return cost, nil
 }
 
-// replanParams materializes the probe values into the compiled statement and
-// re-plans it from the AST, serialized on replanMu. Neither the estimate path
-// nor the session execution path ever reads the literal slots (values travel
-// through their value environments instead), so concurrent probes of any kind
-// are unaffected by the mutation.
-func (p *Prepared) replanParams(params []sqltypes.Value, kind CostKind) (float64, error) {
-	p.replanMu.Lock()
-	defer p.replanMu.Unlock()
-	p.cq.AssignSlots(params)
-	q, err := plan.Build(p.db.store.Schema, p.cq.Stmt())
-	if err != nil {
-		return 0, fmt.Errorf("engine: prepared cost: %w", err)
+// session is a per-goroutine execution context for measured-kind probes. It
+// owns the executor scratch arena — tuple lists, join and IN-set hash
+// indexes — that a probe needs, so any number of sessions may execute probes
+// against one Prepared concurrently: the probe's values travel in an
+// immutable bound view, the compiled AST is never written, and nothing is
+// locked. A session is single-goroutine state.
+type session struct {
+	arena exec.Arena
+}
+
+// newSession opens an execution session against the database.
+func (db *DB) newSession() *session {
+	db.sessionsOpened.Add(1)
+	return &session{}
+}
+
+// getSession borrows a pooled session for a single probe or sweep range:
+// arenas survive across borrowings instead of being rebuilt per probe.
+func (db *DB) getSession() *session {
+	if s, ok := db.sessions.Get().(*session); ok {
+		return s
 	}
-	return p.db.costOfPlan(q, kind)
+	return db.newSession()
+}
+
+// putSession returns a borrowed session to the pool.
+func (db *DB) putSession(s *session) {
+	db.sessions.Put(s)
 }
 
 // planCache is a sharded, bounded LRU of parsed-and-planned ad-hoc SQL. It

@@ -37,9 +37,6 @@ func TestPreparedPartialBindingHasNoEffect(t *testing.T) {
 			t.Fatalf("kind %v: want missing-placeholder error naming p_2, got %v", kind, err)
 		}
 	}
-	if _, err := prep.CostReplan(ctx, partial, Cardinality); err == nil || !strings.Contains(err.Error(), "p_2") {
-		t.Fatalf("CostReplan: want missing-placeholder error naming p_2, got %v", err)
-	}
 	if n := db.ExplainCalls() + db.ExecCalls() + db.PreparedProbes(); n != 0 {
 		t.Fatalf("failed probes must not move evaluation counters, moved %d", n)
 	}
@@ -50,13 +47,6 @@ func TestPreparedPartialBindingHasNoEffect(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("failed partial binding poisoned later probe: %v != %v", got, want)
-	}
-	replan, err := prep.CostReplan(ctx, full, Cardinality)
-	if err != nil {
-		t.Fatalf("CostReplan after failed binding: %v", err)
-	}
-	if replan != want {
-		t.Fatalf("re-plan after failed binding diverged: %v != %v", replan, want)
 	}
 }
 

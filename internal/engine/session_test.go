@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"sqlbarber/internal/sqltemplate"
 	"sqlbarber/internal/sqltypes"
 )
 
@@ -25,38 +26,60 @@ func sessionVals(i int) map[string]sqltypes.Value {
 	}
 }
 
-// TestSessionCostMatchesReplan pins the value-environment execution path to
-// the literal-materialized baseline: for every template and binding,
-// Session.Cost(RowsProcessed) must equal CostReplan(RowsProcessed) exactly —
-// same executor, one running the immutable skeleton under a value overlay
-// with an arena, the other re-planning a value-substituted AST.
-func TestSessionCostMatchesReplan(t *testing.T) {
+// sessionCost is one probe through a dedicated session: bind the values,
+// then serve the probe with s's arena.
+func sessionCost(s *session, p *Prepared, vals map[string]sqltypes.Value, kind CostKind) (float64, error) {
+	params, err := p.cq.BindVals(vals)
+	if err != nil {
+		return 0, err
+	}
+	return p.probe(s, params, kind)
+}
+
+// reparseCost is the independent reference: render the binding into SQL and
+// cost it through DB.Cost, which lexes, parses, plans and runs it afresh.
+func reparseCost(t *testing.T, db *DB, text string, vals map[string]sqltypes.Value, kind CostKind) float64 {
+	t.Helper()
+	sql, err := sqltemplate.MustParse(text).Instantiate(vals)
+	if err != nil {
+		t.Fatalf("instantiate %q: %v", text, err)
+	}
+	c, err := db.Cost(context.Background(), sql, kind)
+	if err != nil {
+		t.Fatalf("reparse cost %q: %v", sql, err)
+	}
+	return c
+}
+
+// TestSessionCostMatchesReparse pins the value-environment execution path to
+// the literal-materialized reference: for every template and binding, a
+// RowsProcessed probe through one warm session must equal DB.Cost on the
+// rendered SQL exactly — same executor, one running the immutable skeleton
+// under a value overlay with an arena, the other re-parsing and re-planning
+// a value-substituted statement.
+func TestSessionCostMatchesReparse(t *testing.T) {
 	db := OpenTPCH(42, 0.02) // small: the correlated template is quadratic
-	ctx := context.Background()
-	sess := db.NewSession()
+	sess := db.newSession()
 	for ti, text := range sessionTemplates {
 		prep, err := db.Prepare(text)
 		if err != nil {
 			t.Fatalf("template %d: %v", ti, err)
 		}
 		for i := 0; i < 12; i++ {
-			want, err := prep.CostReplan(ctx, sessionVals(i), RowsProcessed)
-			if err != nil {
-				t.Fatalf("template %d binding %d: replan: %v", ti, i, err)
-			}
-			got, err := sess.Cost(ctx, prep, sessionVals(i), RowsProcessed)
+			want := reparseCost(t, db, text, sessionVals(i), RowsProcessed)
+			got, err := sessionCost(sess, prep, sessionVals(i), RowsProcessed)
 			if err != nil {
 				t.Fatalf("template %d binding %d: session: %v", ti, i, err)
 			}
 			if got != want {
-				t.Fatalf("template %d binding %d: session rows %v != replan %v", ti, i, got, want)
+				t.Fatalf("template %d binding %d: session rows %v != reparse %v", ti, i, got, want)
 			}
 		}
 	}
 }
 
 // TestSessionConcurrentMixedProbes is the multi-session race hammer: 8
-// goroutines, each with its own explicit Session, fire measured and estimate
+// goroutines, each with its own dedicated session, fire measured and estimate
 // probes against one shared Prepared per template. There is no lock left on
 // the measured path, so under -race this doubles as the proof that probe
 // state never aliases across sessions; every observed cost must equal the
@@ -77,9 +100,7 @@ func TestSessionConcurrentMixedProbes(t *testing.T) {
 		wantRows[ti] = make([]float64, bindings)
 		wantCard[ti] = make([]float64, bindings)
 		for i := 0; i < bindings; i++ {
-			if wantRows[ti][i], err = prep.CostReplan(ctx, sessionVals(i), RowsProcessed); err != nil {
-				t.Fatalf("reference rows %d/%d: %v", ti, i, err)
-			}
+			wantRows[ti][i] = reparseCost(t, db, text, sessionVals(i), RowsProcessed)
 			if wantCard[ti][i], err = prep.Cost(ctx, sessionVals(i), Cardinality); err != nil {
 				t.Fatalf("reference cardinality %d/%d: %v", ti, i, err)
 			}
@@ -94,13 +115,13 @@ func TestSessionConcurrentMixedProbes(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sess := db.NewSession()
+			sess := db.newSession()
 			for it := 0; it < iters; it++ {
 				ti := (g + it) % len(preps)
 				i := (g*5 + it) % bindings
 				if it%4 == 3 {
 					// Estimate probe through the same session.
-					c, err := sess.Cost(ctx, preps[ti], sessionVals(i), Cardinality)
+					c, err := sessionCost(sess, preps[ti], sessionVals(i), Cardinality)
 					if err != nil {
 						errs[g] = err
 						return
@@ -111,7 +132,7 @@ func TestSessionConcurrentMixedProbes(t *testing.T) {
 					}
 					continue
 				}
-				c, err := sess.Cost(ctx, preps[ti], sessionVals(i), RowsProcessed)
+				c, err := sessionCost(sess, preps[ti], sessionVals(i), RowsProcessed)
 				if err != nil {
 					errs[g] = err
 					return
@@ -132,7 +153,7 @@ func TestSessionConcurrentMixedProbes(t *testing.T) {
 }
 
 // TestCostBatchParallelDeterministic checks the fan-out sweep: identical cost
-// vectors at parallelism 1, 2, and 8, equal to per-probe CostReplan, with
+// vectors at parallelism 1, 2, and 8, equal to per-probe re-parse costs, with
 // counter movement that does not depend on the parallel level — one batch,
 // one execute and one prepared/session probe per sweep entry.
 func TestCostBatchParallelDeterministic(t *testing.T) {
@@ -147,9 +168,7 @@ func TestCostBatchParallelDeterministic(t *testing.T) {
 	want := make([]float64, n)
 	for i := range sweep {
 		sweep[i] = sessionVals(i)
-		if want[i], err = prep.CostReplan(ctx, sweep[i], RowsProcessed); err != nil {
-			t.Fatalf("replan %d: %v", i, err)
-		}
+		want[i] = reparseCost(t, db, sessionTemplates[1], sweep[i], RowsProcessed)
 	}
 	for _, parallel := range []int{1, 2, 8} {
 		batches0, probes0 := db.PreparedBatches(), db.PreparedProbes()
@@ -199,19 +218,5 @@ func TestCostBatchParallelValidatesFirst(t *testing.T) {
 	}
 	if db.PreparedBatches() != batches0 || db.PreparedProbes() != probes0 || db.ExecCalls() != execs0 {
 		t.Fatal("a sweep that fails validation must move no counters")
-	}
-}
-
-// TestSessionWrongDB: a session refuses statements prepared on another
-// database rather than silently executing against the wrong store.
-func TestSessionWrongDB(t *testing.T) {
-	db := testDB(t)
-	other := OpenTPCH(7, 0.02)
-	prep, err := other.Prepare(sessionTemplates[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.NewSession().Cost(context.Background(), prep, sessionVals(0), RowsProcessed); err == nil {
-		t.Fatal("want cross-database session error, got nil")
 	}
 }

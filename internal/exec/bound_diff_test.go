@@ -23,8 +23,8 @@ import (
 // TestBoundExecutionMatchesMaterializedDifferential is the equivalence fuzz
 // for value-environment execution: for generated templates across both
 // evaluation schemas and a spread of specification shapes, executing the
-// compiled skeleton under an immutable value environment (BindEnv + RunBound,
-// and again through a reused arena) must return exactly the same result rows
+// compiled skeleton under an immutable value environment (BindParams +
+// RunBoundArena, once with a fresh arena and again through a reused one) must return exactly the same result rows
 // and RowsProcessed as the literal-materialized reference — rendering the
 // binding into SQL, re-parsing, re-planning, and running the old Run path.
 // Bindings are LHS-sampled from each template's derived search space, the
@@ -90,11 +90,12 @@ func TestBoundExecutionMatchesMaterializedDifferential(t *testing.T) {
 				check := func(pi int, vals map[string]sqltypes.Value, sql string) {
 					t.Helper()
 					ref, refErr := runMaterialized(t, store, schema, sql)
-					bp, err := cq.BindEnv(vals)
+					params, err := cq.BindVals(vals)
 					if err != nil {
-						t.Fatalf("%s seed %d spec %d probe %d: BindEnv: %v", ds.name, seed, si, pi, err)
+						t.Fatalf("%s seed %d spec %d probe %d: BindVals: %v", ds.name, seed, si, pi, err)
 					}
-					got, gotErr := exec.RunBound(store, bp)
+					bp := cq.BindParams(params)
+					got, gotErr := exec.RunBoundArena(store, bp, new(exec.Arena))
 					if (refErr == nil) != (gotErr == nil) {
 						t.Fatalf("%s seed %d spec %d probe %d: error divergence: ref %v, bound %v\n%s",
 							ds.name, seed, si, pi, refErr, gotErr, sql)
@@ -102,12 +103,12 @@ func TestBoundExecutionMatchesMaterializedDifferential(t *testing.T) {
 					if refErr != nil {
 						return
 					}
-					compareResults(t, ds.name, seed, si, pi, "RunBound", sql, ref, got)
+					compareResults(t, ds.name, seed, si, pi, "fresh arena", sql, ref, got)
 					gotA, err := exec.RunBoundArena(store, bp, &arena)
 					if err != nil {
-						t.Fatalf("%s seed %d spec %d probe %d: RunBoundArena: %v", ds.name, seed, si, pi, err)
+						t.Fatalf("%s seed %d spec %d probe %d: reused arena: %v", ds.name, seed, si, pi, err)
 					}
-					compareResults(t, ds.name, seed, si, pi, "RunBoundArena", sql, ref, gotA)
+					compareResults(t, ds.name, seed, si, pi, "reused arena", sql, ref, gotA)
 					compared++
 					if strings.Contains(tmpl.SQL(), " IN (SELECT ") {
 						arenaIn++

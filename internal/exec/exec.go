@@ -45,17 +45,12 @@ func Run(db *storage.Database, q *plan.Query) (*Result, error) {
 	return run(&executor{db: db, ar: new(Arena)}, q)
 }
 
-// RunBound executes a compiled plan at one probe's value environment: slot
-// literals resolve through the bound view, the shared skeleton AST is never
-// written. Results are identical to Run over a plan built from the
-// value-substituted statement.
-func RunBound(db *storage.Database, bp *plan.BoundPlan) (*Result, error) {
-	return RunBoundArena(db, bp, new(Arena))
-}
-
-// RunBoundArena is RunBound drawing its scratch (tuple lists and hash
-// indexes) from the caller's non-nil arena, which a session reuses across
-// probes. The returned Result owns its rows and never aliases the arena.
+// RunBoundArena executes a compiled plan at one probe's value environment:
+// slot literals resolve through the bound view, the shared skeleton AST is
+// never written. Results are identical to Run over a plan built from the
+// value-substituted statement. Scratch (tuple lists and hash indexes) comes
+// from the caller's non-nil arena, which a session reuses across probes; the
+// returned Result owns its rows and never aliases the arena.
 func RunBoundArena(db *storage.Database, bp *plan.BoundPlan, a *Arena) (*Result, error) {
 	return run(&executor{db: db, bound: bp, ar: a}, bp.Query())
 }

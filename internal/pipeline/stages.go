@@ -287,7 +287,7 @@ func (refineSearchStage) Run(ctx context.Context, rs *RunState) error {
 		}
 		rs.CollectProfileQueries()
 
-		srch := &search.Searcher{DB: cfg.DB, Kind: cfg.CostKind, Opts: searchOpts}
+		srch := &search.Searcher{Kind: cfg.CostKind, Opts: searchOpts}
 		srch.Progress = func(qs []workload.Query) {
 			sel := workload.SelectWorkload(qs, cfg.Target)
 			dist := workload.Distance(sel, cfg.Target)

@@ -16,19 +16,8 @@ type BoundPlan struct {
 	params []sqltypes.Value
 }
 
-// BindEnv validates and normalizes a probe's values (exactly like BindVals)
-// and wraps them as an executable bound view. A probe with missing
-// placeholders fails here and has no effect.
-func (c *CompiledQuery) BindEnv(vals map[string]sqltypes.Value) (*BoundPlan, error) {
-	params, err := c.BindVals(vals)
-	if err != nil {
-		return nil, err
-	}
-	return &BoundPlan{cq: c, params: params}, nil
-}
-
 // BindParams wraps an already-validated parameter vector (as produced by
-// BindVals/BindValsInto) without copying. The caller must keep the vector
+// BindVals/BindValsInto) as an executable bound view, without copying. The caller must keep the vector
 // unchanged while the bound view is in use.
 func (c *CompiledQuery) BindParams(params []sqltypes.Value) *BoundPlan {
 	return &BoundPlan{cq: c, params: params}

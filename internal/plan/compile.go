@@ -28,13 +28,11 @@ import (
 // statement.
 type CompiledQuery struct {
 	schema *catalog.Schema
-	stmt   *sqlparser.SelectStmt
 	root   *Query
 
-	names   []string                        // sorted placeholder names
-	slots   map[string][]*sqlparser.Literal // placeholder name -> its literal slots
-	slotIdx map[*sqlparser.Literal]int      // literal slot -> parameter index
-	post    []*Query                        // all plans, subplans before parents, root last
+	names   []string                   // sorted placeholder names
+	slotIdx map[*sqlparser.Literal]int // literal slot -> parameter index
+	post    []*Query                   // all plans, subplans before parents, root last
 }
 
 // Estimate is one probe's optimizer outcome: the root cardinality and the
@@ -79,25 +77,24 @@ func NormalizeValue(v sqltypes.Value) sqltypes.Value {
 func Compile(schema *catalog.Schema, stmt *sqlparser.SelectStmt) (*CompiledQuery, error) {
 	c := &CompiledQuery{
 		schema:  schema,
-		stmt:    stmt,
-		slots:   map[string][]*sqlparser.Literal{},
 		slotIdx: map[*sqlparser.Literal]int{},
 	}
+	slots := map[string][]*sqlparser.Literal{} // placeholder name -> its literal slots
 	stmt.RewriteExprs(func(e sqlparser.Expr) sqlparser.Expr {
 		ph, ok := e.(*sqlparser.Placeholder)
 		if !ok {
 			return e
 		}
 		lit := &sqlparser.Literal{Value: sqltypes.NewInt(0)}
-		c.slots[ph.Name] = append(c.slots[ph.Name], lit)
+		slots[ph.Name] = append(slots[ph.Name], lit)
 		return lit
 	})
-	for name := range c.slots {
+	for name := range slots {
 		c.names = append(c.names, name)
 	}
 	sort.Strings(c.names)
 	for i, name := range c.names {
-		for _, lit := range c.slots[name] {
+		for _, lit := range slots[name] {
 			c.slotIdx[lit] = i
 		}
 	}
@@ -225,11 +222,6 @@ func (c *CompiledQuery) stmtHasSlot(s *sqlparser.SelectStmt) bool {
 	return false
 }
 
-// Stmt returns the compiled (slot-rewritten) statement. Callers must treat
-// it as read-only unless they own the compiled query and hold whatever lock
-// serializes AssignSlots.
-func (c *CompiledQuery) Stmt() *sqlparser.SelectStmt { return c.stmt }
-
 // Query returns the skeleton plan built at neutral zero values.
 func (c *CompiledQuery) Query() *Query { return c.root }
 
@@ -285,17 +277,4 @@ func (c *CompiledQuery) CostWith(vals map[string]sqltypes.Value) (Estimate, erro
 		return Estimate{}, err
 	}
 	return c.EstimateWith(params), nil
-}
-
-// AssignSlots writes a validated parameter vector into the statement's
-// literal slots, for callers that need the bound AST itself (the engine's
-// measured-cost path executes the statement and so must materialize the
-// values). Callers are responsible for serializing AssignSlots with any use
-// of Stmt(); the estimate path never reads the slots and is unaffected.
-func (c *CompiledQuery) AssignSlots(params []sqltypes.Value) {
-	for i, name := range c.names {
-		for _, lit := range c.slots[name] {
-			lit.Value = params[i]
-		}
-	}
 }

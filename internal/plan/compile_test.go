@@ -64,17 +64,20 @@ func TestCompileRepeatedPlaceholderSlots(t *testing.T) {
 	if len(params) != 1 {
 		t.Fatalf("one distinct placeholder should bind one parameter, got %d", len(params))
 	}
-	// Both slots must receive the value on materialization.
-	cq.AssignSlots(params)
+	// Both slots must resolve to the value through the bound view, while the
+	// AST literals keep their neutral compile-time value.
+	bp := cq.BindParams(params)
 	n := 0
-	cq.Stmt().RewriteExprs(func(e sqlparser.Expr) sqlparser.Expr {
-		if lit, ok := e.(*sqlparser.Literal); ok && lit.Value.Kind() == sqltypes.KindInt && lit.Value.Int() == 7 {
+	for lit := range cq.slotIdx {
+		if v, ok := bp.LiteralValue(lit); ok && v.Kind() == sqltypes.KindInt && v.Int() == 7 {
 			n++
 		}
-		return e
-	})
+		if lit.Value.Kind() != sqltypes.KindInt || lit.Value.Int() != 0 {
+			t.Fatalf("binding wrote the AST literal: %v", lit.Value)
+		}
+	}
 	if n != 2 {
-		t.Fatalf("AssignSlots must fill both slots, filled %d", n)
+		t.Fatalf("both slots must resolve to the bound value, resolved %d", n)
 	}
 }
 

@@ -138,9 +138,10 @@ type Profile struct {
 	Template *sqltemplate.Template
 	Space    *SearchSpace
 	Obs      []Observation
-	// Prep is the template prepared against the profiling database: parsed
-	// and placeholder-bound once, re-planned per probe. Downstream BO search
-	// costs candidate values through it instead of re-parsing rendered SQL.
+	// Prep is the template prepared against the profiling database: parsed,
+	// placeholder-bound and plan-compiled once, then evaluated per probe
+	// without re-planning. Profile always sets it; downstream BO search costs
+	// candidate values through it instead of re-parsing rendered SQL.
 	Prep *engine.Prepared
 }
 
@@ -178,9 +179,9 @@ type Profiler struct {
 
 // Profile instantiates the template at n space-filling sample points and
 // records the observed costs. The template is prepared once (one parse, one
-// placeholder binding) and every probe re-plans through the prepared
-// statement. Templates whose queries fail to plan return an error and should
-// be discarded by the caller.
+// placeholder binding, one plan compilation) and every probe is evaluated
+// through the compiled statement. Templates whose queries fail to plan
+// return an error and should be discarded by the caller.
 func (p *Profiler) Profile(ctx context.Context, t *sqltemplate.Template, n int) (*Profile, error) {
 	ctx, sp := obs.StartSpan(ctx, "profile", obs.A("template", strconv.Itoa(t.ID)))
 	defer sp.End()

@@ -26,9 +26,9 @@ func signature(queries []workload.Query, st Stats) string {
 // the exact same queries, in the same order, with the same stats.
 func TestSearchParallelByteIdentical(t *testing.T) {
 	run := func(par int) string {
-		db, states := setup(t)
+		states := setup(t)
 		target := stats.Uniform(0, 1500, 5, 60)
-		s := &Searcher{DB: db, Kind: engine.Cardinality, Opts: Options{Seed: 5, Parallelism: par}}
+		s := &Searcher{Kind: engine.Cardinality, Opts: Options{Seed: 5, Parallelism: par}}
 		queries, st := s.Run(context.Background(), states, target, nil)
 		return signature(queries, st)
 	}
@@ -43,11 +43,11 @@ func TestSearchParallelByteIdentical(t *testing.T) {
 // TestSearchCancelReturnsPartial verifies cancellation stops the round loop
 // promptly and still returns whatever queries were accumulated so far.
 func TestSearchCancelReturnsPartial(t *testing.T) {
-	db, states := setup(t)
+	states := setup(t)
 	target := stats.Uniform(0, 1500, 5, 60)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := &Searcher{DB: db, Kind: engine.Cardinality, Opts: Options{Seed: 5}}
+	s := &Searcher{Kind: engine.Cardinality, Opts: Options{Seed: 5}}
 	queries, st := s.Run(ctx, states, target, nil)
 	if st.Rounds != 0 {
 		t.Fatalf("cancelled search still ran %d rounds", st.Rounds)

@@ -119,9 +119,10 @@ type Stats struct {
 	BadCombinations  int
 }
 
-// Searcher runs Algorithm 3 against one database and cost metric.
+// Searcher runs Algorithm 3 under one cost metric. Every probe goes through
+// its template's prepared statement (profiler.Profile.Prep), so the database
+// searched is the one the templates were profiled against.
 type Searcher struct {
-	DB   *engine.DB
 	Kind engine.CostKind
 	Opts Options
 	// Progress, when non-nil, is called after every round with the queries
@@ -377,9 +378,9 @@ func budgetFor(opts Options, gap int) int {
 
 // optimizeTemplate runs one BO (or random, for the ablation) search over a
 // template's predicate space, minimizing Equation (5) for the interval.
-// Probes go through the template's prepared statement when available (one
-// parse at profile time, re-plan per probe) and are staged in the returned
-// optResult; the caller merges them into shared state in slot order.
+// Probes go through the template's prepared statement (compiled once at
+// profile time, evaluated per probe without re-planning) and are staged in
+// the returned optResult; the caller merges them into shared state in slot order.
 func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *workload.TemplateState, iv stats.Interval, budget int, opts Options) optResult {
 	sp := obs.FromContext(ctx).StartSpan("search:slot",
 		obs.A("template", strconv.Itoa(t.Profile.Template.ID)),
@@ -421,12 +422,7 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 		if err != nil {
 			return 0, false
 		}
-		var cost float64
-		if t.Profile.Prep != nil {
-			cost, err = t.Profile.Prep.Cost(ctx, vals, s.Kind)
-		} else {
-			cost, err = s.DB.Cost(ctx, sql, s.Kind)
-		}
+		cost, err := t.Profile.Prep.Cost(ctx, vals, s.Kind)
 		if err != nil {
 			return 0, false
 		}
@@ -467,14 +463,6 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 			if report != nil {
 				report(p.unit, objective(cost, iv))
 			}
-		}
-		if t.Profile.Prep == nil {
-			for _, p := range probes {
-				if cost, err := s.DB.Cost(ctx, p.sql, s.Kind); err == nil {
-					record(p, cost)
-				}
-			}
-			return
 		}
 		valsList := make([]map[string]sqltypes.Value, len(probes))
 		for i, p := range probes {

@@ -13,7 +13,7 @@ import (
 	"sqlbarber/internal/workload"
 )
 
-func setup(t testing.TB) (*engine.DB, []*workload.TemplateState) {
+func setup(t testing.TB) []*workload.TemplateState {
 	t.Helper()
 	db := engine.OpenTPCH(1, 0.1)
 	p := &profiler.Profiler{DB: db, Kind: engine.Cardinality, Seed: 1}
@@ -32,13 +32,13 @@ func setup(t testing.TB) (*engine.DB, []*workload.TemplateState) {
 		}
 		states = append(states, &workload.TemplateState{Profile: prof, Spec: spec.Spec{}})
 	}
-	return db, states
+	return states
 }
 
 func TestSearchFillsUniformTarget(t *testing.T) {
-	db, states := setup(t)
+	states := setup(t)
 	target := stats.Uniform(0, 1500, 5, 50)
-	s := &Searcher{DB: db, Kind: engine.Cardinality, Opts: Options{Seed: 1}}
+	s := &Searcher{Kind: engine.Cardinality, Opts: Options{Seed: 1}}
 	queries, st := s.Run(context.Background(), states, target, nil)
 	sel := workload.SelectWorkload(queries, target)
 	d := workload.Distance(sel, target)
@@ -51,12 +51,12 @@ func TestSearchFillsUniformTarget(t *testing.T) {
 }
 
 func TestSearchSkipsUnreachableIntervals(t *testing.T) {
-	db, states := setup(t)
+	states := setup(t)
 	// Cardinality can never exceed table sizes (max 6000 at sf 0.1): the
 	// top interval [50k, 100k) is unreachable and must be skipped.
 	ivs := stats.SplitRange(0, 100000, 2)
 	target := &stats.TargetDistribution{Intervals: ivs, Counts: []int{10, 10}}
-	s := &Searcher{DB: db, Kind: engine.Cardinality, Opts: Options{Seed: 1, MaxRounds: 60}}
+	s := &Searcher{Kind: engine.Cardinality, Opts: Options{Seed: 1, MaxRounds: 60}}
 	_, st := s.Run(context.Background(), states, target, nil)
 	if st.SkippedIntervals == 0 {
 		t.Fatalf("unreachable interval not skipped: %+v", st)
@@ -64,13 +64,13 @@ func TestSearchSkipsUnreachableIntervals(t *testing.T) {
 }
 
 func TestSearchSeedsCountedIntoDistribution(t *testing.T) {
-	db, states := setup(t)
+	states := setup(t)
 	target := stats.Uniform(0, 1000, 2, 4)
 	seed := []workload.Query{
 		{SQL: "s1", Cost: 100}, {SQL: "s2", Cost: 200},
 		{SQL: "s3", Cost: 600}, {SQL: "s4", Cost: 700},
 	}
-	s := &Searcher{DB: db, Kind: engine.Cardinality, Opts: Options{Seed: 1, MaxRounds: 5}}
+	s := &Searcher{Kind: engine.Cardinality, Opts: Options{Seed: 1, MaxRounds: 5}}
 	_, st := s.Run(context.Background(), states, target, seed)
 	if st.Evaluations > 20 {
 		t.Fatalf("target was pre-filled by seeds; search still ran %d evals", st.Evaluations)
@@ -104,9 +104,9 @@ func TestNaiveSearchWorseOrEqualOnHardTarget(t *testing.T) {
 	// BO and naive both run with a tight round cap; BO should fill at least
 	// as much of a narrow-interval target.
 	run := func(naive bool) float64 {
-		db, states := setup(t)
+		states := setup(t)
 		target := stats.Uniform(0, 1500, 15, 45)
-		s := &Searcher{DB: db, Kind: engine.Cardinality,
+		s := &Searcher{Kind: engine.Cardinality,
 			Opts: Options{Seed: 3, Naive: naive, MaxRounds: 30, MaxBudget: 30}}
 		queries, _ := s.Run(context.Background(), states, target, nil)
 		sel := workload.SelectWorkload(queries, target)

@@ -76,16 +76,11 @@ func (r *JobRequest) normalize() error {
 	if r.CostKind == "" {
 		r.CostKind = "cardinality"
 	}
-	switch strings.ToLower(r.CostKind) {
-	case "cardinality":
-		r.kind = engine.Cardinality
-	case "plancost":
-		r.kind = engine.PlanCost
-	case "rows":
-		r.kind = engine.RowsProcessed
-	default:
-		return badReq("unknown cost_kind %q (want cardinality, plancost, or rows)", r.CostKind)
+	kind, err := engine.ParseCostKind(r.CostKind)
+	if err != nil {
+		return badReq("cost_kind: %v", err)
 	}
+	r.kind = kind
 	if r.Distribution == "" {
 		r.Distribution = "uniform"
 	}

@@ -62,6 +62,15 @@ func (db *Database) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
+// Load never allocates from a length prefix it has not seen the bytes for:
+// a byte string longer than readChunk grows as its bytes arrive, and a row
+// count reserves at most maxRowPrealloc rows up front. So a corrupt or
+// truncated snapshot is an error, never a huge allocation.
+const (
+	readChunk      = 64 << 10
+	maxRowPrealloc = 1 << 16
+)
+
 // Load reads a snapshot written by Save.
 func Load(r io.Reader) (*Database, error) {
 	br := bufio.NewReader(r)
@@ -76,13 +85,23 @@ func Load(r io.Reader) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: schema length: %w", err)
 	}
-	schemaJSON := make([]byte, schemaLen)
-	if _, err := io.ReadFull(br, schemaJSON); err != nil {
+	schemaJSON, err := readN(br, schemaLen)
+	if err != nil {
 		return nil, fmt.Errorf("storage: schema body: %w", err)
 	}
 	var schema catalog.Schema
 	if err := json.Unmarshal(schemaJSON, &schema); err != nil {
 		return nil, fmt.Errorf("storage: decoding schema: %w", err)
+	}
+	seen := map[string]bool{}
+	for i, meta := range schema.Tables {
+		if meta == nil {
+			return nil, fmt.Errorf("storage: schema table %d is null", i)
+		}
+		if seen[lower(meta.Name)] {
+			return nil, fmt.Errorf("storage: schema names table %q twice", meta.Name)
+		}
+		seen[lower(meta.Name)] = true
 	}
 	db := NewDatabase(&schema)
 	for _, meta := range schema.Tables {
@@ -92,7 +111,11 @@ func Load(r io.Reader) (*Database, error) {
 		}
 		tbl := db.Table(meta.Name)
 		width := len(meta.Columns)
-		tbl.Rows = make([]Row, 0, n)
+		if width == 0 && n > 0 {
+			// Zero-width rows carry no bytes, so nothing bounds the count.
+			return nil, fmt.Errorf("storage: %s has no columns but %d rows", meta.Name, n)
+		}
+		tbl.Rows = make([]Row, 0, min(n, maxRowPrealloc))
 		for i := uint64(0); i < n; i++ {
 			row := make(Row, width)
 			for c := 0; c < width; c++ {
@@ -106,6 +129,27 @@ func Load(r io.Reader) (*Database, error) {
 		}
 	}
 	return db, nil
+}
+
+// readN reads exactly n bytes. Up to readChunk it reads into one exact
+// buffer; a longer claim is read through a LimitReader, so the buffer grows
+// only as bytes actually arrive.
+func readN(r io.Reader, n uint64) ([]byte, error) {
+	if n <= readChunk {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	buf, err := io.ReadAll(io.LimitReader(r, int64(min(n, math.MaxInt64))))
+	if err != nil {
+		return nil, err
+	}
+	if uint64(len(buf)) != n {
+		return nil, io.ErrUnexpectedEOF
+	}
+	return buf, nil
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) error {
@@ -179,8 +223,8 @@ func readValue(r *bufio.Reader) (sqltypes.Value, error) {
 		if err != nil {
 			return sqltypes.Null, err
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		buf, err := readN(r, n)
+		if err != nil {
 			return sqltypes.Null, err
 		}
 		return sqltypes.NewString(string(buf)), nil

@@ -21,7 +21,7 @@
 #                              out scheduling-dependent results the default
 #                              pass can miss
 #   6. go test -fuzz (fuzz smokes)
-#                            — 10-second native-fuzzing smokes over six
+#                            — 10-second native-fuzzing smokes over seven
 #                              targets. FuzzParse checks the render ∘ parse
 #                              round-trip fixpoint on arbitrary input, and
 #                              FuzzPlaceholderRewrite checks that placeholder
@@ -41,7 +41,10 @@
 #                              values (pipeline), and FuzzJobRequest checks
 #                              that a daemon job request normalize accepts
 #                              has a target placing exactly its query count
-#                              over finite intervals (server)
+#                              over finite intervals (server). FuzzLoad checks
+#                              that a snapshot load never panics and that a
+#                              loaded snapshot re-saves to a fixpoint
+#                              (storage)
 #   7. scripts/covergate.sh  — per-package statement-coverage floors over
 #                              internal/, from scripts/coverage_baseline.txt.
 #                              Floors sit ~5 points below measured coverage,
@@ -62,11 +65,11 @@
 #   9. cmd/benchmarks -exp probe
 #                            — the compiled-probing smoke: costs the same
 #                              deterministic probe schedule through compiled
-#                              parametric plans and through the re-plan
+#                              parametric plans and through the re-parse
 #                              baseline at 1/2/8 goroutines, failing on any
 #                              cost divergence, probe-hash drift, counter
 #                              disparity, or if compiled probing does not
-#                              beat re-planning. Gates only (refresh
+#                              beat re-parsing. Gates only (refresh
 #                              BENCH_probe.json by hand).
 #                              Timing-sensitive like the obs smoke, so it
 #                              gets the same 3-attempt fresh-process retry
@@ -74,7 +77,7 @@
 #                            — the measured-probe smoke: executes the same
 #                              deterministic probe schedule through per-session
 #                              value-environment execution and through the
-#                              serialized re-plan baseline at 1/2/8
+#                              re-parse baseline at 1/2/8
 #                              goroutines on a fixed small TPC-H instance,
 #                              failing on any RowsProcessed divergence,
 #                              probe-hash drift, counter disparity, or if the
@@ -154,6 +157,7 @@ go test -run '^$' -fuzz '^FuzzForestDifferential$' -fuzztime 10s ./internal/rf
 go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 10s ./internal/prand
 go test -run '^$' -fuzz '^FuzzParseResiliencePolicy$' -fuzztime 10s ./internal/pipeline
 go test -run '^$' -fuzz '^FuzzJobRequest$' -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/storage
 
 echo "== scripts/covergate.sh (per-package coverage floors) =="
 ./scripts/covergate.sh
