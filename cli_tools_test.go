@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"os"
 	"os/exec"
@@ -275,7 +276,9 @@ func TestCLIDaemonDrainsOnSigterm(t *testing.T) {
 // TestCLIRejectsUnknownCostKind pins -cost parsing in both binaries that
 // take it: an unrecognised name must fail before any dataset is opened
 // rather than silently run cardinality. plan_cost is the spelling a
-// workload file's annotations use, so it is the likely mistake.
+// workload file's annotations use, so it is the likely mistake. The
+// -llm-policy grammar fails just as early: a hedge key, which the grammar
+// does not have, is reported ahead of the unknown dataset.
 func TestCLIRejectsUnknownCostKind(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test skipped in -short mode")
@@ -287,22 +290,27 @@ func TestCLIRejectsUnknownCostKind(t *testing.T) {
 	if err := os.WriteFile(workloadFile, []byte("-- template=1 cardinality=5.00\nSELECT r_regionkey FROM region;\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	const costKinds = "cardinality, plancost, or rows"
 	for _, tc := range []struct {
 		name string
 		cmd  *exec.Cmd
+		want string
 	}{
 		{"sqlbarber -cost plan_cost", exec.Command(gen, "-cost", "plan_cost",
-			"-dataset", "tpch", "-sf", "0.01", "-queries", "4", "-intervals", "2", "-range", "100")},
+			"-dataset", "tpch", "-sf", "0.01", "-queries", "4", "-intervals", "2", "-range", "100"), costKinds},
 		{"replay -cost bogus", exec.Command(replay, "-cost", "bogus",
-			"-dataset", "tpch", "-sf", "0.01", "-tol", "1e12", "-in", workloadFile)},
+			"-dataset", "tpch", "-sf", "0.01", "-tol", "1e12", "-in", workloadFile), costKinds},
+		{"sqlbarber -llm-policy hedge=500ms", exec.Command(gen, "-llm-policy", "hedge=500ms",
+			"-dataset", "oracle11g"), `unknown key "hedge"`},
 	} {
 		out, err := tc.cmd.CombinedOutput()
-		if err == nil {
-			t.Errorf("%s: exited 0, want a non-zero exit\n%s", tc.name, out)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s: exit = %v, want exit status 1\n%s", tc.name, err, out)
 			continue
 		}
-		if !strings.Contains(string(out), "cardinality, plancost, or rows") {
-			t.Errorf("%s: error does not name the valid cost kinds:\n%s", tc.name, out)
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s: error does not contain %q:\n%s", tc.name, tc.want, out)
 		}
 	}
 }

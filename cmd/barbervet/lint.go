@@ -867,10 +867,10 @@ var clockBypassFns = map[string]bool{"Sleep": true, "After": true}
 
 // checkClockDiscipline flags direct time.Sleep/time.After calls in
 // internal/llm packages (R009). Every delay in the oracle stack — retry
-// backoff, hedge deadlines, rate-limiter waits, injected fault stalls —
-// must go through the llm.Clock abstraction so a FakeClock keeps tests
-// deterministic and free of wall-clock time. clock.go is the one exempt
-// file: it is the abstraction's own implementation.
+// backoff and injected fault stalls — must go through the llm.Clock
+// abstraction so a FakeClock keeps tests deterministic and free of
+// wall-clock time. clock.go is the one exempt file: it is the
+// abstraction's own implementation.
 func checkClockDiscipline(f *ast.File, report func(token.Pos, string, string)) {
 	timeName := importName(f, "time")
 	if timeName == "" || timeName == "_" {

@@ -42,9 +42,9 @@
 //	      mutation.
 //	R009  real-clock sleep in internal/llm: a direct time.Sleep or
 //	      time.After call anywhere under internal/llm except clock.go.
-//	      Retry backoff, hedge deadlines, limiter waits, and fault stalls
-//	      must flow through the llm.Clock abstraction so a FakeClock keeps
-//	      oracle-stack tests deterministic and wall-clock free.
+//	      Retry backoff and injected fault stalls must flow through the
+//	      llm.Clock abstraction so a FakeClock keeps oracle-stack tests
+//	      deterministic and wall-clock free.
 //	R010  allocation in recursion in internal/rf: a make() call inside a
 //	      self-recursive function anywhere under internal/rf except
 //	      reference.go. Tree growing recurses once per node, so per-node

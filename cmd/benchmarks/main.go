@@ -145,13 +145,7 @@ func main() {
 	run("fig8b", func() error { _, err := r.RunFigure8Ablation(ctx, w); return err })
 	run("table2", func() error { _, err := r.RunTable2(ctx, w); return err })
 	run("analyzer", func() error { _, err := r.RunAnalyzerSavings(ctx, w); return err })
-	run("parallel", func() error {
-		if _, err := r.RunParallelScaling(ctx, w, nil); err != nil {
-			return err
-		}
-		_, err := r.RunPreparedMicrobench(ctx, w, 0)
-		return err
-	})
+	run("parallel", func() error { _, err := r.RunParallelScaling(ctx, w, nil); return err })
 	run("probe", func() error { _, err := r.RunProbeBench(ctx, w, *probeJSON, *probes); return err })
 	run("measured", func() error { _, err := r.RunMeasuredBench(ctx, w, *measJSON, *probes); return err })
 	run("obs", func() error { _, err := r.RunObsOverhead(ctx, w); return err })

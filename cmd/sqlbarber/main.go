@@ -48,7 +48,7 @@ func main() {
 		llmURL     = flag.String("llm-url", "", "OpenAI-compatible endpoint; when set, a hosted model replaces the built-in simulated LLM")
 		llmModel   = flag.String("llm-model", "o3-mini", "chat model name for -llm-url")
 		llmCache   = flag.String("llm-cache", "", "persistent prompt-cache directory; a warm rerun with the same seed pays zero LLM calls")
-		llmPolicy  = flag.String("llm-policy", "", "oracle resilience policy, e.g. retry=4,backoff=100ms,hedge=500ms,breaker=5,rate=2,conc=8 (with -llm-url, retry defaults to 3)")
+		llmPolicy  = flag.String("llm-policy", "", "oracle resilience policy, e.g. retry=4,backoff=100ms,jitter=0.3 (with -llm-url, retry defaults to 3)")
 		verbose    = flag.Bool("v", false, "print pipeline progress")
 		report     = flag.Bool("report", false, "print a run report (span times, counters, histograms) to stderr")
 		traceOut   = flag.String("trace", "", "write the run's span trace as JSONL to this file")
@@ -59,6 +59,12 @@ func main() {
 	kind, err := engine.ParseCostKind(*costKind)
 	if err != nil {
 		fatal("-cost: %v", err)
+	}
+	var policy pipeline.ResiliencePolicy
+	if *llmPolicy != "" {
+		if policy, err = pipeline.ParseResiliencePolicy(*llmPolicy); err != nil {
+			fatal("parsing -llm-policy: %v", err)
+		}
 	}
 	var db *engine.DB
 	switch strings.ToLower(*dataset) {
@@ -117,12 +123,6 @@ func main() {
 		pipeline.WithSeed(*seed),
 		pipeline.WithParallel(*parallel),
 		pipeline.WithCostKind(kind),
-	}
-	var policy pipeline.ResiliencePolicy
-	if *llmPolicy != "" {
-		if policy, err = pipeline.ParseResiliencePolicy(*llmPolicy); err != nil {
-			fatal("parsing -llm-policy: %v", err)
-		}
 	}
 	if *llmURL != "" && policy.Retry.MaxAttempts == 0 {
 		// The HTTP oracle sends one request per call; the policy's retry

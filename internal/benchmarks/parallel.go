@@ -11,9 +11,6 @@ import (
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
 	"sqlbarber/internal/pipeline"
-	"sqlbarber/internal/prand"
-	"sqlbarber/internal/sqltemplate"
-	"sqlbarber/internal/sqltypes"
 	"sqlbarber/internal/stats"
 	"sqlbarber/internal/workload"
 )
@@ -100,80 +97,4 @@ func (r *Runner) RunParallelScaling(ctx context.Context, w io.Writer, levels []i
 	fmt.Fprintf(w, "determinism: all %d levels produced workload %s with %d DBMS calls\n",
 		len(out), out[0].Hash, out[0].DBCalls)
 	return out, nil
-}
-
-// PreparedBenchResult compares prepared-template probing against re-parsing
-// the instantiated SQL from scratch on every probe.
-type PreparedBenchResult struct {
-	Probes       int
-	PreparedTime time.Duration
-	ReparseTime  time.Duration
-}
-
-// Speedup is reparse-time / prepared-time.
-func (r PreparedBenchResult) Speedup() float64 {
-	if r.PreparedTime <= 0 {
-		return 0
-	}
-	return float64(r.ReparseTime) / float64(r.PreparedTime)
-}
-
-// RunPreparedMicrobench times the prepared-template fast path (parse, bind
-// and compile once, evaluate per probe) against the legacy full lex/parse/bind per
-// probe, verifying both arms agree on every cost.
-func (r *Runner) RunPreparedMicrobench(ctx context.Context, w io.Writer, probes int) (PreparedBenchResult, error) {
-	if probes <= 0 {
-		probes = 2000
-	}
-	db := TPCH.Open(r.Seed, r.Scale.SF)
-	const tmplSQL = "SELECT l_returnflag, SUM(l_extendedprice) FROM lineitem " +
-		"WHERE l_quantity >= {p_1} AND l_extendedprice < {p_2} GROUP BY l_returnflag"
-	tmpl := sqltemplate.MustParse(tmplSQL)
-	prep, err := db.Prepare(tmplSQL)
-	if err != nil {
-		return PreparedBenchResult{}, err
-	}
-	valsAt := func(i int) map[string]sqltypes.Value {
-		rng := prand.New(r.Seed, prand.StageProfile, int64(i))
-		return map[string]sqltypes.Value{
-			"p_1": sqltypes.NewInt(1 + rng.Int63n(50)),
-			"p_2": sqltypes.NewFloat(100 + rng.Float64()*90000),
-		}
-	}
-
-	res := PreparedBenchResult{Probes: probes}
-	costs := make([]float64, probes)
-	start := time.Now()
-	for i := 0; i < probes; i++ {
-		c, err := prep.Cost(ctx, valsAt(i), engine.Cardinality)
-		if err != nil {
-			return res, err
-		}
-		costs[i] = c
-	}
-	res.PreparedTime = time.Since(start)
-
-	start = time.Now()
-	for i := 0; i < probes; i++ {
-		sql, err := tmpl.Instantiate(valsAt(i))
-		if err != nil {
-			return res, err
-		}
-		c, err := db.Cost(ctx, sql, engine.Cardinality)
-		if err != nil {
-			return res, err
-		}
-		if c != costs[i] {
-			return res, fmt.Errorf("benchmarks: prepared cost %.6g != reparse cost %.6g at probe %d", costs[i], c, i)
-		}
-	}
-	res.ReparseTime = time.Since(start)
-
-	fmt.Fprintf(w, "=== Prepared-template microbenchmark | %d probes on TPC-H sf=%.1f ===\n", probes, r.Scale.SF)
-	fmt.Fprintf(w, "prepared (compile once, eval per probe):  %-12s %.1f µs/probe\n",
-		res.PreparedTime.Round(time.Millisecond), float64(res.PreparedTime.Microseconds())/float64(probes))
-	fmt.Fprintf(w, "reparse  (full lex/parse/bind per probe): %-12s %.1f µs/probe\n",
-		res.ReparseTime.Round(time.Millisecond), float64(res.ReparseTime.Microseconds())/float64(probes))
-	fmt.Fprintf(w, "speedup: %.2fx (all %d costs identical across arms)\n", res.Speedup(), probes)
-	return res, nil
 }

@@ -30,17 +30,3 @@ func TestRunParallelScalingSmoke(t *testing.T) {
 		t.Fatalf("missing determinism verdict:\n%s", buf.String())
 	}
 }
-
-// TestRunPreparedMicrobench checks the prepared arm agrees with the reparse
-// arm (the function errors on any cost mismatch) and reports a speedup.
-func TestRunPreparedMicrobench(t *testing.T) {
-	var buf bytes.Buffer
-	r := NewRunner(Quick, 1)
-	res, err := r.RunPreparedMicrobench(context.Background(), &buf, 300)
-	if err != nil {
-		t.Fatalf("microbench: %v", err)
-	}
-	if res.Probes != 300 || res.PreparedTime <= 0 || res.ReparseTime <= 0 {
-		t.Fatalf("degenerate result: %+v", res)
-	}
-}

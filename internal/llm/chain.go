@@ -63,8 +63,7 @@ type Call struct {
 	Refine RefineRequest
 
 	// fp is the call's content fingerprint, computed once by Chained before
-	// the handler chain runs so concurrent middleware (Hedge) never races on
-	// lazy initialisation.
+	// the handler chain runs so every layer keys on the same rendering.
 	fp string
 }
 
@@ -111,8 +110,8 @@ type Reply struct {
 type Handler func(ctx context.Context, c *Call) (Reply, error)
 
 // Middleware is one composable layer around a Handler. Implementations are
-// stateful objects (counters, windows, breakers) so a forked chain can
-// re-wrap the same instances and keep shared state across parallel tasks.
+// stateful objects (counters, a prompt cache) so a forked chain can re-wrap
+// the same instances and keep shared state across parallel tasks.
 type Middleware interface {
 	Wrap(next Handler) Handler
 }
@@ -175,9 +174,9 @@ var (
 
 // Chain wraps base in the given middleware. mw[0] is the OUTERMOST layer:
 // Chain(base, a, b, c) runs a → b → c → base. The canonical production order
-// is Latency → Cache → Retry → Breaker → Hedge → Limiter (→ Faults in
-// benchmarks) — cache hits skip retry accounting, every retry attempt passes
-// the breaker, and each hedged leg takes its own limiter token.
+// is Latency → Cache → Retry (→ Faults in tests and benchmarks): cache hits
+// skip retry accounting, and every retry attempt re-enters the fault
+// schedule with its own attempt index.
 func Chain(base Oracle, mw ...Middleware) *Chained {
 	c := &Chained{base: base, mws: mw}
 	c.handler = buildHandler(base, mw)
@@ -192,8 +191,9 @@ func buildHandler(base Oracle, mws []Middleware) Handler {
 	return h
 }
 
-// do computes the fingerprint eagerly (so concurrent hedge legs share an
-// immutable Call) and runs the middleware stack.
+// do computes the fingerprint eagerly (so the cache key, the retry jitter
+// and the fault schedule all derive from one rendering of the prompt, and
+// no layer mutates the Call) and runs the middleware stack.
 func (o *Chained) do(ctx context.Context, c Call) (Reply, error) {
 	c.fp = c.Kind.String() + "\x00" + c.Prompt()
 	return o.handler(ctx, &c)

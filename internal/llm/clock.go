@@ -8,12 +8,12 @@ import (
 
 // Clock abstracts every sleep and deadline in the LLM layer. Production code
 // uses SystemClock; tests and the deterministic fault-injection benchmarks
-// substitute a FakeClock so retry backoff, hedge deadlines, breaker cooldowns
-// and rate-limiter waits advance instantly and reproducibly. barbervet rule
-// R009 enforces that internal/llm never calls time.Sleep or time.After
-// directly — all waiting funnels through this interface, which is the
-// determinism argument for the resilience middleware: wall-clock time can
-// influence *when* work happens but never *what* the pipeline produces.
+// substitute a FakeClock so retry backoff and injected fault stalls advance
+// instantly and reproducibly. barbervet rule R009 enforces that internal/llm
+// never calls time.Sleep or time.After directly — all waiting funnels
+// through this interface, which is the determinism argument for the
+// resilience middleware: wall-clock time can influence *when* work happens
+// but never *what* the pipeline produces.
 type Clock interface {
 	// Now returns the current instant.
 	Now() time.Time

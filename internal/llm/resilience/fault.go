@@ -55,8 +55,12 @@ func (e *FaultError) Error() string { return fmt.Sprintf("resilience: injected %
 // Retryable marks injected faults transient so retry layers engage.
 func (e *FaultError) Retryable() bool { return true }
 
-// allFaultKinds is the default schedule mix.
+// allFaultKinds is the schedule mix; every kind is equally likely.
 var allFaultKinds = []FaultKind{FaultTimeout, FaultRateLimit, FaultUnavailable, FaultTruncated, FaultSlowTrickle}
+
+// faultStall is the simulated stall of timeout and slow-trickle faults and
+// the Retry-After of rate-limit faults, charged to the injectable clock.
+const faultStall = 250 * time.Millisecond
 
 // Faults replays a scripted fault schedule: whether attempt n of a given
 // call faults — and how — is a pure function of (seed, call fingerprint, n)
@@ -72,58 +76,23 @@ type Faults struct {
 	seed             int64
 	rate             float64
 	maxFaultAttempts int
-	kinds            []FaultKind
 	clock            llm.Clock
-	stall            time.Duration
 
 	injected obs.Counter
-}
-
-// FaultOption configures a Faults injector.
-type FaultOption func(*Faults)
-
-// WithFaultKinds restricts the schedule to the given kinds.
-func WithFaultKinds(kinds ...FaultKind) FaultOption {
-	return func(f *Faults) {
-		if len(kinds) > 0 {
-			f.kinds = kinds
-		}
-	}
-}
-
-// WithFaultStall sets the simulated stall for timeout and slow-trickle
-// faults (default 250ms, charged to the injectable clock).
-func WithFaultStall(d time.Duration) FaultOption {
-	return func(f *Faults) {
-		if d > 0 {
-			f.stall = d
-		}
-	}
 }
 
 // NewFaults builds a fault injector firing with probability rate on attempts
 // 0..maxFaultAttempts-1 (default 2 when non-positive) of each call. A nil
 // clock defaults to llm.SystemClock — tests and benchmarks pass a FakeClock
 // so stalls are instant.
-func NewFaults(seed int64, rate float64, maxFaultAttempts int, clock llm.Clock, opts ...FaultOption) *Faults {
+func NewFaults(seed int64, rate float64, maxFaultAttempts int, clock llm.Clock) *Faults {
 	if maxFaultAttempts <= 0 {
 		maxFaultAttempts = 2
 	}
 	if clock == nil {
 		clock = llm.SystemClock
 	}
-	f := &Faults{
-		seed:             seed,
-		rate:             rate,
-		maxFaultAttempts: maxFaultAttempts,
-		kinds:            allFaultKinds,
-		clock:            clock,
-		stall:            250 * time.Millisecond,
-	}
-	for _, opt := range opts {
-		opt(f)
-	}
-	return f
+	return &Faults{seed: seed, rate: rate, maxFaultAttempts: maxFaultAttempts, clock: clock}
 }
 
 // Injected returns how many faults have fired.
@@ -143,22 +112,22 @@ func (f *Faults) Wrap(next llm.Handler) llm.Handler {
 		if f.rate > 0 && attempt < f.maxFaultAttempts {
 			rng := prand.New(f.seed, prand.StageOracle, prand.HashString(c.Fingerprint()), int64(attempt))
 			if rng.Float64() < f.rate {
-				kind := f.kinds[rng.Intn(len(f.kinds))]
+				kind := allFaultKinds[rng.Intn(len(allFaultKinds))]
 				f.injected.Add(1)
 				switch kind {
 				case FaultSlowTrickle:
 					// The response eventually arrives intact: stall, then
 					// delegate. No retry is consumed.
-					if err := f.clock.Sleep(ctx, f.stall); err != nil {
+					if err := f.clock.Sleep(ctx, faultStall); err != nil {
 						return llm.Reply{}, err
 					}
 				case FaultTimeout:
-					if err := f.clock.Sleep(ctx, f.stall); err != nil {
+					if err := f.clock.Sleep(ctx, faultStall); err != nil {
 						return llm.Reply{}, err
 					}
 					return llm.Reply{}, &FaultError{Kind: FaultTimeout}
 				case FaultRateLimit:
-					return llm.Reply{}, &llm.RateLimitError{Status: 429, RetryAfter: f.stall, Body: "injected rate limit"}
+					return llm.Reply{}, &llm.RateLimitError{Status: 429, RetryAfter: faultStall, Body: "injected rate limit"}
 				case FaultUnavailable:
 					return llm.Reply{}, &llm.RateLimitError{Status: 503, Body: "injected unavailable"}
 				case FaultTruncated:

@@ -1,17 +1,16 @@
-// Package resilience hardens any llm.Oracle behind composable middleware:
-// jittered context-aware retries, latency-percentile hedging, a circuit
-// breaker with half-open probes, token-bucket rate + concurrency limiting, a
-// persistent content-addressed prompt cache, and a deterministic fault
-// injector for testing the whole stack.
+// Package resilience makes any llm.Oracle reproducible and recoverable
+// behind composable middleware: jittered context-aware retries, a persistent
+// content-addressed prompt cache, and a deterministic fault injector for
+// testing the whole stack.
 //
 // Middlewares compose through llm.Chain(base, mw...), where mw[0] is the
 // outermost layer. The canonical production order is
 //
-//	Latency → Cache → Retry → Breaker → Hedge → Limiter (→ Faults)
+//	Latency → Cache → Retry (→ Faults)
 //
-// so cache hits cost nothing downstream, every retry attempt re-checks the
-// breaker, each hedged leg takes its own limiter token, and injected faults
-// sit directly in front of the base oracle.
+// so cache hits cost nothing downstream, every retry attempt re-enters the
+// fault schedule with its own attempt index, and injected faults sit
+// directly in front of the base oracle.
 //
 // Determinism: every sleep and deadline goes through an injectable llm.Clock
 // (barbervet R009 bans direct time.Sleep/time.After in internal/llm), retry

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"sqlbarber/internal/llm"
@@ -91,14 +92,26 @@ func (r *Retry) Wrap(next llm.Handler) llm.Handler {
 				}
 				if r.policy.Jitter > 0 && d > 0 {
 					rng := prand.New(r.seed, prand.StageOracle, prand.HashString(c.Fingerprint()), int64(attempt))
-					d += time.Duration(r.policy.Jitter * float64(d) * rng.Float64())
+					if j := r.policy.Jitter * float64(d) * rng.Float64(); j < float64(math.MaxInt64-d) {
+						d += time.Duration(j)
+					} else {
+						d = math.MaxInt64
+					}
 				}
 				if d > 0 {
 					if err := r.clock.Sleep(ctx, d); err != nil {
 						return llm.Reply{}, fmt.Errorf("resilience: retry cancelled during backoff: %w", err)
 					}
 				}
-				backoff *= 2
+				// Stop doubling at the cap, and saturate rather than wrap
+				// negative when uncapped.
+				switch {
+				case r.policy.MaxBackoff > 0 && backoff >= r.policy.MaxBackoff:
+				case backoff > math.MaxInt64/2:
+					backoff = math.MaxInt64
+				default:
+					backoff *= 2
+				}
 			}
 			rep, err := next(withAttempt(ctx, attempt), c)
 			if err == nil {

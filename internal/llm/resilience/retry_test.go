@@ -45,6 +45,47 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffNeverWraps drives enough attempts for an unchecked
+// doubling of 1s to overflow time.Duration. Capped, every sleep from the cap
+// onward is exactly the cap; uncapped (with jitter), the backoff saturates
+// instead of going negative, so no retry fires without a wait.
+func TestRetryBackoffNeverWraps(t *testing.T) {
+	fail := func(ctx context.Context, c *llm.Call) (llm.Reply, error) {
+		return llm.Reply{}, errors.New("transient")
+	}
+
+	clock := llm.NewFakeClock()
+	policy := llm.RetryPolicy{MaxAttempts: 40, BaseBackoff: time.Second, MaxBackoff: 30 * time.Second}
+	if _, err := NewRetry(policy, clock, 1).Wrap(fail)(context.Background(), call()); err == nil {
+		t.Fatal("always-failing handler succeeded")
+	}
+	sleeps := clock.Sleeps()
+	if len(sleeps) != 39 {
+		t.Fatalf("capped: %d sleeps for 39 retries: %v", len(sleeps), sleeps)
+	}
+	for i, d := range sleeps {
+		want := min(time.Second<<min(i, 5), 30*time.Second)
+		if d != want {
+			t.Fatalf("capped: sleep %d = %v, want %v (schedule %v)", i, d, want, sleeps)
+		}
+	}
+
+	clock = llm.NewFakeClock()
+	policy = llm.RetryPolicy{MaxAttempts: 70, BaseBackoff: time.Second, Jitter: 0.5}
+	if _, err := NewRetry(policy, clock, 1).Wrap(fail)(context.Background(), call()); err == nil {
+		t.Fatal("always-failing handler succeeded")
+	}
+	sleeps = clock.Sleeps()
+	if len(sleeps) != 69 {
+		t.Fatalf("uncapped: %d sleeps for 69 retries", len(sleeps))
+	}
+	for i, d := range sleeps {
+		if d < time.Second<<min(i, 32) {
+			t.Fatalf("uncapped: sleep %d = %v is below its unjittered backoff (schedule %v)", i, d, sleeps)
+		}
+	}
+}
+
 func TestRetryHonorsRetryAfterHint(t *testing.T) {
 	clock := llm.NewFakeClock()
 	r := NewRetry(llm.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Second}, clock, 1)

@@ -44,16 +44,10 @@ const (
 	MLLMRefineCalls       = "llm_refine_calls"
 	// LLM resilience middleware (internal/llm/resilience). Retry and
 	// fault-injection counts are pure functions of call content and a seed,
-	// so they are stable across worker counts; hedge/breaker/limiter/cache
-	// activity depends on scheduling and on cross-run persistent state, so
-	// those bind volatile.
+	// so they are stable across worker counts; cache activity depends on
+	// cross-run persistent state, so it binds volatile.
 	MLLMRetries         = "llm_retries"
 	MLLMFaultsInjected  = "llm_faults_injected"
-	MLLMHedges          = "llm_hedges"
-	MLLMHedgesWon       = "llm_hedges_won"
-	MLLMBreakerOpens    = "llm_breaker_open"
-	MLLMBreakerRejected = "llm_breaker_rejected"
-	MLLMLimiterWaits    = "llm_limiter_waits"
 	MLLMCacheHits       = "llm_cache_hits"
 	MLLMCacheMisses     = "llm_cache_misses"
 	MLLMCacheWriteFails = "llm_cache_write_fails"

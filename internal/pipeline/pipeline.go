@@ -105,8 +105,8 @@ type Config struct {
 	SearchOpts search.Options
 
 	// Resilience, when non-nil, wraps the oracle in the middleware chain it
-	// describes (retry, hedging, circuit breaking, rate limiting, fault
-	// injection). Set via WithResilience, which validates the policy.
+	// describes (retry, fault injection). Set via WithResilience, which
+	// validates the policy.
 	Resilience *ResiliencePolicy
 	// OracleCache, when non-nil, is the persistent prompt cache layered
 	// outermost over the paid oracle. Set via WithOracleCacheDir.

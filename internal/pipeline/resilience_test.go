@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,18 +36,13 @@ func TestResilienceOptionValidation(t *testing.T) {
 	}{
 		{"negative retry", WithResilience(ResiliencePolicy{Retry: llm.RetryPolicy{MaxAttempts: -1}}), ErrBadResilience},
 		{"jitter > 1", WithResilience(ResiliencePolicy{Retry: llm.RetryPolicy{MaxAttempts: 2, Jitter: 1.5}}), ErrBadResilience},
-		{"hedge percentile 1", WithResilience(ResiliencePolicy{HedgePercentile: 1}), ErrBadResilience},
 		{"fault rate > 1", WithResilience(ResiliencePolicy{FaultRate: 1.5, Retry: llm.RetryPolicy{MaxAttempts: 9}}), ErrBadResilience},
 		{"faults without retry budget", WithResilience(ResiliencePolicy{FaultRate: 0.2}), ErrBadResilience},
 		{"faults equal to retry budget", WithResilience(ResiliencePolicy{FaultRate: 0.2, FaultAttempts: 3, Retry: llm.RetryPolicy{MaxAttempts: 3}}), ErrBadResilience},
 		{"jitter NaN", WithResilience(ResiliencePolicy{Retry: llm.RetryPolicy{MaxAttempts: 2, Jitter: math.NaN()}}), ErrBadResilience},
-		{"rate NaN", WithResilience(ResiliencePolicy{RateLimit: math.NaN()}), ErrBadResilience},
-		{"rate +Inf", WithResilience(ResiliencePolicy{RateLimit: math.Inf(1)}), ErrBadResilience},
 		{"fault NaN", WithResilience(ResiliencePolicy{FaultRate: math.NaN(), Retry: llm.RetryPolicy{MaxAttempts: 9}}), ErrBadResilience},
-		{"hedge percentile NaN", WithResilience(ResiliencePolicy{HedgePercentile: math.NaN()}), ErrBadResilience},
 		{"negative backoff", WithResilience(ResiliencePolicy{Retry: llm.RetryPolicy{MaxAttempts: 2, BaseBackoff: -time.Second}}), ErrBadResilience},
 		{"negative max backoff", WithResilience(ResiliencePolicy{Retry: llm.RetryPolicy{MaxAttempts: 2, MaxBackoff: -time.Second}}), ErrBadResilience},
-		{"negative cooldown", WithResilience(ResiliencePolicy{BreakerThreshold: 3, BreakerCooldown: -time.Second}), ErrBadResilience},
 		{"empty cache dir", WithOracleCacheDir("  "), ErrBadCacheDir},
 		{"cache dir is a file", WithOracleCacheDir(filepath.Join(blocked, "sub")), ErrBadCacheDir},
 	}
@@ -68,22 +64,15 @@ func TestResilienceOptionValidation(t *testing.T) {
 
 // TestParseResiliencePolicy pins the -llm-policy grammar.
 func TestParseResiliencePolicy(t *testing.T) {
-	p, err := ParseResiliencePolicy("retry=4, backoff=100ms, maxbackoff=2s, jitter=0.3, hedge=500ms, hedgepct=0.95, breaker=5, cooldown=30s, rate=2.5, burst=4, conc=8, fault=0.2, faultattempts=2, faultseed=17")
+	p, err := ParseResiliencePolicy("retry=4, backoff=100ms, maxbackoff=2s, jitter=0.3, fault=0.2, faultattempts=2, faultseed=17")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := ResiliencePolicy{
-		Retry:            llm.RetryPolicy{MaxAttempts: 4, BaseBackoff: 100 * time.Millisecond, MaxBackoff: 2 * time.Second, Jitter: 0.3},
-		HedgeAfter:       500 * time.Millisecond,
-		HedgePercentile:  0.95,
-		BreakerThreshold: 5,
-		BreakerCooldown:  30 * time.Second,
-		RateLimit:        2.5,
-		RateBurst:        4,
-		MaxConcurrent:    8,
-		FaultRate:        0.2,
-		FaultAttempts:    2,
-		FaultSeed:        17,
+		Retry:         llm.RetryPolicy{MaxAttempts: 4, BaseBackoff: 100 * time.Millisecond, MaxBackoff: 2 * time.Second, Jitter: 0.3},
+		FaultRate:     0.2,
+		FaultAttempts: 2,
+		FaultSeed:     17,
 	}
 	if p != want {
 		t.Fatalf("parsed %+v\nwant %+v", p, want)
@@ -107,12 +96,28 @@ func TestParseResiliencePolicy(t *testing.T) {
 		"backoff=-1s",
 		"maxbackoff=-1s",
 		"cooldown=-1s",
+		// Hedge, breaker and concurrency keys are not in the grammar.
+		"hedge=1ns",
+		"breaker=5",
+		"conc=8",
+		oldFullPolicy,
 	} {
 		if _, err := ParseResiliencePolicy(bad); !errors.Is(err, ErrBadResilience) {
 			t.Errorf("ParseResiliencePolicy(%q) = %v, want ErrBadResilience", bad, err)
 		}
 	}
+
+	_, err = ParseResiliencePolicy("hedge=1ns")
+	for _, key := range []string{"retry", "backoff", "maxbackoff", "jitter", "fault", "faultattempts", "faultseed"} {
+		if !strings.Contains(err.Error(), key) {
+			t.Errorf("unknown-key error %q does not name valid key %q", err, key)
+		}
+	}
 }
+
+// oldFullPolicy spells every retry key next to hedge, breaker, rate and
+// concurrency keys the grammar does not have, so it must be rejected.
+const oldFullPolicy = "retry=4,backoff=100ms,maxbackoff=2s,jitter=0.3,hedge=500ms,hedgepct=0.95,breaker=5,cooldown=30s,rate=2.5,burst=4,conc=8"
 
 // TestOracleCacheWarmRunServesFromDisk is the cache-win contract at pipeline
 // level: a second run over the same cache directory with the same seed must
@@ -153,7 +158,8 @@ func TestOracleCacheWarmRunServesFromDisk(t *testing.T) {
 // in-range values.
 func FuzzParseResiliencePolicy(f *testing.F) {
 	for _, seed := range []string{
-		"retry=4,backoff=100ms,maxbackoff=2s,jitter=0.3,hedge=500ms,hedgepct=0.95,breaker=5,cooldown=30s,rate=2.5,burst=4,conc=8",
+		oldFullPolicy,
+		"retry=4,backoff=100ms,maxbackoff=2s,jitter=0.3",
 		"retry=4,fault=0.2,faultattempts=2,faultseed=17",
 		"retry=4,jitter=NaN",
 		"rate=+Inf",
@@ -178,11 +184,9 @@ func FuzzParseResiliencePolicy(f *testing.F) {
 		}
 		inUnit := func(v float64) bool { return v >= 0 && v <= 1 }
 		switch {
-		case !inUnit(p.Retry.Jitter), !inUnit(p.FaultRate), !(p.HedgePercentile >= 0 && p.HedgePercentile < 1),
-			!(p.RateLimit >= 0) || math.IsInf(p.RateLimit, 0):
+		case !inUnit(p.Retry.Jitter), !inUnit(p.FaultRate):
 			t.Fatalf("accepted %q with a non-finite or out-of-range value: %+v", s, p)
-		case p.Retry.MaxAttempts < 0 || p.Retry.BaseBackoff < 0 || p.Retry.MaxBackoff < 0 || p.HedgeAfter < 0 ||
-			p.BreakerThreshold < 0 || p.BreakerCooldown < 0 || p.RateBurst < 0 || p.MaxConcurrent < 0 || p.FaultAttempts < 0:
+		case p.Retry.MaxAttempts < 0 || p.Retry.BaseBackoff < 0 || p.Retry.MaxBackoff < 0 || p.FaultAttempts < 0:
 			t.Fatalf("accepted %q with a negative value: %+v", s, p)
 		}
 	})

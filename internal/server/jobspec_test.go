@@ -85,6 +85,7 @@ func TestNormalizeRejections(t *testing.T) {
 		"format":       {Format: "csv"},
 		"specs":        {Specs: json.RawMessage(`{"oops"`)},
 		"policy":       {Resilience: "retry=never"},
+		"removed keys": {Resilience: "retry=4,backoff=100ms,maxbackoff=2s,jitter=0.3,hedge=500ms,hedgepct=0.95,breaker=5,cooldown=30s,rate=2.5,burst=4,conc=8"},
 		// The normal's stddev (range_hi/5) underflows to 0, so every weight
 		// is NaN or 0 and no query could be placed.
 		"degenerate normal": {Distribution: "normal", RangeHi: 5e-324},
@@ -130,6 +131,7 @@ func FuzzJobRequest(f *testing.F) {
 		`{"distribution":"snowset-cost","queries":1,"intervals":500}`,
 		`{"specs":[{"template_id":1,"num_joins":1}],"resilience":"retry=3,backoff=10ms"}`,
 		`{"resilience":"rate=NaN"}`,
+		`{"resilience":"retry=4,backoff=100ms,maxbackoff=2s,jitter=0.3,hedge=500ms,hedgepct=0.95,breaker=5,cooldown=30s,rate=2.5,burst=4,conc=8"}`,
 		`{"warp":9}`,
 	} {
 		f.Add([]byte(seed))

@@ -269,14 +269,15 @@ func TestJSONFormatJob(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	_, ts := newTestServer(t, server.Options{Workers: 1, QueueDepth: 4}, nil)
 	for name, body := range map[string]map[string]any{
-		"bad dataset":      {"dataset": "oracle11g"},
-		"bad cost kind":    {"cost_kind": "joules"},
-		"bad distribution": {"distribution": "zipf"},
-		"bad format":       {"format": "parquet"},
-		"bad parallel":     {"parallel": 9000},
-		"bad sf":           {"scale_factor": 50},
-		"bad specs":        {"specs": json.RawMessage(`{"not":"a list"}`)},
-		"bad policy":       {"resilience": "retry=banana"},
+		"bad dataset":        {"dataset": "oracle11g"},
+		"bad cost kind":      {"cost_kind": "joules"},
+		"bad distribution":   {"distribution": "zipf"},
+		"bad format":         {"format": "parquet"},
+		"bad parallel":       {"parallel": 9000},
+		"bad sf":             {"scale_factor": 50},
+		"bad specs":          {"specs": json.RawMessage(`{"not":"a list"}`)},
+		"bad policy":         {"resilience": "retry=banana"},
+		"removed policy key": {"resilience": "hedge=1ns"},
 	} {
 		code, _, _ := submit(t, ts, body)
 		if code != http.StatusBadRequest {
