@@ -21,7 +21,7 @@ func (AggregatePass) Name() string { return "aggregates" }
 func (AggregatePass) Run(ctx *Context) []Diagnostic {
 	var diags []Diagnostic
 	ctx.EachSelect(func(s *sqlparser.SelectStmt, sc *scope) {
-		if s.Where != nil && containsAggregate(s.Where) {
+		if sqlparser.ContainsAggregate(s.Where) {
 			diags = append(diags, Diagnostic{
 				Code: CodeAggregateInWhere, Severity: Error, Span: ctx.SpanOf(s.Where),
 				Msg: "aggregate functions are not allowed in WHERE",
@@ -29,7 +29,7 @@ func (AggregatePass) Run(ctx *Context) []Diagnostic {
 			})
 		}
 		for _, g := range s.GroupBy {
-			if containsAggregate(g) {
+			if sqlparser.ContainsAggregate(g) {
 				diags = append(diags, Diagnostic{
 					Code: CodeAggregateInGroupBy, Severity: Error, Span: ctx.SpanOf(g),
 					Msg: "aggregate functions are not allowed in GROUP BY",
@@ -45,14 +45,14 @@ func (AggregatePass) Run(ctx *Context) []Diagnostic {
 			})
 		}
 		// Nested aggregates: an aggregate call inside another's argument.
-		for _, ce := range topExprs(s) {
-			walkLevel(ce.expr, func(e sqlparser.Expr) {
+		s.EachClause(func(_ string, top sqlparser.Expr) {
+			sqlparser.Walk(top, func(e sqlparser.Expr) bool {
 				f, ok := e.(*sqlparser.FuncCall)
 				if !ok || !f.IsAggregate() {
-					return
+					return true
 				}
 				for _, a := range f.Args {
-					if containsAggregate(a) {
+					if sqlparser.ContainsAggregate(a) {
 						diags = append(diags, Diagnostic{
 							Code: CodeNestedAggregate, Severity: Error, Span: ctx.SpanOf(f),
 							Msg: fmt.Sprintf("aggregate calls cannot be nested: %s", f.SQL()),
@@ -60,8 +60,9 @@ func (AggregatePass) Run(ctx *Context) []Diagnostic {
 						})
 					}
 				}
-			})
-		}
+				return true
+			}, nil)
+		})
 		// GROUP BY conformance (warning tier).
 		if len(s.GroupBy) > 0 {
 			grouped := map[string]bool{}
@@ -69,7 +70,7 @@ func (AggregatePass) Run(ctx *Context) []Diagnostic {
 				grouped[strings.ToLower(g.SQL())] = true
 			}
 			for _, it := range s.Items {
-				if it.Expr == nil || containsAggregate(it.Expr) {
+				if it.Expr == nil || sqlparser.ContainsAggregate(it.Expr) {
 					continue
 				}
 				if grouped[strings.ToLower(it.Expr.SQL())] {
@@ -80,11 +81,12 @@ func (AggregatePass) Run(ctx *Context) []Diagnostic {
 				}
 				// Flag only items that reference a column at this level.
 				hasCol := false
-				walkLevel(it.Expr, func(e sqlparser.Expr) {
+				sqlparser.Walk(it.Expr, func(e sqlparser.Expr) bool {
 					if _, ok := e.(*sqlparser.ColumnRef); ok {
 						hasCol = true
 					}
-				})
+					return true
+				}, nil)
 				if hasCol {
 					diags = append(diags, Diagnostic{
 						Code: CodeUngroupedColumn, Severity: Warning, Span: ctx.SpanOf(it.Expr),
@@ -101,7 +103,7 @@ func (AggregatePass) Run(ctx *Context) []Diagnostic {
 // selectListAggregates reports whether any select item aggregates.
 func selectListAggregates(s *sqlparser.SelectStmt) bool {
 	for _, it := range s.Items {
-		if it.Expr != nil && containsAggregate(it.Expr) {
+		if sqlparser.ContainsAggregate(it.Expr) {
 			return true
 		}
 	}

@@ -235,7 +235,7 @@ func (ctx *Context) buildScopes() {
 			}
 		}
 		ctx.scopes[s] = sc
-		for _, sub := range directSubqueries(s) {
+		for _, sub := range s.DirectSubqueries() {
 			build(sub, sc)
 		}
 	}
@@ -248,7 +248,7 @@ func (ctx *Context) EachSelect(fn func(s *sqlparser.SelectStmt, sc *scope)) {
 	var visit func(s *sqlparser.SelectStmt)
 	visit = func(s *sqlparser.SelectStmt) {
 		fn(s, ctx.scopes[s])
-		for _, sub := range directSubqueries(s) {
+		for _, sub := range s.DirectSubqueries() {
 			visit(sub)
 		}
 	}
@@ -266,123 +266,4 @@ func (ctx *Context) SpanOf(e sqlparser.Expr) Span {
 		return Span{Start: i, End: i + len(frag)}
 	}
 	return Span{}
-}
-
-// ---- shared AST traversal helpers ----
-
-// children returns an expression's immediate sub-expressions, NOT descending
-// into subqueries (those form their own scope).
-func children(e sqlparser.Expr) []sqlparser.Expr {
-	switch t := e.(type) {
-	case *sqlparser.BinaryExpr:
-		return []sqlparser.Expr{t.L, t.R}
-	case *sqlparser.UnaryExpr:
-		return []sqlparser.Expr{t.X}
-	case *sqlparser.FuncCall:
-		return append([]sqlparser.Expr(nil), t.Args...)
-	case *sqlparser.CaseExpr:
-		var out []sqlparser.Expr
-		for _, w := range t.Whens {
-			out = append(out, w.Cond, w.Result)
-		}
-		if t.Else != nil {
-			out = append(out, t.Else)
-		}
-		return out
-	case *sqlparser.InExpr:
-		return append([]sqlparser.Expr{t.X}, t.List...)
-	case *sqlparser.BetweenExpr:
-		return []sqlparser.Expr{t.X, t.Lo, t.Hi}
-	case *sqlparser.LikeExpr:
-		return []sqlparser.Expr{t.X, t.Pattern}
-	case *sqlparser.IsNullExpr:
-		return []sqlparser.Expr{t.X}
-	}
-	return nil
-}
-
-// walkLevel applies fn to e and all descendants at the same query level
-// (subqueries excluded).
-func walkLevel(e sqlparser.Expr, fn func(sqlparser.Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	for _, c := range children(e) {
-		walkLevel(c, fn)
-	}
-}
-
-// clauseExpr pairs a top-level expression with the clause that owns it.
-type clauseExpr struct {
-	clause string
-	expr   sqlparser.Expr
-}
-
-// topExprs enumerates the statement's own top-level expressions by clause.
-func topExprs(s *sqlparser.SelectStmt) []clauseExpr {
-	var out []clauseExpr
-	for _, it := range s.Items {
-		if it.Expr != nil {
-			out = append(out, clauseExpr{"SELECT", it.Expr})
-		}
-	}
-	for _, j := range s.Joins {
-		if j.On != nil {
-			out = append(out, clauseExpr{"ON", j.On})
-		}
-	}
-	if s.Where != nil {
-		out = append(out, clauseExpr{"WHERE", s.Where})
-	}
-	for _, g := range s.GroupBy {
-		out = append(out, clauseExpr{"GROUP BY", g})
-	}
-	if s.Having != nil {
-		out = append(out, clauseExpr{"HAVING", s.Having})
-	}
-	for _, o := range s.OrderBy {
-		out = append(out, clauseExpr{"ORDER BY", o.Expr})
-	}
-	return out
-}
-
-// directSubqueries returns the statement's immediate child subqueries.
-func directSubqueries(s *sqlparser.SelectStmt) []*sqlparser.SelectStmt {
-	var subs []*sqlparser.SelectStmt
-	var visit func(e sqlparser.Expr)
-	visit = func(e sqlparser.Expr) {
-		if e == nil {
-			return
-		}
-		switch t := e.(type) {
-		case *sqlparser.InExpr:
-			if t.Sub != nil {
-				subs = append(subs, t.Sub)
-			}
-		case *sqlparser.ExistsExpr:
-			subs = append(subs, t.Sub)
-		case *sqlparser.SubqueryExpr:
-			subs = append(subs, t.Sub)
-		}
-		for _, c := range children(e) {
-			visit(c)
-		}
-	}
-	for _, ce := range topExprs(s) {
-		visit(ce.expr)
-	}
-	return subs
-}
-
-// containsAggregate reports whether e contains an aggregate call at this
-// query level.
-func containsAggregate(e sqlparser.Expr) bool {
-	found := false
-	walkLevel(e, func(x sqlparser.Expr) {
-		if f, ok := x.(*sqlparser.FuncCall); ok && f.IsAggregate() {
-			found = true
-		}
-	})
-	return found
 }

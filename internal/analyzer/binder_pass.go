@@ -54,12 +54,11 @@ func (BinderPass) Run(ctx *Context) []Diagnostic {
 			checkRef(j.Table)
 		}
 		// Column resolution over this level's own expressions.
-		for _, ce := range topExprs(s) {
-			clause := ce.clause
-			walkLevel(ce.expr, func(e sqlparser.Expr) {
+		s.EachClause(func(clause string, top sqlparser.Expr) {
+			sqlparser.Walk(top, func(e sqlparser.Expr) bool {
 				cr, ok := e.(*sqlparser.ColumnRef)
 				if !ok {
-					return
+					return true
 				}
 				_, _, st := sc.resolve(cr)
 				switch st {
@@ -82,8 +81,9 @@ func (BinderPass) Run(ctx *Context) []Diagnostic {
 						Fix: fmt.Sprintf("qualify %q with its table alias", cr.Name),
 					})
 				}
-			})
-		}
+				return true
+			}, nil)
+		})
 	})
 	return diags
 }

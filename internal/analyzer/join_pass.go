@@ -51,10 +51,10 @@ func (JoinPass) Run(ctx *Context) []Diagnostic {
 
 // joinOnRefs classifies which side(s) of the join the ON expression touches.
 func joinOnRefs(sc *scope, on sqlparser.Expr, joined string, prior map[string]bool) (refsJoined, refsPrior, refsAny bool) {
-	walkLevel(on, func(e sqlparser.Expr) {
+	sqlparser.Walk(on, func(e sqlparser.Expr) bool {
 		cr, ok := e.(*sqlparser.ColumnRef)
 		if !ok {
-			return
+			return true
 		}
 		refsAny = true
 		if cr.Table != "" {
@@ -65,7 +65,7 @@ func joinOnRefs(sc *scope, on sqlparser.Expr, joined string, prior map[string]bo
 			if prior[q] {
 				refsPrior = true
 			}
-			return
+			return true
 		}
 		// Unqualified: attribute it to whichever table owns the column.
 		inst, _, st := sc.resolve(cr)
@@ -73,7 +73,7 @@ func joinOnRefs(sc *scope, on sqlparser.Expr, joined string, prior map[string]bo
 			// Unresolvable reference — the binder pass reports it; treat as
 			// touching both sides so no bogus cartesian warning piles on.
 			refsJoined, refsPrior = true, true
-			return
+			return true
 		}
 		q := strings.ToLower(inst.refName)
 		if q == joined {
@@ -82,7 +82,8 @@ func joinOnRefs(sc *scope, on sqlparser.Expr, joined string, prior map[string]bo
 		if prior[q] {
 			refsPrior = true
 		}
-	})
+		return true
+	}, nil)
 	return
 }
 

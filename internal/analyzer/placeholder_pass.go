@@ -28,14 +28,15 @@ func (PlaceholderPass) Run(ctx *Context) []Diagnostic {
 
 	ctx.EachSelect(func(s *sqlparser.SelectStmt, sc *scope) {
 		// Record every placeholder occurrence (template-wide name registry).
-		for _, ce := range topExprs(s) {
-			walkLevel(ce.expr, func(e sqlparser.Expr) {
+		s.EachClause(func(_ string, top sqlparser.Expr) {
+			sqlparser.Walk(top, func(e sqlparser.Expr) bool {
 				if ph, ok := e.(*sqlparser.Placeholder); ok && !seen[ph.Name] {
 					seen[ph.Name] = true
 					order = append(order, ph.Name)
 				}
-			})
-		}
+				return true
+			}, nil)
+		})
 		// BindPlaceholders resolves the compared column against this level's
 		// tables only (no outer-scope chaining), so mirror that here.
 		local := &scope{stmt: s, tables: sc.tables, aliases: sc.aliases}
@@ -48,24 +49,15 @@ func (PlaceholderPass) Run(ctx *Context) []Diagnostic {
 			return st == resolved && col != nil
 		}
 		// Binding contexts: the clauses BindPlaceholders scans.
-		var bindingExprs []sqlparser.Expr
-		for _, it := range s.Items {
-			if it.Expr != nil {
-				bindingExprs = append(bindingExprs, it.Expr)
+		s.EachClause(func(clause string, be sqlparser.Expr) {
+			if clause != "SELECT" && clause != "WHERE" && clause != "HAVING" {
+				return
 			}
-		}
-		if s.Where != nil {
-			bindingExprs = append(bindingExprs, s.Where)
-		}
-		if s.Having != nil {
-			bindingExprs = append(bindingExprs, s.Having)
-		}
-		for _, be := range bindingExprs {
-			walkLevel(be, func(e sqlparser.Expr) {
+			sqlparser.Walk(be, func(e sqlparser.Expr) bool {
 				switch x := e.(type) {
 				case *sqlparser.BinaryExpr:
 					if !x.Op.IsComparison() {
-						return
+						return true
 					}
 					if ph, ok := x.R.(*sqlparser.Placeholder); ok {
 						inPredicate[ph.Name] = true
@@ -98,8 +90,9 @@ func (PlaceholderPass) Run(ctx *Context) []Diagnostic {
 						}
 					}
 				}
-			})
-		}
+				return true
+			}, nil)
+		})
 	})
 
 	var diags []Diagnostic

@@ -64,15 +64,15 @@ func evalLiteralCmp(op sqlparser.BinaryOp, l, r sqlparser.Expr) (result, ok bool
 // impossible literal BETWEEN ranges anywhere in the condition tree.
 func checkConstantComparisons(ctx *Context, cond sqlparser.Expr) []Diagnostic {
 	var diags []Diagnostic
-	walkLevel(cond, func(e sqlparser.Expr) {
+	sqlparser.Walk(cond, func(e sqlparser.Expr) bool {
 		switch t := e.(type) {
 		case *sqlparser.BinaryExpr:
 			if !t.Op.IsComparison() {
-				return
+				return true
 			}
 			res, ok := evalLiteralCmp(t.Op, t.L, t.R)
 			if !ok {
-				return
+				return true
 			}
 			if !res {
 				diags = append(diags, Diagnostic{
@@ -97,7 +97,8 @@ func checkConstantComparisons(ctx *Context, cond sqlparser.Expr) []Diagnostic {
 				})
 			}
 		}
-	})
+		return true
+	}, nil)
 	return diags
 }
 

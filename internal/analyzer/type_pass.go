@@ -96,12 +96,12 @@ func (TypePass) Run(ctx *Context) []Diagnostic {
 		})
 	}
 	ctx.EachSelect(func(s *sqlparser.SelectStmt, sc *scope) {
-		for _, ce := range topExprs(s) {
-			walkLevel(ce.expr, func(e sqlparser.Expr) {
+		s.EachClause(func(_ string, top sqlparser.Expr) {
+			sqlparser.Walk(top, func(e sqlparser.Expr) bool {
 				switch t := e.(type) {
 				case *sqlparser.BinaryExpr:
 					if !t.Op.IsComparison() {
-						return
+						return true
 					}
 					lk, lok := exprKind(sc, t.L)
 					rk, rok := exprKind(sc, t.R)
@@ -111,7 +111,7 @@ func (TypePass) Run(ctx *Context) []Diagnostic {
 				case *sqlparser.BetweenExpr:
 					xk, xok := exprKind(sc, t.X)
 					if !xok {
-						return
+						return true
 					}
 					for _, bound := range []sqlparser.Expr{t.Lo, t.Hi} {
 						bk, bok := exprKind(sc, bound)
@@ -122,7 +122,7 @@ func (TypePass) Run(ctx *Context) []Diagnostic {
 				case *sqlparser.InExpr:
 					xk, xok := exprKind(sc, t.X)
 					if !xok {
-						return
+						return true
 					}
 					for _, item := range t.List {
 						ik, iok := exprKind(sc, item)
@@ -142,8 +142,9 @@ func (TypePass) Run(ctx *Context) []Diagnostic {
 						}
 					}
 				}
-			})
-		}
+				return true
+			}, nil)
+		})
 	})
 	return diags
 }

@@ -106,6 +106,24 @@ func TestExecuteCorrelatedExists(t *testing.T) {
 	}
 }
 
+func TestExecuteAggregatesInLikePattern(t *testing.T) {
+	db := testDB(t)
+	if _, err := db.Execute("SELECT COUNT(*) FROM nation GROUP BY n_regionkey HAVING MIN(n_name) LIKE MAX(n_name)"); err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	regions, err := db.Execute("SELECT n_regionkey FROM nation GROUP BY n_regionkey")
+	if err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	res, err := db.Execute("SELECT n_regionkey FROM nation GROUP BY n_regionkey HAVING MAX(n_name) LIKE MAX(n_name)")
+	if err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	if len(res.Rows) != len(regions.Rows) {
+		t.Fatalf("MAX LIKE MAX kept %d of %d groups", len(res.Rows), len(regions.Rows))
+	}
+}
+
 func TestExplainEstimates(t *testing.T) {
 	db := testDB(t)
 	all, err := db.Explain("SELECT * FROM lineitem")
@@ -170,6 +188,8 @@ func TestValidateSyntax(t *testing.T) {
 		{"SELECT o_orderkey FROM orders WHERE o_totalprice > {p_1} AND o_orderstatus <> '{'", true},
 		{"SELECT nosuchcol FROM orders", false},
 		{"SELECT o_orderkey FROM nosuchtable", false},
+		// An aggregate in a LIKE pattern is still an aggregate in WHERE.
+		{"SELECT COUNT(*) FROM nation WHERE n_name LIKE MAX(n_name)", false},
 		{"SELECT FROM WHERE", false},
 		{"SELECT o_orderkey FROM orders WHERE", false},
 		{"SELECT o_orderkey, FROM orders", false},

@@ -101,60 +101,6 @@ func (st *aggState) result() sqltypes.Value {
 	return sqltypes.Null
 }
 
-// collectAggCalls gathers every aggregate call appearing in the select list,
-// HAVING, and ORDER BY (current level only).
-func collectAggCalls(stmt *sqlparser.SelectStmt) []*sqlparser.FuncCall {
-	var calls []*sqlparser.FuncCall
-	var visit func(e sqlparser.Expr)
-	visit = func(e sqlparser.Expr) {
-		if e == nil {
-			return
-		}
-		switch t := e.(type) {
-		case *sqlparser.FuncCall:
-			if t.IsAggregate() {
-				calls = append(calls, t)
-				return
-			}
-			for _, a := range t.Args {
-				visit(a)
-			}
-		case *sqlparser.BinaryExpr:
-			visit(t.L)
-			visit(t.R)
-		case *sqlparser.UnaryExpr:
-			visit(t.X)
-		case *sqlparser.CaseExpr:
-			for _, w := range t.Whens {
-				visit(w.Cond)
-				visit(w.Result)
-			}
-			visit(t.Else)
-		case *sqlparser.BetweenExpr:
-			visit(t.X)
-			visit(t.Lo)
-			visit(t.Hi)
-		case *sqlparser.InExpr:
-			visit(t.X)
-			for _, it := range t.List {
-				visit(it)
-			}
-		case *sqlparser.LikeExpr:
-			visit(t.X)
-		case *sqlparser.IsNullExpr:
-			visit(t.X)
-		}
-	}
-	for _, it := range stmt.Items {
-		visit(it.Expr)
-	}
-	visit(stmt.Having)
-	for _, o := range stmt.OrderBy {
-		visit(o.Expr)
-	}
-	return calls
-}
-
 // group holds one group's state during aggregation.
 type group struct {
 	repr   int // representative tuple for group-key evaluation; -1 for none
@@ -166,7 +112,22 @@ type group struct {
 // built in one reused buffer (see appendKey); groups keep their order of
 // first appearance.
 func (ex *executor) aggregate(q *plan.Query, f *frame, tuples []int32) (*Result, error) {
-	calls := collectAggCalls(q.Stmt)
+	// The outermost aggregate calls of the select list, HAVING and ORDER BY
+	// at this level.
+	var calls []*sqlparser.FuncCall
+	collect := func(x sqlparser.Expr) bool {
+		f, ok := x.(*sqlparser.FuncCall)
+		if ok && f.IsAggregate() {
+			calls = append(calls, f)
+			return false
+		}
+		return true
+	}
+	q.Stmt.EachClause(func(clause string, x sqlparser.Expr) {
+		if clause == "SELECT" || clause == "HAVING" || clause == "ORDER BY" {
+			sqlparser.Walk(x, collect, nil)
+		}
+	})
 	index := map[string]int{}
 	var groups []group
 	var key []byte

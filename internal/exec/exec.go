@@ -162,7 +162,7 @@ func (ex *executor) runQuery(q *plan.Query, parent *env) (*Result, error) {
 		tuples = tuples[:kept*n]
 	}
 	var out *Result
-	if plan.IsAggregateQuery(q.Stmt) {
+	if q.Aggregated {
 		out, err = ex.aggregate(q, f, tuples)
 	} else {
 		out, err = ex.project(q, f, tuples)

@@ -148,10 +148,37 @@ func Bind(schema *catalog.Schema, stmt *sqlparser.SelectStmt, parent *Scope) (*B
 			b.Aliases[strings.ToLower(it.Alias)] = it.Expr
 		}
 	}
+	// One walk per clause in rendering order; the first error wins, so an
+	// unresolvable column beats an error inside a later subquery.
 	var bindErr error
-	var bindExpr func(e sqlparser.Expr)
+	bindExpr := func(e sqlparser.Expr) bool {
+		if bindErr != nil {
+			return false
+		}
+		switch t := e.(type) {
+		case *sqlparser.ColumnRef:
+			if t.Table == "" {
+				if alias, ok := b.Aliases[strings.ToLower(t.Name)]; ok {
+					// Output-alias reference (GROUP BY alias); bind to the
+					// aliased expression's columns instead.
+					if _, isCol := alias.(*sqlparser.ColumnRef); !isCol {
+						return false // computed alias — evaluated via alias map
+					}
+				}
+			}
+			ref, err := scope.Resolve(t.Table, t.Name)
+			if err != nil {
+				bindErr = err
+				return false
+			}
+			b.Cols[t] = ref
+		case *sqlparser.Placeholder:
+			bindErr = semErrf("placeholder {%s} must be instantiated before planning", t.Name)
+		}
+		return bindErr == nil
+	}
 	bindSub := func(sub *sqlparser.SelectStmt) {
-		if sub == nil || bindErr != nil {
+		if bindErr != nil {
 			return
 		}
 		sb, err := Bind(schema, sub, scope)
@@ -161,79 +188,7 @@ func Bind(schema *catalog.Schema, stmt *sqlparser.SelectStmt, parent *Scope) (*B
 		}
 		b.Subqueries[sub] = sb
 	}
-	bindExpr = func(e sqlparser.Expr) {
-		if e == nil || bindErr != nil {
-			return
-		}
-		switch t := e.(type) {
-		case *sqlparser.ColumnRef:
-			if t.Table == "" {
-				if alias, ok := b.Aliases[strings.ToLower(t.Name)]; ok {
-					// Output-alias reference (GROUP BY alias); bind to the
-					// aliased expression's columns instead.
-					if _, isCol := alias.(*sqlparser.ColumnRef); !isCol {
-						return // computed alias — evaluated via alias map
-					}
-				}
-			}
-			ref, err := scope.Resolve(t.Table, t.Name)
-			if err != nil {
-				bindErr = err
-				return
-			}
-			b.Cols[t] = ref
-		case *sqlparser.BinaryExpr:
-			bindExpr(t.L)
-			bindExpr(t.R)
-		case *sqlparser.UnaryExpr:
-			bindExpr(t.X)
-		case *sqlparser.FuncCall:
-			for _, a := range t.Args {
-				bindExpr(a)
-			}
-		case *sqlparser.CaseExpr:
-			for _, w := range t.Whens {
-				bindExpr(w.Cond)
-				bindExpr(w.Result)
-			}
-			bindExpr(t.Else)
-		case *sqlparser.InExpr:
-			bindExpr(t.X)
-			for _, it := range t.List {
-				bindExpr(it)
-			}
-			bindSub(t.Sub)
-		case *sqlparser.ExistsExpr:
-			bindSub(t.Sub)
-		case *sqlparser.BetweenExpr:
-			bindExpr(t.X)
-			bindExpr(t.Lo)
-			bindExpr(t.Hi)
-		case *sqlparser.LikeExpr:
-			bindExpr(t.X)
-			bindExpr(t.Pattern)
-		case *sqlparser.IsNullExpr:
-			bindExpr(t.X)
-		case *sqlparser.SubqueryExpr:
-			bindSub(t.Sub)
-		case *sqlparser.Placeholder:
-			bindErr = semErrf("placeholder {%s} must be instantiated before planning", t.Name)
-		}
-	}
-	for _, it := range stmt.Items {
-		bindExpr(it.Expr)
-	}
-	for _, j := range stmt.Joins {
-		bindExpr(j.On)
-	}
-	bindExpr(stmt.Where)
-	for _, g := range stmt.GroupBy {
-		bindExpr(g)
-	}
-	bindExpr(stmt.Having)
-	for _, o := range stmt.OrderBy {
-		bindExpr(o.Expr)
-	}
+	stmt.EachClause(func(_ string, e sqlparser.Expr) { sqlparser.Walk(e, bindExpr, bindSub) })
 	if bindErr != nil {
 		return nil, bindErr
 	}
@@ -245,11 +200,11 @@ func Bind(schema *catalog.Schema, stmt *sqlparser.SelectStmt, parent *Scope) (*B
 
 // checkAggregates enforces basic aggregate placement rules.
 func checkAggregates(stmt *sqlparser.SelectStmt) error {
-	if stmt.Where != nil && containsAggregate(stmt.Where) {
+	if sqlparser.ContainsAggregate(stmt.Where) {
 		return semErrf("aggregate functions are not allowed in WHERE")
 	}
 	for _, g := range stmt.GroupBy {
-		if containsAggregate(g) {
+		if sqlparser.ContainsAggregate(g) {
 			return semErrf("aggregate functions are not allowed in GROUP BY")
 		}
 	}
@@ -259,66 +214,18 @@ func checkAggregates(stmt *sqlparser.SelectStmt) error {
 	return nil
 }
 
-// containsAggregate reports whether expr contains an aggregate call at the
-// current query level (subqueries excluded).
-func containsAggregate(e sqlparser.Expr) bool {
-	found := false
-	var visit func(e sqlparser.Expr)
-	visit = func(e sqlparser.Expr) {
-		if e == nil || found {
-			return
-		}
-		switch t := e.(type) {
-		case *sqlparser.FuncCall:
-			if t.IsAggregate() {
-				found = true
-				return
-			}
-			for _, a := range t.Args {
-				visit(a)
-			}
-		case *sqlparser.BinaryExpr:
-			visit(t.L)
-			visit(t.R)
-		case *sqlparser.UnaryExpr:
-			visit(t.X)
-		case *sqlparser.CaseExpr:
-			for _, w := range t.Whens {
-				visit(w.Cond)
-				visit(w.Result)
-			}
-			visit(t.Else)
-		case *sqlparser.BetweenExpr:
-			visit(t.X)
-			visit(t.Lo)
-			visit(t.Hi)
-		case *sqlparser.InExpr:
-			visit(t.X)
-			for _, it := range t.List {
-				visit(it)
-			}
-		case *sqlparser.LikeExpr:
-			visit(t.X)
-		case *sqlparser.IsNullExpr:
-			visit(t.X)
-		}
-	}
-	visit(e)
-	return found
-}
-
 // hasAggregateOutput reports whether any select item aggregates.
 func hasAggregateOutput(stmt *sqlparser.SelectStmt) bool {
 	for _, it := range stmt.Items {
-		if it.Expr != nil && containsAggregate(it.Expr) {
+		if sqlparser.ContainsAggregate(it.Expr) {
 			return true
 		}
 	}
 	return false
 }
 
-// IsAggregateQuery reports whether the statement needs an aggregation step.
-func IsAggregateQuery(stmt *sqlparser.SelectStmt) bool {
+// isAggregateQuery reports whether the statement needs an aggregation step.
+func isAggregateQuery(stmt *sqlparser.SelectStmt) bool {
 	return len(stmt.GroupBy) > 0 || hasAggregateOutput(stmt) ||
-		(stmt.Having != nil && containsAggregate(stmt.Having))
+		sqlparser.ContainsAggregate(stmt.Having)
 }

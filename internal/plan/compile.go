@@ -143,83 +143,16 @@ func (c *CompiledQuery) memoize(q *Query) {
 // exprHasSlot reports whether any parameter slot occurs in the expression,
 // descending into nested subqueries.
 func (c *CompiledQuery) exprHasSlot(e sqlparser.Expr) bool {
-	switch t := e.(type) {
-	case nil:
-		return false
-	case *sqlparser.Literal:
-		_, ok := c.slotIdx[t]
-		return ok
-	case *sqlparser.BinaryExpr:
-		return c.exprHasSlot(t.L) || c.exprHasSlot(t.R)
-	case *sqlparser.UnaryExpr:
-		return c.exprHasSlot(t.X)
-	case *sqlparser.FuncCall:
-		for _, a := range t.Args {
-			if c.exprHasSlot(a) {
-				return true
-			}
-		}
-	case *sqlparser.CaseExpr:
-		for _, w := range t.Whens {
-			if c.exprHasSlot(w.Cond) || c.exprHasSlot(w.Result) {
-				return true
-			}
-		}
-		return c.exprHasSlot(t.Else)
-	case *sqlparser.InExpr:
-		if c.exprHasSlot(t.X) {
-			return true
-		}
-		for _, it := range t.List {
-			if c.exprHasSlot(it) {
-				return true
-			}
-		}
-		return c.stmtHasSlot(t.Sub)
-	case *sqlparser.ExistsExpr:
-		return c.stmtHasSlot(t.Sub)
-	case *sqlparser.BetweenExpr:
-		return c.exprHasSlot(t.X) || c.exprHasSlot(t.Lo) || c.exprHasSlot(t.Hi)
-	case *sqlparser.LikeExpr:
-		return c.exprHasSlot(t.X) || c.exprHasSlot(t.Pattern)
-	case *sqlparser.IsNullExpr:
-		return c.exprHasSlot(t.X)
-	case *sqlparser.SubqueryExpr:
-		return c.stmtHasSlot(t.Sub)
-	}
-	return false
-}
-
-// stmtHasSlot reports whether any parameter slot occurs anywhere in a nested
-// statement.
-func (c *CompiledQuery) stmtHasSlot(s *sqlparser.SelectStmt) bool {
-	if s == nil {
-		return false
-	}
-	for _, it := range s.Items {
-		if c.exprHasSlot(it.Expr) {
-			return true
+	found := false
+	isSlot := func(x sqlparser.Expr) {
+		if lit, ok := x.(*sqlparser.Literal); ok {
+			_, slot := c.slotIdx[lit]
+			found = found || slot
 		}
 	}
-	for _, j := range s.Joins {
-		if c.exprHasSlot(j.On) {
-			return true
-		}
-	}
-	if c.exprHasSlot(s.Where) || c.exprHasSlot(s.Having) {
-		return true
-	}
-	for _, g := range s.GroupBy {
-		if c.exprHasSlot(g) {
-			return true
-		}
-	}
-	for _, o := range s.OrderBy {
-		if c.exprHasSlot(o.Expr) {
-			return true
-		}
-	}
-	return false
+	sqlparser.Walk(e, func(x sqlparser.Expr) bool { isSlot(x); return !found },
+		func(s *sqlparser.SelectStmt) { s.WalkExprs(isSlot) })
+	return found
 }
 
 // Query returns the skeleton plan built at neutral zero values.

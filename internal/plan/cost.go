@@ -138,7 +138,7 @@ func rollup[T num[T], D domain[T]](d D, q *Query, tot []T) (rows, cost T) {
 		rows, cost = rows.mul(sel).max(z.of(1)), cost.add(rows.scale(cpuOperatorCost).scale(float64(n))).add(subCost)
 		d.node(q, opFilter, 0, rows, cost, "")
 	}
-	if q.isAgg {
+	if q.Aggregated {
 		groups := z.of(1)
 		if len(q.Stmt.GroupBy) > 0 {
 			groups = groupCount(q, rows)

@@ -21,49 +21,14 @@ const (
 // Correlated references to outer scopes and subqueries do not count.
 func (b *Binding) tablesOf(e sqlparser.Expr) map[int]bool {
 	out := map[int]bool{}
-	var visit func(e sqlparser.Expr)
-	visit = func(e sqlparser.Expr) {
-		if e == nil {
-			return
-		}
-		switch t := e.(type) {
-		case *sqlparser.ColumnRef:
-			if ref, ok := b.Cols[t]; ok && ref.Level == 0 {
+	sqlparser.Walk(e, func(x sqlparser.Expr) bool {
+		if cr, ok := x.(*sqlparser.ColumnRef); ok {
+			if ref, ok := b.Cols[cr]; ok && ref.Level == 0 {
 				out[ref.TableIdx] = true
 			}
-		case *sqlparser.BinaryExpr:
-			visit(t.L)
-			visit(t.R)
-		case *sqlparser.UnaryExpr:
-			visit(t.X)
-		case *sqlparser.FuncCall:
-			for _, a := range t.Args {
-				visit(a)
-			}
-		case *sqlparser.CaseExpr:
-			for _, w := range t.Whens {
-				visit(w.Cond)
-				visit(w.Result)
-			}
-			visit(t.Else)
-		case *sqlparser.InExpr:
-			visit(t.X)
-			for _, it := range t.List {
-				visit(it)
-			}
-		case *sqlparser.ExistsExpr:
-		case *sqlparser.BetweenExpr:
-			visit(t.X)
-			visit(t.Lo)
-			visit(t.Hi)
-		case *sqlparser.LikeExpr:
-			visit(t.X)
-			visit(t.Pattern)
-		case *sqlparser.IsNullExpr:
-			visit(t.X)
 		}
-	}
-	visit(e)
+		return true
+	}, nil)
 	return out
 }
 

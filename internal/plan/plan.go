@@ -112,6 +112,9 @@ type Query struct {
 	// references a column of an enclosing query. An uncorrelated subquery's
 	// result is the same for every outer row, so the executor runs it once.
 	Correlated bool
+	// Aggregated reports whether the query needs an aggregation step: it
+	// groups, or aggregates in its select list or HAVING.
+	Aggregated bool
 
 	// subOrder lists the direct subplans in syntactic order. Cost roll-ups
 	// sum subplan totals in this order, never in map-iteration order, so two
@@ -124,12 +127,11 @@ type Query struct {
 	// Value-independent skeleton facts, precomputed once per Build so the
 	// per-probe roll-up of a compiled query touches no ASTs beyond the
 	// selectivity-bearing conjuncts.
-	isAgg   bool
 	numAggs int
 	// joinND[i] is the max(1, max(ndL, ndR)) distinct-count divisor of
 	// equi-join i (0 for nested-loop joins, which never read it).
 	joinND []float64
-	// residSubs[i] lists, in visit order, the subplans whose cost the
+	// residSubs[i] lists, in walk order, the subplans whose cost the
 	// residual filter charges for conjunct i.
 	residSubs [][]*Query
 
@@ -208,7 +210,7 @@ func buildWithParent(schema *catalog.Schema, stmt *sqlparser.SelectStmt, parent 
 	}
 	// Plan subqueries first, visiting them in syntactic order so every
 	// build of this statement rolls costs up in the same sequence.
-	for _, sub := range directSubqueries(stmt) {
+	for _, sub := range stmt.DirectSubqueries() {
 		sb, ok := b.Subqueries[sub]
 		if !ok {
 			continue
@@ -232,82 +234,10 @@ func buildWithParent(schema *catalog.Schema, stmt *sqlparser.SelectStmt, parent 
 	return q, nil
 }
 
-// directSubqueries collects the nested SELECTs appearing directly in the
-// statement's expressions, in the order Bind visits them (select items, join
-// ON conditions, WHERE, GROUP BY, HAVING, ORDER BY). It does not descend
-// into the collected subqueries — their own nesting is handled recursively.
-func directSubqueries(stmt *sqlparser.SelectStmt) []*sqlparser.SelectStmt {
-	var out []*sqlparser.SelectStmt
-	var visit func(e sqlparser.Expr)
-	visit = func(e sqlparser.Expr) {
-		if e == nil {
-			return
-		}
-		switch t := e.(type) {
-		case *sqlparser.BinaryExpr:
-			visit(t.L)
-			visit(t.R)
-		case *sqlparser.UnaryExpr:
-			visit(t.X)
-		case *sqlparser.FuncCall:
-			for _, a := range t.Args {
-				visit(a)
-			}
-		case *sqlparser.CaseExpr:
-			for _, w := range t.Whens {
-				visit(w.Cond)
-				visit(w.Result)
-			}
-			visit(t.Else)
-		case *sqlparser.InExpr:
-			visit(t.X)
-			for _, it := range t.List {
-				visit(it)
-			}
-			if t.Sub != nil {
-				out = append(out, t.Sub)
-			}
-		case *sqlparser.ExistsExpr:
-			if t.Sub != nil {
-				out = append(out, t.Sub)
-			}
-		case *sqlparser.BetweenExpr:
-			visit(t.X)
-			visit(t.Lo)
-			visit(t.Hi)
-		case *sqlparser.LikeExpr:
-			visit(t.X)
-			visit(t.Pattern)
-		case *sqlparser.IsNullExpr:
-			visit(t.X)
-		case *sqlparser.SubqueryExpr:
-			if t.Sub != nil {
-				out = append(out, t.Sub)
-			}
-		}
-	}
-	for _, it := range stmt.Items {
-		visit(it.Expr)
-	}
-	for _, j := range stmt.Joins {
-		visit(j.On)
-	}
-	visit(stmt.Where)
-	for _, g := range stmt.GroupBy {
-		visit(g)
-	}
-	visit(stmt.Having)
-	for _, o := range stmt.OrderBy {
-		visit(o.Expr)
-	}
-	return out
-}
-
 // precompute derives the value-independent skeleton facts the per-probe
-// roll-up needs: aggregate shape, equi-join distinct counts, and the
-// subplans each residual conjunct charges.
+// roll-up needs: aggregate shape and equi-join distinct counts.
 func (q *Query) precompute() {
-	q.isAgg = IsAggregateQuery(q.Stmt)
+	q.Aggregated = isAggregateQuery(q.Stmt)
 	q.numAggs = q.countAggs()
 	q.joinND = make([]float64, len(q.Stmt.Joins))
 	for i := range q.Stmt.Joins {
@@ -316,10 +246,6 @@ func (q *Query) precompute() {
 			ndR := q.keyDistinct(ek.Right)
 			q.joinND[i] = math.Max(1, math.Max(ndL, ndR))
 		}
-	}
-	q.residSubs = make([][]*Query, len(q.Residual))
-	for ci, c := range q.Residual {
-		q.residSubs[ci] = q.subplansIn(c)
 	}
 }
 
@@ -335,13 +261,16 @@ func conjuncts(e sqlparser.Expr) []sqlparser.Expr {
 }
 
 // placeConjuncts classifies WHERE conjuncts into per-scan filters and
-// residual predicates, and extracts equi-keys from ON conditions.
+// residual predicates (a conjunct with a subquery is always residual, and
+// records the subplans it charges), and extracts equi-keys from ON
+// conditions.
 func (q *Query) placeConjuncts() {
 	n := len(q.Binding.Scope.Tables)
 	q.ScanFilters = make([][]sqlparser.Expr, n)
 	for _, c := range conjuncts(q.Stmt.Where) {
 		tables := q.Binding.tablesOf(c)
-		if len(tables) == 1 && !containsSubquery(c) {
+		subs := q.subplansIn(c)
+		if len(tables) == 1 && len(subs) == 0 {
 			pushed := false
 			for ti := range tables {
 				// A WHERE predicate must not be pushed below the nullable
@@ -359,6 +288,7 @@ func (q *Query) placeConjuncts() {
 			}
 		}
 		q.Residual = append(q.Residual, c)
+		q.residSubs = append(q.residSubs, subs)
 	}
 	q.JoinEqui = make([]*EquiKeys, len(q.Stmt.Joins))
 	q.JoinExtra = make([][]sqlparser.Expr, len(q.Stmt.Joins))
@@ -374,49 +304,6 @@ func (q *Query) placeConjuncts() {
 			q.JoinExtra[i] = append(q.JoinExtra[i], c)
 		}
 	}
-}
-
-func containsSubquery(e sqlparser.Expr) bool {
-	switch t := e.(type) {
-	case *sqlparser.InExpr:
-		if t.Sub != nil {
-			return true
-		}
-		for _, it := range t.List {
-			if containsSubquery(it) {
-				return true
-			}
-		}
-		return containsSubquery(t.X)
-	case *sqlparser.ExistsExpr:
-		return true
-	case *sqlparser.SubqueryExpr:
-		return true
-	case *sqlparser.BinaryExpr:
-		return containsSubquery(t.L) || containsSubquery(t.R)
-	case *sqlparser.UnaryExpr:
-		return containsSubquery(t.X)
-	case *sqlparser.BetweenExpr:
-		return containsSubquery(t.X) || containsSubquery(t.Lo) || containsSubquery(t.Hi)
-	case *sqlparser.LikeExpr:
-		return containsSubquery(t.X)
-	case *sqlparser.IsNullExpr:
-		return containsSubquery(t.X)
-	case *sqlparser.CaseExpr:
-		for _, w := range t.Whens {
-			if containsSubquery(w.Cond) || containsSubquery(w.Result) {
-				return true
-			}
-		}
-		return containsSubquery(t.Else)
-	case *sqlparser.FuncCall:
-		for _, a := range t.Args {
-			if containsSubquery(a) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // extractEqui recognizes `a.x = b.y` where one side lives in the tables
@@ -451,7 +338,7 @@ func (q *Query) countAggs() int {
 		if e == nil {
 			return
 		}
-		if containsAggregate(e) {
+		if sqlparser.ContainsAggregate(e) {
 			n++
 		}
 	}
@@ -474,40 +361,16 @@ func (q *Query) keyDistinct(c *sqlparser.ColumnRef) float64 {
 	return math.Max(1, float64(col.Stats.NDistinct))
 }
 
-// subplansIn lists, in visit order, the subplans a residual conjunct
-// charges (the subqueries its evaluation would run). The visit order is the
+// subplansIn lists, in walk order, the subplans a residual conjunct charges
+// (the subqueries its evaluation would run). The walk order is the
 // summation order of their costs, so it must stay deterministic.
 func (q *Query) subplansIn(c sqlparser.Expr) []*Query {
 	var subs []*Query
-	var visit func(e sqlparser.Expr)
-	addSub := func(s *sqlparser.SelectStmt) {
-		if s == nil {
-			return
-		}
+	sqlparser.Walk(c, nil, func(s *sqlparser.SelectStmt) {
 		if sp, ok := q.Subplans[s]; ok {
 			subs = append(subs, sp)
 		}
-	}
-	visit = func(e sqlparser.Expr) {
-		if e == nil {
-			return
-		}
-		switch t := e.(type) {
-		case *sqlparser.InExpr:
-			addSub(t.Sub)
-			visit(t.X)
-		case *sqlparser.ExistsExpr:
-			addSub(t.Sub)
-		case *sqlparser.SubqueryExpr:
-			addSub(t.Sub)
-		case *sqlparser.BinaryExpr:
-			visit(t.L)
-			visit(t.R)
-		case *sqlparser.UnaryExpr:
-			visit(t.X)
-		}
-	}
-	visit(c)
+	})
 	return subs
 }
 

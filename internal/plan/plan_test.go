@@ -172,6 +172,26 @@ func TestSubqueryCostIncluded(t *testing.T) {
 	}
 }
 
+func TestWrappedSubqueryCharged(t *testing.T) {
+	// A residual conjunct charges every subquery at its level, however deep
+	// in the conjunct it sits.
+	bare := buildQuery(t, "SELECT n_name FROM nation WHERE (SELECT MIN(p_size) FROM part) < n_nationkey")
+	for _, where := range []string{
+		"COALESCE((SELECT MIN(p_size) FROM part), 0) < n_nationkey",
+		"n_nationkey BETWEEN (SELECT MIN(p_size) FROM part) AND 10",
+		"n_name LIKE (SELECT MIN(p_name) FROM part)",
+	} {
+		q := buildQuery(t, "SELECT n_name FROM nation WHERE "+where)
+		if len(q.Residual) != 1 || len(q.residSubs[0]) != 1 || q.residSubs[0][0] != q.subOrder[0] {
+			t.Errorf("%s: residual %d, charged subplans %v, want the one subquery charged", where, len(q.Residual), q.residSubs)
+			continue
+		}
+		if got, want := q.TotalCost(), bare.TotalCost(); got != want {
+			t.Errorf("%s: cost %v, want %v as for the bare subquery", where, got, want)
+		}
+	}
+}
+
 func TestLimitCapsRows(t *testing.T) {
 	q := buildQuery(t, "SELECT * FROM lineitem LIMIT 10")
 	if q.EstimatedRows() != 10 {

@@ -444,89 +444,3 @@ func (e *IsNullExpr) SQL() string {
 
 // SQL renders the scalar subquery.
 func (e *SubqueryExpr) SQL() string { return "(" + e.Sub.SQL() + ")" }
-
-// WalkExprs calls fn for every expression in the statement, including inside
-// subqueries. It is the traversal primitive behind feature analysis and
-// placeholder extraction.
-func (s *SelectStmt) WalkExprs(fn func(Expr)) {
-	var visit func(e Expr)
-	visitSel := func(sub *SelectStmt) {
-		if sub != nil {
-			sub.WalkExprs(fn)
-		}
-	}
-	visit = func(e Expr) {
-		if e == nil {
-			return
-		}
-		fn(e)
-		switch t := e.(type) {
-		case *BinaryExpr:
-			visit(t.L)
-			visit(t.R)
-		case *UnaryExpr:
-			visit(t.X)
-		case *FuncCall:
-			for _, a := range t.Args {
-				visit(a)
-			}
-		case *CaseExpr:
-			for _, w := range t.Whens {
-				visit(w.Cond)
-				visit(w.Result)
-			}
-			visit(t.Else)
-		case *InExpr:
-			visit(t.X)
-			for _, it := range t.List {
-				visit(it)
-			}
-			visitSel(t.Sub)
-		case *ExistsExpr:
-			visitSel(t.Sub)
-		case *BetweenExpr:
-			visit(t.X)
-			visit(t.Lo)
-			visit(t.Hi)
-		case *LikeExpr:
-			visit(t.X)
-			visit(t.Pattern)
-		case *IsNullExpr:
-			visit(t.X)
-		case *SubqueryExpr:
-			visitSel(t.Sub)
-		}
-	}
-	for _, it := range s.Items {
-		visit(it.Expr)
-	}
-	for _, j := range s.Joins {
-		visit(j.On)
-	}
-	visit(s.Where)
-	for _, g := range s.GroupBy {
-		visit(g)
-	}
-	visit(s.Having)
-	for _, o := range s.OrderBy {
-		visit(o.Expr)
-	}
-}
-
-// Subqueries returns every nested SELECT in the statement (recursively).
-func (s *SelectStmt) Subqueries() []*SelectStmt {
-	var subs []*SelectStmt
-	s.WalkExprs(func(e Expr) {
-		switch t := e.(type) {
-		case *InExpr:
-			if t.Sub != nil {
-				subs = append(subs, t.Sub)
-			}
-		case *ExistsExpr:
-			subs = append(subs, t.Sub)
-		case *SubqueryExpr:
-			subs = append(subs, t.Sub)
-		}
-	})
-	return subs
-}

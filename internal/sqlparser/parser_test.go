@@ -108,7 +108,7 @@ func TestParseInListAndSubquery(t *testing.T) {
 
 func TestParseExistsAndScalarSubquery(t *testing.T) {
 	stmt := mustParse(t, "SELECT a FROM t WHERE EXISTS (SELECT 1 FROM s) AND a > (SELECT MIN(x) FROM s)")
-	subs := stmt.Subqueries()
+	subs := stmt.DirectSubqueries()
 	if len(subs) != 2 {
 		t.Fatalf("found %d subqueries, want 2", len(subs))
 	}

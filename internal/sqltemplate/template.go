@@ -97,7 +97,7 @@ func (t *Template) Features() Features {
 		if s.Distinct {
 			f.HasDistinct = true
 		}
-		for _, sub := range directSubqueries(s) {
+		for _, sub := range s.DirectSubqueries() {
 			f.HasNestedQuery = true
 			scan(sub)
 		}
@@ -110,116 +110,22 @@ func (t *Template) Features() Features {
 	return f
 }
 
-// directSubqueries returns only the statement's immediate child subqueries.
-func directSubqueries(s *sqlparser.SelectStmt) []*sqlparser.SelectStmt {
-	var subs []*sqlparser.SelectStmt
-	var visit func(e sqlparser.Expr)
-	visit = func(e sqlparser.Expr) {
-		if e == nil {
-			return
-		}
-		switch t := e.(type) {
-		case *sqlparser.InExpr:
-			visit(t.X)
-			for _, it := range t.List {
-				visit(it)
-			}
-			if t.Sub != nil {
-				subs = append(subs, t.Sub)
-			}
-		case *sqlparser.ExistsExpr:
-			subs = append(subs, t.Sub)
-		case *sqlparser.SubqueryExpr:
-			subs = append(subs, t.Sub)
-		case *sqlparser.BinaryExpr:
-			visit(t.L)
-			visit(t.R)
-		case *sqlparser.UnaryExpr:
-			visit(t.X)
-		case *sqlparser.BetweenExpr:
-			visit(t.X)
-			visit(t.Lo)
-			visit(t.Hi)
-		case *sqlparser.LikeExpr:
-			visit(t.X)
-		case *sqlparser.IsNullExpr:
-			visit(t.X)
-		case *sqlparser.CaseExpr:
-			for _, w := range t.Whens {
-				visit(w.Cond)
-				visit(w.Result)
-			}
-			visit(t.Else)
-		case *sqlparser.FuncCall:
-			for _, a := range t.Args {
-				visit(a)
-			}
-		}
-	}
-	for _, it := range s.Items {
-		visit(it.Expr)
-	}
-	for _, j := range s.Joins {
-		visit(j.On)
-	}
-	visit(s.Where)
-	for _, g := range s.GroupBy {
-		visit(g)
-	}
-	visit(s.Having)
-	for _, o := range s.OrderBy {
-		visit(o.Expr)
-	}
-	return subs
-}
-
+// countAggs counts the aggregate calls in the outer query's select list
+// and HAVING. Only the outer query's aggregations count: a MIN inside a
+// nested filter subquery is plumbing, not a workload characteristic.
 func countAggs(s *sqlparser.SelectStmt) int {
 	n := 0
-	var visit func(e sqlparser.Expr)
-	visit = func(e sqlparser.Expr) {
-		if e == nil {
-			return
+	count := func(e sqlparser.Expr) bool {
+		if f, ok := e.(*sqlparser.FuncCall); ok && f.IsAggregate() {
+			n++
 		}
-		switch t := e.(type) {
-		case *sqlparser.FuncCall:
-			if t.IsAggregate() {
-				n++
-			}
-			for _, a := range t.Args {
-				visit(a)
-			}
-		case *sqlparser.BinaryExpr:
-			visit(t.L)
-			visit(t.R)
-		case *sqlparser.UnaryExpr:
-			visit(t.X)
-		case *sqlparser.BetweenExpr:
-			visit(t.X)
-			visit(t.Lo)
-			visit(t.Hi)
-		case *sqlparser.InExpr:
-			visit(t.X)
-			for _, it := range t.List {
-				visit(it)
-			}
-		case *sqlparser.LikeExpr:
-			visit(t.X)
-		case *sqlparser.IsNullExpr:
-			visit(t.X)
-		case *sqlparser.CaseExpr:
-			for _, w := range t.Whens {
-				visit(w.Cond)
-				visit(w.Result)
-			}
-			visit(t.Else)
+		return true
+	}
+	s.EachClause(func(clause string, e sqlparser.Expr) {
+		if clause == "SELECT" || clause == "HAVING" {
+			sqlparser.Walk(e, count, nil)
 		}
-	}
-	// Only the outer query's aggregations count: a MIN inside a nested
-	// filter subquery is plumbing, not a workload characteristic.
-	for _, it := range s.Items {
-		visit(it.Expr)
-	}
-	visit(s.Having)
+	})
 	return n
 }
 
@@ -278,7 +184,6 @@ type PlaceholderBinding struct {
 // recognizable column produce an error — such templates cannot be profiled.
 func (t *Template) BindPlaceholders(schema *catalog.Schema) ([]PlaceholderBinding, error) {
 	bindings := map[string]PlaceholderBinding{}
-	var order []string
 	var scan func(s *sqlparser.SelectStmt) error
 	scan = func(s *sqlparser.SelectStmt) error {
 		// Alias map for this level.
@@ -323,14 +228,9 @@ func (t *Template) BindPlaceholders(schema *catalog.Schema) ([]PlaceholderBindin
 			}
 			if _, dup := bindings[ph.Name]; !dup {
 				bindings[ph.Name] = PlaceholderBinding{Name: ph.Name, Table: tbl, Column: col}
-				order = append(order, ph.Name)
 			}
 		}
-		var visit func(e sqlparser.Expr)
-		visit = func(e sqlparser.Expr) {
-			if e == nil {
-				return
-			}
+		visit := func(e sqlparser.Expr) bool {
 			switch x := e.(type) {
 			case *sqlparser.BinaryExpr:
 				if x.Op.IsComparison() {
@@ -341,8 +241,6 @@ func (t *Template) BindPlaceholders(schema *catalog.Schema) ([]PlaceholderBindin
 						record(ph, x.R)
 					}
 				}
-				visit(x.L)
-				visit(x.R)
 			case *sqlparser.BetweenExpr:
 				if ph, ok := x.Lo.(*sqlparser.Placeholder); ok {
 					record(ph, x.X)
@@ -350,36 +248,21 @@ func (t *Template) BindPlaceholders(schema *catalog.Schema) ([]PlaceholderBindin
 				if ph, ok := x.Hi.(*sqlparser.Placeholder); ok {
 					record(ph, x.X)
 				}
-				visit(x.X)
 			case *sqlparser.InExpr:
 				for _, it := range x.List {
 					if ph, ok := it.(*sqlparser.Placeholder); ok {
 						record(ph, x.X)
 					}
 				}
-				visit(x.X)
-			case *sqlparser.UnaryExpr:
-				visit(x.X)
-			case *sqlparser.LikeExpr:
-				visit(x.X)
-			case *sqlparser.CaseExpr:
-				for _, w := range x.Whens {
-					visit(w.Cond)
-					visit(w.Result)
-				}
-				visit(x.Else)
-			case *sqlparser.FuncCall:
-				for _, a := range x.Args {
-					visit(a)
-				}
 			}
+			return true
 		}
-		for _, it := range s.Items {
-			visit(it.Expr)
-		}
-		visit(s.Where)
-		visit(s.Having)
-		for _, sub := range directSubqueries(s) {
+		s.EachClause(func(clause string, e sqlparser.Expr) {
+			if clause == "SELECT" || clause == "WHERE" || clause == "HAVING" {
+				sqlparser.Walk(e, visit, nil)
+			}
+		})
+		for _, sub := range s.DirectSubqueries() {
 			if err := scan(sub); err != nil {
 				return err
 			}
@@ -396,7 +279,6 @@ func (t *Template) BindPlaceholders(schema *catalog.Schema) ([]PlaceholderBindin
 			return nil, fmt.Errorf("sqltemplate: placeholder {%s} is not bound to a column", name)
 		}
 		out = append(out, b)
-		_ = order
 	}
 	return out, nil
 }

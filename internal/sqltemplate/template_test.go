@@ -56,6 +56,21 @@ func TestFeaturesSubqueryAggregatesNotCounted(t *testing.T) {
 	}
 }
 
+func TestFeaturesAggregatesInLikePattern(t *testing.T) {
+	tm := MustParse("SELECT COUNT(*) FROM nation GROUP BY n_regionkey HAVING MIN(n_name) LIKE MAX(n_name)")
+	if n := tm.Features().NumAggregations; n != 3 {
+		t.Fatalf("aggs = %d, want 3 (COUNT, and MIN LIKE MAX in HAVING)", n)
+	}
+}
+
+func TestFeaturesSubqueryInLikePatternIsNested(t *testing.T) {
+	tm := MustParse("SELECT n_name FROM nation WHERE n_name LIKE (SELECT MIN(p_name) FROM part)")
+	f := tm.Features()
+	if !f.HasNestedQuery || f.NumTables != 2 {
+		t.Fatalf("LIKE-pattern subquery: nested=%v tables=%d, want true and 2", f.HasNestedQuery, f.NumTables)
+	}
+}
+
 func TestFeaturesComplexScalar(t *testing.T) {
 	cases := []struct {
 		sql  string
