@@ -1,6 +1,9 @@
 package datagen
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"sqlbarber/internal/sqltypes"
@@ -148,6 +151,52 @@ func TestScaledMinimumOne(t *testing.T) {
 	for _, tbl := range db.Schema.Tables {
 		if tbl.RowCount < 1 {
 			t.Errorf("%s has %d rows at tiny sf; want >= 1", tbl.Name, tbl.RowCount)
+		}
+	}
+}
+
+// TestDatasetSaveHashPinned pins the bytes of storage.Database.Save, whose
+// schema JSON carries every column's ANALYZE statistics, for both datasets
+// over several seeds and scale factors. The constants were computed with the
+// map-counting ANALYZE that the sorted single pass replaced, so a change to
+// any statistic (a sign bit, an MCV tie, a histogram bound) fails here.
+func TestDatasetSaveHashPinned(t *testing.T) {
+	for _, tc := range []struct {
+		dataset string
+		seed    int64
+		sf      float64
+		want    string // first 8 bytes of the SHA-256 of Save's output
+	}{
+		{"tpch", 1, 0.01, "10f618779867f440"},
+		{"tpch", 1, 0.1, "e0c47201ea654dad"},
+		{"tpch", 1, 0.5, "feaac5890bb28713"},
+		{"tpch", 1000, 0.01, "6553c587ceadf909"},
+		{"tpch", 1000, 0.1, "cfd7adc587ebda31"},
+		{"tpch", 1000, 0.5, "55deea25ffd21a1d"},
+		{"tpch", 1001, 0.01, "faa45826d01bd5af"},
+		{"tpch", 1001, 0.1, "5b8a89657635a0f5"},
+		{"tpch", 1001, 0.5, "f4a29d0ddd8e059e"},
+		{"imdb", 1, 0.01, "d80d8eafea19ddcb"},
+		{"imdb", 1, 0.1, "45346a51ee71a71c"},
+		{"imdb", 1, 0.5, "d143fa59058eac5c"},
+		{"imdb", 1000, 0.01, "9a0c391174ab8f03"},
+		{"imdb", 1000, 0.1, "6709b11a2914d94a"},
+		{"imdb", 1000, 0.5, "12b3903838ad1536"},
+		{"imdb", 1001, 0.01, "f1ee67a8837a1957"},
+		{"imdb", 1001, 0.1, "7c0cf904f25271e6"},
+		{"imdb", 1001, 0.5, "9202ffa49806f482"},
+	} {
+		db := TPCH(tc.seed, tc.sf)
+		if tc.dataset == "imdb" {
+			db = IMDB(tc.seed, tc.sf)
+		}
+		var buf bytes.Buffer
+		if err := db.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:8]); got != tc.want {
+			t.Errorf("%s seed %d sf %v: Save hash %s, want %s", tc.dataset, tc.seed, tc.sf, got, tc.want)
 		}
 	}
 }

@@ -35,7 +35,10 @@ var edgeValues = []sqltypes.Value{
 // edgeDB holds probe(id, g, x) with one row per edge value and
 // members(grp, m) with four member groups: grp 1 mixes NULL with int, float,
 // -0.0 and a hash-colliding large int, grp 2 holds a NaN, grp 3 is large-int and non-numeric
-// members, grp 4 is every edge value. Group 5 has no members.
+// members, grp 4 is every edge value. Group 5 has no members. The DOUBLE
+// columns x and m hold values of every kind on purpose, so the database is
+// not analyzed (ANALYZE rejects off-kind values); execution reads no
+// statistics.
 func edgeDB(t testing.TB) *storage.Database {
 	t.Helper()
 	schema := &catalog.Schema{
@@ -68,7 +71,6 @@ func edgeDB(t testing.TB) *storage.Database {
 	add(2, sqltypes.NewInt(7), sqltypes.NewFloat(math.NaN()))
 	add(3, sqltypes.NewFloat(1<<53), sqltypes.NewString("x"), sqltypes.NewBool(true))
 	add(4, edgeValues...)
-	db.Analyze()
 	return db
 }
 
@@ -170,7 +172,8 @@ func TestHashJoinMatchesNestedLoopOnSignedZero(t *testing.T) {
 		db.Table("l").Append(storage.Row{sqltypes.NewInt(int64(i)), k})
 		db.Table("r").Append(storage.Row{sqltypes.NewInt(int64(i)), k})
 	}
-	db.Analyze()
+	// Not analyzed: the DOUBLE key columns hold int zeros on purpose, which
+	// ANALYZE rejects, and execution reads no statistics.
 	hash := runSQL(t, db, "SELECT l.id, r.id FROM l JOIN r ON l.k = r.k ORDER BY l.id, r.id")
 	loop := runSQL(t, db, "SELECT l.id, r.id FROM l JOIN r ON l.k >= r.k AND l.k <= r.k ORDER BY l.id, r.id")
 	if got, want := canonical(hash.Rows), canonical(loop.Rows); fmt.Sprint(got) != fmt.Sprint(want) {

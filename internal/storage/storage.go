@@ -4,8 +4,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sqlbarber/internal/catalog"
 	"sqlbarber/internal/sqltypes"
@@ -65,21 +66,31 @@ const histogramBuckets = 32
 
 // Analyze recomputes row counts, sizes, and per-column statistics for every
 // table, mirroring PostgreSQL's ANALYZE. It must be called after bulk loads
-// so the planner sees fresh statistics.
+// so the planner sees fresh statistics. Every non-null value must have its
+// column's kind (catalog.ColumnType.Kind); Analyze panics otherwise, naming
+// the table and column.
 func (db *Database) Analyze() {
+	var sc sortScratch
 	for _, t := range db.tables {
-		analyzeTable(t)
+		analyzeTable(t, &sc)
 	}
 }
 
-func analyzeTable(t *Table) {
+// sortScratch holds the typed sort buffers that ANALYZE reuses across
+// columns and tables.
+type sortScratch struct {
+	ints   []int64
+	floats []float64
+	strs   []string
+}
+
+func analyzeTable(t *Table, sc *sortScratch) {
 	meta := t.Meta
 	meta.RowCount = len(t.Rows)
 	var width int64
 	for i := range meta.Columns {
 		col := &meta.Columns[i]
-		st := analyzeColumn(t.Rows, i, col.Type)
-		col.Stats = st
+		col.Stats = columnStats(t, i, sc)
 		switch col.Type {
 		case catalog.TypeString:
 			width += 24
@@ -90,72 +101,132 @@ func analyzeTable(t *Table) {
 	meta.SizeBytes = width * int64(len(t.Rows))
 }
 
-func analyzeColumn(rows []Row, idx int, typ catalog.ColumnType) catalog.ColumnStats {
-	var st catalog.ColumnStats
-	if len(rows) == 0 {
+// columnStats computes one column's statistics from a single sort of its
+// non-null payloads.
+func columnStats(t *Table, idx int, sc *sortScratch) catalog.ColumnStats {
+	if len(t.Rows) == 0 {
+		return catalog.ColumnStats{}
+	}
+	var nulls int
+	switch t.Meta.Columns[idx].Type.Kind() {
+	case sqltypes.KindInt:
+		sc.ints, nulls = payloads(sc.ints, t, idx, sqltypes.Value.Int)
+		return sortedStats(sc.ints, nulls, len(t.Rows), sqltypes.NewInt, func(v int64) float64 { return float64(v) })
+	case sqltypes.KindFloat:
+		sc.floats, nulls = payloads(sc.floats, t, idx, sqltypes.Value.Float)
+		st := sortedStats(sc.floats, nulls, len(t.Rows), sqltypes.NewFloat, func(v float64) float64 { return v })
+		zeroSigns(&st, t.Rows, idx)
 		return st
+	default:
+		sc.strs, nulls = payloads(sc.strs, t, idx, sqltypes.Value.Str)
+		return sortedStats(sc.strs, nulls, len(t.Rows), sqltypes.NewString, nil)
 	}
-	counts := map[sqltypes.Value]int{}
-	nulls := 0
-	var numeric []float64
-	for _, r := range rows {
+}
+
+// payloads refills buf with the payloads of column idx's non-null values in
+// row order and counts the nulls. A value of another kind than the column's
+// is a programming error, like an arity mismatch in Append.
+func payloads[T any](buf []T, t *Table, idx int, get func(sqltypes.Value) T) ([]T, int) {
+	col := &t.Meta.Columns[idx]
+	kind := col.Type.Kind()
+	buf, nulls := slices.Grow(buf[:0], len(t.Rows)), 0
+	for _, r := range t.Rows {
 		v := r[idx]
-		if v.IsNull() {
-			nulls++
-			continue
+		if v.Kind() != kind {
+			if v.IsNull() {
+				nulls++
+				continue
+			}
+			panic(fmt.Sprintf("storage: column %s.%s (%s) holds a value of kind %s", t.Meta.Name, col.Name, col.Type, v.Kind()))
 		}
-		counts[v]++
-		if st.NDistinct == 0 || v.Compare(st.Min) < 0 {
-			st.Min = v
-		}
-		if st.NDistinct == 0 || v.Compare(st.Max) > 0 {
-			st.Max = v
-		}
-		st.NDistinct = len(counts)
-		if typ != catalog.TypeString {
-			numeric = append(numeric, v.Float())
-		}
+		buf = append(buf, get(v))
 	}
-	st.NullFrac = float64(nulls) / float64(len(rows))
-	st.MostCommon = topValues(counts, len(rows))
-	if len(numeric) >= histogramBuckets {
-		sort.Float64s(numeric)
+	return buf, nulls
+}
+
+// sortedStats sorts vals in place and reads every statistic off the sorted
+// runs: one run per distinct value, NaNs first and each its own run. Min and
+// Max skip NaNs unless every value is one. The MCV list keeps the maxMCV
+// largest runs, count descending and smaller value first on ties. hist
+// widens a value for the histogram; nil means the column has none.
+func sortedStats[T cmp.Ordered](vals []T, nulls, total int, value func(T) sqltypes.Value, hist func(T) float64) catalog.ColumnStats {
+	slices.Sort(vals)
+	st := catalog.ColumnStats{NullFrac: float64(nulls) / float64(total)}
+	type run struct {
+		v T
+		n int
+	}
+	var top [maxMCV]run
+	ntop := 0
+	lo := 0 // first non-NaN (x != x only for NaN)
+	for lo < len(vals) && vals[lo] != vals[lo] {
+		lo++
+	}
+	for i := 0; i < len(vals); {
+		j := i + 1
+		for j < len(vals) && vals[j] == vals[i] {
+			j++
+		}
+		st.NDistinct++
+		r := run{vals[i], j - i}
+		at := ntop
+		for at > 0 && top[at-1].n < r.n {
+			at--
+		}
+		if at < maxMCV {
+			ntop = min(ntop+1, maxMCV)
+			copy(top[at+1:ntop], top[at:ntop-1])
+			top[at] = r
+		}
+		i = j
+	}
+	if len(vals) > 0 {
+		st.Min, st.Max = value(vals[min(lo, len(vals)-1)]), value(vals[len(vals)-1])
+	}
+	// Non-nil even when empty, so the schema JSON says [] as it always has.
+	st.MostCommon = make([]catalog.ValueFreq, 0, ntop)
+	for _, r := range top[:ntop] {
+		// Only record values that are genuinely common; a flat column
+		// gains nothing from MCVs.
+		if float64(r.n)/float64(total) < 0.01 {
+			break
+		}
+		st.MostCommon = append(st.MostCommon, catalog.ValueFreq{Value: value(r.v), Freq: float64(r.n) / float64(total)})
+	}
+	if hist != nil && len(vals) >= histogramBuckets {
 		st.Histogram = make([]float64, histogramBuckets+1)
 		for b := 0; b <= histogramBuckets; b++ {
-			pos := b * (len(numeric) - 1) / histogramBuckets
-			st.Histogram[b] = numeric[pos]
+			st.Histogram[b] = hist(vals[b*(len(vals)-1)/histogramBuckets])
 		}
 	}
 	return st
 }
 
-func topValues(counts map[sqltypes.Value]int, total int) []catalog.ValueFreq {
-	type vc struct {
-		v sqltypes.Value
-		c int
+// zeroSigns gives a zero Min, Max or MCV value its sign from the rows:
+// the sort may place -0.0 and +0.0 in any order, but Min and Max keep the
+// first zero in row order and an MCV value the last one.
+func zeroSigns(st *catalog.ColumnStats, rows []Row, idx int) {
+	isZero := func(v sqltypes.Value) bool { return v.Kind() == sqltypes.KindFloat && v.Float() == 0 }
+	mcv := slices.IndexFunc(st.MostCommon, func(e catalog.ValueFreq) bool { return isZero(e.Value) })
+	if !isZero(st.Min) && !isZero(st.Max) && mcv < 0 {
+		return
 	}
-	all := make([]vc, 0, len(counts))
-	for v, c := range counts {
-		all = append(all, vc{v, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].c != all[j].c {
-			return all[i].c > all[j].c
+	var first, last sqltypes.Value
+	for _, r := range rows {
+		if v := r[idx]; isZero(v) {
+			if first.IsNull() {
+				first = v
+			}
+			last = v
 		}
-		return all[i].v.Compare(all[j].v) < 0
-	})
-	n := maxMCV
-	if n > len(all) {
-		n = len(all)
 	}
-	out := make([]catalog.ValueFreq, 0, n)
-	for _, e := range all[:n] {
-		// Only record values that are genuinely common; a flat column
-		// gains nothing from MCVs.
-		if float64(e.c)/float64(total) < 0.01 {
-			break
-		}
-		out = append(out, catalog.ValueFreq{Value: e.v, Freq: float64(e.c) / float64(total)})
+	if isZero(st.Min) {
+		st.Min = first
 	}
-	return out
+	if isZero(st.Max) {
+		st.Max = first
+	}
+	if mcv >= 0 {
+		st.MostCommon[mcv].Value = last
+	}
 }

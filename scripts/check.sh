@@ -21,7 +21,7 @@
 #                              out scheduling-dependent results the default
 #                              pass can miss
 #   6. go test -fuzz (fuzz smokes)
-#                            — 10-second native-fuzzing smokes over seven
+#                            — 10-second native-fuzzing smokes over eight
 #                              targets. FuzzParse checks the render ∘ parse
 #                              round-trip fixpoint on arbitrary input, and
 #                              FuzzPlaceholderRewrite checks that placeholder
@@ -43,8 +43,11 @@
 #                              has a target placing exactly its query count
 #                              over finite intervals (server). FuzzLoad checks
 #                              that a snapshot load never panics and that a
-#                              loaded snapshot re-saves to a fixpoint
-#                              (storage)
+#                              loaded snapshot re-saves to a fixpoint, and
+#                              FuzzAnalyzeDifferential checks that ANALYZE's
+#                              sorted single pass gives exactly the statistics
+#                              of the map-counting reference on arbitrary int,
+#                              float and string columns (storage)
 #   7. scripts/covergate.sh  — per-package statement-coverage floors over
 #                              internal/, from scripts/coverage_baseline.txt.
 #                              Floors sit ~5 points below measured coverage,
@@ -158,6 +161,7 @@ go test -run '^$' -fuzz '^FuzzSourceMatchesMathRand$' -fuzztime 10s ./internal/p
 go test -run '^$' -fuzz '^FuzzParseResiliencePolicy$' -fuzztime 10s ./internal/pipeline
 go test -run '^$' -fuzz '^FuzzJobRequest$' -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/storage
+go test -run '^$' -fuzz '^FuzzAnalyzeDifferential$' -fuzztime 10s ./internal/storage
 
 echo "== scripts/covergate.sh (per-package coverage floors) =="
 ./scripts/covergate.sh
