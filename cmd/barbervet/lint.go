@@ -677,7 +677,7 @@ func checkFloatEquality(f *ast.File, d *floatDecls, report func(token.Pos, strin
 // else — internal/plan included, since nothing writes a compiled statement
 // after Compile — a `.Value =` write on an AST literal mutates a skeleton
 // that concurrent lock-free probes are reading; values must travel through a
-// value environment (CompiledQuery.BindParams) instead.
+// bound parameter vector (CompiledQuery.BindVals, read by slot index) instead.
 var slotOwnerPkgs = map[string]bool{"sqlparser": true}
 
 // isSlotOwnerDir reports whether the directory lies inside internal/sqlparser
@@ -726,7 +726,7 @@ func checkLiteralSlotWrite(f *ast.File, report func(token.Pos, string, string)) 
 			}
 			report(sel.Pos(), "R008",
 				"write to a compiled statement's literal slot outside internal/sqlparser; "+
-					"probe values must travel through the value environment (CompiledQuery.BindParams), never AST mutation")
+					"probe values must travel through the bound parameter vector (CompiledQuery.BindVals), never AST mutation")
 		}
 		return true
 	})

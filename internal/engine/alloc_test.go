@@ -39,10 +39,11 @@ func TestSessionCostAllocationCeiling(t *testing.T) {
 		}
 	})
 	t.Logf("RowsProcessed %v, %.0f allocs per probe", rows, allocs)
-	// Measured 37 on linux/amd64 with go1.24: bindings, executor and frame
-	// state, result rows, and one state and key per group. A per-tuple
-	// allocation would add at least RowsProcessed (176) more.
-	const ceiling = 44
+	// Measured 23 on linux/amd64 with go1.24 (37 before executor programs):
+	// bindings, executor and frame state, the subquery cache, result rows,
+	// and the group states and keys. A per-tuple allocation would add at
+	// least RowsProcessed (176) more.
+	const ceiling = 28
 	if allocs > ceiling {
 		t.Fatalf("measured probe allocates %.0f times, ceiling %d", allocs, ceiling)
 	}

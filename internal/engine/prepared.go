@@ -18,16 +18,21 @@ import (
 // bound, and plan-compiled exactly once (plan.Compile). Every probe kind runs
 // lock-free against the immutable compiled skeleton: optimizer-estimated
 // probes (Cardinality, PlanCost) evaluate through the parametric-plan
-// estimator, and measured probes (ExecTimeMS, RowsProcessed) execute the
-// skeleton under an immutable value environment (plan.BindParams) with an
-// execution session's scratch arena. Nothing is written into the AST after
-// Compile, so any number of goroutines may mix probe kinds on one Prepared
-// concurrently — this is the hot path of §5.1 profiling sweeps and §5.3 BO
-// search.
+// estimator, and measured probes (ExecTimeMS, RowsProcessed) run the
+// template's executor program (exec.Compile, built once on the first
+// measured probe) at the probe's bound parameter vector with an execution
+// session's scratch arena. Nothing is written into the AST after Compile, so
+// any number of goroutines may mix probe kinds on one Prepared concurrently —
+// this is the hot path of §5.1 profiling sweeps and §5.3 BO search.
 type Prepared struct {
 	db   *DB
 	text string
 	cq   *plan.CompiledQuery
+
+	// prog is the executor program, built by progOnce on the first measured
+	// probe: a template probed only by estimate kinds never builds one.
+	progOnce sync.Once
+	prog     *exec.Program
 }
 
 // Prepare parses and plan-compiles the template SQL once. The compiled
@@ -57,7 +62,7 @@ func (p *Prepared) Placeholders() []string { return p.cq.Placeholders() }
 // requested metric. Values are validated and normalized before anything
 // else — a probe with missing placeholders has no effect. No kind locks or
 // touches the AST: estimate kinds go through the compiled evaluator, measured
-// kinds borrow a pooled session and execute under a value environment. Cost
+// kinds borrow a pooled session and run the executor program. Cost
 // increments the same DBMS-evaluation counters as DB.Cost, so a prepared run
 // reports identical evaluation counts to a re-parse run.
 func (p *Prepared) Cost(ctx context.Context, vals map[string]sqltypes.Value, kind CostKind) (float64, error) {
@@ -176,9 +181,9 @@ func (p *Prepared) CostBatchParallel(ctx context.Context, vals []map[string]sqlt
 }
 
 // probe serves one validated probe. Estimate kinds go through the compiled
-// evaluator and never touch a session. Measured kinds bind the parameter
-// vector as an immutable value environment over the compiled skeleton and
-// execute it with s's arena, borrowing a pooled session when s is nil.
+// evaluator and never touch a session. Measured kinds run the executor
+// program (built on the first measured probe) at the parameter vector with
+// s's arena, borrowing a pooled session when s is nil.
 // Counter movement mirrors DB.Cost exactly — one explain per estimate, one
 // execute per measured attempt — plus one prepared probe per success and one
 // session probe per measured success.
@@ -200,10 +205,10 @@ func (p *Prepared) probe(s *session, params []sqltypes.Value, kind CostKind) (fl
 		s = db.getSession()
 		defer db.putSession(s)
 	}
-	bp := p.cq.BindParams(params)
+	p.progOnce.Do(func() { p.prog = exec.Compile(p.cq.Query(), p.cq.Slot) })
 	db.execCount.Add(1)
 	start := time.Now()
-	res, err := exec.RunBoundArena(db.store, bp, &s.arena)
+	res, err := p.prog.Run(db.store, params, &s.arena)
 	if err != nil {
 		return 0, err
 	}
@@ -219,9 +224,9 @@ func (p *Prepared) probe(s *session, params []sqltypes.Value, kind CostKind) (fl
 // session is a per-goroutine execution context for measured-kind probes. It
 // owns the executor scratch arena — tuple lists, join and IN-set hash
 // indexes — that a probe needs, so any number of sessions may execute probes
-// against one Prepared concurrently: the probe's values travel in an
-// immutable bound view, the compiled AST is never written, and nothing is
-// locked. A session is single-goroutine state.
+// against one Prepared concurrently: the probe's values travel in its own
+// parameter vector, the program and the compiled AST are never written, and
+// nothing is locked. A session is single-goroutine state.
 type session struct {
 	arena exec.Arena
 }

@@ -220,3 +220,58 @@ func TestCostBatchParallelValidatesFirst(t *testing.T) {
 		t.Fatal("a sweep that fails validation must move no counters")
 	}
 }
+
+// TestConcurrentFirstProbesShareOneProgram races the first measured probes
+// of fresh Prepareds: an 8-worker CostBatchParallel sweep is each template's
+// first use, so its workers reach the lazy program build together (run it
+// under -race). Every cost must equal a CostBatch sweep through another
+// fresh Prepared, and a template probed only by estimate kinds must never
+// build a program.
+func TestConcurrentFirstProbesShareOneProgram(t *testing.T) {
+	db := OpenTPCH(42, 0.01)
+	ctx := context.Background()
+	const n = 16
+	sweep := make([]map[string]sqltypes.Value, n)
+	for i := range sweep {
+		sweep[i] = sessionVals(i)
+	}
+	for ti, text := range sessionTemplates {
+		serial, err := db.Prepare(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := serial.CostBatch(ctx, sweep, RowsProcessed)
+		if err != nil {
+			t.Fatalf("template %d: CostBatch: %v", ti, err)
+		}
+		fresh, err := db.Prepare(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fresh.CostBatchParallel(ctx, sweep, RowsProcessed, 8)
+		if err != nil {
+			t.Fatalf("template %d: CostBatchParallel: %v", ti, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("template %d probe %d: parallel first probes give %v, CostBatch %v", ti, i, got[i], want[i])
+			}
+		}
+		if fresh.prog == nil || serial.prog == nil {
+			t.Fatalf("template %d: measured probes left no program", ti)
+		}
+		est, err := db.Prepare(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := est.CostBatchParallel(ctx, sweep, PlanCost, 8); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := est.Cost(ctx, sweep[0], Cardinality); err != nil {
+			t.Fatal(err)
+		}
+		if est.prog != nil {
+			t.Fatalf("template %d: estimate probes built an executor program", ti)
+		}
+	}
+}

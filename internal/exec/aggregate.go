@@ -1,212 +1,213 @@
 package exec
 
-import (
-	"sqlbarber/internal/plan"
-	"sqlbarber/internal/sqlparser"
-	"sqlbarber/internal/sqltypes"
+import "sqlbarber/internal/sqltypes"
+
+// Aggregate function codes.
+const (
+	aggCount = iota
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
 )
 
-// aggState accumulates one aggregate function over one group.
+var aggFuncs = map[string]int{
+	"COUNT": aggCount, "SUM": aggSum, "AVG": aggAvg, "MIN": aggMin, "MAX": aggMax,
+}
+
+// aggCall is one compiled aggregate call: its function code and argument.
+type aggCall struct {
+	fn       int
+	star     bool // COUNT(*)
+	distinct bool
+	arg      expr // nil for COUNT(*)
+}
+
+// aggState accumulates one aggregate call over one group. The zero value is
+// the empty state.
 type aggState struct {
-	call     *sqlparser.FuncCall
 	count    int64
 	sum      float64
-	sumIsInt bool
 	sumInt   int64
-	min, max sqltypes.Value
-	distinct map[string]bool
-	seenAny  bool
+	sumFloat bool // a float was summed: SUM is a float
+	seen     bool
+	best     sqltypes.Value // MIN or MAX so far
+	distinct *valueIndex    // COUNT(DISTINCT) and friends: values seen
 }
 
-// newAggStates returns one group's fresh state for each aggregate call.
-func newAggStates(calls []*sqlparser.FuncCall) []aggState {
-	sts := make([]aggState, len(calls))
-	for i, c := range calls {
-		sts[i] = aggState{call: c, sumIsInt: true}
-		if c.Distinct {
-			sts[i].distinct = map[string]bool{}
-		}
-	}
-	return sts
-}
-
-func (st *aggState) add(v sqltypes.Value) {
-	if st.call.Star {
-		st.count++
-		return
-	}
+// add accumulates one non-star argument value.
+func (st *aggState) add(ac *aggCall, v *sqltypes.Value) {
 	if v.IsNull() {
 		return
 	}
-	if st.distinct != nil {
-		k := v.String()
-		if st.distinct[k] {
+	if ac.distinct {
+		if st.distinct == nil {
+			st.distinct = &valueIndex{}
+		}
+		if _, added := st.distinct.find(v, 0); !added {
 			return
 		}
-		st.distinct[k] = true
 	}
 	st.count++
 	// Accumulate only what result reads for this function.
-	switch st.call.Name {
-	case "SUM", "AVG":
+	switch ac.fn {
+	case aggSum, aggAvg:
 		if v.IsNumeric() {
 			st.sum += v.Float()
 			if v.Kind() == sqltypes.KindInt {
 				st.sumInt += v.Int()
 			} else {
-				st.sumIsInt = false
+				st.sumFloat = true
 			}
 		}
-	case "MIN":
-		if !st.seenAny || v.Compare(st.min) < 0 {
-			st.min = v
+	case aggMin:
+		if !st.seen || v.Compare(st.best) < 0 {
+			st.best = *v
 		}
-		st.seenAny = true
-	case "MAX":
-		if !st.seenAny || v.Compare(st.max) > 0 {
-			st.max = v
+		st.seen = true
+	case aggMax:
+		if !st.seen || v.Compare(st.best) > 0 {
+			st.best = *v
 		}
-		st.seenAny = true
+		st.seen = true
 	}
 }
 
-func (st *aggState) result() sqltypes.Value {
-	switch st.call.Name {
-	case "COUNT":
+func (st *aggState) result(ac *aggCall) sqltypes.Value {
+	switch ac.fn {
+	case aggCount:
 		return sqltypes.NewInt(st.count)
-	case "SUM":
+	case aggSum:
 		if st.count == 0 {
 			return sqltypes.Null
 		}
-		if st.sumIsInt {
-			return sqltypes.NewInt(st.sumInt)
+		if st.sumFloat {
+			return sqltypes.NewFloat(st.sum)
 		}
-		return sqltypes.NewFloat(st.sum)
-	case "AVG":
+		return sqltypes.NewInt(st.sumInt)
+	case aggAvg:
 		if st.count == 0 {
 			return sqltypes.Null
 		}
 		return sqltypes.NewFloat(st.sum / float64(st.count))
-	case "MIN":
-		if !st.seenAny {
-			return sqltypes.Null
-		}
-		return st.min
-	case "MAX":
-		if !st.seenAny {
-			return sqltypes.Null
-		}
-		return st.max
 	}
-	return sqltypes.Null
+	if !st.seen {
+		return sqltypes.Null
+	}
+	return st.best
 }
 
-// group holds one group's state during aggregation.
-type group struct {
-	repr   int // representative tuple for group-key evaluation; -1 for none
-	states []aggState
-}
-
-// aggregate executes grouping and aggregation for aggregate queries,
-// applying HAVING and ORDER BY over the aggregated output. Group keys are
-// built in one reused buffer (see appendKey); groups keep their order of
-// first appearance.
-func (ex *executor) aggregate(q *plan.Query, f *frame, tuples []int32) (*Result, error) {
-	// The outermost aggregate calls of the select list, HAVING and ORDER BY
-	// at this level.
-	var calls []*sqlparser.FuncCall
-	collect := func(x sqlparser.Expr) bool {
-		f, ok := x.(*sqlparser.FuncCall)
-		if ok && f.IsAggregate() {
-			calls = append(calls, f)
-			return false
-		}
-		return true
+// aggregate executes grouping and aggregation, applying HAVING and ORDER BY
+// over the aggregated output. Groups keep their order of first appearance
+// and are numbered densely: group g's aggregate states are
+// states[g*len(p.aggs):], and its representative tuple (for evaluating
+// group-key expressions) is reprs[g]. A single GROUP BY key finds its group
+// through a typed valueIndex, several through one reused byte key (see
+// appendKey).
+func (ex *executor) aggregate(p *prog, f *frame, tuples []int32) (*Result, error) {
+	na := len(p.aggs)
+	var (
+		states []aggState
+		reprs  []int32
+		single valueIndex
+		multi  map[string]int32
+		key    []byte
+	)
+	if len(p.groupBy) > 1 {
+		multi = map[string]int32{}
 	}
-	q.Stmt.EachClause(func(clause string, x sqlparser.Expr) {
-		if clause == "SELECT" || clause == "HAVING" || clause == "ORDER BY" {
-			sqlparser.Walk(x, collect, nil)
-		}
-	})
-	index := map[string]int{}
-	var groups []group
-	var key []byte
 	e := &f.e
 	for i := 0; i < len(tuples)/f.n; i++ {
 		f.bind(tupleAt(tuples, i, f.n))
-		key = key[:0]
-		for _, g := range q.Stmt.GroupBy {
-			v, err := ex.eval(g, e)
+		next := int32(len(reprs))
+		g, added := int32(0), next == 0
+		switch len(p.groupBy) {
+		case 0:
+		case 1:
+			v, err := p.groupBy[0](ex, e)
 			if err != nil {
 				return nil, err
 			}
-			key = appendKey(key, v)
+			g, added = single.find(&v, next)
+		default:
+			key = key[:0]
+			for _, ge := range p.groupBy {
+				v, err := ge(ex, e)
+				if err != nil {
+					return nil, err
+				}
+				key = appendKey(key, &v)
+			}
+			var ok bool
+			if g, ok = multi[string(key)]; !ok {
+				g, added = next, true
+				multi[string(key)] = g
+			}
 		}
-		gi, ok := index[string(key)]
-		if !ok {
-			gi = len(groups)
-			groups = append(groups, group{repr: i, states: newAggStates(calls)})
-			index[string(key)] = gi
+		if added {
+			reprs = append(reprs, int32(i))
+			states = append(states, make([]aggState, na)...)
 		}
-		states := groups[gi].states
-		for ci, c := range calls {
-			if c.Star {
-				states[ci].add(sqltypes.Null)
+		st := states[int(g)*na : (int(g)+1)*na]
+		for ci := range p.aggs {
+			ac := &p.aggs[ci]
+			if ac.star {
+				st[ci].count++
 				continue
 			}
-			v, err := ex.eval(c.Args[0], e)
+			v, err := ac.arg(ex, e)
 			if err != nil {
 				return nil, err
 			}
-			states[ci].add(v)
+			st[ci].add(ac, &v)
 		}
 	}
 	// A global aggregate over zero rows still produces one group.
-	if len(q.Stmt.GroupBy) == 0 && len(groups) == 0 {
-		groups = append(groups, group{repr: -1, states: newAggStates(calls)})
+	if len(p.groupBy) == 0 && len(reprs) == 0 {
+		reprs = append(reprs, -1)
+		states = make([]aggState, na)
 	}
-	cols, _ := ex.outputColumns(q)
-	res := &Result{Columns: cols}
-	width := len(q.Stmt.Items)
-	vals := make([]sqltypes.Value, len(groups)*width)
+	res := &Result{Columns: p.columns}
+	width := len(p.items)
+	vals := make([]sqltypes.Value, len(reprs)*width)
 	var keys []sqltypes.Value
-	e.aggs = make(map[*sqlparser.FuncCall]sqltypes.Value, len(calls))
-	for _, grp := range groups {
-		for i, c := range calls {
-			e.aggs[c] = grp.states[i].result()
+	e.aggs = make([]sqltypes.Value, na)
+	for g, repr := range reprs {
+		for ci := range p.aggs {
+			e.aggs[ci] = states[g*na+ci].result(&p.aggs[ci])
 		}
-		if grp.repr >= 0 {
-			f.bind(tupleAt(tuples, grp.repr, f.n))
+		if repr >= 0 {
+			f.bind(tupleAt(tuples, int(repr), f.n))
 		} else {
 			clear(e.rows)
 		}
-		if q.Stmt.Having != nil {
-			hv, err := ex.eval(q.Stmt.Having, e)
+		if p.having != nil {
+			t, err := p.having(ex, e)
 			if err != nil {
 				return nil, err
 			}
-			if !hv.Bool() {
+			if t != triTrue {
 				continue
 			}
 		}
+		if p.starAgg {
+			return nil, rtErrf("SELECT * cannot be combined with aggregation")
+		}
 		k := len(res.Rows)
-		row := vals[k*width : k*width : (k+1)*width]
-		for _, it := range q.Stmt.Items {
-			if it.Star {
-				return nil, rtErrf("SELECT * cannot be combined with aggregation")
-			}
-			v, err := ex.eval(it.Expr, e)
+		row := vals[k*width : (k+1)*width : (k+1)*width]
+		for i, it := range p.items {
+			v, err := it(ex, e)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, v)
+			row[i] = v
 		}
 		res.Rows = append(res.Rows, row)
 		var err error
-		if keys, err = ex.appendOrderKeys(keys, q, e); err != nil {
+		if keys, err = ex.appendOrderKeys(keys, p, e); err != nil {
 			return nil, err
 		}
 	}
-	orderRows(res.Rows, keys, q.Stmt.OrderBy)
+	orderRows(res.Rows, keys, p.orderBy)
 	return res, nil
 }

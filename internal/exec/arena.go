@@ -1,6 +1,9 @@
 package exec
 
-import "sqlbarber/internal/storage"
+import (
+	"sqlbarber/internal/sqltypes"
+	"sqlbarber/internal/storage"
+)
 
 // Arena is executor scratch that outlives one probe: the row-index lists a
 // query pipeline passes between its steps (scan outputs and tuple lists) and
@@ -84,13 +87,29 @@ func (a *Arena) putList(b []int32) {
 	a.retained += c
 }
 
-// hashIndex is a chained hash index over one column of a row list: head maps
-// a value hash to the first position (+1) of its chain, and next[p] links
-// position p to the next position (+1, 0 ends the chain) with the same hash,
-// in list order. Rows whose key is NULL are not indexed.
+// hashIndex is a chained hash index over one column of a row list. A chain
+// head is the first position (+1) of the rows with one key, and next[p]
+// links position p to the next position (+1, 0 ends the chain) with the
+// same key, in list order. Numbers key nums by indexKey, strings key strs by
+// the string itself, and booleans have their own two heads. Rows whose key
+// is NULL are not indexed.
 type hashIndex struct {
-	head map[uint64]int32
-	next []int32
+	nums  map[uint64]int32
+	strs  map[string]int32
+	bools [2]int32
+	next  []int32
+}
+
+// first returns the first position (+1) of the chain of non-NULL v, 0 when
+// it has none.
+func (hi *hashIndex) first(v *sqltypes.Value) int32 {
+	switch v.Kind() {
+	case sqltypes.KindString:
+		return hi.strs[v.Str()]
+	case sqltypes.KindBool:
+		return hi.bools[v.Int()&1]
+	}
+	return hi.nums[indexKey(v)]
 }
 
 // buildIndex checks out a hash index and fills it over column col of the
@@ -106,8 +125,9 @@ func (a *Arena) buildIndex(rows []storage.Row, sel []int32, col int) *hashIndex 
 		hi = a.indexes[k-1]
 		a.indexes = a.indexes[:k-1]
 	} else {
-		hi = &hashIndex{head: make(map[uint64]int32, n)}
+		hi = &hashIndex{}
 	}
+	hi.bools = [2]int32{}
 	if cap(hi.next) < n {
 		hi.next = make([]int32, n)
 	}
@@ -121,12 +141,28 @@ func (a *Arena) buildIndex(rows []storage.Row, sel []int32, col int) *hashIndex 
 		} else {
 			r = rows[p]
 		}
-		if col >= len(r) || r[col].IsNull() {
+		if col >= len(r) {
 			continue
 		}
-		h := r[col].Hash()
-		hi.next[p] = hi.head[h]
-		hi.head[h] = int32(p + 1)
+		switch v := &r[col]; v.Kind() {
+		case sqltypes.KindNull:
+		case sqltypes.KindString:
+			if hi.strs == nil {
+				hi.strs = map[string]int32{}
+			}
+			hi.next[p] = hi.strs[v.Str()]
+			hi.strs[v.Str()] = int32(p + 1)
+		case sqltypes.KindBool:
+			hi.next[p] = hi.bools[v.Int()&1]
+			hi.bools[v.Int()&1] = int32(p + 1)
+		default:
+			if hi.nums == nil {
+				hi.nums = make(map[uint64]int32, n)
+			}
+			k := indexKey(v)
+			hi.next[p] = hi.nums[k]
+			hi.nums[k] = int32(p + 1)
+		}
 	}
 	return hi
 }
@@ -137,6 +173,7 @@ func (a *Arena) putIndex(hi *hashIndex) {
 	if len(hi.next) > arenaMaxList || len(a.indexes) >= arenaMaxFree {
 		return
 	}
-	clear(hi.head)
+	clear(hi.nums)
+	clear(hi.strs)
 	a.indexes = append(a.indexes, hi)
 }

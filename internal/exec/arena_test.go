@@ -30,8 +30,8 @@ func checkArenaBounded(t *testing.T, a *Arena) {
 		t.Errorf("arena keeps %d lists and %d indexes, cap %d each", len(a.lists), len(a.indexes), arenaMaxFree)
 	}
 	for _, hi := range a.indexes {
-		if len(hi.next) > arenaMaxList || len(hi.head) != 0 {
-			t.Errorf("arena keeps an index over %d rows with %d live heads", len(hi.next), len(hi.head))
+		if len(hi.next) > arenaMaxList || len(hi.nums) != 0 || len(hi.strs) != 0 {
+			t.Errorf("arena keeps an index over %d rows with %d live heads", len(hi.next), len(hi.nums)+len(hi.strs))
 		}
 	}
 }
@@ -39,13 +39,13 @@ func checkArenaBounded(t *testing.T, a *Arena) {
 func TestArenaDropsOversizedBuffers(t *testing.T) {
 	var a Arena
 	a.putList(make([]int32, 0, arenaMaxList+1))
-	a.putIndex(&hashIndex{head: map[uint64]int32{1: 1}, next: make([]int32, arenaMaxList+1)})
+	a.putIndex(&hashIndex{nums: map[uint64]int32{1: 1}, next: make([]int32, arenaMaxList+1)})
 	if len(a.lists) != 0 || len(a.indexes) != 0 {
 		t.Fatalf("oversized buffers were kept: %d lists, %d indexes", len(a.lists), len(a.indexes))
 	}
 	for i := 0; i < 2*arenaMaxFree; i++ {
 		a.putList(make([]int32, 0, arenaMaxList))
-		a.putIndex(&hashIndex{head: map[uint64]int32{7: 1}, next: make([]int32, 4)})
+		a.putIndex(&hashIndex{nums: map[uint64]int32{1: 1}, strs: map[string]int32{"b": 1}, next: make([]int32, 4)})
 	}
 	checkArenaBounded(t, &a)
 	if got := a.getList(10); cap(got) != arenaMaxList {
@@ -107,12 +107,11 @@ func TestArenaStaysBoundedAcrossProbes(t *testing.T) {
 	var a Arena
 	for i := 0; i < 3; i++ {
 		for sql, q := range plans {
-			ex := &executor{db: db, ar: &a}
 			want, err := Run(db, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := run(ex, q)
+			got, err := Compile(q, nil).Run(db, nil, &a)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,10 +21,11 @@ import (
 )
 
 // TestBoundExecutionMatchesMaterializedDifferential is the equivalence fuzz
-// for value-environment execution: for generated templates across both
-// evaluation schemas and a spread of specification shapes, executing the
-// compiled skeleton under an immutable value environment (BindParams +
-// RunBoundArena, once with a fresh arena and again through a reused one) must return exactly the same result rows
+// for compiled executor programs: for generated templates across both
+// evaluation schemas and a spread of specification shapes, running the
+// template's program (exec.Compile once per template, then Program.Run at
+// each probe's parameter vector, once with a fresh arena and again through a
+// reused one) must return exactly the same result rows
 // and RowsProcessed as the literal-materialized reference — rendering the
 // binding into SQL, re-parsing, re-planning, and running the old Run path.
 // Bindings are LHS-sampled from each template's derived search space, the
@@ -82,6 +83,7 @@ func TestBoundExecutionMatchesMaterializedDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s seed %d spec %d: compile: %v\n%s", ds.name, seed, si, err, tmpl.SQL())
 				}
+				prog := exec.Compile(cq.Query(), cq.Slot)
 
 				bindings, err := tmpl.BindPlaceholders(schema)
 				if err != nil {
@@ -94,8 +96,7 @@ func TestBoundExecutionMatchesMaterializedDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s seed %d spec %d probe %d: BindVals: %v", ds.name, seed, si, pi, err)
 					}
-					bp := cq.BindParams(params)
-					got, gotErr := exec.RunBoundArena(store, bp, new(exec.Arena))
+					got, gotErr := prog.Run(store, params, new(exec.Arena))
 					if (refErr == nil) != (gotErr == nil) {
 						t.Fatalf("%s seed %d spec %d probe %d: error divergence: ref %v, bound %v\n%s",
 							ds.name, seed, si, pi, refErr, gotErr, sql)
@@ -104,7 +105,7 @@ func TestBoundExecutionMatchesMaterializedDifferential(t *testing.T) {
 						return
 					}
 					compareResults(t, ds.name, seed, si, pi, "fresh arena", sql, ref, got)
-					gotA, err := exec.RunBoundArena(store, bp, &arena)
+					gotA, err := prog.Run(store, params, &arena)
 					if err != nil {
 						t.Fatalf("%s seed %d spec %d probe %d: reused arena: %v", ds.name, seed, si, pi, err)
 					}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"sqlbarber/internal/datagen"
@@ -13,73 +14,16 @@ import (
 	"sqlbarber/internal/storage"
 )
 
-// This file differentially tests the optimized executor (predicate pushdown,
-// hash joins, residual filters) against an independent brute-force reference
-// evaluator on randomly generated queries: cross-join all tables, evaluate
-// the full WHERE per tuple, and project. Any divergence is a correctness bug
-// in conjunct placement, join algorithms, or null handling.
+// This file differentially tests the compiled executor (predicate pushdown,
+// hash joins, residual filters, typed predicates, keyed grouping, cached
+// subqueries) against the brute-force reference of ref_test.go on randomly
+// generated queries. Any divergence is a correctness bug in compilation,
+// conjunct placement, join algorithms, grouping or null handling.
 
-// refEval evaluates a restricted query class (no aggregates, no subqueries,
-// inner joins only, no distinct/order/limit) by brute force.
-func refEval(t *testing.T, db *storage.Database, q *plan.Query) []storage.Row {
+// refEval evaluates q with the reference executor.
+func refEval(t testing.TB, db *storage.Database, q *plan.Query) ([]storage.Row, error) {
 	t.Helper()
-	stmt := q.Stmt
-	// Materialize the cross product of all table instances.
-	tuples := [][]storage.Row{nil}
-	n := len(q.Binding.Scope.Tables)
-	for ti := 0; ti < n; ti++ {
-		inst := q.Binding.Scope.Tables[ti]
-		tbl := db.Table(inst.Table.Name)
-		var next [][]storage.Row
-		for _, tp := range tuples {
-			for _, r := range tbl.Rows {
-				nt := make([]storage.Row, ti+1)
-				copy(nt, tp)
-				nt[ti] = r
-				next = append(next, nt)
-			}
-		}
-		tuples = next
-	}
-	// Full condition: all ON clauses AND the whole WHERE.
-	ex := &executor{db: db, ar: new(Arena)}
-	var conds []sqlparser.Expr
-	for _, j := range stmt.Joins {
-		conds = append(conds, j.On)
-	}
-	if stmt.Where != nil {
-		conds = append(conds, stmt.Where)
-	}
-	var out []storage.Row
-	for _, tp := range tuples {
-		full := make([]storage.Row, n)
-		copy(full, tp)
-		e := &env{q: q, rows: full}
-		keep := true
-		for _, c := range conds {
-			v, err := ex.eval(c, e)
-			if err != nil {
-				t.Fatalf("ref eval: %v", err)
-			}
-			if !v.Bool() {
-				keep = false
-				break
-			}
-		}
-		if !keep {
-			continue
-		}
-		row := make(storage.Row, 0, len(stmt.Items))
-		for _, it := range stmt.Items {
-			v, err := ex.eval(it.Expr, e)
-			if err != nil {
-				t.Fatalf("ref project: %v", err)
-			}
-			row = append(row, v)
-		}
-		out = append(out, row)
-	}
-	return out
+	return newRef(db).query(q, nil)
 }
 
 func canonical(rows []storage.Row) []string {
@@ -87,7 +31,7 @@ func canonical(rows []storage.Row) []string {
 	for i, r := range rows {
 		parts := make([]string, len(r))
 		for j, v := range r {
-			parts[j] = v.String()
+			parts[j] = v.Kind().String() + ":" + v.String()
 		}
 		out[i] = strings.Join(parts, "|")
 	}
@@ -95,90 +39,242 @@ func canonical(rows []storage.Row) []string {
 	return out
 }
 
-// genQuery builds a random restricted query over the TPC-H schema.
+// genTable is one table genQuery draws from: numeric and text columns.
+type genTable struct {
+	name string
+	num  []string
+	str  []string
+}
+
+var genTables = []genTable{
+	{"region", []string{"r_regionkey"}, []string{"r_name"}},
+	{"nation", []string{"n_nationkey", "n_regionkey"}, []string{"n_name"}},
+	{"supplier", []string{"s_suppkey", "s_nationkey", "s_acctbal"}, []string{"s_name"}},
+	{"customer", []string{"c_custkey", "c_nationkey", "c_acctbal"}, []string{"c_mktsegment"}},
+}
+
+// genQuery builds a random query over the small TPC-H tables: an optional
+// equi-join, one to three predicates (comparisons against int and float
+// constants on either side and against columns, BETWEEN, IN lists, LIKE,
+// uncorrelated IN subqueries and scalar subqueries, which may be NULL) glued
+// by AND or OR and sometimes negated, and one of three output shapes: a
+// projection (sometimes DISTINCT), a GROUP BY over one or two keys with
+// COUNT, COUNT(DISTINCT), SUM, AVG, MIN and MAX (sometimes with HAVING), or
+// a global aggregate.
 func genQuery(rng *rand.Rand) string {
-	type tbl struct {
-		name string
-		num  []string
-	}
-	small := []tbl{
-		{"region", []string{"r_regionkey"}},
-		{"nation", []string{"n_nationkey", "n_regionkey"}},
-		{"supplier", []string{"s_suppkey", "s_nationkey", "s_acctbal"}},
-	}
-	t1 := small[rng.Intn(len(small))]
+	t1 := genTables[rng.Intn(len(genTables))]
 	joined := ""
-	t2 := tbl{}
+	var t2 genTable
 	switch {
 	case t1.name == "nation" && rng.Intn(2) == 0:
-		t2 = small[0]
+		t2 = genTables[0]
 		joined = " JOIN region AS b ON a.n_regionkey = b.r_regionkey"
-	case t1.name == "supplier" && rng.Intn(2) == 0:
-		t2 = small[1]
-		joined = " JOIN nation AS b ON a.s_nationkey = b.n_nationkey"
+	case (t1.name == "supplier" || t1.name == "customer") && rng.Intn(2) == 0:
+		t2 = genTables[1]
+		joined = fmt.Sprintf(" JOIN nation AS b ON a.%s_nationkey = b.n_nationkey", t1.name[:1])
 	}
-	cols := []string{}
+	var cols, strs []string
 	for _, c := range t1.num {
 		cols = append(cols, "a."+c)
+	}
+	for _, c := range t1.str {
+		strs = append(strs, "a."+c)
 	}
 	if joined != "" {
 		for _, c := range t2.num {
 			cols = append(cols, "b."+c)
 		}
+		for _, c := range t2.str {
+			strs = append(strs, "b."+c)
+		}
 	}
-	sel := cols[rng.Intn(len(cols))]
+	pick := func(xs []string) string { return xs[rng.Intn(len(xs))] }
 	ops := []string{">", "<", ">=", "<=", "=", "<>"}
 	var preds []string
 	for k := 0; k < 1+rng.Intn(3); k++ {
-		c := cols[rng.Intn(len(cols))]
-		switch rng.Intn(4) {
+		c := pick(cols)
+		switch rng.Intn(7) {
 		case 0:
-			preds = append(preds, fmt.Sprintf("%s %s %d", c, ops[rng.Intn(len(ops))], rng.Intn(30)))
+			// Column against a constant, either way round, int or float.
+			k := fmt.Sprint(rng.Intn(30))
+			if strings.HasSuffix(c, "acctbal") {
+				k = fmt.Sprint(rng.Intn(11000) - 1000)
+			}
+			if rng.Intn(3) == 0 {
+				k += ".5"
+			}
+			if rng.Intn(2) == 0 {
+				preds = append(preds, fmt.Sprintf("%s %s %s", k, pick(ops), c))
+			} else {
+				preds = append(preds, fmt.Sprintf("%s %s %s", c, pick(ops), k))
+			}
 		case 1:
 			preds = append(preds, fmt.Sprintf("%s BETWEEN %d AND %d", c, rng.Intn(10), 10+rng.Intn(20)))
 		case 2:
 			preds = append(preds, fmt.Sprintf("%s IN (%d, %d, %d)", c, rng.Intn(25), rng.Intn(25), rng.Intn(25)))
+		case 3:
+			preds = append(preds, fmt.Sprintf("%s %s %s", c, pick(ops), pick(cols)))
+		case 4:
+			preds = append(preds, fmt.Sprintf("%s IN (SELECT n_nationkey FROM nation WHERE n_regionkey %s %d)",
+				c, pick(ops), rng.Intn(6)))
+		case 5:
+			agg := []string{"MAX(r_regionkey)", "MIN(r_regionkey)", "COUNT(*)"}[rng.Intn(3)]
+			// MIN and MAX of no rows are NULL.
+			preds = append(preds, fmt.Sprintf("%s %s (SELECT %s FROM region WHERE r_regionkey < %d)",
+				c, pick(ops), agg, rng.Intn(7)-2))
 		default:
-			c2 := cols[rng.Intn(len(cols))]
-			preds = append(preds, fmt.Sprintf("%s %s %s", c, ops[rng.Intn(len(ops))], c2))
+			preds = append(preds, fmt.Sprintf("%s LIKE '%s'", pick(strs), []string{"%1%", "N%0_", "%A%E%", "_%"}[rng.Intn(4)]))
 		}
 	}
 	glue := " AND "
 	if rng.Intn(3) == 0 {
 		glue = " OR "
 	}
-	return "SELECT " + sel + ", " + cols[0] + " FROM " + t1.name + " AS a" + joined +
-		" WHERE " + strings.Join(preds, glue)
+	where := strings.Join(preds, glue)
+	if rng.Intn(3) == 0 {
+		// NOT tells NULL from false, which a bare WHERE does not.
+		where = "NOT (" + where + ")"
+	}
+	from := " FROM " + t1.name + " AS a" + joined + " WHERE " + where
+	aggs := func() string {
+		var out []string
+		for k := 0; k < 1+rng.Intn(4); k++ {
+			switch x := pick(cols); rng.Intn(8) {
+			case 0:
+				out = append(out, "COUNT(*)")
+			case 1:
+				out = append(out, "SUM("+x+")")
+			case 2:
+				out = append(out, "AVG("+x+")")
+			case 3:
+				out = append(out, "MIN("+x+")")
+			case 4:
+				out = append(out, "MAX("+x+")")
+			case 5:
+				out = append(out, "COUNT(DISTINCT "+x+")")
+			case 6:
+				out = append(out, "COUNT(DISTINCT "+pick(strs)+")")
+			default:
+				out = append(out, "MAX("+pick(strs)+")")
+			}
+		}
+		return strings.Join(out, ", ")
+	}
+	switch rng.Intn(3) {
+	case 0:
+		keys := []string{pick(append(append([]string{}, cols...), strs...))}
+		if rng.Intn(2) == 0 {
+			keys = append(keys, pick(cols))
+		}
+		having := ""
+		if rng.Intn(3) == 0 {
+			having = fmt.Sprintf(" HAVING COUNT(*) > %d", rng.Intn(3))
+		}
+		k := strings.Join(keys, ", ")
+		return "SELECT " + k + ", " + aggs() + from + " GROUP BY " + k + having
+	case 1:
+		return "SELECT " + aggs() + from
+	}
+	distinct := ""
+	if rng.Intn(3) == 0 {
+		distinct = "DISTINCT "
+	}
+	return "SELECT " + distinct + pick(cols) + ", " + cols[0] + from
+}
+
+// checkDifferential runs sql, which must be valid, through the compiled
+// executor and the reference and fails on an error from either or on any
+// difference in the row multiset (values compared with their kinds).
+func checkDifferential(t testing.TB, db *storage.Database, sql string) {
+	t.Helper()
+	q := planSQL(t, db, sql)
+	got, err := Run(db, q)
+	if err != nil {
+		t.Fatalf("executor: %v\nSQL: %s", err, sql)
+	}
+	want, err := refEval(t, db, q)
+	if err != nil {
+		t.Fatalf("reference: %v\nSQL: %s", err, sql)
+	}
+	g, w := canonical(got.Rows), canonical(want)
+	if len(g) != len(w) {
+		t.Fatalf("%d rows vs reference %d\nSQL: %s", len(g), len(w), sql)
+	}
+	for k := range g {
+		if g[k] != w[k] {
+			t.Fatalf("row %d: %q vs reference %q\nSQL: %s", k, g[k], w[k], sql)
+		}
+	}
+}
+
+func planSQL(t testing.TB, db *storage.Database, sql string) *plan.Query {
+	t.Helper()
+	stmt, err := sqlparser.Parse(sql)
+	if err != nil {
+		t.Fatalf("parse (%s): %v", sql, err)
+	}
+	q, err := plan.Build(db.Schema, stmt)
+	if err != nil {
+		t.Fatalf("plan (%s): %v", sql, err)
+	}
+	return q
+}
+
+// TestExecutorFailsWhereReferenceFails lists statements that plan but must
+// fail at execution, and checks that both executors reject each one.
+func TestExecutorFailsWhereReferenceFails(t *testing.T) {
+	db := datagen.TPCH(2, 0.1)
+	for _, sql := range []string{
+		"SELECT r_regionkey FROM region WHERE r_regionkey = (SELECT n_nationkey FROM nation)",
+		"SELECT (SELECT n_name FROM nation WHERE n_regionkey = r_regionkey) FROM region",
+		"SELECT *, COUNT(*) FROM region",
+		"SELECT r_regionkey FROM region WHERE NOSUCHFN(r_regionkey) > 0",
+	} {
+		q := planSQL(t, db, sql)
+		if _, err := Run(db, q); err == nil {
+			t.Errorf("executor accepts %s", sql)
+		}
+		if _, err := refEval(t, db, q); err == nil {
+			t.Errorf("reference accepts %s", sql)
+		}
+	}
 }
 
 func TestExecutorMatchesBruteForce(t *testing.T) {
 	db := datagen.TPCH(2, 0.1)
 	rng := rand.New(rand.NewSource(99))
-	for i := 0; i < 120; i++ {
+	shapes := map[string]int{}
+	for i := 0; i < 600; i++ {
 		sql := genQuery(rng)
-		stmt, err := sqlparser.Parse(sql)
-		if err != nil {
-			t.Fatalf("query %d parse (%s): %v", i, sql, err)
-		}
-		q, err := plan.Build(db.Schema, stmt)
-		if err != nil {
-			t.Fatalf("query %d plan (%s): %v", i, sql, err)
-		}
-		got, err := Run(db, q)
-		if err != nil {
-			t.Fatalf("query %d exec (%s): %v", i, sql, err)
-		}
-		want := refEval(t, db, q)
-		g, w := canonical(got.Rows), canonical(want)
-		if len(g) != len(w) {
-			t.Fatalf("query %d: %d rows vs reference %d\nSQL: %s", i, len(g), len(w), sql)
-		}
-		for k := range g {
-			if g[k] != w[k] {
-				t.Fatalf("query %d row %d: %q vs reference %q\nSQL: %s", i, k, g[k], w[k], sql)
+		for _, s := range []string{"GROUP BY", "COUNT(DISTINCT", "IN (SELECT", "(SELECT", "DISTINCT ", "LIKE", " JOIN "} {
+			if strings.Contains(sql, s) {
+				shapes[s]++
 			}
 		}
+		checkDifferential(t, db, sql)
 	}
+	for _, s := range []string{"GROUP BY", "COUNT(DISTINCT", "IN (SELECT", "(SELECT", "DISTINCT ", "LIKE", " JOIN "} {
+		if shapes[s] == 0 {
+			t.Errorf("no generated query has %q", s)
+		}
+	}
+}
+
+var (
+	fuzzDBOnce sync.Once
+	fuzzDB     *storage.Database
+)
+
+// FuzzExecutorDifferential compares the compiled executor with the
+// brute-force reference on the query genQuery draws from each seed.
+func FuzzExecutorDifferential(f *testing.F) {
+	for seed := int64(0); seed < 16; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		fuzzDBOnce.Do(func() { fuzzDB = datagen.TPCH(2, 0.1) })
+		checkDifferential(t, fuzzDB, genQuery(rand.New(rand.NewSource(seed))))
+	})
 }
 
 // TestCardinalityEstimateVsActual checks the optimizer's estimates stay

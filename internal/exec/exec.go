@@ -1,15 +1,15 @@
-// Package exec implements the embedded engine's query executor. It runs
-// planned queries (see internal/plan) against the in-memory store,
-// supporting filters, hash and nested-loop joins, left joins, grouping and
-// aggregation, HAVING, DISTINCT, ORDER BY, LIMIT, and correlated and
-// uncorrelated subqueries.
+// Package exec implements the embedded engine's query executor. It compiles
+// planned queries (see internal/plan) into programs (Compile) and runs them
+// against the in-memory store, supporting filters, hash and nested-loop
+// joins, left joins, grouping and aggregation, HAVING, DISTINCT, ORDER BY,
+// LIMIT, and correlated and uncorrelated subqueries.
 package exec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
-	"strconv"
 
 	"sqlbarber/internal/plan"
 	"sqlbarber/internal/sqlparser"
@@ -19,6 +19,8 @@ import (
 
 // Result is the output of executing a query.
 type Result struct {
+	// Columns names the output columns. Every result of one Program shares
+	// the slice: read it, do not modify it.
 	Columns []string
 	Rows    []storage.Row
 	// RowsTouched counts tuples processed while executing the query (rows
@@ -40,26 +42,25 @@ func rtErrf(format string, args ...any) *RuntimeError {
 	return &RuntimeError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// Run executes a planned query against the database.
+// Run compiles a planned query without parameter slots and executes it
+// against the database.
 func Run(db *storage.Database, q *plan.Query) (*Result, error) {
-	return run(&executor{db: db, ar: new(Arena)}, q)
+	return Compile(q, nil).Run(db, nil, new(Arena))
 }
 
-// RunBoundArena executes a compiled plan at one probe's value environment:
-// slot literals resolve through the bound view, the shared skeleton AST is
-// never written. Results are identical to Run over a plan built from the
-// value-substituted statement. Scratch (tuple lists and hash indexes) comes
-// from the caller's non-nil arena, which a session reuses across probes; the
-// returned Result owns its rows and never aliases the arena.
-func RunBoundArena(db *storage.Database, bp *plan.BoundPlan, a *Arena) (*Result, error) {
-	return run(&executor{db: db, bound: bp, ar: a}, bp.Query())
-}
-
-func run(ex *executor, q *plan.Query) (*Result, error) {
-	res, err := ex.runQuery(q, nil)
-	for _, cs := range ex.subCache {
-		if cs.set != nil {
-			ex.ar.putIndex(cs.set)
+// Run executes the program at one probe's bound parameter vector (as
+// produced by plan.CompiledQuery.BindVals, read by slot index). Results are
+// identical to compiling and running a plan built from the value-substituted
+// statement. Scratch (tuple lists and hash indexes) comes from the caller's
+// non-nil arena, which a session reuses across probes; the returned Result
+// owns its rows and never aliases the arena. The caller must keep params
+// unchanged until Run returns.
+func (p *Program) Run(db *storage.Database, params []sqltypes.Value, a *Arena) (*Result, error) {
+	ex := &executor{db: db, params: params, ar: a, nCache: p.nCache}
+	res, err := ex.run(p.root, nil)
+	for i := range ex.subs {
+		if set := ex.subs[i].set; set != nil {
+			a.putIndex(set)
 		}
 	}
 	if err != nil {
@@ -70,41 +71,24 @@ func run(ex *executor, q *plan.Query) (*Result, error) {
 }
 
 type executor struct {
-	db *storage.Database
-	// subCache holds each uncorrelated subquery's result for the lifetime of
-	// the outer statement.
-	subCache map[*sqlparser.SelectStmt]*cachedSub
-	// bound, when set, is the probe's immutable value environment: literal
-	// slots evaluate through it instead of the AST's neutral compile-time
-	// values.
-	bound       *plan.BoundPlan
-	ar          *Arena
+	db     *storage.Database
+	params []sqltypes.Value
+	ar     *Arena
+	// subs holds each uncorrelated subquery's result for the lifetime of the
+	// outer statement, indexed by prog.cache; allocated on first use.
+	subs        []cachedSub
+	nCache      int
 	rowsTouched int64
 }
 
 // env is the tuple environment: one row per table instance of the current
 // query, chained to the enclosing query's env for correlated subqueries.
 type env struct {
-	q      *plan.Query
 	rows   []storage.Row
 	parent *env
-	// aggs maps aggregate calls to their computed group values during
-	// post-aggregation expression evaluation.
-	aggs map[*sqlparser.FuncCall]sqltypes.Value
-}
-
-func (e *env) lookup(ref plan.ColRef) sqltypes.Value {
-	cur := e
-	for l := 0; l < ref.Level; l++ {
-		if cur.parent == nil {
-			return sqltypes.Null
-		}
-		cur = cur.parent
-	}
-	if ref.TableIdx >= len(cur.rows) || cur.rows[ref.TableIdx] == nil {
-		return sqltypes.Null
-	}
-	return cur.rows[ref.TableIdx][ref.ColIdx]
+	// aggs holds the current group's aggregate results, by position, during
+	// post-aggregation evaluation; nil before.
+	aggs []sqltypes.Value
 }
 
 // frame is one query level's execution state. Tuples are row indexes, not
@@ -135,22 +119,22 @@ func (f *frame) bind(tp []int32) {
 	}
 }
 
-func (ex *executor) runQuery(q *plan.Query, parent *env) (*Result, error) {
-	n := len(q.Binding.Scope.Tables)
+func (ex *executor) run(p *prog, parent *env) (*Result, error) {
+	n := p.n
 	f := &frame{n: n, srcs: make([][]storage.Row, n),
-		e: env{q: q, rows: make([]storage.Row, n), parent: parent}}
-	tuples, err := ex.joinPipeline(q, f)
+		e: env{rows: make([]storage.Row, n), parent: parent}}
+	tuples, err := ex.joinPipeline(p, f)
 	if err != nil {
 		return nil, err
 	}
 	// Residual predicates (multi-table and subquery conjuncts), compacting
 	// the surviving tuples in place.
-	if len(q.Residual) > 0 {
+	if len(p.residual) > 0 {
 		kept := 0
 		for i := 0; i < len(tuples)/n; i++ {
 			tp := tupleAt(tuples, i, n)
 			f.bind(tp)
-			keep, err := ex.all(q.Residual, &f.e)
+			keep, err := ex.all(p.residual, &f.e)
 			if err != nil {
 				return nil, err
 			}
@@ -162,33 +146,30 @@ func (ex *executor) runQuery(q *plan.Query, parent *env) (*Result, error) {
 		tuples = tuples[:kept*n]
 	}
 	var out *Result
-	if q.Aggregated {
-		out, err = ex.aggregate(q, f, tuples)
+	if p.aggregated {
+		out, err = ex.aggregate(p, f, tuples)
 	} else {
-		out, err = ex.project(q, f, tuples)
+		out, err = ex.project(p, f, tuples)
 	}
 	ex.ar.putList(tuples)
 	if err != nil {
 		return nil, err
 	}
-	if q.Stmt.Distinct {
+	if p.distinct {
 		out.Rows = dedupe(out.Rows)
 	}
-	if q.Stmt.Limit >= 0 && len(out.Rows) > q.Stmt.Limit {
-		out.Rows = out.Rows[:q.Stmt.Limit]
+	if p.limit >= 0 && len(out.Rows) > p.limit {
+		out.Rows = out.Rows[:p.limit]
 	}
 	return out, nil
 }
 
 // all evaluates conjuncts in order, stopping at the first that is not true.
-func (ex *executor) all(conds []sqlparser.Expr, e *env) (bool, error) {
+func (ex *executor) all(conds []pred, e *env) (bool, error) {
 	for _, c := range conds {
-		v, err := ex.eval(c, e)
-		if err != nil {
+		t, err := c(ex, e)
+		if err != nil || t != triTrue {
 			return false, err
-		}
-		if !v.Bool() {
-			return false, nil
 		}
 	}
 	return true, nil
@@ -197,15 +178,14 @@ func (ex *executor) all(conds []sqlparser.Expr, e *env) (bool, error) {
 // scan reads table instance idx, records its stored rows in the frame, and
 // returns the indexes of the rows its pushed-down filters keep, in a list
 // checked out of the arena.
-func (ex *executor) scan(q *plan.Query, f *frame, idx int) ([]int32, error) {
-	inst := q.Binding.Scope.Tables[idx]
-	tbl := ex.db.Table(inst.Table.Name)
+func (ex *executor) scan(p *prog, f *frame, idx int) ([]int32, error) {
+	tbl := ex.db.Table(p.tables[idx])
 	if tbl == nil {
-		return nil, rtErrf("relation %q has no storage", inst.Table.Name)
+		return nil, rtErrf("relation %q has no storage", p.tables[idx])
 	}
 	f.srcs[idx] = tbl.Rows
 	ex.rowsTouched += int64(len(tbl.Rows))
-	filters := q.ScanFilters[idx]
+	filters := p.filters[idx]
 	if len(filters) == 0 {
 		out := slices.Grow(ex.ar.getList(len(tbl.Rows)), len(tbl.Rows))[:len(tbl.Rows)]
 		for i := range out {
@@ -232,9 +212,9 @@ func (ex *executor) scan(q *plan.Query, f *frame, idx int) ([]int32, error) {
 // joinPipeline scans and joins all table instances, producing a tuple list
 // checked out of the arena. Each scan's list and each step's input tuple list
 // is checked back in as soon as the next step has consumed it.
-func (ex *executor) joinPipeline(q *plan.Query, f *frame) ([]int32, error) {
+func (ex *executor) joinPipeline(p *prog, f *frame) ([]int32, error) {
 	n := f.n
-	tuples, err := ex.scan(q, f, 0)
+	tuples, err := ex.scan(p, f, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -250,12 +230,12 @@ func (ex *executor) joinPipeline(q *plan.Query, f *frame) ([]int32, error) {
 		}
 		ex.ar.putList(left)
 	}
-	for ji := range q.Stmt.Joins {
-		right, err := ex.scan(q, f, ji+1)
+	for ji := range p.joins {
+		right, err := ex.scan(p, f, ji+1)
 		if err != nil {
 			return nil, err
 		}
-		next, err := ex.joinStep(q, f, tuples, right, ji)
+		next, err := ex.joinStep(&p.joins[ji], f, tuples, right, ji+1)
 		if err != nil {
 			return nil, err
 		}
@@ -267,21 +247,18 @@ func (ex *executor) joinPipeline(q *plan.Query, f *frame) ([]int32, error) {
 }
 
 // joinStep joins the tuple list with the selected rows of table instance
-// ji+1 under join clause ji, returning a new tuple list checked out of the
+// rightIdx under join j, returning a new tuple list checked out of the
 // arena.
-func (ex *executor) joinStep(q *plan.Query, f *frame, tuples, right []int32, ji int) ([]int32, error) {
+func (ex *executor) joinStep(j *joinProg, f *frame, tuples, right []int32, rightIdx int) ([]int32, error) {
 	n := f.n
-	rightIdx := ji + 1
 	rsrc := f.srcs[rightIdx]
-	isLeft := q.Stmt.Joins[ji].Type == sqlparser.JoinLeft
-	extra := q.JoinExtra[ji]
 	checkExtra := func(tp []int32, r storage.Row) (bool, error) {
-		if len(extra) == 0 {
+		if len(j.extra) == 0 {
 			return true, nil
 		}
 		f.bind(tp)
 		f.e.rows[rightIdx] = r
-		return ex.all(extra, &f.e)
+		return ex.all(j.extra, &f.e)
 	}
 	// Sized for one match per input tuple, as a foreign-key join gives.
 	out := ex.ar.getList(len(tuples))
@@ -298,35 +275,41 @@ func (ex *executor) joinStep(q *plan.Query, f *frame, tuples, right []int32, ji 
 		ex.rowsTouched++
 	}
 	count := len(tuples) / n
-	if ek := q.JoinEqui[ji]; ek != nil {
-		lref := q.Binding.Cols[ek.Left]
-		rcol := q.Binding.Cols[ek.Right].ColIdx
+	if j.equi {
+		var null sqltypes.Value
+		lsrc, rcol := f.srcs[j.lt], j.rc
 		hi := ex.ar.buildIndex(rsrc, right, rcol)
 		for i := 0; i < count; i++ {
 			tp := tupleAt(tuples, i, n)
-			var lv sqltypes.Value
-			if li := tp[lref.TableIdx]; li >= 0 {
-				lv = f.srcs[lref.TableIdx][li][lref.ColIdx]
+			lv := &null
+			if li := tp[j.lt]; li >= 0 {
+				lv = &lsrc[li][j.lc]
 			}
 			matched := false
 			if !lv.IsNull() {
-				for p := hi.head[lv.Hash()]; p != 0; p = hi.next[p-1] {
+				// A chain of an exact key holds only rows equal to lv, so
+				// without ON extras the right rows are not even read.
+				verify := !exactKey(lv)
+				for p := hi.first(lv); p != 0; p = hi.next[p-1] {
 					ri := right[p-1]
-					r := rsrc[ri]
-					if !lv.Equal(r[rcol]) {
-						continue
+					if verify || len(j.extra) > 0 {
+						r := rsrc[ri]
+						if verify && !lv.Equal(r[rcol]) {
+							continue
+						}
+						ok, err := checkExtra(tp, r)
+						if err != nil {
+							return nil, err
+						}
+						if !ok {
+							continue
+						}
 					}
-					ok, err := checkExtra(tp, r)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						matched = true
-						emit(tp, ri)
-					}
+					matched = true
+					emit(tp, ri)
 				}
 			}
-			if isLeft && !matched {
+			if j.left && !matched {
 				emit(tp, -1)
 			}
 		}
@@ -347,7 +330,7 @@ func (ex *executor) joinStep(q *plan.Query, f *frame, tuples, right []int32, ji 
 				emit(tp, ri)
 			}
 		}
-		if isLeft && !matched {
+		if j.left && !matched {
 			emit(tp, -1)
 		}
 	}
@@ -356,44 +339,37 @@ func (ex *executor) joinStep(q *plan.Query, f *frame, tuples, right []int32, ji 
 
 // project evaluates the select list per tuple (non-aggregate queries) and
 // applies ORDER BY. All output rows share one backing array.
-func (ex *executor) project(q *plan.Query, f *frame, tuples []int32) (*Result, error) {
-	cols, starCols := ex.outputColumns(q)
-	res := &Result{Columns: cols}
+func (ex *executor) project(p *prog, f *frame, tuples []int32) (*Result, error) {
+	res := &Result{Columns: p.columns}
 	count := len(tuples) / f.n
 	if count == 0 {
 		return res, nil
 	}
-	width := len(cols)
+	width := len(p.items)
 	vals := make([]sqltypes.Value, count*width)
 	res.Rows = make([]storage.Row, count)
 	var keys []sqltypes.Value
-	if len(q.Stmt.OrderBy) > 0 {
-		keys = make([]sqltypes.Value, 0, count*len(q.Stmt.OrderBy))
+	if len(p.orderKeys) > 0 {
+		keys = make([]sqltypes.Value, 0, count*len(p.orderKeys))
 	}
 	e := &f.e
 	for i := 0; i < count; i++ {
 		f.bind(tupleAt(tuples, i, f.n))
-		row := vals[i*width : i*width : (i+1)*width]
-		for _, it := range q.Stmt.Items {
-			if it.Star {
-				for _, sc := range starCols {
-					row = append(row, e.lookup(sc))
-				}
-				continue
-			}
-			v, err := ex.eval(it.Expr, e)
+		row := vals[i*width : (i+1)*width : (i+1)*width]
+		for k, it := range p.items {
+			v, err := it(ex, e)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, v)
+			row[k] = v
 		}
 		res.Rows[i] = row
 		var err error
-		if keys, err = ex.appendOrderKeys(keys, q, e); err != nil {
+		if keys, err = ex.appendOrderKeys(keys, p, e); err != nil {
 			return nil, err
 		}
 	}
-	orderRows(res.Rows, keys, q.Stmt.OrderBy)
+	orderRows(res.Rows, keys, p.orderBy)
 	return res, nil
 }
 
@@ -433,9 +409,9 @@ func orderRows(rows []storage.Row, keys []sqltypes.Value, order []sqlparser.Orde
 }
 
 // appendOrderKeys appends the ORDER BY keys of the tuple in e.
-func (ex *executor) appendOrderKeys(keys []sqltypes.Value, q *plan.Query, e *env) ([]sqltypes.Value, error) {
-	for _, o := range q.Stmt.OrderBy {
-		v, err := ex.eval(o.Expr, e)
+func (ex *executor) appendOrderKeys(keys []sqltypes.Value, p *prog, e *env) ([]sqltypes.Value, error) {
+	for _, o := range p.orderKeys {
+		v, err := o(ex, e)
 		if err != nil {
 			return nil, err
 		}
@@ -444,43 +420,16 @@ func (ex *executor) appendOrderKeys(keys []sqltypes.Value, q *plan.Query, e *env
 	return keys, nil
 }
 
-// outputColumns derives output column names and, for star items, the column
-// refs to expand.
-func (ex *executor) outputColumns(q *plan.Query) ([]string, []plan.ColRef) {
-	var cols []string
-	var starCols []plan.ColRef
-	for _, it := range q.Stmt.Items {
-		if it.Star {
-			for ti, inst := range q.Binding.Scope.Tables {
-				for ci, c := range inst.Table.Columns {
-					cols = append(cols, c.Name)
-					starCols = append(starCols, plan.ColRef{TableIdx: ti, ColIdx: ci})
-				}
-			}
-			continue
-		}
-		switch {
-		case it.Alias != "":
-			cols = append(cols, it.Alias)
-		default:
-			if cr, ok := it.Expr.(*sqlparser.ColumnRef); ok {
-				cols = append(cols, cr.Name)
-			} else {
-				cols = append(cols, it.Expr.SQL())
-			}
-		}
-	}
-	return cols, starCols
-}
-
+// dedupe keeps the first of each set of rows that are equal column by
+// column under the grouping key (see appendKey).
 func dedupe(rows []storage.Row) []storage.Row {
 	seen := map[string]bool{}
 	out := rows[:0]
 	var key []byte
 	for _, r := range rows {
 		key = key[:0]
-		for _, v := range r {
-			key = appendKey(key, v)
+		for i := range r {
+			key = appendKey(key, &r[i])
 		}
 		if seen[string(key)] {
 			continue
@@ -491,18 +440,67 @@ func dedupe(rows []storage.Row) []storage.Row {
 	return out
 }
 
-// appendKey appends v.String() and a 0 separator: the byte form grouping
-// and DISTINCT compare values by, built without allocating a string.
-func appendKey(b []byte, v sqltypes.Value) []byte {
-	switch v.Kind() {
-	case sqltypes.KindInt:
-		b = strconv.AppendInt(b, v.Int(), 10)
-	case sqltypes.KindFloat:
-		b = strconv.AppendFloat(b, v.Float(), 'g', -1, 64)
-	case sqltypes.KindString:
-		b = append(b, v.Str()...)
-	default:
-		b = append(b, v.String()...)
+// cachedSub is an uncorrelated subquery's result, kept for the lifetime of
+// the outer statement, plus the hash set of its first column once an IN
+// predicate has asked for one.
+type cachedSub struct {
+	res *Result
+	// set indexes res.Rows by first-column value; nil until first built, and
+	// for good when a member is NaN (noSet).
+	set   *hashIndex
+	noSet bool
+}
+
+// runSub executes a nested SELECT. An uncorrelated subquery (a plan-time
+// fact, plan.Query.Correlated) runs once per statement and also returns its
+// cache entry; a correlated one reruns for every outer row and returns a nil
+// entry.
+func (ex *executor) runSub(sp *prog, en *env) (*Result, *cachedSub, error) {
+	if sp.cache < 0 {
+		res, err := ex.run(sp, en)
+		return res, nil, err
 	}
-	return append(b, 0)
+	if ex.subs == nil {
+		ex.subs = make([]cachedSub, ex.nCache)
+	}
+	cs := &ex.subs[sp.cache]
+	if cs.res != nil {
+		return cs.res, cs, nil
+	}
+	res, err := ex.run(sp, en)
+	if err != nil {
+		return nil, nil, err
+	}
+	cs.res = res
+	return res, cs, nil
+}
+
+// lookup answers "x equals some member" from the hash set, building it on
+// first use. ok is false where hashing cannot agree with Compare, which makes
+// NaN equal to every number: for a NaN x, and for good once a member is NaN.
+func (cs *cachedSub) lookup(ar *Arena, x sqltypes.Value) (found, ok bool) {
+	if cs.noSet || isNaN(x) {
+		return false, false
+	}
+	rows := cs.res.Rows
+	if cs.set == nil {
+		for _, r := range rows {
+			if len(r) > 0 && isNaN(r[0]) {
+				cs.noSet = true
+				return false, false
+			}
+		}
+		cs.set = ar.buildIndex(rows, nil, 0)
+	}
+	verify := !exactKey(&x)
+	for p := cs.set.first(&x); p != 0; p = cs.set.next[p-1] {
+		if !verify || x.Equal(rows[p-1][0]) {
+			return true, true
+		}
+	}
+	return false, true
+}
+
+func isNaN(v sqltypes.Value) bool {
+	return v.Kind() == sqltypes.KindFloat && math.IsNaN(v.Float())
 }

@@ -155,8 +155,19 @@ func (c *CompiledQuery) exprHasSlot(e sqlparser.Expr) bool {
 	return found
 }
 
-// Query returns the skeleton plan built at neutral zero values.
+// Query returns the skeleton plan built at neutral zero values. Its literal
+// slots carry neutral compile-time values in the AST itself: an executor
+// resolves each slot to its index in the bound parameter vector (Slot) once,
+// when it compiles the plan, and reads the probe value from the vector.
 func (c *CompiledQuery) Query() *Query { return c.root }
+
+// Slot reports the index in the bound parameter vector (BindVals order) of a
+// literal that is a parameter slot; plain literals report ok=false and keep
+// their parsed value.
+func (c *CompiledQuery) Slot(lit *sqlparser.Literal) (int, bool) {
+	i, ok := c.slotIdx[lit]
+	return i, ok
+}
 
 // Placeholders returns the sorted placeholder names the statement declares.
 func (c *CompiledQuery) Placeholders() []string {

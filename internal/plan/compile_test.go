@@ -64,12 +64,11 @@ func TestCompileRepeatedPlaceholderSlots(t *testing.T) {
 	if len(params) != 1 {
 		t.Fatalf("one distinct placeholder should bind one parameter, got %d", len(params))
 	}
-	// Both slots must resolve to the value through the bound view, while the
-	// AST literals keep their neutral compile-time value.
-	bp := cq.BindParams(params)
+	// Both slots must resolve to the value through their parameter index,
+	// while the AST literals keep their neutral compile-time value.
 	n := 0
 	for lit := range cq.slotIdx {
-		if v, ok := bp.LiteralValue(lit); ok && v.Kind() == sqltypes.KindInt && v.Int() == 7 {
+		if i, ok := cq.Slot(lit); ok && params[i].Kind() == sqltypes.KindInt && params[i].Int() == 7 {
 			n++
 		}
 		if lit.Value.Kind() != sqltypes.KindInt || lit.Value.Int() != 0 {

@@ -21,7 +21,7 @@
 #                              out scheduling-dependent results the default
 #                              pass can miss
 #   6. go test -fuzz (fuzz smokes)
-#                            — 10-second native-fuzzing smokes over eight
+#                            — 10-second native-fuzzing smokes over nine
 #                              targets. FuzzParse checks the render ∘ parse
 #                              round-trip fixpoint on arbitrary input, and
 #                              FuzzPlaceholderRewrite checks that placeholder
@@ -47,7 +47,12 @@
 #                              FuzzAnalyzeDifferential checks that ANALYZE's
 #                              sorted single pass gives exactly the statistics
 #                              of the map-counting reference on arbitrary int,
-#                              float and string columns (storage)
+#                              float and string columns (storage), and
+#                              FuzzExecutorDifferential checks that the
+#                              compiled executor returns the rows of the
+#                              brute-force AST-interpreting reference on
+#                              generated join, GROUP BY and subquery queries
+#                              (exec)
 #   7. scripts/covergate.sh  — per-package statement-coverage floors over
 #                              internal/, from scripts/coverage_baseline.txt.
 #                              Floors sit ~5 points below measured coverage,
@@ -162,6 +167,7 @@ go test -run '^$' -fuzz '^FuzzParseResiliencePolicy$' -fuzztime 10s ./internal/p
 go test -run '^$' -fuzz '^FuzzJobRequest$' -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/storage
 go test -run '^$' -fuzz '^FuzzAnalyzeDifferential$' -fuzztime 10s ./internal/storage
+go test -run '^$' -fuzz '^FuzzExecutorDifferential$' -fuzztime 10s ./internal/exec
 
 echo "== scripts/covergate.sh (per-package coverage floors) =="
 ./scripts/covergate.sh
