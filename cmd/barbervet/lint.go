@@ -113,6 +113,7 @@ func LintDir(dir string) ([]Finding, error) {
 	slotOwner := isSlotOwnerDir(dir)
 	llmDir := isLLMDir(dir)
 	rfDir := isRFDir(dir)
+	goOwner := inInternalPkg(dir, goOwnerPkgs)
 
 	var findings []Finding
 	report := func(pos token.Pos, code, msg string) {
@@ -130,6 +131,9 @@ func LintDir(dir string) ([]Finding, error) {
 				checkContextDiscipline(pf.file, report)
 				if !slotOwner {
 					checkLiteralSlotWrite(pf.file, report)
+				}
+				if !goOwner {
+					checkGoStatement(pf.file, report)
 				}
 			}
 			if !inCmd && pf.file.Name.Name != "main" {
@@ -166,6 +170,20 @@ func LintDir(dir string) ([]Finding, error) {
 // go tool); classification uses only the segments after the innermost
 // testdata so fixtures can emulate internal/ and cmd/ placement.
 func classifyDir(path string) (inInternal, inCmd bool) {
+	for _, p := range pathParts(path) {
+		switch p {
+		case "internal":
+			inInternal = true
+		case "cmd":
+			inCmd = true
+		}
+	}
+	return
+}
+
+// pathParts splits path into its segments after the innermost testdata, so
+// fixture packages can emulate internal/ and cmd/ placement.
+func pathParts(path string) []string {
 	abs, err := filepath.Abs(path)
 	if err != nil {
 		abs = path
@@ -177,15 +195,19 @@ func classifyDir(path string) (inInternal, inCmd bool) {
 			break
 		}
 	}
-	for _, p := range parts {
-		switch p {
-		case "internal":
-			inInternal = true
-		case "cmd":
-			inCmd = true
+	return parts
+}
+
+// inInternalPkg reports whether path lies inside internal/<pkg>, at any
+// depth, for a pkg in pkgs.
+func inInternalPkg(path string, pkgs map[string]bool) bool {
+	parts := pathParts(path)
+	for i, p := range parts {
+		if p == "internal" && i+1 < len(parts) && pkgs[parts[i+1]] {
+			return true
 		}
 	}
-	return
+	return false
 }
 
 // importName returns the local name under which a file imports the given
@@ -404,23 +426,7 @@ var instrumentedPkgs = map[string]bool{
 // instrumented internal packages. Like classifyDir it looks only at the
 // segments after the innermost testdata so fixtures can emulate placement.
 func isInstrumentedDir(path string) bool {
-	abs, err := filepath.Abs(path)
-	if err != nil {
-		abs = path
-	}
-	parts := strings.Split(filepath.ToSlash(abs), "/")
-	for i := len(parts) - 1; i >= 0; i-- {
-		if parts[i] == "testdata" {
-			parts = parts[i+1:]
-			break
-		}
-	}
-	for i, p := range parts {
-		if p == "internal" && i+1 < len(parts) && instrumentedPkgs[parts[i+1]] {
-			return true
-		}
-	}
-	return false
+	return inInternalPkg(path, instrumentedPkgs)
 }
 
 // checkObsDiscipline flags observability bypasses in instrumented packages
@@ -471,23 +477,7 @@ var floatStrictPkgs = map[string]bool{"plan": true, "analyzer": true}
 // or internal/analyzer (any depth). Like classifyDir it looks only at the
 // segments after the innermost testdata so fixtures can emulate placement.
 func isFloatStrictDir(path string) bool {
-	abs, err := filepath.Abs(path)
-	if err != nil {
-		abs = path
-	}
-	parts := strings.Split(filepath.ToSlash(abs), "/")
-	for i := len(parts) - 1; i >= 0; i-- {
-		if parts[i] == "testdata" {
-			parts = parts[i+1:]
-			break
-		}
-	}
-	for i, p := range parts {
-		if p == "internal" && i+1 < len(parts) && floatStrictPkgs[parts[i+1]] {
-			return true
-		}
-	}
-	return false
+	return inInternalPkg(path, floatStrictPkgs)
 }
 
 // floatDecls is the package-wide syntactic float64 inventory R007 matches
@@ -684,23 +674,7 @@ var slotOwnerPkgs = map[string]bool{"sqlparser": true}
 // (any depth). Like classifyDir it looks only at the
 // segments after the innermost testdata so fixtures can emulate placement.
 func isSlotOwnerDir(path string) bool {
-	abs, err := filepath.Abs(path)
-	if err != nil {
-		abs = path
-	}
-	parts := strings.Split(filepath.ToSlash(abs), "/")
-	for i := len(parts) - 1; i >= 0; i-- {
-		if parts[i] == "testdata" {
-			parts = parts[i+1:]
-			break
-		}
-	}
-	for i, p := range parts {
-		if p == "internal" && i+1 < len(parts) && slotOwnerPkgs[parts[i+1]] {
-			return true
-		}
-	}
-	return false
+	return inInternalPkg(path, slotOwnerPkgs)
 }
 
 // checkLiteralSlotWrite flags assignments into a `.Value` field in files that
@@ -769,46 +743,14 @@ func checkIgnoredDBError(f *ast.File, report func(token.Pos, string, string)) {
 // at the segments after the innermost testdata so fixtures can emulate
 // placement.
 func isLLMDir(path string) bool {
-	abs, err := filepath.Abs(path)
-	if err != nil {
-		abs = path
-	}
-	parts := strings.Split(filepath.ToSlash(abs), "/")
-	for i := len(parts) - 1; i >= 0; i-- {
-		if parts[i] == "testdata" {
-			parts = parts[i+1:]
-			break
-		}
-	}
-	for i, p := range parts {
-		if p == "internal" && i+1 < len(parts) && parts[i+1] == "llm" {
-			return true
-		}
-	}
-	return false
+	return inInternalPkg(path, map[string]bool{"llm": true})
 }
 
 // isRFDir reports whether the directory lies inside internal/rf (any
 // depth). Like classifyDir it looks only at the segments after the innermost
 // testdata so fixtures can emulate placement.
 func isRFDir(path string) bool {
-	abs, err := filepath.Abs(path)
-	if err != nil {
-		abs = path
-	}
-	parts := strings.Split(filepath.ToSlash(abs), "/")
-	for i := len(parts) - 1; i >= 0; i-- {
-		if parts[i] == "testdata" {
-			parts = parts[i+1:]
-			break
-		}
-	}
-	for i, p := range parts {
-		if p == "internal" && i+1 < len(parts) && parts[i+1] == "rf" {
-			return true
-		}
-	}
-	return false
+	return inInternalPkg(path, map[string]bool{"rf": true})
 }
 
 // checkRecursionAlloc flags make() calls inside self-recursive functions in
@@ -892,6 +834,27 @@ func checkClockDiscipline(f *ast.File, report func(token.Pos, string, string)) {
 		report(call.Pos(), "R009",
 			"direct "+timeName+"."+sel.Sel.Name+" in internal/llm bypasses the Clock abstraction; "+
 				"take an llm.Clock (SystemClock in production, FakeClock in tests) so every delay stays deterministic")
+		return true
+	})
+}
+
+// goOwnerPkgs are the internal packages allowed to start goroutines (R011):
+// the fan-out helper, which runs every bounded indexed fan-out, and the job
+// daemon, whose worker pool and job goroutines live as long as the server.
+var goOwnerPkgs = map[string]bool{"fanout": true, "server": true}
+
+// checkGoStatement flags every `go` statement in an internal package other
+// than internal/fanout and internal/server (R011). Indexed work runs through
+// fanout.Run, which keeps the worker count, the slot scratch and the stop
+// rule in one place; a hand-written pool beside it would bring back its own
+// serial path and its own merge order.
+func checkGoStatement(f *ast.File, report func(token.Pos, string, string)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if g, ok := n.(*ast.GoStmt); ok {
+			report(g.Pos(), "R011",
+				"go statement outside internal/fanout and internal/server; "+
+					"run indexed work through fanout.Run and merge its results in index order")
+		}
 		return true
 	})
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestFixtureTripsEveryRule asserts the badpkg fixture produces all five
-// rule codes.
+// TestFixtureTripsEveryRule asserts the badpkg fixture produces the six
+// rule codes it is written to trip.
 func TestFixtureTripsEveryRule(t *testing.T) {
 	findings, err := LintDir(filepath.Join("testdata", "internal", "badpkg"))
 	if err != nil {
@@ -19,14 +19,14 @@ func TestFixtureTripsEveryRule(t *testing.T) {
 			t.Errorf("finding %s has no position", f.Code)
 		}
 	}
-	want := map[string]int{"R001": 1, "R002": 1, "R003": 2, "R004": 1, "R005": 2}
+	want := map[string]int{"R001": 1, "R002": 1, "R003": 2, "R004": 1, "R005": 2, "R011": 1}
 	for code, n := range want {
 		if got[code] != n {
 			t.Errorf("rule %s fired %d time(s), want %d (all: %v)", code, got[code], n, got)
 		}
 	}
-	if len(findings) != 7 {
-		t.Errorf("total findings = %d, want 7: %v", len(findings), findings)
+	if len(findings) != 8 {
+		t.Errorf("total findings = %d, want 8: %v", len(findings), findings)
 	}
 }
 
@@ -420,6 +420,36 @@ func TestIsLLMDir(t *testing.T) {
 	for _, tc := range cases {
 		if got := isLLMDir(tc.path); got != tc.want {
 			t.Errorf("isLLMDir(%q) = %v, want %v", tc.path, got, tc.want)
+		}
+	}
+}
+
+// TestGoFixtureTripsR011 asserts that a hand-written worker pool in an
+// internal package is exactly one R011 finding, and that the same pool in
+// internal/server, which owns long-lived goroutines, is none.
+func TestGoFixtureTripsR011(t *testing.T) {
+	findings, err := LintDir(filepath.Join("testdata", "internal", "search", "badpool"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || findings[0].Code != "R011" || findings[0].Pos.Line != 15 {
+		t.Errorf("badpool findings = %v, want one R011 at line 15", findings)
+	}
+	findings, err = LintDir(filepath.Join("testdata", "internal", "server", "pool"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 0 {
+		t.Errorf("internal/server pool findings = %v, want none", findings)
+	}
+	for path, want := range map[string]bool{
+		"/repo/internal/fanout":                             true,
+		"/repo/internal/server":                             true,
+		"/repo/internal/search":                             false,
+		"/repo/cmd/barbervet/testdata/internal/server/pool": true,
+	} {
+		if got := inInternalPkg(path, goOwnerPkgs); got != want {
+			t.Errorf("inInternalPkg(%q, goOwnerPkgs) = %v, want %v", path, got, want)
 		}
 	}
 }

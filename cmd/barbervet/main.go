@@ -52,6 +52,11 @@
 //	      recursion; reference.go is exempt because the naive pointer
 //	      engine allocates per node on purpose (differential oracle and
 //	      benchmark baseline).
+//	R011  goroutine outside the fan-out: a `go` statement in an internal/
+//	      package other than internal/fanout and internal/server. Indexed
+//	      work fans out through fanout.Run, whose callers merge results in
+//	      index order, so no package keeps its own pool, serial path or
+//	      merge rule.
 //
 // Usage:
 //

@@ -1,5 +1,5 @@
 // Package badpkg is a barbervet fixture: every declaration below violates
-// one of the linter's rules (R001-R005). It lives under testdata so the go
+// one of the linter's rules (R001-R005, R011). It lives under testdata so the go
 // tool never builds it; barbervet's tests and the CLI integration test point
 // the linter at this directory and expect a non-zero exit.
 package badpkg
@@ -50,7 +50,8 @@ func Detach(db fakeDB) (int, error) {
 }
 
 // Leak fires a goroutine with no WaitGroup join, so a cancelled caller can
-// return while it still runs: R005.
+// return while it still runs: R005, and R011 for starting it outside
+// internal/fanout.
 func Leak() {
 	go Roll()
 }

@@ -8,10 +8,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"sqlbarber/internal/engine"
+	"sqlbarber/internal/fanout"
 	"sqlbarber/internal/prand"
 	"sqlbarber/internal/sqltemplate"
 	"sqlbarber/internal/sqltypes"
@@ -140,41 +140,30 @@ func probeSchedule(templates []probeTemplate, seed int64, probes int) ([][]map[s
 }
 
 // runProbeArm executes a probes x templates schedule across g goroutines,
-// each owning a contiguous slice of the probe index range, writing costs into
-// fixed slots so the result is schedule-ordered regardless of interleaving.
-// cost is the per-probe call under test, given the probe and template index.
+// one fan-out task per contiguous chunk of the probe index range, writing
+// costs into fixed slots so the result is schedule-ordered regardless of
+// interleaving. cost is the per-probe call under test, given the probe and
+// template index.
 func runProbeArm(ctx context.Context, g, probes, templates int,
 	cost func(ctx context.Context, i, t int) (float64, error)) ([]float64, time.Duration, error) {
 	costs := make([]float64, probes*templates)
-	errs := make([]error, g)
-	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < g; w++ {
-		lo := w * probes / g
-		hi := (w + 1) * probes / g
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				for t := 0; t < templates; t++ {
-					c, err := cost(ctx, i, t)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					costs[i*templates+t] = c
+	err := fanout.Run(g, g, func(_, w int) error {
+		for i := w * probes / g; i < (w+1)*probes/g; i++ {
+			for t := 0; t < templates; t++ {
+				c, err := cost(ctx, i, t)
+				if err != nil {
+					return err
 				}
+				costs[i*templates+t] = c
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	return costs, elapsed, nil
+	return costs, time.Since(start), nil
 }
 
 // RunProbeBench benchmarks compiled parametric probing (Prepared.Cost:

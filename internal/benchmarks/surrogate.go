@@ -8,10 +8,10 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"sqlbarber/internal/bo"
+	"sqlbarber/internal/fanout"
 	"sqlbarber/internal/prand"
 	"sqlbarber/internal/rf"
 )
@@ -132,24 +132,18 @@ func fitCost(seed int64, rounds, fits int, fit func(rng *rand.Rand)) (nsPerFit i
 	return nsPerFit, allocsPerFit
 }
 
-// runPredictArm scores the probe set across g goroutines, each owning a
-// contiguous chunk, writing into fixed means/stds slots. predict scores one
-// chunk (the flat arm batches it through PredictBatch; the reference arm
+// runPredictArm scores the probe set across g goroutines, one fan-out task
+// per contiguous chunk, writing into fixed means/stds slots. predict scores
+// one chunk (the flat arm batches it through PredictBatch; the reference arm
 // walks it point by point, which is how the pointer engine was driven).
 func runPredictArm(g int, probes [][]float64, means, stds []float64,
 	predict func(chunk [][]float64, means, stds []float64)) time.Duration {
-	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < g; w++ {
-		lo := w * len(probes) / g
-		hi := (w + 1) * len(probes) / g
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			predict(probes[lo:hi], means[lo:hi], stds[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
+	_ = fanout.Run(g, g, func(_, w int) error {
+		lo, hi := w*len(probes)/g, (w+1)*len(probes)/g
+		predict(probes[lo:hi], means[lo:hi], stds[lo:hi])
+		return nil
+	})
 	return time.Since(start)
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sqlbarber/internal/exec"
+	"sqlbarber/internal/fanout"
 	"sqlbarber/internal/obs"
 	"sqlbarber/internal/plan"
 	"sqlbarber/internal/sqlparser"
@@ -107,12 +108,12 @@ func (p *Prepared) CostBatch(ctx context.Context, vals []map[string]sqltypes.Val
 	return out, nil
 }
 
-// CostBatchParallel evaluates a sweep of placeholder bindings across
-// per-worker sessions. Unlike CostBatch it has attempt-all semantics: every
-// binding is validated up front (any invalid probe fails the whole sweep
-// before anything is evaluated), then every probe is attempted regardless of
-// other probes' failures, and the first error in probe order is returned with
-// the full cost vector. Counter movement is therefore a function of the probe
+// CostBatchParallel evaluates a sweep of placeholder bindings on parallel
+// goroutines, one session per fan-out slot. Unlike CostBatch it has
+// attempt-all semantics: every binding is validated up front (any invalid
+// probe fails the whole sweep before anything is evaluated), then every
+// probe is attempted regardless of other probes' failures, and the first
+// error in probe order is returned with the full cost vector. Counter movement is therefore a function of the probe
 // schedule alone — identical at every parallel level — which is what lets the
 // profiler fan measured sweeps out without perturbing the deterministic
 // snapshot. The db_prepared_batches counter increments once per sweep, like
@@ -132,45 +133,20 @@ func (p *Prepared) CostBatchParallel(ctx context.Context, vals []map[string]sqlt
 	p.db.preparedBatches.Add(1)
 	out := make([]float64, len(vals))
 	errs := make([]error, len(vals))
-	workers := parallel
-	if workers < 1 {
-		workers = 1
+	// One session per fan-out slot: a slot runs one probe at a time, so its
+	// session is never shared by two running probes.
+	sessions := make([]*session, max(1, min(parallel, len(vals))))
+	for k := range sessions {
+		sessions[k] = p.db.getSession()
 	}
-	if workers > len(vals) {
-		workers = len(vals)
-	}
-	serve := func(s *session, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
-			}
-			out[i], errs[i] = p.probe(s, paramsList[i], kind)
+	_ = fanout.Run(parallel, len(paramsList), func(slot, i int) error {
+		if errs[i] = ctx.Err(); errs[i] == nil {
+			out[i], errs[i] = p.probe(sessions[slot], paramsList[i], kind)
 		}
-	}
-	if workers <= 1 {
-		s := p.db.getSession()
-		serve(s, 0, len(paramsList))
+		return nil // attempt-all: a failed probe does not stop the sweep
+	})
+	for _, s := range sessions {
 		p.db.putSession(s)
-	} else {
-		// Contiguous ranges: each worker sweeps its own slice of the probe
-		// schedule with its own session, writing into fixed output slots.
-		var wg sync.WaitGroup
-		per := (len(paramsList) + workers - 1) / workers
-		for lo := 0; lo < len(paramsList); lo += per {
-			hi := lo + per
-			if hi > len(paramsList) {
-				hi = len(paramsList)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				s := p.db.getSession()
-				defer p.db.putSession(s)
-				serve(s, lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
 	}
 	for i, err := range errs {
 		if err != nil {

@@ -92,12 +92,14 @@ func (a *Arena) putList(b []int32) {
 // links position p to the next position (+1, 0 ends the chain) with the
 // same key, in list order. Numbers key nums by indexKey, strings key strs by
 // the string itself, and booleans have their own two heads. Rows whose key
-// is NULL are not indexed.
+// is NULL are not indexed. nan reports a NaN key, which Compare makes equal
+// to every number, so no chain lists all its matches: callers scan instead.
 type hashIndex struct {
 	nums  map[uint64]int32
 	strs  map[string]int32
 	bools [2]int32
 	next  []int32
+	nan   bool
 }
 
 // first returns the first position (+1) of the chain of non-NULL v, 0 when
@@ -127,7 +129,7 @@ func (a *Arena) buildIndex(rows []storage.Row, sel []int32, col int) *hashIndex 
 	} else {
 		hi = &hashIndex{}
 	}
-	hi.bools = [2]int32{}
+	hi.bools, hi.nan = [2]int32{}, false
 	if cap(hi.next) < n {
 		hi.next = make([]int32, n)
 	}
@@ -162,6 +164,7 @@ func (a *Arena) buildIndex(rows []storage.Row, sel []int32, col int) *hashIndex 
 			k := indexKey(v)
 			hi.next[p] = hi.nums[k]
 			hi.nums[k] = int32(p + 1)
+			hi.nan = hi.nan || isNaN(*v)
 		}
 	}
 	return hi

@@ -140,9 +140,6 @@ type level struct {
 	// BY to its position among the group results; nil for a level that does
 	// not aggregate.
 	aggPos map[*sqlparser.FuncCall]int
-	// expanding holds the output aliases being compiled, so an alias whose
-	// expression refers to itself compiles to an error, not a loop.
-	expanding map[string]bool
 }
 
 func (c *compiler) query(q *plan.Query) *prog {
@@ -300,14 +297,10 @@ func (lv *level) expr(x sqlparser.Expr) expr {
 		if ref, ok := lv.q.Binding.Cols[t]; ok {
 			return lv.column(ref)
 		}
-		// Output-alias reference, compiled as the aliased expression.
-		name := strings.ToLower(t.Name)
-		if alias, ok := lv.q.Binding.Aliases[name]; ok && !lv.expanding[name] {
-			if lv.expanding == nil {
-				lv.expanding = map[string]bool{}
-			}
-			lv.expanding[name] = true
-			defer delete(lv.expanding, name)
+		// Output-alias reference, compiled as the aliased expression. The
+		// binder resolves every column of a select item, so the expansion
+		// never meets another alias.
+		if alias, ok := lv.q.Binding.Aliases[strings.ToLower(t.Name)]; ok {
 			return lv.expr(alias)
 		}
 		return errExpr(rtErrf("unresolved column %q", t.Name))

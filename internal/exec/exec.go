@@ -288,9 +288,17 @@ func (ex *executor) joinStep(j *joinProg, f *frame, tuples, right []int32, right
 			matched := false
 			if !lv.IsNull() {
 				// A chain of an exact key holds only rows equal to lv, so
-				// without ON extras the right rows are not even read.
-				verify := !exactKey(lv)
-				for p := hi.first(lv); p != 0; p = hi.next[p-1] {
+				// without ON extras the right rows are not even read. A NaN
+				// on either side equals every number, so no chain holds all
+				// its matches: scan every right row (positions 1..len) and
+				// compare.
+				scan := hi.nan || isNaN(*lv)
+				verify := scan || !exactKey(lv)
+				p := int32(1)
+				if !scan {
+					p = hi.first(lv)
+				}
+				for ; p != 0 && int(p) <= len(right); p = advance(hi, p, scan) {
 					ri := right[p-1]
 					if verify || len(j.extra) > 0 {
 						r := rsrc[ri]
@@ -335,6 +343,15 @@ func (ex *executor) joinStep(j *joinProg, f *frame, tuples, right []int32, right
 		}
 	}
 	return out, nil
+}
+
+// advance returns the join candidate after position p (+1): the next
+// position when scanning every row, else the next in p's chain.
+func advance(hi *hashIndex, p int32, scan bool) int32 {
+	if scan {
+		return p + 1
+	}
+	return hi.next[p-1]
 }
 
 // project evaluates the select list per tuple (non-aggregate queries) and
@@ -445,8 +462,8 @@ func dedupe(rows []storage.Row) []storage.Row {
 // predicate has asked for one.
 type cachedSub struct {
 	res *Result
-	// set indexes res.Rows by first-column value; nil until first built, and
-	// for good when a member is NaN (noSet).
+	// set indexes res.Rows by first-column value; nil until first built.
+	// noSet marks a set with a NaN member, which lookups cannot use.
 	set   *hashIndex
 	noSet bool
 }
@@ -484,13 +501,10 @@ func (cs *cachedSub) lookup(ar *Arena, x sqltypes.Value) (found, ok bool) {
 	}
 	rows := cs.res.Rows
 	if cs.set == nil {
-		for _, r := range rows {
-			if len(r) > 0 && isNaN(r[0]) {
-				cs.noSet = true
-				return false, false
-			}
-		}
 		cs.set = ar.buildIndex(rows, nil, 0)
+		if cs.noSet = cs.set.nan; cs.noSet {
+			return false, false
+		}
 	}
 	verify := !exactKey(&x)
 	for p := cs.set.first(&x); p != 0; p = cs.set.next[p-1] {

@@ -421,31 +421,38 @@ func TestGroupAndDistinctKeysFollowSQLEquality(t *testing.T) {
 	}
 }
 
-// TestSelfReferentialAlias pins that an output alias whose expression
-// refers to its own name returns instead of recursing without end. The
-// binder leaves that reference to the alias, so for now the query fails;
-// once the binder resolves it to the column, it must return age + 1.
+// TestSelfReferentialAlias pins that an output alias named like a column
+// hides nothing from its own expression or from WHERE: both read the column,
+// so `age + 1 AS age` returns age + 1 for the rows WHERE age selects.
 func TestSelfReferentialAlias(t *testing.T) {
 	db := smallDB(t)
-	stmt, err := sqlparser.Parse("SELECT age + 1 AS age FROM users")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := plan.Build(db.Schema, stmt)
-	if err != nil {
-		t.Fatalf("plan: %v", err)
-	}
-	res, err := Run(db, q)
-	if err != nil {
-		return
-	}
-	ages := runSQL(t, db, "SELECT age FROM users").Rows
-	if len(res.Rows) != len(ages) {
-		t.Fatalf("%d rows, want %d", len(res.Rows), len(ages))
-	}
-	for i, r := range res.Rows {
-		if want := ages[i][0].Int() + 1; r[0].Int() != want {
-			t.Errorf("row %d: %v, want age + 1 = %d", i, r[0], want)
+	for _, tc := range []struct {
+		sql, ages string
+		want      func(age int64) int64
+	}{
+		{"SELECT age + 1 AS age FROM users", "SELECT age FROM users", func(a int64) int64 { return a + 1 }},
+		{"SELECT age * 2 AS age FROM users WHERE age > 28", "SELECT age FROM users WHERE age > 28", func(a int64) int64 { return a * 2 }},
+	} {
+		stmt, err := sqlparser.Parse(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := plan.Build(db.Schema, stmt)
+		if err != nil {
+			t.Fatalf("%s: plan: %v", tc.sql, err)
+		}
+		res, err := Run(db, q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sql, err)
+		}
+		ages := runSQL(t, db, tc.ages).Rows
+		if len(res.Rows) != len(ages) || len(ages) == 0 {
+			t.Fatalf("%s: %d rows, want %d (and some)", tc.sql, len(res.Rows), len(ages))
+		}
+		for i, r := range res.Rows {
+			if want := tc.want(ages[i][0].Int()); r[0].Int() != want {
+				t.Errorf("%s: row %d = %v, want %d", tc.sql, i, r[0], want)
+			}
 		}
 	}
 }

@@ -156,7 +156,8 @@ func TestInSubqueryMatchesLinearScan(t *testing.T) {
 
 // TestHashJoinMatchesNestedLoopOnSignedZero pins the -0.0 hash fix end to
 // end: an equi-join (hash path) and the same join written as a non-equi ON
-// (nested-loop path) return the same rows when keys mix -0.0, +0.0 and int 0.
+// (nested-loop path) return the same rows when keys mix -0.0, +0.0 and int 0,
+// and when a key is NaN.
 func TestHashJoinMatchesNestedLoopOnSignedZero(t *testing.T) {
 	schema := &catalog.Schema{
 		Name: "zeros",
@@ -167,7 +168,7 @@ func TestHashJoinMatchesNestedLoopOnSignedZero(t *testing.T) {
 	}
 	db := storage.NewDatabase(schema)
 	negZero := sqltypes.NewFloat(math.Copysign(0, -1))
-	keys := []sqltypes.Value{negZero, sqltypes.NewFloat(0), sqltypes.NewInt(0), sqltypes.NewInt(1), sqltypes.NewFloat(2.5), sqltypes.Null}
+	keys := []sqltypes.Value{negZero, sqltypes.NewFloat(0), sqltypes.NewInt(0), sqltypes.NewInt(1), sqltypes.NewFloat(2.5), sqltypes.Null, sqltypes.NewFloat(math.NaN())}
 	for i, k := range keys {
 		db.Table("l").Append(storage.Row{sqltypes.NewInt(int64(i)), k})
 		db.Table("r").Append(storage.Row{sqltypes.NewInt(int64(i)), k})
@@ -180,7 +181,10 @@ func TestHashJoinMatchesNestedLoopOnSignedZero(t *testing.T) {
 		t.Fatalf("hash join rows differ from nested loop:\n hash: %v\n loop: %v", got, want)
 	}
 	// The three zeros pair with each other (9 rows), plus 1 = 1 and 2.5 = 2.5.
-	if len(hash.Rows) != 11 {
-		t.Fatalf("hash join returned %d rows, want 11: %v", len(hash.Rows), canonical(hash.Rows))
+	// Compare makes NaN equal to every number: the NaN row pairs with the six
+	// non-NULL rows on the other side, NaN included, in both directions
+	// (6 + 5 rows).
+	if len(hash.Rows) != 22 {
+		t.Fatalf("hash join returned %d rows, want 22: %v", len(hash.Rows), canonical(hash.Rows))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"sqlbarber/internal/engine"
@@ -125,5 +126,96 @@ func TestTranscriptRecordsCalls(t *testing.T) {
 	}
 	if !strings.Contains(out, "schema summary") {
 		t.Fatal("transcript should contain the generation prompt")
+	}
+}
+
+// forkFailOracle forks a SimLLM per specification, except that the fork for
+// stream failAt fails its first call. The failing specification is fixed by
+// its position, not by call timing, so every worker count must see the same
+// failure. A fork for a later stream waits until that failure has happened,
+// so a worker that took it asks for its next specification only after the
+// failure. forks records the streams forked, in fork order.
+type forkFailOracle struct {
+	*llm.SimLLM
+	failAt int64
+	failed chan struct{}
+	mu     sync.Mutex
+	forks  []int64
+}
+
+func (o *forkFailOracle) Fork(stream int64) llm.Oracle {
+	o.mu.Lock()
+	o.forks = append(o.forks, stream)
+	o.mu.Unlock()
+	child := o.SimLLM.Fork(stream)
+	switch {
+	case stream == o.failAt:
+		return &failFirstOracle{Oracle: child, failed: o.failed}
+	case stream > o.failAt:
+		<-o.failed
+	}
+	return child
+}
+
+// failFirstOracle fails template generation and closes failed.
+type failFirstOracle struct {
+	llm.Oracle
+	failed chan struct{}
+}
+
+func (f *failFirstOracle) GenerateTemplate(context.Context, llm.GenerateRequest) (string, error) {
+	close(f.failed)
+	return "", errFlaky
+}
+
+// TestGenerateAllParallelSameFailure checks that a hard failure at
+// specification k gives the same results, error and merged Stats at every
+// worker count, and that no worker asks the oracle for a specification past
+// k once k has failed: only the forks already taken beside k may lie past it.
+func TestGenerateAllParallelSameFailure(t *testing.T) {
+	const k = 3
+	var specs []spec.Spec
+	for i := 0; i < 10; i++ {
+		specs = append(specs, spec.Spec{NumJoins: spec.Int(i % 2), NumPredicates: spec.Int(1 + i%3)})
+	}
+	run := func(parallel int) (string, error, Stats) {
+		db := engine.OpenTPCH(9, 0.05)
+		oracle := &forkFailOracle{SimLLM: llm.NewSim(llm.SimOptions{Seed: 9}), failAt: k, failed: make(chan struct{})}
+		g := New(db, oracle, Options{Seed: 9})
+		g.Parallel = parallel
+		results, err := g.GenerateAll(context.Background(), specs)
+		var sb strings.Builder
+		for _, r := range results {
+			fmt.Fprintf(&sb, "valid=%v attempts=%d id=%d sql=%s\n", r.Valid, len(r.Trace), r.Template.ID, r.Template.Text)
+		}
+		past := 0
+		for _, s := range oracle.forks {
+			if s > k {
+				past++
+			}
+		}
+		if past > parallel-1 {
+			t.Errorf("parallel=%d forked %d streams past the failing one (%v), want at most %d", parallel, past, oracle.forks, parallel-1)
+		}
+		return sb.String(), err, g.Stats()
+	}
+	base, baseErr, baseStats := run(1)
+	if !errors.Is(baseErr, errFlaky) {
+		t.Fatalf("parallel=1: err = %v, want the injected failure", baseErr)
+	}
+	if strings.Count(base, "\n") != k {
+		t.Fatalf("parallel=1 kept %d results, want the %d before the failure:\n%s", strings.Count(base, "\n"), k, base)
+	}
+	for _, p := range []int{2, 8} {
+		got, err, st := run(p)
+		if got != base {
+			t.Fatalf("parallel=%d results differ:\n%s\nvs parallel=1:\n%s", p, got, base)
+		}
+		if fmt.Sprint(err) != fmt.Sprint(baseErr) {
+			t.Fatalf("parallel=%d err = %v, want %v", p, err, baseErr)
+		}
+		if st != baseStats {
+			t.Fatalf("parallel=%d stats %+v, want %+v", p, st, baseStats)
+		}
 	}
 }

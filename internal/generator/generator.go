@@ -12,11 +12,11 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"sync"
 
 	"sqlbarber/internal/analyzer"
 	"sqlbarber/internal/catalog"
 	"sqlbarber/internal/engine"
+	"sqlbarber/internal/fanout"
 	"sqlbarber/internal/llm"
 	"sqlbarber/internal/obs"
 	"sqlbarber/internal/prand"
@@ -43,11 +43,6 @@ type Options struct {
 	// original judge-then-DBMS flow. Benchmarks use it to measure how many
 	// LLM and DBMS calls static analysis saves.
 	DisableStaticAnalysis bool
-	// Parallel is the number of worker goroutines GenerateAll fans
-	// specifications across (default 1). Results are byte-identical for any
-	// value: every specification owns a random stream and an oracle fork
-	// derived from its index, and results merge in specification order.
-	Parallel int
 }
 
 func (o Options) withDefaults() Options {
@@ -56,9 +51,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPathCandidates <= 0 {
 		o.MaxPathCandidates = 64
-	}
-	if o.Parallel <= 0 {
-		o.Parallel = 1
 	}
 	return o
 }
@@ -125,6 +117,12 @@ type Generator struct {
 	rng      *rand.Rand
 	analyzer *analyzer.Analyzer
 	stats    Stats
+	// Parallel is the number of goroutines GenerateAll fans specifications
+	// across; zero or one runs them on the caller's goroutine. Results are
+	// byte-identical for any value: every specification owns a random stream
+	// and an oracle fork derived from its index, and results merge in
+	// specification order.
+	Parallel int
 }
 
 // New creates a Generator.
@@ -362,7 +360,7 @@ func (g *Generator) generateOne(ctx context.Context, s spec.Spec, rng *rand.Rand
 // specifications that cannot be satisfied (no join path) and templates that
 // stayed invalid after the rewrite budget.
 //
-// Specifications fan out across Options.Parallel workers, and the output is
+// Specifications fan out across Parallel workers, and the output is
 // byte-identical for every worker count: specification i always draws from
 // the random stream Mix(Seed, StageGenerate, i) and from an oracle fork with
 // stream i, results merge in specification order, and on error the merged
@@ -378,43 +376,21 @@ func (g *Generator) GenerateAll(ctx context.Context, specs []spec.Spec) ([]*Resu
 		}
 		return g.oracle
 	}
-	run := func(i int) {
+	// A hard failure stops the hand-out of further specifications at any
+	// worker count; ErrNoJoinPath only skips its own specification. Every
+	// specification below the first failure has run, so the merge below
+	// reads the errors itself.
+	_ = fanout.Run(g.Parallel, len(specs), func(_, i int) error {
 		rng := prand.New(g.opts.Seed, prand.StageGenerate, int64(i))
 		results[i], errs[i] = g.generateOne(ctx, specs[i], rng, oracleFor(i), &taskStats[i])
-	}
+		if errors.Is(errs[i], ErrNoJoinPath) {
+			return nil
+		}
+		return errs[i]
+	})
 
-	workers := g.opts.Parallel
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers <= 1 {
-		for i := range specs {
-			run(i)
-			if errs[i] != nil && !errors.Is(errs[i], ErrNoJoinPath) {
-				break // sequential fast path: stop like the merge below would
-			}
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					run(i)
-				}
-			}()
-		}
-		for i := range specs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-
-	// Ordered merge: identical to the sequential loop regardless of which
-	// goroutine finished first.
+	// Ordered merge: identical at every worker count, whichever goroutine
+	// finished first.
 	var out []*Result
 	var firstErr error
 	for i := range specs {
@@ -432,9 +408,6 @@ func (g *Generator) GenerateAll(ctx context.Context, specs []spec.Spec) ([]*Resu
 			}
 			firstErr = errs[i]
 			break
-		}
-		if results[i] == nil {
-			continue // never ran: sequential fast path stopped earlier
 		}
 		if results[i].Template != nil {
 			results[i].Template.ID = i + 1

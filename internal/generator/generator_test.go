@@ -146,7 +146,8 @@ func TestGenerateAllParallelByteIdentical(t *testing.T) {
 	run := func(parallel int) ([]string, Stats) {
 		db := engine.OpenTPCH(33, 0.05)
 		oracle := llm.NewSim(llm.SimOptions{Seed: 33}) // default hallucination rates
-		g := New(db, oracle, Options{Seed: 33, Parallel: parallel})
+		g := New(db, oracle, Options{Seed: 33})
+		g.Parallel = parallel
 		results, err := g.GenerateAll(context.Background(), specs)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)

@@ -8,7 +8,6 @@ import (
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
 	"sqlbarber/internal/obs"
-	"sqlbarber/internal/search"
 	"sqlbarber/internal/spec"
 	"sqlbarber/internal/stats"
 )
@@ -159,7 +158,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestGenerateParallelSearch(t *testing.T) {
 	res := runEndToEnd(t, engine.OpenTPCH(12, 0.05), 12, endToEndSpecs(), stats.Uniform(0, 1500, 5, 60),
-		WithCostKind(engine.Cardinality), WithSearchOptions(search.Options{Parallelism: 4}))
+		WithCostKind(engine.Cardinality), WithParallel(4))
 	if len(res.Workload) < 40 {
 		t.Fatalf("parallel search produced only %d queries", len(res.Workload))
 	}

@@ -50,8 +50,9 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithParallel fans independent work over n goroutines. Output is
-// byte-identical for any n >= 1.
+// WithParallel fans independent work over n goroutines. It is the run's
+// only worker count: the generator, profiler and searcher all take it.
+// Output is byte-identical for any n >= 1.
 func WithParallel(n int) Option {
 	return func(c *Config) error {
 		if n < 1 {

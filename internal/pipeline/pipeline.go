@@ -85,10 +85,10 @@ type Config struct {
 	Seed int64
 
 	// Parallel fans independent work (template generation across specs,
-	// profiling across templates, BO runs across a search wave) over this
-	// many goroutines (default 1). Any value produces byte-identical output:
-	// every task owns a random stream derived from its position, and results
-	// merge in task order.
+	// profiling across templates and probes, BO runs across a search wave)
+	// over this many goroutines (default 1); it is the only worker count.
+	// Any value produces byte-identical output: every task owns a random
+	// stream derived from its position, and results merge in task order.
 	Parallel int
 
 	// ProfileFraction sets the profiling budget as a fraction of the

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"sqlbarber/internal/analyzer/intervals"
 	"sqlbarber/internal/bo"
+	"sqlbarber/internal/fanout"
 	"sqlbarber/internal/generator"
 	"sqlbarber/internal/obs"
 	"sqlbarber/internal/profiler"
@@ -29,10 +29,8 @@ func (generateStage) Run(ctx context.Context, rs *RunState) error {
 	if genOpts.Seed == 0 {
 		genOpts.Seed = cfg.Seed
 	}
-	if genOpts.Parallel == 0 {
-		genOpts.Parallel = cfg.Parallel
-	}
 	rs.Gen = generator.New(cfg.DB, cfg.Oracle, genOpts)
+	rs.Gen.Parallel = cfg.Parallel
 	genResults, err := rs.Gen.GenerateAll(ctx, cfg.Specs)
 	rs.Res.GenResults = genResults
 	if err != nil {
@@ -175,38 +173,12 @@ func (profileStage) Run(ctx context.Context, rs *RunState) error {
 
 	profiles := make([]*profiler.Profile, len(valid))
 	perr := make([]error, len(valid))
-	run := func(i int) {
+	// Cancellation stops the hand-out of further templates; a template that
+	// merely fails to profile is dropped by the merge below.
+	_ = fanout.Run(cfg.Parallel, len(valid), func(_, i int) error {
 		profiles[i], perr[i] = rs.Prof.Profile(ctx, valid[i].Template, perTemplate)
-	}
-	workers := cfg.Parallel
-	if workers > len(valid) {
-		workers = len(valid)
-	}
-	if workers <= 1 {
-		for i := range valid {
-			run(i)
-			if ctx.Err() != nil {
-				break
-			}
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					run(i)
-				}
-			}()
-		}
-		for i := range valid {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+		return ctx.Err()
+	})
 
 	// Ordered merge: template order, not completion order.
 	for i := range valid {
@@ -217,7 +189,7 @@ func (profileStage) Run(ctx context.Context, rs *RunState) error {
 			continue // template cannot be instantiated meaningfully; drop it
 		}
 		if profiles[i] == nil {
-			continue // never ran: sequential loop stopped on cancellation
+			continue // never ran: the fan-out stopped on cancellation
 		}
 		rs.States = append(rs.States, &workload.TemplateState{Profile: profiles[i], Spec: valid[i].Spec})
 	}
@@ -244,9 +216,6 @@ func (refineSearchStage) Run(ctx context.Context, rs *RunState) error {
 	searchOpts := cfg.SearchOpts
 	if searchOpts.Seed == 0 {
 		searchOpts.Seed = cfg.Seed + 2
-	}
-	if searchOpts.Parallelism == 0 {
-		searchOpts.Parallelism = cfg.Parallel
 	}
 	searchOpts.Naive = searchOpts.Naive || cfg.Ablations.NaiveSearch
 	if searchOpts.SearchBox == nil && rs.Intervals != nil {
@@ -287,7 +256,7 @@ func (refineSearchStage) Run(ctx context.Context, rs *RunState) error {
 		}
 		rs.CollectProfileQueries()
 
-		srch := &search.Searcher{Kind: cfg.CostKind, Opts: searchOpts}
+		srch := &search.Searcher{Kind: cfg.CostKind, Opts: searchOpts, Parallel: cfg.Parallel}
 		srch.Progress = func(qs []workload.Query) {
 			sel := workload.SelectWorkload(qs, cfg.Target)
 			dist := workload.Distance(sel, cfg.Target)

@@ -151,13 +151,18 @@ func Bind(schema *catalog.Schema, stmt *sqlparser.SelectStmt, parent *Scope) (*B
 	// One walk per clause in rendering order; the first error wins, so an
 	// unresolvable column beats an error inside a later subquery.
 	var bindErr error
+	// aliasClause is set while walking GROUP BY, HAVING and ORDER BY, the
+	// clauses that may name an output alias. The select list, ON and WHERE
+	// bind to columns, so `SELECT age + 1 AS age ... WHERE age > 28` reads
+	// the column age in both places.
+	aliasClause := false
 	bindExpr := func(e sqlparser.Expr) bool {
 		if bindErr != nil {
 			return false
 		}
 		switch t := e.(type) {
 		case *sqlparser.ColumnRef:
-			if t.Table == "" {
+			if aliasClause && t.Table == "" {
 				if alias, ok := b.Aliases[strings.ToLower(t.Name)]; ok {
 					// Output-alias reference (GROUP BY alias); bind to the
 					// aliased expression's columns instead.
@@ -188,7 +193,10 @@ func Bind(schema *catalog.Schema, stmt *sqlparser.SelectStmt, parent *Scope) (*B
 		}
 		b.Subqueries[sub] = sb
 	}
-	stmt.EachClause(func(_ string, e sqlparser.Expr) { sqlparser.Walk(e, bindExpr, bindSub) })
+	stmt.EachClause(func(clause string, e sqlparser.Expr) {
+		aliasClause = clause == "GROUP BY" || clause == "HAVING" || clause == "ORDER BY"
+		sqlparser.Walk(e, bindExpr, bindSub)
+	})
 	if bindErr != nil {
 		return nil, bindErr
 	}

@@ -33,6 +33,7 @@ import (
 	"slices"
 	"sync"
 
+	"sqlbarber/internal/fanout"
 	"sqlbarber/internal/prand"
 )
 
@@ -119,28 +120,7 @@ func Train(rng *rand.Rand, X [][]float64, y []float64, opts Options) *Forest {
 	for _, b := range tr.builders[:workers] {
 		b.reset(tr, y, n, dims, opts)
 	}
-	if workers <= 1 {
-		for t := 0; t < opts.NumTrees; t++ {
-			tr.fit(0, t)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for t := range next {
-					tr.fit(w, t)
-				}
-			}()
-		}
-		for t := 0; t < opts.NumTrees; t++ {
-			next <- t
-		}
-		close(next)
-		wg.Wait()
-	}
+	_ = fanout.Run(workers, opts.NumTrees, tr.fitTask)
 
 	// Ordered merge: copy each tree's node run out of its builder into the
 	// shared array in tree order, rebasing right-child indices.
@@ -169,7 +149,11 @@ func Train(rng *rand.Rand, X [][]float64, y []float64, opts Options) *Forest {
 // trainers recycles Train scratch across calls: BO refits a small forest
 // after every few observations, so fresh buffers (and a fresh math/rand
 // state per tree) would otherwise cost more than the split search itself.
-var trainers = sync.Pool{New: func() any { return new(trainer) }}
+var trainers = sync.Pool{New: func() any {
+	tr := new(trainer)
+	tr.fitTask = tr.fit
+	return tr
+}}
 
 // trainer is the scratch of one Train call: the shared read-only inputs every
 // tree builder sees, the serial up-front draws, and one builder per worker.
@@ -186,14 +170,19 @@ type trainer struct {
 	seeds    []int64 // per-tree prand stream seeds
 	spans    []treeSpan
 	builders []*treeBuilder
+	// fitTask is tr.fit as a fan-out task, bound once per pooled trainer so
+	// a warm Train allocates no closure.
+	fitTask func(w, t int) error
 }
 
-// fit builds tree t on builders[w] and records where its nodes landed.
-func (tr *trainer) fit(w, t int) {
+// fit builds tree t on builders[w] and records where its nodes landed. It
+// never fails; the error result makes it a fan-out task.
+func (tr *trainer) fit(w, t int) error {
 	b := tr.builders[w]
 	start := len(b.nodes)
 	b.build(tr.boots[t*b.n:(t+1)*b.n], tr.seeds[t])
 	tr.spans[t] = treeSpan{builder: int32(w), start: int32(start), end: int32(len(b.nodes))}
+	return nil
 }
 
 // treeSpan locates one fitted tree: nodes[start:end] of builders[builder].

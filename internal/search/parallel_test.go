@@ -22,20 +22,20 @@ func signature(queries []workload.Query, st Stats) string {
 }
 
 // TestSearchParallelByteIdentical is the determinism contract for the wave
-// scheduler: Parallelism is pure scheduling, so any worker count must yield
+// scheduler: Parallel is pure scheduling, so any worker count must yield
 // the exact same queries, in the same order, with the same stats.
 func TestSearchParallelByteIdentical(t *testing.T) {
 	run := func(par int) string {
 		states := setup(t)
 		target := stats.Uniform(0, 1500, 5, 60)
-		s := &Searcher{Kind: engine.Cardinality, Opts: Options{Seed: 5, Parallelism: par}}
+		s := &Searcher{Kind: engine.Cardinality, Opts: Options{Seed: 5}, Parallel: par}
 		queries, st := s.Run(context.Background(), states, target, nil)
 		return signature(queries, st)
 	}
 	seq := run(1)
 	for _, par := range []int{2, 4, 8} {
 		if got := run(par); got != seq {
-			t.Fatalf("Parallelism=%d diverged from sequential:\n--- seq ---\n%s\n--- par ---\n%s", par, seq, got)
+			t.Fatalf("Parallel=%d diverged from sequential:\n--- seq ---\n%s\n--- par ---\n%s", par, seq, got)
 		}
 	}
 }

@@ -12,7 +12,7 @@
 // templates are processed in fixed-size waves, every wave slot owns a random
 // stream derived from (Seed, StageSearch, round, slot), BO runs record their
 // probes locally, and results merge into the shared distribution in slot
-// order. A `Parallelism: N` run is therefore byte-identical to the
+// order. A `Parallel: N` run is therefore byte-identical to the
 // sequential one — worker count only changes which goroutine executes a
 // slot, never what the slot computes.
 package search
@@ -22,10 +22,10 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"sync"
 
 	"sqlbarber/internal/bo"
 	"sqlbarber/internal/engine"
+	"sqlbarber/internal/fanout"
 	"sqlbarber/internal/obs"
 	"sqlbarber/internal/prand"
 	"sqlbarber/internal/profiler"
@@ -57,15 +57,10 @@ type Options struct {
 	Naive bool
 	// MaxRounds is a global safety valve on while-loop rounds (default 500).
 	MaxRounds int
-	// Parallelism runs each wave's template optimizations on this many
-	// goroutines (default 1). Results are byte-identical for every value:
-	// wave membership, budgets, and random streams are fixed before the wave
-	// starts, and probe results merge in slot order afterwards.
-	Parallelism int
 	// BatchSize is the wave width: how many selected templates are optimized
 	// with budgets and streams frozen together before the distribution
 	// updates (default 4). It is an algorithm parameter — changing it changes
-	// results — whereas Parallelism is pure scheduling and never does.
+	// results — whereas Searcher.Parallel is pure scheduling and never does.
 	BatchSize int
 	// Seed drives the optimizer's randomness.
 	Seed int64
@@ -102,9 +97,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxRounds == 0 {
 		o.MaxRounds = 500
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = 1
-	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 4
 	}
@@ -125,6 +117,12 @@ type Stats struct {
 type Searcher struct {
 	Kind engine.CostKind
 	Opts Options
+	// Parallel runs each wave's template optimizations on this many
+	// goroutines; zero or one runs them on the caller's goroutine. Results
+	// are byte-identical for every value: wave membership, budgets, and
+	// random streams are fixed before the wave starts, and probe results
+	// merge in slot order afterwards.
+	Parallel int
 	// Progress, when non-nil, is called after every round with the queries
 	// generated so far (used to record distance-over-time curves).
 	Progress func(queries []workload.Query)
@@ -270,7 +268,7 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 		improved := false
 		// Process the selection in fixed-size waves. Budgets and random
 		// streams freeze at wave start; slots run concurrently (bounded by
-		// Parallelism) against private result buffers; the merge below
+		// Searcher.Parallel) against private result buffers; the merge below
 		// replays the slots in order.
 		for lo := 0; lo < len(selected); lo += opts.BatchSize {
 			if d[jStar] >= target.Counts[jStar] || ctx.Err() != nil {
@@ -284,37 +282,12 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 			budget := budgetFor(opts, target.Counts[jStar]-d[jStar])
 			results := make([]optResult, len(wave))
 
-			workers := opts.Parallelism
-			if workers > len(wave) {
-				workers = len(wave)
-			}
 			waveCtx := obs.NewContext(ctx, rsp)
-			runSlot := func(k int) {
+			_ = fanout.Run(s.Parallel, len(wave), func(_, k int) error {
 				slotRng := prand.New(opts.Seed, prand.StageSearch, round, int64(lo+k))
 				results[k] = s.optimizeTemplate(waveCtx, slotRng, wave[k].t, iv, budget, opts)
-			}
-			if workers <= 1 {
-				for k := range wave {
-					runSlot(k)
-				}
-			} else {
-				var wg sync.WaitGroup
-				idx := make(chan int)
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for k := range idx {
-							runSlot(k)
-						}
-					}()
-				}
-				for k := range wave {
-					idx <- k
-				}
-				close(idx)
-				wg.Wait()
-			}
+				return nil
+			})
 
 			// Ordered merge: identical regardless of which goroutine ran
 			// which slot.

@@ -1,12 +1,11 @@
 // Package sqltypes defines the value model shared by the storage layer, the
 // SQL executor, and the query planner: a compact dynamically-typed Value with
-// total ordering, hashing, and SQL-style arithmetic and comparison semantics.
+// total ordering and SQL-style arithmetic and comparison semantics.
 package sqltypes
 
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -192,51 +191,6 @@ func (v Value) Equal(o Value) bool {
 		return false
 	}
 	return v.Compare(o) == 0
-}
-
-// Hash returns a hash of the value suitable for hash joins and grouping.
-// Values that are Compare-equal hash identically (ints and equal floats
-// included, and -0.0 with +0.0). NaN compares equal to every number, so no
-// hash can agree with Compare for it; callers that may meet NaN must fall
-// back to Compare. The hash is 64-bit FNV-1a over a kind-specific encoding.
-func (v Value) Hash() uint64 {
-	h := uint64(fnvOffset64)
-	switch v.kind {
-	case KindNull:
-		h = fnvByte(h, 0)
-	case KindInt:
-		h = fnvUint64(h, math.Float64bits(float64(v.i)))
-	case KindFloat:
-		f := v.f
-		if f == 0 {
-			f = 0 // -0.0 == +0.0 under Compare, so both hash as +0.0
-		}
-		h = fnvUint64(h, math.Float64bits(f))
-	case KindString:
-		h = fnvByte(h, 3)
-		for i := 0; i < len(v.s); i++ {
-			h = fnvByte(h, v.s[i])
-		}
-	case KindBool:
-		h = fnvByte(fnvByte(h, 4), byte(v.i))
-	}
-	return h
-}
-
-// FNV-1a 64-bit parameters (as in hash/fnv).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-
-// fnvUint64 mixes u in little-endian byte order.
-func fnvUint64(h, u uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(u>>(8*i)))
-	}
-	return h
 }
 
 // Add returns v + o with numeric promotion; NULL if either operand is NULL
