@@ -15,8 +15,6 @@ import (
 	"sqlbarber/internal/llm"
 	"sqlbarber/internal/pipeline"
 	"sqlbarber/internal/realworld"
-	"sqlbarber/internal/refine"
-	"sqlbarber/internal/search"
 	"sqlbarber/internal/stats"
 )
 
@@ -226,28 +224,28 @@ func BenchmarkAblationLHS(b *testing.B) {
 // against phase-1-only refinement (mean over seeds).
 func BenchmarkAblationHistory(b *testing.B) {
 	for _, mode := range []struct {
-		name string
-		opts refine.Options
-	}{{"WithHistory", refine.Options{}}, {"Phase1Only", refine.Options{K2: 1, M2: 1}}} {
+		name       string
+		phase1Only bool
+	}{{"WithHistory", false}, {"Phase1Only", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			runAblation(b, "mean_accepted_templates",
-				pipeline.WithRefineOptions(mode.opts),
+				pipeline.WithAblations(pipeline.Ablations{Phase1Only: mode.phase1Only}),
 				func(r *pipeline.Result) float64 { return float64(r.RefineStats.Accepted) })
 		})
 	}
 }
 
 // BenchmarkAblationCloseness compares closeness-weighted template selection
-// in Algorithm 3 against a wide uniform sample (achieved by inflating the
-// sample size so weighting stops mattering); mean over seeds.
+// in Algorithm 3 against a wide uniform sample (a 1000-template sample, so
+// weighting stops mattering); mean over seeds.
 func BenchmarkAblationCloseness(b *testing.B) {
 	for _, mode := range []struct {
-		name   string
-		sample int
-	}{{"Weighted10", 0 /* default 10 */}, {"AllTemplates", 1000}} {
+		name    string
+		uniform bool
+	}{{"Weighted10", false}, {"AllTemplates", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			runAblation(b, "mean_search_evals",
-				pipeline.WithSearchOptions(search.Options{SampleSize: mode.sample}),
+				pipeline.WithAblations(pipeline.Ablations{UniformTemplates: mode.uniform}),
 				func(r *pipeline.Result) float64 { return float64(r.SearchStats.Evaluations) })
 		})
 	}

@@ -18,29 +18,28 @@ import (
 type Options struct {
 	Heuristic baseline.Heuristic
 	// BudgetPerInterval is the DBMS evaluation budget of one optimization
-	// iteration (the paper's one-hour cap, expressed in evaluations).
+	// iteration (the paper's one-hour cap, expressed in evaluations;
+	// default 500).
 	BudgetPerInterval int
-	// StepFrac is the initial hill-climbing step as a fraction of each
-	// dimension's range (default 0.1).
-	StepFrac float64
-	// MaxStagnation restarts a climb after this many non-improving moves
-	// (default 12).
-	MaxStagnation int
-	Seed          int64
+	Seed              int64
 }
 
-func (o Options) withDefaults() Options {
+// budget is BudgetPerInterval, or 500 when it is not positive.
+func (o Options) budget() int {
 	if o.BudgetPerInterval <= 0 {
-		o.BudgetPerInterval = 500
+		return 500
 	}
-	if o.StepFrac == 0 {
-		o.StepFrac = 0.1
-	}
-	if o.MaxStagnation == 0 {
-		o.MaxStagnation = 12
-	}
-	return o
+	return o.BudgetPerInterval
 }
+
+// Climb parameters.
+const (
+	// stepFrac is the initial step as a fraction of each dimension's range.
+	stepFrac = 0.1
+	// maxStagnation shrinks the step, then restarts the climb, after this
+	// many non-improving moves.
+	maxStagnation = 12
+)
 
 // Stats summarizes a run.
 type Stats struct {
@@ -52,39 +51,37 @@ type Stats struct {
 // optimization iterations equals the number of intervals (per §6.1);
 // each iteration targets one interval chosen by the heuristic.
 func Run(env *baseline.Env, opts Options) ([]workload.Query, Stats) {
-	o := opts.withDefaults()
-	rng := rand.New(rand.NewSource(o.Seed))
+	rng := rand.New(rand.NewSource(opts.Seed))
 	var st Stats
 	iterations := len(env.Target.Intervals)
 	for it := 0; it < iterations && !env.Exhausted(); it++ {
-		schedule := env.Schedule(o.Heuristic)
+		schedule := env.Schedule(opts.Heuristic)
 		if len(schedule) == 0 {
 			break
 		}
 		j := schedule[0]
-		if o.Heuristic == baseline.Order {
+		if opts.Heuristic == baseline.Order {
 			j = schedule[it%len(schedule)]
 		}
-		climbInterval(env, rng, j, o, &st)
+		climbInterval(env, rng, j, opts.budget(), &st)
 	}
 	st.Evaluations = env.Evals()
 	return env.Queries(), st
 }
 
 // climbInterval spends one iteration budget pulling queries into interval j.
-func climbInterval(env *baseline.Env, rng *rand.Rand, j int, o Options, st *Stats) {
+func climbInterval(env *baseline.Env, rng *rand.Rand, j, budget int, st *Stats) {
 	iv := env.Target.Intervals[j]
 	spent := 0
-	budget := o.BudgetPerInterval
 	for spent < budget && !env.Exhausted() && env.Deficit(j) > 0 {
 		si := rng.Intn(len(env.Spaces))
-		spent += climbOnce(env, rng, si, iv, j, budget-spent, o, st)
+		spent += climbOnce(env, rng, si, iv, j, budget-spent, st)
 	}
 }
 
 // climbOnce runs a single greedy climb from a random start, returning the
 // evaluations consumed.
-func climbOnce(env *baseline.Env, rng *rand.Rand, si int, iv stats.Interval, j int, budget int, o Options, st *Stats) int {
+func climbOnce(env *baseline.Env, rng *rand.Rand, si int, iv stats.Interval, j int, budget int, st *Stats) int {
 	space := env.Spaces[si].BOSpace()
 	dims := len(space)
 	x := make([]float64, dims)
@@ -107,7 +104,7 @@ func climbOnce(env *baseline.Env, rng *rand.Rand, si int, iv stats.Interval, j i
 	if !ok {
 		return used
 	}
-	step := o.StepFrac
+	step := stepFrac
 	stagnation := 0
 	for used < budget && env.Deficit(j) > 0 {
 		// Propose: perturb one random dimension by ±step.
@@ -134,9 +131,9 @@ func climbOnce(env *baseline.Env, rng *rand.Rand, si int, iv stats.Interval, j i
 			continue
 		}
 		stagnation++
-		if stagnation >= o.MaxStagnation {
+		if stagnation >= maxStagnation {
 			// Plateau: shrink the step once, then restart elsewhere.
-			if step > o.StepFrac/4 {
+			if step > stepFrac/4 {
 				step /= 2
 				stagnation = 0
 				continue

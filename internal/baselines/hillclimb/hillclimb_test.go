@@ -68,8 +68,7 @@ func TestHillClimbBothHeuristics(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.BudgetPerInterval <= 0 || o.StepFrac <= 0 || o.MaxStagnation <= 0 {
-		t.Fatalf("defaults: %+v", o)
+	if b := (Options{}).budget(); b <= 0 {
+		t.Fatalf("default budget %d", b)
 	}
 }

@@ -19,43 +19,27 @@ import (
 type Options struct {
 	Heuristic baseline.Heuristic
 	// BudgetPerInterval is the DBMS evaluation budget per optimization
-	// iteration.
+	// iteration (default 500).
 	BudgetPerInterval int
-	// Alpha is the Q-learning rate (default 0.3).
-	Alpha float64
-	// Gamma is the discount factor (default 0.9).
-	Gamma float64
-	// Epsilon is the exploration rate (default 0.2, decaying).
-	Epsilon float64
-	// EpisodeLen bounds steps per episode (default 12).
-	EpisodeLen int
-	// CostBuckets discretizes the cost axis for the state space
-	// (default 16).
-	CostBuckets int
-	Seed        int64
+	Seed              int64
 }
 
-func (o Options) withDefaults() Options {
+// budget is BudgetPerInterval, or 500 when it is not positive.
+func (o Options) budget() int {
 	if o.BudgetPerInterval <= 0 {
-		o.BudgetPerInterval = 500
+		return 500
 	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.3
-	}
-	if o.Gamma == 0 {
-		o.Gamma = 0.9
-	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 0.2
-	}
-	if o.EpisodeLen == 0 {
-		o.EpisodeLen = 12
-	}
-	if o.CostBuckets == 0 {
-		o.CostBuckets = 16
-	}
-	return o
+	return o.BudgetPerInterval
 }
+
+// Q-learning parameters.
+const (
+	alpha       = 0.3 // learning rate
+	gamma       = 0.9 // discount factor
+	epsilon     = 0.2 // initial exploration rate, decaying per episode
+	episodeLen  = 12  // steps per episode
+	costBuckets = 16  // discretization of the cost axis for the state space
+)
 
 // Stats summarizes a run.
 type Stats struct {
@@ -88,20 +72,19 @@ type qKey struct {
 // Run executes the RL generator over the environment, one learning phase
 // per interval in heuristic order.
 func Run(env *baseline.Env, opts Options) ([]workload.Query, Stats) {
-	o := opts.withDefaults()
-	rng := rand.New(rand.NewSource(o.Seed))
+	rng := rand.New(rand.NewSource(opts.Seed))
 	var st Stats
 	iterations := len(env.Target.Intervals)
 	for it := 0; it < iterations && !env.Exhausted(); it++ {
-		schedule := env.Schedule(o.Heuristic)
+		schedule := env.Schedule(opts.Heuristic)
 		if len(schedule) == 0 {
 			break
 		}
 		j := schedule[0]
-		if o.Heuristic == baseline.Order {
+		if opts.Heuristic == baseline.Order {
 			j = schedule[it%len(schedule)]
 		}
-		learnInterval(env, rng, j, o, &st)
+		learnInterval(env, rng, j, opts.budget(), &st)
 	}
 	st.Evaluations = env.Evals()
 	return env.Queries(), st
@@ -109,23 +92,23 @@ func Run(env *baseline.Env, opts Options) ([]workload.Query, Stats) {
 
 // learnInterval runs Q-learning episodes targeting interval j until the
 // iteration budget is spent or the interval is filled.
-func learnInterval(env *baseline.Env, rng *rand.Rand, j int, o Options, st *Stats) {
+func learnInterval(env *baseline.Env, rng *rand.Rand, j, budget int, st *Stats) {
 	iv := env.Target.Intervals[j]
 	rangeHi := env.Target.Intervals.Hi()
 	q := map[qKey]float64{}
 	bucketOf := func(c float64) int {
 		if c >= rangeHi {
-			return o.CostBuckets
+			return costBuckets
 		}
-		b := int(c / rangeHi * float64(o.CostBuckets))
+		b := int(c / rangeHi * float64(costBuckets))
 		if b < 0 {
 			b = 0
 		}
 		return b
 	}
 	spent := 0
-	eps := o.Epsilon
-	for spent < o.BudgetPerInterval && !env.Exhausted() && env.Deficit(j) > 0 {
+	eps := epsilon
+	for spent < budget && !env.Exhausted() && env.Deficit(j) > 0 {
 		st.Episodes++
 		si := rng.Intn(len(env.Spaces))
 		space := env.Spaces[si].BOSpace()
@@ -140,7 +123,7 @@ func learnInterval(env *baseline.Env, rng *rand.Rand, j int, o Options, st *Stat
 			continue
 		}
 		state := bucketOf(cost)
-		for step := 0; step < o.EpisodeLen && spent < o.BudgetPerInterval && !env.Exhausted(); step++ {
+		for step := 0; step < episodeLen && spent < budget && !env.Exhausted(); step++ {
 			if iv.Contains(cost) {
 				break // goal reached; query already recorded by Eval
 			}
@@ -162,7 +145,7 @@ func learnInterval(env *baseline.Env, rng *rand.Rand, j int, o Options, st *Stat
 			// Q-update with the max over next-state actions.
 			best := bestQ(q, si, newState, dims)
 			k := qKey{si, state, a}
-			q[k] += o.Alpha * (reward + o.Gamma*best - q[k])
+			q[k] += alpha * (reward + gamma*best - q[k])
 			state, cost = newState, newCost
 		}
 		eps *= 0.995 // decay exploration as learning progresses

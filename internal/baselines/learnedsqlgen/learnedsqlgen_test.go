@@ -79,10 +79,3 @@ func TestRewardShaping(t *testing.T) {
 		t.Fatal("out-of-interval rewards must be negative")
 	}
 }
-
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Alpha != 0.3 || o.Gamma != 0.9 || o.Epsilon != 0.2 || o.CostBuckets != 16 {
-		t.Fatalf("defaults: %+v", o)
-	}
-}

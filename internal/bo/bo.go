@@ -106,11 +106,15 @@ type Surrogate interface {
 // pin end-to-end search equality.
 type TrainFunc func(rng *rand.Rand, X [][]float64, y []float64, opts rf.Options) Surrogate
 
+// Acquisition parameters.
+const (
+	candidates = 64  // acquisition candidates per step
+	kappa      = 1.0 // exploration weight in the lower confidence bound
+)
+
 // Options tunes the optimizer.
 type Options struct {
-	InitSamples int     // LHS warm-up evaluations, default 8
-	Candidates  int     // acquisition candidates per step, default 64
-	Kappa       float64 // exploration weight in LCB, default 1.0
+	InitSamples int // LHS warm-up evaluations, default 8
 	Forest      rf.Options
 	// Train overrides the surrogate fit (default rf.Train). Any override
 	// must consume the optimizer rng identically to rf.Train for runs to be
@@ -121,12 +125,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.InitSamples <= 0 {
 		o.InitSamples = 8
-	}
-	if o.Candidates <= 0 {
-		o.Candidates = 64
-	}
-	if o.Kappa == 0 {
-		o.Kappa = 1.0
 	}
 	if o.Train == nil {
 		o.Train = func(rng *rand.Rand, X [][]float64, y []float64, opts rf.Options) Surrogate {
@@ -244,14 +242,13 @@ func (o *Optimizer) Suggest() []float64 {
 		o.forest = o.opts.Train(o.rng, o.trainX, o.trainY, o.opts.Forest)
 		o.forestObsLen = len(o.obs)
 	}
-	nc := o.opts.Candidates
-	if cap(o.candFlat) < nc*dims {
-		o.candFlat = make([]float64, nc*dims)
-		o.candX = make([][]float64, nc)
-		o.means = make([]float64, nc)
-		o.stds = make([]float64, nc)
+	if cap(o.candFlat) < candidates*dims {
+		o.candFlat = make([]float64, candidates*dims)
+		o.candX = make([][]float64, candidates)
+		o.means = make([]float64, candidates)
+		o.stds = make([]float64, candidates)
 	}
-	for c := 0; c < nc; c++ {
+	for c := 0; c < candidates; c++ {
 		cand := o.candFlat[c*dims : (c+1)*dims]
 		if c%2 == 0 {
 			o.randomPointInto(cand)
@@ -260,10 +257,10 @@ func (o *Optimizer) Suggest() []float64 {
 		}
 		o.candX[c] = cand
 	}
-	o.forest.PredictBatch(o.candX[:nc], o.means[:nc], o.stds[:nc])
+	o.forest.PredictBatch(o.candX, o.means, o.stds)
 	bestIdx, bestScore := -1, 0.0
-	for c := 0; c < nc; c++ {
-		score := o.means[c] - o.opts.Kappa*o.stds[c] // lower confidence bound
+	for c := 0; c < candidates; c++ {
+		score := o.means[c] - kappa*o.stds[c] // lower confidence bound
 		if bestIdx < 0 || score < bestScore {
 			bestScore = score
 			bestIdx = c

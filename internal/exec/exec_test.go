@@ -457,6 +457,28 @@ func TestSelfReferentialAlias(t *testing.T) {
 	}
 }
 
+// TestPlainColumnAliasRows pins the rows of GROUP BY, HAVING and ORDER BY
+// naming an output alias whose expression is a plain column.
+func TestPlainColumnAliasRows(t *testing.T) {
+	db := smallDB(t)
+	for _, tc := range []struct {
+		sql  string
+		want string
+	}{
+		{"SELECT name AS n FROM users ORDER BY n DESC", "[dan] [cat] [bob] [ann]"},
+		{"SELECT uid AS u, COUNT(*) FROM orders GROUP BY u ORDER BY u", "[1 2] [2 1] [3 3]"},
+		{"SELECT uid AS u, SUM(amount) FROM orders GROUP BY u HAVING u > 1 ORDER BY u DESC", "[3 500] [2 50]"},
+	} {
+		var rows []string
+		for _, r := range runSQL(t, db, tc.sql).Rows {
+			rows = append(rows, fmt.Sprint(r))
+		}
+		if got := strings.Join(rows, " "); got != tc.want {
+			t.Errorf("%s: rows %s, want %s", tc.sql, got, tc.want)
+		}
+	}
+}
+
 // TestAggregateWithoutArgumentIsAnError pins that SUM(), which the parser
 // accepts, fails the query rather than reading a missing argument.
 func TestAggregateWithoutArgumentIsAnError(t *testing.T) {

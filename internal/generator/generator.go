@@ -24,6 +24,9 @@ import (
 	"sqlbarber/internal/sqltemplate"
 )
 
+// maxPathCandidates caps join-path enumeration per join count.
+const maxPathCandidates = 64
+
 // Options configures the generator.
 type Options struct {
 	// MaxRewrites is Algorithm 1's k: the maximum check-and-rewrite
@@ -34,9 +37,6 @@ type Options struct {
 	// per oracle kind and every repair output is validated before the budget
 	// ends (no trailing unvalidated fix call).
 	MaxRewrites int
-	// MaxPathCandidates caps join-path enumeration per join count
-	// (default 64).
-	MaxPathCandidates int
 	// Seed drives join-path sampling.
 	Seed int64
 	// DisableStaticAnalysis turns off the analyzer tier, restoring the
@@ -48,9 +48,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxRewrites <= 0 {
 		o.MaxRewrites = 8
-	}
-	if o.MaxPathCandidates <= 0 {
-		o.MaxPathCandidates = 64
 	}
 	return o
 }
@@ -163,7 +160,7 @@ func (g *Generator) samplePath(rng *rand.Rand, s spec.Spec) (catalog.JoinPath, e
 	if numJoins < 0 {
 		numJoins = 0
 	}
-	paths := g.db.Schema().JoinPaths(numJoins, g.opts.MaxPathCandidates)
+	paths := g.db.Schema().JoinPaths(numJoins, maxPathCandidates)
 	// Honour an explicit table count that differs from joins+1 by preferring
 	// paths whose distinct-table count matches (self-join-free schemas make
 	// this equal to joins+1, so usually every path qualifies).

@@ -6,11 +6,8 @@ import (
 	"fmt"
 
 	"sqlbarber/internal/engine"
-	"sqlbarber/internal/generator"
 	"sqlbarber/internal/llm"
 	"sqlbarber/internal/obs"
-	"sqlbarber/internal/refine"
-	"sqlbarber/internal/search"
 	"sqlbarber/internal/spec"
 	"sqlbarber/internal/stats"
 )
@@ -103,30 +100,6 @@ func WithObs(sink obs.Sink) Option {
 			return ErrNilSink
 		}
 		c.Obs = sink
-		return nil
-	}
-}
-
-// WithGeneratorOptions overrides the §4 generator's defaults.
-func WithGeneratorOptions(o generator.Options) Option {
-	return func(c *Config) error {
-		c.GenOpts = o
-		return nil
-	}
-}
-
-// WithRefineOptions overrides Algorithm 2's defaults.
-func WithRefineOptions(o refine.Options) Option {
-	return func(c *Config) error {
-		c.RefineOpts = o
-		return nil
-	}
-}
-
-// WithSearchOptions overrides Algorithm 3's defaults.
-func WithSearchOptions(o search.Options) Option {
-	return func(c *Config) error {
-		c.SearchOpts = o
 		return nil
 	}
 }

@@ -111,6 +111,8 @@ func TestAblationsString(t *testing.T) {
 		{Ablations{DisableRefine: true}, "No-Refine-Prune"},
 		{Ablations{NaiveSearch: true}, "Naive-Search"},
 		{Ablations{IndependentSampling: true}, "Independent-Sampling"},
+		{Ablations{Phase1Only: true}, "Phase1-Only"},
+		{Ablations{UniformTemplates: true}, "Uniform-Templates"},
 		{Ablations{DisableRefine: true, NaiveSearch: true}, "No-Refine-Prune+Naive-Search"},
 	}
 	for _, tc := range cases {
@@ -121,7 +123,8 @@ func TestAblationsString(t *testing.T) {
 }
 
 // TestAblationVariantsRun asserts each paper ablation reaches the stages:
-// every variant still yields a workload that differs from the full method's.
+// every variant still yields a workload that differs from the full method's,
+// except the switches the small task gives nothing to act on.
 func TestAblationVariantsRun(t *testing.T) {
 	run := func(t *testing.T, a Ablations) string {
 		res, err := smallPipeline(t, 13, llm.NewSim(llm.SimOptions{Seed: 13}), WithAblations(a)).Run(context.Background())
@@ -135,16 +138,29 @@ func TestAblationVariantsRun(t *testing.T) {
 	}
 	baseline := run(t, Ablations{})
 	for _, tc := range []struct {
-		name string
-		a    Ablations
+		name  string
+		a     Ablations
+		inert bool // the run must come out unchanged
 	}{
-		{"NoRefinePrune", Ablations{DisableRefine: true}},
-		{"NaiveSearch", Ablations{NaiveSearch: true}},
-		{"NoLHS", Ablations{IndependentSampling: true}},
+		{"NoRefinePrune", Ablations{DisableRefine: true}, false},
+		{"NaiveSearch", Ablations{NaiveSearch: true}, false},
+		{"NoLHS", Ablations{IndependentSampling: true}, false},
+		// The small task reaches coverage inside refinement's phase 1 and
+		// never holds more than ten templates, so these two switches cannot
+		// change it. refine.TestPhase1OnlyCutsPhase2 and
+		// search.TestUniformTemplatesWidensSample show their reach, the
+		// root BenchmarkAblationHistory and BenchmarkAblationCloseness
+		// their effect.
+		{"Phase1Only", Ablations{Phase1Only: true}, true},
+		{"UniformTemplates", Ablations{UniformTemplates: true}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if run(t, tc.a) == baseline {
+			changed := run(t, tc.a) != baseline
+			if !tc.inert && !changed {
 				t.Fatalf("%s had no effect on the run", tc.a)
+			}
+			if tc.inert && changed {
+				t.Fatalf("%s changed a run it has nothing to act on", tc.a)
 			}
 		})
 	}

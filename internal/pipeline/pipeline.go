@@ -42,6 +42,12 @@ type Ablations struct {
 	// pre-profiling pruning, no flat-template probe skip, no BO search-box
 	// narrowing (the "No-Interval-Prune" arm benchmarks compare against).
 	DisableIntervals bool
+	// Phase1Only cuts Algorithm 2's history-aware phase 2 to one iteration
+	// refining one template per interval (k=m=1).
+	Phase1Only bool
+	// UniformTemplates widens Algorithm 3's closeness-weighted 10-template
+	// sample to 1000 templates, so weighting stops mattering.
+	UniformTemplates bool
 }
 
 // String names the configuration the way the paper's figures label it:
@@ -63,6 +69,12 @@ func (a Ablations) String() string {
 	}
 	if a.DisableIntervals {
 		parts = append(parts, "No-Interval-Prune")
+	}
+	if a.Phase1Only {
+		parts = append(parts, "Phase1-Only")
+	}
+	if a.UniformTemplates {
+		parts = append(parts, "Uniform-Templates")
 	}
 	return strings.Join(parts, "+")
 }
@@ -98,11 +110,6 @@ type Config struct {
 	// Ablations selects which paper ablations to run. The zero value is the
 	// full method.
 	Ablations Ablations
-
-	// GenOpts, RefineOpts, SearchOpts override component defaults.
-	GenOpts    generator.Options
-	RefineOpts refine.Options
-	SearchOpts search.Options
 
 	// Resilience, when non-nil, wraps the oracle in the middleware chain it
 	// describes (retry, fault injection). Set via WithResilience, which

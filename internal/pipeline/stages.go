@@ -25,11 +25,7 @@ func (generateStage) Name() string { return "generate" }
 
 func (generateStage) Run(ctx context.Context, rs *RunState) error {
 	cfg := rs.Cfg
-	genOpts := cfg.GenOpts
-	if genOpts.Seed == 0 {
-		genOpts.Seed = cfg.Seed
-	}
-	rs.Gen = generator.New(cfg.DB, cfg.Oracle, genOpts)
+	rs.Gen = generator.New(cfg.DB, cfg.Oracle, generator.Options{Seed: cfg.Seed})
 	rs.Gen.Parallel = cfg.Parallel
 	genResults, err := rs.Gen.GenerateAll(ctx, cfg.Specs)
 	rs.Res.GenResults = genResults
@@ -213,27 +209,17 @@ func (refineSearchStage) Name() string { return "refine-search" }
 func (refineSearchStage) Run(ctx context.Context, rs *RunState) error {
 	cfg := rs.Cfg
 	res := rs.Res
-	searchOpts := cfg.SearchOpts
-	if searchOpts.Seed == 0 {
-		searchOpts.Seed = cfg.Seed + 2
-	}
-	searchOpts.Naive = searchOpts.Naive || cfg.Ablations.NaiveSearch
-	if searchOpts.SearchBox == nil && rs.Intervals != nil {
-		// Seed BO's search box from the interval projection: dimensions are
-		// narrowed to the slot cells whose static bounds can still reach a
-		// wanted band. Templates without a box (or refined templates born
-		// after the intervals stage) keep their full space.
-		boxes := map[int]bo.Space{}
-		for id, a := range rs.Intervals {
-			if a.Box != nil {
-				boxes[id] = a.Box
-			}
-		}
-		if len(boxes) > 0 {
-			searchOpts.SearchBox = boxes
+	// Seed BO's search box from the interval projection: dimensions are
+	// narrowed to the slot cells whose static bounds can still reach a
+	// wanted band. Templates without a box (or refined templates born after
+	// the intervals stage) keep their full space.
+	boxes := map[int]bo.Space{}
+	for id, a := range rs.Intervals {
+		if a.Box != nil {
+			boxes[id] = a.Box
 		}
 	}
-	ref := &refine.Refiner{Oracle: cfg.Oracle, Prof: rs.Prof, Opts: cfg.RefineOpts}
+	ref := &refine.Refiner{Oracle: cfg.Oracle, Prof: rs.Prof, Phase1Only: cfg.Ablations.Phase1Only}
 	sink := obs.FromContext(ctx)
 
 	const maxRounds = 5
@@ -256,7 +242,14 @@ func (refineSearchStage) Run(ctx context.Context, rs *RunState) error {
 		}
 		rs.CollectProfileQueries()
 
-		srch := &search.Searcher{Kind: cfg.CostKind, Opts: searchOpts, Parallel: cfg.Parallel}
+		srch := &search.Searcher{
+			Kind:             cfg.CostKind,
+			Seed:             cfg.Seed + 2,
+			Naive:            cfg.Ablations.NaiveSearch,
+			UniformTemplates: cfg.Ablations.UniformTemplates,
+			SearchBox:        boxes,
+			Parallel:         cfg.Parallel,
+		}
 		srch.Progress = func(qs []workload.Query) {
 			sel := workload.SelectWorkload(qs, cfg.Target)
 			dist := workload.Distance(sel, cfg.Target)

@@ -162,16 +162,20 @@ func Bind(schema *catalog.Schema, stmt *sqlparser.SelectStmt, parent *Scope) (*B
 		}
 		switch t := e.(type) {
 		case *sqlparser.ColumnRef:
+			col := t
 			if aliasClause && t.Table == "" {
 				if alias, ok := b.Aliases[strings.ToLower(t.Name)]; ok {
-					// Output-alias reference (GROUP BY alias); bind to the
-					// aliased expression's columns instead.
-					if _, isCol := alias.(*sqlparser.ColumnRef); !isCol {
-						return false // computed alias — evaluated via alias map
+					// Output-alias reference (GROUP BY alias). A plain-column
+					// alias binds to the aliased column; a computed one is
+					// evaluated via the alias map.
+					aliased, isCol := alias.(*sqlparser.ColumnRef)
+					if !isCol {
+						return false
 					}
+					col = aliased
 				}
 			}
-			ref, err := scope.Resolve(t.Table, t.Name)
+			ref, err := scope.Resolve(col.Table, col.Name)
 			if err != nil {
 				bindErr = err
 				return false

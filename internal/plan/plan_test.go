@@ -60,6 +60,34 @@ func TestBinderErrors(t *testing.T) {
 	}
 }
 
+// TestPlainColumnAliasBinds pins that GROUP BY, HAVING and ORDER BY may
+// name an output alias whose expression is a plain column: the reference
+// binds to the aliased column, as a computed alias's columns already do.
+func TestPlainColumnAliasBinds(t *testing.T) {
+	for _, sql := range []string{
+		"SELECT r_name AS n FROM region ORDER BY n",
+		"SELECT r_regionkey AS k, COUNT(*) FROM region GROUP BY k",
+		"SELECT r_regionkey AS k, COUNT(*) FROM region GROUP BY k HAVING k > 1 ORDER BY k DESC",
+	} {
+		q := buildQuery(t, sql)
+		want := q.Binding.Cols[q.Stmt.Items[0].Expr.(*sqlparser.ColumnRef)]
+		var refs []sqlparser.Expr
+		refs = append(refs, q.Stmt.GroupBy...)
+		if q.Stmt.Having != nil {
+			refs = append(refs, q.Stmt.Having.(*sqlparser.BinaryExpr).L)
+		}
+		for _, o := range q.Stmt.OrderBy {
+			refs = append(refs, o.Expr)
+		}
+		for _, r := range refs {
+			c := r.(*sqlparser.ColumnRef)
+			if got, ok := q.Binding.Cols[c]; !ok || got != want {
+				t.Errorf("%s: %s bound to %+v (ok=%v), want the aliased column %+v", sql, c.Name, got, ok, want)
+			}
+		}
+	}
+}
+
 func TestAmbiguousColumn(t *testing.T) {
 	db := datagen.TPCH(1, 0.05)
 	stmt, _ := sqlparser.Parse("SELECT l_orderkey FROM lineitem AS a JOIN lineitem AS b ON a.l_orderkey = b.l_orderkey")

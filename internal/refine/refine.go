@@ -20,45 +20,16 @@ import (
 	"sqlbarber/internal/workload"
 )
 
-// Options holds Algorithm 2's phase parameters. Defaults follow the paper:
-// phase 1 (τ=0.2, k=3, m=3) without history, phase 2 (τ=0.1, k=5, m=5) with
-// history.
-type Options struct {
-	Tau1, Tau2     float64
-	K1, K2         int
-	M1, M2         int
-	ProfileSamples int // probes per newly refined template (default 8)
-	// MaxNewTemplates bounds template proliferation (default 64).
-	MaxNewTemplates int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Tau1 == 0 {
-		o.Tau1 = 0.2
-	}
-	if o.Tau2 == 0 {
-		o.Tau2 = 0.1
-	}
-	if o.K1 == 0 {
-		o.K1 = 3
-	}
-	if o.K2 == 0 {
-		o.K2 = 5
-	}
-	if o.M1 == 0 {
-		o.M1 = 3
-	}
-	if o.M2 == 0 {
-		o.M2 = 5
-	}
-	if o.ProfileSamples == 0 {
-		o.ProfileSamples = 8
-	}
-	if o.MaxNewTemplates == 0 {
-		o.MaxNewTemplates = 64
-	}
-	return o
-}
+// Algorithm 2's parameters, fixed at the paper's values: phase 1 refines
+// without history, phase 2 with it.
+const (
+	tau1, k1, m1 = 0.2, 3, 3
+	tau2, k2, m2 = 0.1, 5, 5
+	// profileSamples is the probe count per newly refined template.
+	profileSamples = 8
+	// maxNewTemplates bounds template proliferation.
+	maxNewTemplates = 64
+)
 
 // Stats reports what a refinement run did.
 type Stats struct {
@@ -72,7 +43,10 @@ type Stats struct {
 type Refiner struct {
 	Oracle llm.Oracle
 	Prof   *profiler.Profiler
-	Opts   Options
+	// Phase1Only cuts the history-aware phase 2 to one iteration that
+	// refines one template per interval (k=m=1), leaving refinement almost
+	// entirely to phase 1 (ablation).
+	Phase1Only bool
 }
 
 type phase struct {
@@ -86,7 +60,6 @@ type phase struct {
 func (r *Refiner) Run(ctx context.Context, templates []*workload.TemplateState, target *stats.TargetDistribution) ([]*workload.TemplateState, Stats, error) {
 	ctx, rsp := obs.StartSpan(ctx, "refine")
 	defer rsp.End()
-	opts := r.Opts.withDefaults()
 	var st Stats
 	hist := map[int][]llm.RefineAttempt{} // interval -> attempts
 	nextID := 0
@@ -96,8 +69,11 @@ func (r *Refiner) Run(ctx context.Context, templates []*workload.TemplateState, 
 		}
 	}
 	phases := []phase{
-		{tau: opts.Tau1, k: opts.K1, m: opts.M1, useHist: false},
-		{tau: opts.Tau2, k: opts.K2, m: opts.M2, useHist: true},
+		{tau: tau1, k: k1, m: m1, useHist: false},
+		{tau: tau2, k: k2, m: m2, useHist: true},
+	}
+	if r.Phase1Only {
+		phases[1].k, phases[1].m = 1, 1
 	}
 	for _, ph := range phases {
 		for iter := 0; iter < ph.k; iter++ {
@@ -119,7 +95,7 @@ func (r *Refiner) Run(ctx context.Context, templates []*workload.TemplateState, 
 				return templates, st, nil
 			}
 			isp.Annotate(obs.A("low_intervals", strconv.Itoa(len(low))))
-			added, err := r.refineForIntervals(ctx, &templates, target, low, ph, hist, &nextID, &st, opts)
+			added, err := r.refineForIntervals(ctx, &templates, target, low, ph, hist, &nextID, &st)
 			isp.End()
 			if err != nil {
 				return templates, st, err
@@ -127,7 +103,7 @@ func (r *Refiner) Run(ctx context.Context, templates []*workload.TemplateState, 
 			if !added && !ph.useHist {
 				break // phase 1 made no progress; escalate to phase 2
 			}
-			if st.Accepted >= opts.MaxNewTemplates {
+			if st.Accepted >= maxNewTemplates {
 				return templates, st, nil
 			}
 		}
@@ -137,7 +113,7 @@ func (r *Refiner) Run(ctx context.Context, templates []*workload.TemplateState, 
 
 // refineForIntervals is Algorithm 2's RefineForIntervals: refine the top-m
 // closest templates toward each low-coverage interval.
-func (r *Refiner) refineForIntervals(ctx context.Context, templates *[]*workload.TemplateState, target *stats.TargetDistribution, low []int, ph phase, hist map[int][]llm.RefineAttempt, nextID *int, st *Stats, opts Options) (bool, error) {
+func (r *Refiner) refineForIntervals(ctx context.Context, templates *[]*workload.TemplateState, target *stats.TargetDistribution, low []int, ph phase, hist map[int][]llm.RefineAttempt, nextID *int, st *Stats) (bool, error) {
 	sink := obs.FromContext(ctx)
 	added := false
 	for _, j := range low {
@@ -181,7 +157,7 @@ func (r *Refiner) refineForIntervals(ctx context.Context, templates *[]*workload
 				st.Accepted++
 				sink.Count(obs.MRefineAccepted, 1)
 				added = true
-				if st.Accepted >= opts.MaxNewTemplates {
+				if st.Accepted >= maxNewTemplates {
 					return added, nil
 				}
 			}
@@ -198,7 +174,7 @@ func (r *Refiner) profileCandidate(ctx context.Context, sql string, parent *work
 	if err != nil {
 		return nil, llm.RefineAttempt{}, err
 	}
-	prof, err := r.Prof.Profile(ctx, tmpl, r.Opts.withDefaults().ProfileSamples)
+	prof, err := r.Prof.Profile(ctx, tmpl, profileSamples)
 	if err != nil {
 		return nil, llm.RefineAttempt{}, err
 	}

@@ -120,9 +120,26 @@ func TestPruneNeverDropsEverything(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Tau1 != 0.2 || o.Tau2 != 0.1 || o.K1 != 3 || o.K2 != 5 || o.M1 != 3 || o.M2 != 5 {
-		t.Fatalf("paper defaults wrong: %+v", o)
+// TestPhase1OnlyCutsPhase2 checks the Phase1Only ablation reaches Algorithm
+// 2: on a target that drives refinement into phase 2, the switch leaves
+// phase 2 a single iteration.
+func TestPhase1OnlyCutsPhase2(t *testing.T) {
+	_, p := setup(t)
+	s := spec.Spec{NumJoins: spec.Int(0), NumPredicates: spec.Int(1)}
+	run := func(phase1Only bool) Stats {
+		seed := profiled(t, p, "SELECT n_nationkey FROM nation WHERE n_nationkey > {p_1}", s, 1)
+		r := &Refiner{Oracle: llm.NewSim(llm.Perfect(2)), Prof: p, Phase1Only: phase1Only}
+		_, st, err := r.Run(context.Background(), []*workload.TemplateState{seed}, stats.Uniform(0, 800, 4, 40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	full, cut := run(false), run(true)
+	if full.Iterations <= k1+1 {
+		t.Fatalf("full run never reached a second phase-2 iteration: %+v", full)
+	}
+	if cut.Iterations > k1+1 || cut.Iterations >= full.Iterations {
+		t.Fatalf("Phase1Only ran %d iterations (full run %d), want at most %d", cut.Iterations, full.Iterations, k1+1)
 	}
 }

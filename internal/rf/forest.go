@@ -37,13 +37,15 @@ import (
 	"sqlbarber/internal/prand"
 )
 
+// featureFrac is the fraction of features drawn at each split.
+const featureFrac = 0.8
+
 // Options configures forest training. The zero value is usable; fields at
 // zero take the documented defaults.
 type Options struct {
-	NumTrees    int     // default 16
-	MaxDepth    int     // default 10
-	MinLeafSize int     // default 2
-	FeatureFrac float64 // fraction of features per split, default 0.8
+	NumTrees    int // default 16
+	MaxDepth    int // default 10
+	MinLeafSize int // default 2
 	// Workers bounds the goroutines fitting trees concurrently (default
 	// GOMAXPROCS). Pure scheduling: the forest bytes are identical at every
 	// value, because all shared-rng draws happen serially before the fan-out.
@@ -59,9 +61,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MinLeafSize <= 0 {
 		o.MinLeafSize = 2
-	}
-	if o.FeatureFrac <= 0 || o.FeatureFrac > 1 {
-		o.FeatureFrac = 0.8
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -334,7 +333,7 @@ func (b *treeBuilder) grow(lo, hi, depth int) int32 {
 		b.nodes = append(b.nodes, flatNode{feature: leafFeature, threshold: mean})
 		return self
 	}
-	nFeat := int(math.Ceil(b.opts.FeatureFrac * float64(b.dims)))
+	nFeat := int(math.Ceil(featureFrac * float64(b.dims)))
 	bestFeat, bestTh, bestScore := -1, 0.0, math.Inf(1)
 	for k := 0; k < nFeat; k++ {
 		// Partial Fisher-Yates over the persistent permutation: nFeat draws

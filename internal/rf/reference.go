@@ -70,7 +70,7 @@ func refBuild(rng *rand.Rand, X [][]float64, y []float64, idx []int, featPerm []
 		return &refNode{leaf: true, value: mean}
 	}
 	dims := len(X[0])
-	nFeat := int(math.Ceil(opts.FeatureFrac * float64(dims)))
+	nFeat := int(math.Ceil(featureFrac * float64(dims)))
 	bestFeat, bestTh, bestScore := -1, 0.0, math.Inf(1)
 	for k := 0; k < nFeat; k++ {
 		j := k + rng.Intn(dims-k)

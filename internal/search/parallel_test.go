@@ -28,7 +28,7 @@ func TestSearchParallelByteIdentical(t *testing.T) {
 	run := func(par int) string {
 		states := setup(t)
 		target := stats.Uniform(0, 1500, 5, 60)
-		s := &Searcher{Kind: engine.Cardinality, Opts: Options{Seed: 5}, Parallel: par}
+		s := &Searcher{Kind: engine.Cardinality, Seed: 5, Parallel: par}
 		queries, st := s.Run(context.Background(), states, target, nil)
 		return signature(queries, st)
 	}
@@ -47,7 +47,7 @@ func TestSearchCancelReturnsPartial(t *testing.T) {
 	target := stats.Uniform(0, 1500, 5, 60)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s := &Searcher{Kind: engine.Cardinality, Opts: Options{Seed: 5}}
+	s := &Searcher{Kind: engine.Cardinality, Seed: 5}
 	queries, st := s.Run(ctx, states, target, nil)
 	if st.Rounds != 0 {
 		t.Fatalf("cancelled search still ran %d rounds", st.Rounds)

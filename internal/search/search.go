@@ -35,73 +35,24 @@ import (
 	"sqlbarber/internal/workload"
 )
 
-// Options configures Algorithm 3.
-type Options struct {
-	// BudgetFactor scales the per-template BO budget (paper: 5·Δ*).
-	BudgetFactor int
-	// MaxBudget caps one BO run's evaluations (default 150).
-	MaxBudget int
-	// SampleSize is the weighted-sample size of candidate templates per
-	// interval (paper: 10).
-	SampleSize int
-	// UtilityThreshold marks bad combinations (paper: 0.05).
-	UtilityThreshold float64
-	// MaxFailures skips an interval after this many fruitless rounds
-	// (paper: 5).
-	MaxFailures int
-	// SpaceFactor requires R[T] >= SpaceFactor·Δ* (paper: 5).
-	SpaceFactor int
-	// MinVariety filters low-diversity templates (LimitedDiversity check).
-	MinVariety float64
-	// Naive replaces BO with pure random search (ablation "Naive-Search").
-	Naive bool
-	// MaxRounds is a global safety valve on while-loop rounds (default 500).
-	MaxRounds int
-	// BatchSize is the wave width: how many selected templates are optimized
-	// with budgets and streams frozen together before the distribution
-	// updates (default 4). It is an algorithm parameter — changing it changes
-	// results — whereas Searcher.Parallel is pure scheduling and never does.
-	BatchSize int
-	// Seed drives the optimizer's randomness.
-	Seed int64
-	// SearchBox, when non-nil, replaces a template's full BO space with a
-	// statically narrowed one, keyed by template ID (the cost-interval
-	// analysis projection: only slot regions whose bounds can still reach a
-	// wanted band). A box is applied only when its dimensionality matches
-	// the template's space; templates without an entry keep the full space.
-	SearchBox map[int]bo.Space
-}
-
-func (o Options) withDefaults() Options {
-	if o.BudgetFactor == 0 {
-		o.BudgetFactor = 5
-	}
-	if o.MaxBudget == 0 {
-		o.MaxBudget = 150
-	}
-	if o.SampleSize == 0 {
-		o.SampleSize = 10
-	}
-	if o.UtilityThreshold == 0 {
-		o.UtilityThreshold = 0.05
-	}
-	if o.MaxFailures == 0 {
-		o.MaxFailures = 5
-	}
-	if o.SpaceFactor == 0 {
-		o.SpaceFactor = 5
-	}
-	if o.MinVariety == 0 {
-		o.MinVariety = 0.05
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 500
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 4
-	}
-	return o
-}
+// Algorithm 3's parameters, fixed at the paper's values.
+const (
+	budgetFactor     = 5    // per-template BO budget is budgetFactor·Δ*
+	maxBudget        = 150  // cap on one BO run's evaluations
+	sampleSize       = 10   // weighted sample of candidate templates per interval
+	uniformSample    = 1000 // sample size under Searcher.UniformTemplates
+	utilityThreshold = 0.05 // Equation (6) ratio below which a combination is bad
+	maxFailures      = 5    // fruitless rounds before an interval is skipped
+	spaceFactor      = 5    // a template needs R[T] >= spaceFactor·Δ*
+	minVariety       = 0.05 // LimitedDiversity filter
+	maxRounds        = 500  // global safety valve on while-loop rounds
+	// batchSize is the wave width: how many selected templates are
+	// optimized with budgets and streams frozen together before the
+	// distribution updates. It is an algorithm parameter — changing it
+	// changes results — whereas Searcher.Parallel is pure scheduling and
+	// never does.
+	batchSize = 4
+)
 
 // Stats reports a search run's behaviour.
 type Stats struct {
@@ -116,7 +67,19 @@ type Stats struct {
 // searched is the one the templates were profiled against.
 type Searcher struct {
 	Kind engine.CostKind
-	Opts Options
+	// Seed drives the optimizer's randomness.
+	Seed int64
+	// Naive replaces BO with pure random search (ablation "Naive-Search").
+	Naive bool
+	// UniformTemplates widens the closeness-weighted template sample to
+	// uniformSample, so weighting stops mattering (ablation).
+	UniformTemplates bool
+	// SearchBox, when non-nil, replaces a template's full BO space with a
+	// statically narrowed one, keyed by template ID (the cost-interval
+	// analysis projection: only slot regions whose bounds can still reach a
+	// wanted band). A box is applied only when its dimensionality matches
+	// the template's space; templates without an entry keep the full space.
+	SearchBox map[int]bo.Space
 	// Parallel runs each wave's template optimizations on this many
 	// goroutines; zero or one runs them on the caller's goroutine. Results
 	// are byte-identical for every value: wave membership, budgets, and
@@ -149,7 +112,6 @@ type optResult struct {
 func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState, target *stats.TargetDistribution, seed []workload.Query) ([]workload.Query, Stats) {
 	ctx, ssp := obs.StartSpan(ctx, "search")
 	defer ssp.End()
-	opts := s.Opts.withDefaults()
 	var st Stats
 
 	queries := append(make([]workload.Query, 0, len(seed)), seed...)
@@ -188,13 +150,13 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 		}
 	}
 
-	for st.Rounds < opts.MaxRounds && ctx.Err() == nil {
+	for st.Rounds < maxRounds && ctx.Err() == nil {
 		st.Rounds++
 		ssp.Count(obs.MSearchRounds, 1)
 		rsp := ssp.StartSpan("search:round", obs.A("round", strconv.Itoa(st.Rounds)))
 		round := int64(st.Rounds)
 		// Per-round stream for selection decisions (shuffle, weighted sample).
-		roundRng := prand.New(opts.Seed, prand.StageSearch, round)
+		roundRng := prand.New(s.Seed, prand.StageSearch, round)
 		// Find the interval with the largest gap.
 		jStar, gap := -1, 0
 		for j, want := range target.Counts {
@@ -236,16 +198,16 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 			if bad[comboKey{jStar, t.Profile.Template.ID}] {
 				continue
 			}
-			if !opts.Naive {
-				if remaining[t.Profile.Template.ID] < float64(opts.SpaceFactor*gap) {
+			if !s.Naive {
+				if remaining[t.Profile.Template.ID] < float64(spaceFactor*gap) {
 					continue
 				}
-				if workload.Variety(t.Costs()) < opts.MinVariety {
+				if workload.Variety(t.Costs()) < minVariety {
 					continue
 				}
 			}
 			score := 1.0
-			if !opts.Naive {
+			if !s.Naive {
 				score = workload.Closeness(t.Costs(), iv)
 			}
 			cands = append(cands, scoredTemplate{t, score})
@@ -258,34 +220,38 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 			rsp.End()
 			continue
 		}
-		if !opts.Naive {
+		if !s.Naive {
 			sort.SliceStable(cands, func(i, j int) bool { return cands[i].score > cands[j].score })
 		} else {
 			roundRng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 		}
-		selected := weightedSample(roundRng, cands, opts.SampleSize)
+		n := sampleSize
+		if s.UniformTemplates {
+			n = uniformSample
+		}
+		selected := weightedSample(roundRng, cands, n)
 
 		improved := false
 		// Process the selection in fixed-size waves. Budgets and random
 		// streams freeze at wave start; slots run concurrently (bounded by
 		// Searcher.Parallel) against private result buffers; the merge below
 		// replays the slots in order.
-		for lo := 0; lo < len(selected); lo += opts.BatchSize {
+		for lo := 0; lo < len(selected); lo += batchSize {
 			if d[jStar] >= target.Counts[jStar] || ctx.Err() != nil {
 				break
 			}
-			hi := lo + opts.BatchSize
+			hi := lo + batchSize
 			if hi > len(selected) {
 				hi = len(selected)
 			}
 			wave := selected[lo:hi]
-			budget := budgetFor(opts, target.Counts[jStar]-d[jStar])
+			budget := budgetFor(target.Counts[jStar] - d[jStar])
 			results := make([]optResult, len(wave))
 
 			waveCtx := obs.NewContext(ctx, rsp)
 			_ = fanout.Run(s.Parallel, len(wave), func(_, k int) error {
-				slotRng := prand.New(opts.Seed, prand.StageSearch, round, int64(lo+k))
-				results[k] = s.optimizeTemplate(waveCtx, slotRng, wave[k].t, iv, budget, opts)
+				slotRng := prand.New(s.Seed, prand.StageSearch, round, int64(lo+k))
+				results[k] = s.optimizeTemplate(waveCtx, slotRng, wave[k].t, iv, budget)
 				return nil
 			})
 
@@ -313,7 +279,7 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 							useful++
 						}
 					}
-					if float64(useful)/float64(len(res.costs)) < opts.UtilityThreshold {
+					if float64(useful)/float64(len(res.costs)) < utilityThreshold {
 						bad[comboKey{jStar, c.t.Profile.Template.ID}] = true
 						st.BadCombinations++
 						ssp.Count(obs.MSearchBadCombos, 1)
@@ -323,7 +289,7 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 		}
 		if !improved {
 			failures[jStar]++
-			if failures[jStar] >= opts.MaxFailures {
+			if failures[jStar] >= maxFailures {
 				skip[jStar] = true
 				st.SkippedIntervals++
 				ssp.Count(obs.MSearchSkipped, 1)
@@ -338,10 +304,10 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 }
 
 // budgetFor scales the BO budget to the interval's deficit.
-func budgetFor(opts Options, gap int) int {
-	budget := opts.BudgetFactor * gap
-	if budget > opts.MaxBudget {
-		budget = opts.MaxBudget
+func budgetFor(gap int) int {
+	budget := budgetFactor * gap
+	if budget > maxBudget {
+		budget = maxBudget
 	}
 	if budget < 4 {
 		budget = 4
@@ -354,7 +320,7 @@ func budgetFor(opts Options, gap int) int {
 // Probes go through the template's prepared statement (compiled once at
 // profile time, evaluated per probe without re-planning) and are staged in
 // the returned optResult; the caller merges them into shared state in slot order.
-func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *workload.TemplateState, iv stats.Interval, budget int, opts Options) optResult {
+func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *workload.TemplateState, iv stats.Interval, budget int) optResult {
 	sp := obs.FromContext(ctx).StartSpan("search:slot",
 		obs.A("template", strconv.Itoa(t.Profile.Template.ID)),
 		obs.A("budget", strconv.Itoa(budget)))
@@ -362,7 +328,7 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 	sp.Observe(obs.HSearchBudget, float64(budget))
 	space := t.Profile.Space
 	boSpace := space.BOSpace()
-	if box, ok := opts.SearchBox[t.Profile.Template.ID]; ok && len(box) == len(boSpace) {
+	if box, ok := s.SearchBox[t.Profile.Template.ID]; ok && len(box) == len(boSpace) {
 		// Statically narrowed search box: candidate points denormalize into
 		// the reachable region only. Warm-start observations outside the box
 		// normalize outside the unit cube, which the surrogate tolerates —
@@ -453,7 +419,7 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 		}
 	}
 
-	if opts.Naive {
+	if s.Naive {
 		units := make([][]float64, budget)
 		for i := range units {
 			x := make([]float64, len(boSpace))

@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"sqlbarber/internal/engine"
@@ -38,7 +39,7 @@ func setup(t testing.TB) []*workload.TemplateState {
 func TestSearchFillsUniformTarget(t *testing.T) {
 	states := setup(t)
 	target := stats.Uniform(0, 1500, 5, 50)
-	s := &Searcher{Kind: engine.Cardinality, Opts: Options{Seed: 1}}
+	s := &Searcher{Kind: engine.Cardinality, Seed: 1}
 	queries, st := s.Run(context.Background(), states, target, nil)
 	sel := workload.SelectWorkload(queries, target)
 	d := workload.Distance(sel, target)
@@ -56,7 +57,7 @@ func TestSearchSkipsUnreachableIntervals(t *testing.T) {
 	// top interval [50k, 100k) is unreachable and must be skipped.
 	ivs := stats.SplitRange(0, 100000, 2)
 	target := &stats.TargetDistribution{Intervals: ivs, Counts: []int{10, 10}}
-	s := &Searcher{Kind: engine.Cardinality, Opts: Options{Seed: 1, MaxRounds: 60}}
+	s := &Searcher{Kind: engine.Cardinality, Seed: 1}
 	_, st := s.Run(context.Background(), states, target, nil)
 	if st.SkippedIntervals == 0 {
 		t.Fatalf("unreachable interval not skipped: %+v", st)
@@ -70,7 +71,7 @@ func TestSearchSeedsCountedIntoDistribution(t *testing.T) {
 		{SQL: "s1", Cost: 100}, {SQL: "s2", Cost: 200},
 		{SQL: "s3", Cost: 600}, {SQL: "s4", Cost: 700},
 	}
-	s := &Searcher{Kind: engine.Cardinality, Opts: Options{Seed: 1, MaxRounds: 5}}
+	s := &Searcher{Kind: engine.Cardinality, Seed: 1}
 	_, st := s.Run(context.Background(), states, target, seed)
 	if st.Evaluations > 20 {
 		t.Fatalf("target was pre-filled by seeds; search still ran %d evals", st.Evaluations)
@@ -101,13 +102,12 @@ func TestObjectiveEquation5(t *testing.T) {
 }
 
 func TestNaiveSearchWorseOrEqualOnHardTarget(t *testing.T) {
-	// BO and naive both run with a tight round cap; BO should fill at least
+	// BO and naive both run at the paper's budgets; BO should fill at least
 	// as much of a narrow-interval target.
 	run := func(naive bool) float64 {
 		states := setup(t)
 		target := stats.Uniform(0, 1500, 15, 45)
-		s := &Searcher{Kind: engine.Cardinality,
-			Opts: Options{Seed: 3, Naive: naive, MaxRounds: 30, MaxBudget: 30}}
+		s := &Searcher{Kind: engine.Cardinality, Seed: 3, Naive: naive}
 		queries, _ := s.Run(context.Background(), states, target, nil)
 		sel := workload.SelectWorkload(queries, target)
 		return workload.Distance(sel, target)
@@ -141,4 +141,41 @@ func costsOf(qs []workload.Query) []float64 {
 		out[i] = q.Cost
 	}
 	return out
+}
+
+// TestUniformTemplatesWidensSample checks the UniformTemplates ablation
+// reaches the template sample: with more candidates than the weighted
+// sample's ten, taking them all changes the run.
+func TestUniformTemplatesWidensSample(t *testing.T) {
+	db := engine.OpenTPCH(1, 0.1)
+	p := &profiler.Profiler{DB: db, Kind: engine.Cardinality, Seed: 1}
+	var sqls []string
+	for _, tc := range []string{
+		"orders.o_orderkey", "orders.o_custkey", "orders.o_totalprice",
+		"lineitem.l_orderkey", "lineitem.l_partkey", "lineitem.l_suppkey", "lineitem.l_extendedprice",
+		"customer.c_custkey", "customer.c_acctbal",
+		"part.p_partkey", "part.p_retailprice",
+		"partsupp.ps_partkey", "partsupp.ps_supplycost", "partsupp.ps_availqty",
+	} {
+		table, col, _ := strings.Cut(tc, ".")
+		sqls = append(sqls, "SELECT "+col+" FROM "+table+" WHERE "+col+" <= {p_1}")
+	}
+	run := func(uniform bool) string {
+		var states []*workload.TemplateState
+		for i, sql := range sqls {
+			tm := sqltemplate.MustParse(sql)
+			tm.ID = i + 1
+			prof, err := p.Profile(context.Background(), tm, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, &workload.TemplateState{Profile: prof})
+		}
+		s := &Searcher{Kind: engine.Cardinality, Seed: 1, UniformTemplates: uniform}
+		queries, st := s.Run(context.Background(), states, stats.Uniform(0, 1500, 5, 50), nil)
+		return signature(queries, st)
+	}
+	if run(false) == run(true) {
+		t.Fatal("UniformTemplates had no effect with more than ten candidate templates")
+	}
 }

@@ -132,6 +132,15 @@
 #                              BENCH_surrogate.json by hand).
 #                              Timing-sensitive, so it gets the same 3-attempt
 #                              fresh-process retry
+#  14. go test -bench BenchmarkAblation -benchtime 1x
+#                            — runs the three design-choice ablation
+#                              benchmarks of the root package once each
+#                              (LHS, history-aware refinement, closeness
+#                              weighting; five seeds per variant), so a
+#                              switch that stops running fails here, and
+#                              prints the metric lines EXPERIMENTS.md's
+#                              "Design-choice ablations" table records.
+#                              `go test ./...` only compiles benchmarks
 #
 # Run it from anywhere; it changes to the repo root first. Any failure stops
 # the chain with a non-zero exit.
@@ -203,5 +212,8 @@ for smoke in "${smokes[@]}"; do
     exit 1
   fi
 done
+
+echo "== go test -bench BenchmarkAblation -benchtime 1x (design-choice ablations) =="
+go test -run '^$' -bench 'BenchmarkAblation' -benchtime 1x .
 
 echo "== all checks passed =="
