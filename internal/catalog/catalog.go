@@ -235,26 +235,34 @@ func (s *Schema) JoinPaths(numJoins, limit int) []JoinPath {
 	for _, t := range s.Tables {
 		walk(JoinPath{Tables: []string{t.Name}}, map[string]bool{strings.ToLower(t.Name): true})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return strings.Join(out[i].Tables, ",") < strings.Join(out[j].Tables, ",")
-	})
+	// Sort by the table sequence, each path's key computed once.
+	keyed := make([]keyedPath, len(out))
+	for i, p := range out {
+		keyed[i] = keyedPath{strings.Join(p.Tables, ","), p}
+	}
+	sort.Slice(keyed, func(i, j int) bool { return keyed[i].key < keyed[j].key })
 	// Drop reversed duplicates (a-b vs b-a) keeping the lexicographically
 	// smaller orientation.
 	var dedup []JoinPath
 	seen := map[string]bool{}
-	for _, p := range out {
-		fwd := strings.Join(p.Tables, ",")
-		rev := strings.Join(reverse(p.Tables), ",")
-		if seen[fwd] || seen[rev] {
+	for _, kp := range keyed {
+		rev := strings.Join(reverse(kp.path.Tables), ",")
+		if seen[kp.key] || seen[rev] {
 			continue
 		}
-		seen[fwd] = true
-		dedup = append(dedup, p)
+		seen[kp.key] = true
+		dedup = append(dedup, kp.path)
 	}
 	if limit > 0 && len(dedup) > limit {
 		dedup = dedup[:limit]
 	}
 	return dedup
+}
+
+// keyedPath is a join path with its sort key, its tables joined by ",".
+type keyedPath struct {
+	key  string
+	path JoinPath
 }
 
 func reverse(s []string) []string {

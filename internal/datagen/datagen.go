@@ -13,16 +13,19 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"sqlbarber/internal/catalog"
-	"sqlbarber/internal/sqltypes"
 	"sqlbarber/internal/storage"
 )
 
-// columnGen produces the value of one column for row i.
+// columnGen produces the value of one column for row i: exactly one of
+// ints, floats and strs is set, the one of the column's type.
 type columnGen struct {
-	col catalog.Column
-	gen func(rng *rand.Rand, i int) sqltypes.Value
+	col    catalog.Column
+	ints   func(rng *rand.Rand, i int) int64
+	floats func(rng *rand.Rand, i int) float64
+	strs   func(rng *rand.Rand, i int) string
 }
 
 // tableSpec declares one generated table.
@@ -57,12 +60,21 @@ func buildDatabase(name string, seed int64, specs []tableSpec) *storage.Database
 	for _, ts := range specs {
 		rng := rand.New(rand.NewSource(seed ^ int64(hashName(ts.name))))
 		tbl := db.Table(ts.name)
+		tbl.Grow(ts.rows)
+		// Row by row, column by column: the rng draws keep the order the
+		// dataset bytes are pinned in.
 		for i := 0; i < ts.rows; i++ {
-			row := make(storage.Row, len(ts.cols))
-			for j, cg := range ts.cols {
-				row[j] = cg.gen(rng, i)
+			for j := range ts.cols {
+				cg, col := &ts.cols[j], &tbl.Cols[j]
+				switch {
+				case cg.ints != nil:
+					col.Ints[i] = cg.ints(rng, i)
+				case cg.floats != nil:
+					col.Floats[i] = cg.floats(rng, i)
+				default:
+					col.Strs[i] = cg.strs(rng, i)
+				}
 			}
-			tbl.Append(row)
 		}
 	}
 	db.Analyze()
@@ -80,24 +92,15 @@ func hashName(s string) uint32 {
 // ---- column generator helpers ----
 
 func intCol(name string, gen func(rng *rand.Rand, i int) int64) columnGen {
-	return columnGen{
-		col: catalog.Column{Name: name, Type: catalog.TypeInt},
-		gen: func(rng *rand.Rand, i int) sqltypes.Value { return sqltypes.NewInt(gen(rng, i)) },
-	}
+	return columnGen{col: catalog.Column{Name: name, Type: catalog.TypeInt}, ints: gen}
 }
 
 func floatCol(name string, gen func(rng *rand.Rand, i int) float64) columnGen {
-	return columnGen{
-		col: catalog.Column{Name: name, Type: catalog.TypeFloat},
-		gen: func(rng *rand.Rand, i int) sqltypes.Value { return sqltypes.NewFloat(gen(rng, i)) },
-	}
+	return columnGen{col: catalog.Column{Name: name, Type: catalog.TypeFloat}, floats: gen}
 }
 
 func strCol(name string, gen func(rng *rand.Rand, i int) string) columnGen {
-	return columnGen{
-		col: catalog.Column{Name: name, Type: catalog.TypeString},
-		gen: func(rng *rand.Rand, i int) sqltypes.Value { return sqltypes.NewString(gen(rng, i)) },
-	}
+	return columnGen{col: catalog.Column{Name: name, Type: catalog.TypeString}, strs: gen}
 }
 
 // serial generates 1, 2, 3, ... (primary keys).
@@ -159,6 +162,20 @@ func vocabulary(prefix string, n int) []string {
 		out[i] = fmt.Sprintf("%s_%04d", prefix, i)
 	}
 	return out
+}
+
+// numbered returns prefix, then n (>= 0) zero-padded to width digits, then
+// suffix: fmt.Sprintf("%s%0*d%s", prefix, width, n, suffix) in one
+// allocation.
+func numbered(prefix string, n, width int, suffix string) string {
+	var buf [64]byte
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(n), 10)
+	b := append(buf[:0], prefix...)
+	for k := len(d); k < width; k++ {
+		b = append(b, '0')
+	}
+	return string(append(append(b, d...), suffix...))
 }
 
 func maxi(a, b int) int {

@@ -1,7 +1,6 @@
 package datagen
 
 import (
-	"fmt"
 	"math/rand"
 
 	"sqlbarber/internal/catalog"
@@ -61,14 +60,14 @@ func IMDB(seed int64, sf float64) *storage.Database {
 		}},
 		{name: "info_type", rows: nInfoT, pk: "id", cols: []columnGen{
 			serial("id"),
-			strCol("info", func(_ *rand.Rand, i int) string { return fmt.Sprintf("info_%03d", i+1) }),
+			strCol("info", func(_ *rand.Rand, i int) string { return numbered("info_", i+1, 3, "") }),
 		}},
 		{name: "title", rows: nTitle, pk: "id",
 			fks: []catalog.ForeignKey{{Column: "kind_id", RefTable: "kind_type", RefColumn: "id"}},
 			cols: []columnGen{
 				serial("id"),
 				strCol("title", func(rng *rand.Rand, i int) string {
-					return fmt.Sprintf("%s Title %06d", genreWords[rng.Intn(len(genreWords))], i+1)
+					return numbered(genreWords[rng.Intn(len(genreWords))]+" Title ", i+1, 6, "")
 				}),
 				fkUniform("kind_id", len(movieKinds)),
 				uniformInt("production_year", 1900, 2024),
@@ -77,23 +76,23 @@ func IMDB(seed int64, sf float64) *storage.Database {
 			}},
 		{name: "name", rows: nName, pk: "id", cols: []columnGen{
 			serial("id"),
-			strCol("name", func(_ *rand.Rand, i int) string { return fmt.Sprintf("Person %07d", i+1) }),
+			strCol("name", func(_ *rand.Rand, i int) string { return numbered("Person ", i+1, 7, "") }),
 			categorical("gender", []string{"m", "f", ""}),
 			uniformInt("imdb_index", 1, 50),
 		}},
 		{name: "char_name", rows: nChar, pk: "id", cols: []columnGen{
 			serial("id"),
-			strCol("name", func(_ *rand.Rand, i int) string { return fmt.Sprintf("Character %06d", i+1) }),
+			strCol("name", func(_ *rand.Rand, i int) string { return numbered("Character ", i+1, 6, "") }),
 			uniformInt("imdb_index", 1, 20),
 		}},
 		{name: "company_name", rows: nComp, pk: "id", cols: []columnGen{
 			serial("id"),
-			strCol("name", func(_ *rand.Rand, i int) string { return fmt.Sprintf("Company %05d", i+1) }),
+			strCol("name", func(_ *rand.Rand, i int) string { return numbered("Company ", i+1, 5, "") }),
 			categorical("country_code", []string{"[us]", "[gb]", "[de]", "[fr]", "[jp]", "[in]", "[ca]", "[it]"}),
 		}},
 		{name: "keyword", rows: nKey, pk: "id", cols: []columnGen{
 			serial("id"),
-			strCol("keyword", func(_ *rand.Rand, i int) string { return fmt.Sprintf("keyword-%05d", i+1) }),
+			strCol("keyword", func(_ *rand.Rand, i int) string { return numbered("keyword-", i+1, 5, "") }),
 		}},
 		{name: "cast_info", rows: nCast, pk: "id",
 			fks: []catalog.ForeignKey{
@@ -194,14 +193,14 @@ func IMDB(seed int64, sf float64) *storage.Database {
 			cols: []columnGen{
 				serial("id"),
 				fkUniform("person_id", nName),
-				strCol("name", func(_ *rand.Rand, i int) string { return fmt.Sprintf("Alias %06d", i+1) }),
+				strCol("name", func(_ *rand.Rand, i int) string { return numbered("Alias ", i+1, 6, "") }),
 			}},
 		{name: "aka_title", rows: nAkaT, pk: "id",
 			fks: []catalog.ForeignKey{{Column: "movie_id", RefTable: "title", RefColumn: "id"}},
 			cols: []columnGen{
 				serial("id"),
 				fkUniform("movie_id", nTitle),
-				strCol("title", func(_ *rand.Rand, i int) string { return fmt.Sprintf("Alt Title %06d", i+1) }),
+				strCol("title", func(_ *rand.Rand, i int) string { return numbered("Alt Title ", i+1, 6, "") }),
 				uniformInt("production_year", 1900, 2024),
 			}},
 	}

@@ -1,7 +1,6 @@
 package datagen
 
 import (
-	"fmt"
 	"math/rand"
 
 	"sqlbarber/internal/catalog"
@@ -43,7 +42,7 @@ func TPCH(seed int64, sf float64) *storage.Database {
 			fks: []catalog.ForeignKey{{Column: "n_regionkey", RefTable: "region", RefColumn: "r_regionkey"}},
 			cols: []columnGen{
 				serial("n_nationkey"),
-				strCol("n_name", func(_ *rand.Rand, i int) string { return fmt.Sprintf("NATION_%02d", i) }),
+				strCol("n_name", func(_ *rand.Rand, i int) string { return numbered("NATION_", i, 2, "") }),
 				intCol("n_regionkey", func(_ *rand.Rand, i int) int64 { return int64(i%5) + 1 }),
 				strCol("n_comment", func(rng *rand.Rand, _ int) string { return comment(rng) }),
 			},
@@ -53,7 +52,7 @@ func TPCH(seed int64, sf float64) *storage.Database {
 			fks: []catalog.ForeignKey{{Column: "s_nationkey", RefTable: "nation", RefColumn: "n_nationkey"}},
 			cols: []columnGen{
 				serial("s_suppkey"),
-				strCol("s_name", func(_ *rand.Rand, i int) string { return fmt.Sprintf("Supplier#%06d", i+1) }),
+				strCol("s_name", func(_ *rand.Rand, i int) string { return numbered("Supplier#", i+1, 6, "") }),
 				fkUniform("s_nationkey", 25),
 				uniformFloat("s_acctbal", -999, 9999),
 				strCol("s_comment", func(rng *rand.Rand, _ int) string { return comment(rng) }),
@@ -64,7 +63,7 @@ func TPCH(seed int64, sf float64) *storage.Database {
 			fks: []catalog.ForeignKey{{Column: "c_nationkey", RefTable: "nation", RefColumn: "n_nationkey"}},
 			cols: []columnGen{
 				serial("c_custkey"),
-				strCol("c_name", func(_ *rand.Rand, i int) string { return fmt.Sprintf("Customer#%08d", i+1) }),
+				strCol("c_name", func(_ *rand.Rand, i int) string { return numbered("Customer#", i+1, 8, "") }),
 				fkUniform("c_nationkey", 25),
 				uniformFloat("c_acctbal", -999, 9999),
 				categorical("c_mktsegment", segments),
@@ -76,7 +75,7 @@ func TPCH(seed int64, sf float64) *storage.Database {
 			cols: []columnGen{
 				serial("p_partkey"),
 				strCol("p_name", func(rng *rand.Rand, i int) string {
-					return fmt.Sprintf("part %06d %s", i+1, partTypes[rng.Intn(len(partTypes))])
+					return numbered("part ", i+1, 6, " "+partTypes[rng.Intn(len(partTypes))])
 				}),
 				categorical("p_brand", brands),
 				categorical("p_type", partTypes),
@@ -141,14 +140,17 @@ var commentWords = []string{
 	"regular", "packages", "silent", "foxes", "blithely", "even", "instructions",
 }
 
+// comment joins 3 to 7 random words, building the text in a stack buffer
+// (7 of the longest words fit) so each comment is one allocation.
 func comment(rng *rand.Rand) string {
 	n := 3 + rng.Intn(5)
-	out := ""
+	var buf [96]byte
+	out := buf[:0]
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			out += " "
+			out = append(out, ' ')
 		}
-		out += commentWords[rng.Intn(len(commentWords))]
+		out = append(out, commentWords[rng.Intn(len(commentWords))]...)
 	}
-	return out
+	return string(out)
 }

@@ -88,9 +88,13 @@ type ExplainResult struct {
 type DB struct {
 	store *storage.Database
 	plans *planCache
-	// sessions pools execution sessions for measured probes: arenas survive
-	// across borrowings instead of being rebuilt per probe.
-	sessions sync.Pool
+	// sessions is the free list of execution sessions for measured probes,
+	// last returned first out: arenas survive across borrowings instead of
+	// being rebuilt per probe, and which arena a probe gets depends only on
+	// the order of borrowings, not on the goroutine's P, as it would with a
+	// sync.Pool.
+	sessionsMu sync.Mutex
+	sessions   []*session
 
 	// The evaluation counters are obs.Counters so an observability
 	// collector can adopt them directly (BindObs): the exported db_*
@@ -104,7 +108,7 @@ type DB struct {
 	// Probe schedules are seed-deterministic, so both are stable metrics.
 	preparedProbes  obs.Counter
 	preparedBatches obs.Counter
-	// sessionsOpened counts sessions opened on pool misses —
+	// sessionsOpened counts sessions opened when the free list is empty —
 	// scheduling-dependent, exported volatile. sessionProbes counts measured
 	// probes served through sessions — schedule-deterministic, stable.
 	sessionsOpened obs.Counter

@@ -63,7 +63,7 @@ func (p *Prepared) Placeholders() []string { return p.cq.Placeholders() }
 // requested metric. Values are validated and normalized before anything
 // else — a probe with missing placeholders has no effect. No kind locks or
 // touches the AST: estimate kinds go through the compiled evaluator, measured
-// kinds borrow a pooled session and run the executor program. Cost
+// kinds borrow a free session and run the executor program. Cost
 // increments the same DBMS-evaluation counters as DB.Cost, so a prepared run
 // reports identical evaluation counts to a re-parse run.
 func (p *Prepared) Cost(ctx context.Context, vals map[string]sqltypes.Value, kind CostKind) (float64, error) {
@@ -158,8 +158,9 @@ func (p *Prepared) CostBatchParallel(ctx context.Context, vals []map[string]sqlt
 
 // probe serves one validated probe. Estimate kinds go through the compiled
 // evaluator and never touch a session. Measured kinds run the executor
-// program (built on the first measured probe) at the parameter vector with
-// s's arena, borrowing a pooled session when s is nil.
+// program (built on the first measured probe) as a count-only probe
+// (exec.Program.Probe) at the parameter vector with s's arena, borrowing a
+// free session when s is nil.
 // Counter movement mirrors DB.Cost exactly — one explain per estimate, one
 // execute per measured attempt — plus one prepared probe per success and one
 // session probe per measured success.
@@ -184,11 +185,11 @@ func (p *Prepared) probe(s *session, params []sqltypes.Value, kind CostKind) (fl
 	p.progOnce.Do(func() { p.prog = exec.Compile(p.cq.Query(), p.cq.Slot) })
 	db.execCount.Add(1)
 	start := time.Now()
-	res, err := p.prog.Run(db.store, params, &s.arena)
+	touched, err := p.prog.Probe(db.store, params, &s.arena)
 	if err != nil {
 		return 0, err
 	}
-	cost := float64(res.RowsTouched)
+	cost := float64(touched)
 	if kind == ExecTimeMS {
 		cost = float64(time.Since(start).Microseconds()) / 1000
 	}
@@ -213,18 +214,25 @@ func (db *DB) newSession() *session {
 	return &session{}
 }
 
-// getSession borrows a pooled session for a single probe or sweep range:
-// arenas survive across borrowings instead of being rebuilt per probe.
+// getSession borrows the most recently returned session for a single probe
+// or sweep range, opening one when none is free.
 func (db *DB) getSession() *session {
-	if s, ok := db.sessions.Get().(*session); ok {
+	db.sessionsMu.Lock()
+	defer db.sessionsMu.Unlock()
+	if k := len(db.sessions); k > 0 {
+		s := db.sessions[k-1]
+		db.sessions[k-1] = nil
+		db.sessions = db.sessions[:k-1]
 		return s
 	}
 	return db.newSession()
 }
 
-// putSession returns a borrowed session to the pool.
+// putSession returns a borrowed session to the free list.
 func (db *DB) putSession(s *session) {
-	db.sessions.Put(s)
+	db.sessionsMu.Lock()
+	db.sessions = append(db.sessions, s)
+	db.sessionsMu.Unlock()
 }
 
 // planCache is a sharded, bounded LRU of parsed-and-planned ad-hoc SQL. It

@@ -103,8 +103,8 @@ func (st *aggState) result(ac *aggCall) sqltypes.Value {
 // states[g*len(p.aggs):], and its representative tuple (for evaluating
 // group-key expressions) is reprs[g]. A single GROUP BY key finds its group
 // through a typed valueIndex, several through one reused byte key (see
-// appendKey).
-func (ex *executor) aggregate(p *prog, f *frame, tuples []int32) (*Result, error) {
+// appendKey). countOnly evaluates the output without storing it.
+func (ex *executor) aggregate(p *prog, f *frame, tuples []int32, countOnly bool) (*Result, error) {
 	na := len(p.aggs)
 	var (
 		states []aggState
@@ -167,10 +167,7 @@ func (ex *executor) aggregate(p *prog, f *frame, tuples []int32) (*Result, error
 		reprs = append(reprs, -1)
 		states = make([]aggState, na)
 	}
-	res := &Result{Columns: p.columns}
-	width := len(p.items)
-	vals := make([]sqltypes.Value, len(reprs)*width)
-	var keys []sqltypes.Value
+	out := newOutput(p, len(reprs), countOnly)
 	e.aggs = make([]sqltypes.Value, na)
 	for g, repr := range reprs {
 		for ci := range p.aggs {
@@ -179,7 +176,7 @@ func (ex *executor) aggregate(p *prog, f *frame, tuples []int32) (*Result, error
 		if repr >= 0 {
 			f.bind(tupleAt(tuples, int(repr), f.n))
 		} else {
-			clear(e.rows)
+			f.unbind()
 		}
 		if p.having != nil {
 			t, err := p.having(ex, e)
@@ -193,21 +190,9 @@ func (ex *executor) aggregate(p *prog, f *frame, tuples []int32) (*Result, error
 		if p.starAgg {
 			return nil, rtErrf("SELECT * cannot be combined with aggregation")
 		}
-		k := len(res.Rows)
-		row := vals[k*width : (k+1)*width : (k+1)*width]
-		for i, it := range p.items {
-			v, err := it(ex, e)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		res.Rows = append(res.Rows, row)
-		var err error
-		if keys, err = ex.appendOrderKeys(keys, p, e); err != nil {
+		if err := ex.emit(p, e, &out); err != nil {
 			return nil, err
 		}
 	}
-	orderRows(res.Rows, keys, p.orderBy)
-	return res, nil
+	return out.result(p), nil
 }

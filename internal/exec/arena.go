@@ -114,14 +114,8 @@ func (hi *hashIndex) first(v *sqltypes.Value) int32 {
 	return hi.nums[indexKey(v)]
 }
 
-// buildIndex checks out a hash index and fills it over column col of the
-// rows sel selects (positions index sel), or of every row when sel is nil
-// (positions index rows). Rows shorter than col+1 are skipped.
-func (a *Arena) buildIndex(rows []storage.Row, sel []int32, col int) *hashIndex {
-	n := len(rows)
-	if sel != nil {
-		n = len(sel)
-	}
+// getIndex checks out an empty hash index for n positions.
+func (a *Arena) getIndex(n int) *hashIndex {
 	var hi *hashIndex
 	if k := len(a.indexes); k > 0 {
 		hi = a.indexes[k-1]
@@ -134,36 +128,69 @@ func (a *Arena) buildIndex(rows []storage.Row, sel []int32, col int) *hashIndex 
 		hi.next = make([]int32, n)
 	}
 	hi.next = hi.next[:n]
-	// Walk backwards so each chain, built by prepending, lists its positions
-	// in ascending order.
-	for p := n - 1; p >= 0; p-- {
-		var r storage.Row
-		if sel != nil {
-			r = rows[sel[p]]
-		} else {
-			r = rows[p]
-		}
-		if col >= len(r) {
+	return hi
+}
+
+// Each add links position p (+1) at the head of its key's chain. Callers
+// walk positions backwards, so a chain lists its positions in ascending
+// order.
+func (hi *hashIndex) addNum(p int, k uint64) {
+	if hi.nums == nil {
+		hi.nums = make(map[uint64]int32, len(hi.next))
+	}
+	hi.next[p] = hi.nums[k]
+	hi.nums[k] = int32(p + 1)
+}
+
+func (hi *hashIndex) addStr(p int, s string) {
+	if hi.strs == nil {
+		hi.strs = map[string]int32{}
+	}
+	hi.next[p] = hi.strs[s]
+	hi.strs[s] = int32(p + 1)
+}
+
+// buildIndex checks out a hash index and fills it over the rows sel selects
+// from a stored column (positions index sel), reading its typed vector.
+func (a *Arena) buildIndex(col *storage.Column, sel []int32) *hashIndex {
+	hi := a.getIndex(len(sel))
+	for p := len(sel) - 1; p >= 0; p-- {
+		ri := int(sel[p])
+		if col.Null(ri) {
 			continue
 		}
-		switch v := &r[col]; v.Kind() {
+		switch col.Kind {
+		case sqltypes.KindInt:
+			hi.addNum(p, intKey(col.Ints[ri]))
+		case sqltypes.KindFloat:
+			f := col.Floats[ri]
+			hi.addNum(p, floatKey(f))
+			hi.nan = hi.nan || f != f
+		default:
+			hi.addStr(p, col.Strs[ri])
+		}
+	}
+	return hi
+}
+
+// buildRowIndex checks out a hash index and fills it over the first column
+// of result rows (positions index rows), whose values may be of any kind.
+// Rows with no column are skipped.
+func (a *Arena) buildRowIndex(rows []storage.Row) *hashIndex {
+	hi := a.getIndex(len(rows))
+	for p := len(rows) - 1; p >= 0; p-- {
+		if len(rows[p]) == 0 {
+			continue
+		}
+		switch v := &rows[p][0]; v.Kind() {
 		case sqltypes.KindNull:
 		case sqltypes.KindString:
-			if hi.strs == nil {
-				hi.strs = map[string]int32{}
-			}
-			hi.next[p] = hi.strs[v.Str()]
-			hi.strs[v.Str()] = int32(p + 1)
+			hi.addStr(p, v.Str())
 		case sqltypes.KindBool:
 			hi.next[p] = hi.bools[v.Int()&1]
 			hi.bools[v.Int()&1] = int32(p + 1)
 		default:
-			if hi.nums == nil {
-				hi.nums = make(map[uint64]int32, n)
-			}
-			k := indexKey(v)
-			hi.next[p] = hi.nums[k]
-			hi.nums[k] = int32(p + 1)
+			hi.addNum(p, indexKey(v))
 			hi.nan = hi.nan || isNaN(*v)
 		}
 	}

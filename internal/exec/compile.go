@@ -350,14 +350,15 @@ func (lv *level) expr(x sqlparser.Expr) expr {
 	return errExpr(rtErrf("unsupported expression %T", x))
 }
 
-// column compiles a read of a resolved column. A current-level read is one
-// slice index; an outer-level one walks the environment chain.
+// column compiles a read of a resolved column. A current-level read loads
+// the bound row from the instance's column vector; an outer-level one walks
+// the environment chain first.
 func (lv *level) column(ref plan.ColRef) expr {
 	t, c := ref.TableIdx, ref.ColIdx
 	if ref.Level == 0 {
 		return func(_ *executor, e *env) (sqltypes.Value, error) {
-			if r := e.rows[t]; r != nil {
-				return r[c], nil
+			if ri := e.rows[t]; ri >= 0 {
+				return e.tabs[t].Cols[c].Value(int(ri)), nil
 			}
 			return sqltypes.Null, nil
 		}
@@ -373,10 +374,10 @@ func (e *env) lookup(ref plan.ColRef) sqltypes.Value {
 		}
 		cur = cur.parent
 	}
-	if ref.TableIdx >= len(cur.rows) || cur.rows[ref.TableIdx] == nil {
+	if ref.TableIdx >= len(cur.rows) || cur.rows[ref.TableIdx] < 0 {
 		return sqltypes.Null
 	}
-	return cur.rows[ref.TableIdx][ref.ColIdx]
+	return cur.tabs[ref.TableIdx].Cols[ref.ColIdx].Value(int(cur.rows[ref.TableIdx]))
 }
 
 // operand is a compile-time value source: a constant, or (slot >= 0) one

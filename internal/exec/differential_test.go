@@ -310,7 +310,7 @@ func TestAggregateMatchesManualComputation(t *testing.T) {
 	priceIdx := orders.Meta.ColumnIndex("o_totalprice")
 	wantSum := map[string]float64{}
 	wantCount := map[string]int64{}
-	for _, r := range orders.Rows {
+	for _, r := range storedRows(orders) {
 		s := r[statusIdx].Str()
 		wantSum[s] += r[priceIdx].Float()
 		wantCount[s]++

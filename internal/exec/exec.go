@@ -56,8 +56,26 @@ func Run(db *storage.Database, q *plan.Query) (*Result, error) {
 // owns its rows and never aliases the arena. The caller must keep params
 // unchanged until Run returns.
 func (p *Program) Run(db *storage.Database, params []sqltypes.Value, a *Arena) (*Result, error) {
+	return p.exec(db, params, a, false)
+}
+
+// Probe executes the program like Run for a measured probe, which reads only
+// the work done: it returns Run's RowsTouched and error, but the root query
+// stores no output row. Every select item and ORDER BY key of the root is
+// still evaluated, in Run's order, since one can fail or run a subquery that
+// adds to RowsTouched; DISTINCT, ORDER BY and LIMIT, which only reshape the
+// output, are skipped.
+func (p *Program) Probe(db *storage.Database, params []sqltypes.Value, a *Arena) (int64, error) {
+	res, err := p.exec(db, params, a, true)
+	if err != nil {
+		return 0, err
+	}
+	return res.RowsTouched, nil
+}
+
+func (p *Program) exec(db *storage.Database, params []sqltypes.Value, a *Arena, countOnly bool) (*Result, error) {
 	ex := &executor{db: db, params: params, ar: a, nCache: p.nCache}
-	res, err := ex.run(p.root, nil)
+	res, err := ex.run(p.root, nil, countOnly)
 	for i := range ex.subs {
 		if set := ex.subs[i].set; set != nil {
 			a.putIndex(set)
@@ -81,27 +99,28 @@ type executor struct {
 	rowsTouched int64
 }
 
-// env is the tuple environment: one row per table instance of the current
-// query, chained to the enclosing query's env for correlated subqueries.
+// env is the tuple environment: one bound row index per table instance of
+// the current query (-1 for no row) into that instance's stored table,
+// chained to the enclosing query's env for correlated subqueries.
 type env struct {
-	rows   []storage.Row
+	tabs   []*storage.Table
+	rows   []int32
 	parent *env
 	// aggs holds the current group's aggregate results, by position, during
 	// post-aggregation evaluation; nil before.
 	aggs []sqltypes.Value
 }
 
-// frame is one query level's execution state. Tuples are row indexes, not
-// rows (int32: a table holds fewer than 2^31 rows): a tuple list is a flat
-// []int32 in which tuple i is the n entries tuples[i*n : (i+1)*n] (see
-// tupleAt), entry k indexing srcs[k], the stored rows of table instance k,
+// frame is one query level's execution state. Tuples are row indexes (int32:
+// a table holds fewer than 2^31 rows): a tuple list is a flat []int32 in
+// which tuple i is the n entries tuples[i*n : (i+1)*n] (see tupleAt), entry
+// k indexing e.tabs[k], the stored table of instance k (set by its scan),
 // or -1 where the instance has no row (not yet joined, or null-extended by a
 // LEFT JOIN). Every loop of the level evaluates in the one env e, whose
-// window e.rows bind points at each tuple in turn.
+// window e.rows bind copies each tuple into in turn.
 type frame struct {
-	n    int
-	srcs [][]storage.Row
-	e    env
+	n int
+	e env
 }
 
 func tupleAt(tuples []int32, i, n int) []int32 {
@@ -109,20 +128,20 @@ func tupleAt(tuples []int32, i, n int) []int32 {
 }
 
 // bind points the window at the rows of tuple tp.
-func (f *frame) bind(tp []int32) {
-	for k, ri := range tp {
-		if ri < 0 {
-			f.e.rows[k] = nil
-		} else {
-			f.e.rows[k] = f.srcs[k][ri]
-		}
+func (f *frame) bind(tp []int32) { copy(f.e.rows, tp) }
+
+// unbind leaves the window on no row of any instance.
+func (f *frame) unbind() {
+	for k := range f.e.rows {
+		f.e.rows[k] = -1
 	}
 }
 
-func (ex *executor) run(p *prog, parent *env) (*Result, error) {
+// run executes one query level. countOnly evaluates the output without
+// storing it (see Program.Probe); subqueries always materialise.
+func (ex *executor) run(p *prog, parent *env, countOnly bool) (*Result, error) {
 	n := p.n
-	f := &frame{n: n, srcs: make([][]storage.Row, n),
-		e: env{rows: make([]storage.Row, n), parent: parent}}
+	f := &frame{n: n, e: env{tabs: make([]*storage.Table, n), rows: make([]int32, n), parent: parent}}
 	tuples, err := ex.joinPipeline(p, f)
 	if err != nil {
 		return nil, err
@@ -147,15 +166,15 @@ func (ex *executor) run(p *prog, parent *env) (*Result, error) {
 	}
 	var out *Result
 	if p.aggregated {
-		out, err = ex.aggregate(p, f, tuples)
+		out, err = ex.aggregate(p, f, tuples, countOnly)
 	} else {
-		out, err = ex.project(p, f, tuples)
+		out, err = ex.project(p, f, tuples, countOnly)
 	}
 	ex.ar.putList(tuples)
 	if err != nil {
 		return nil, err
 	}
-	if p.distinct {
+	if p.distinct && !countOnly {
 		out.Rows = dedupe(out.Rows)
 	}
 	if p.limit >= 0 && len(out.Rows) > p.limit {
@@ -175,29 +194,29 @@ func (ex *executor) all(conds []pred, e *env) (bool, error) {
 	return true, nil
 }
 
-// scan reads table instance idx, records its stored rows in the frame, and
-// returns the indexes of the rows its pushed-down filters keep, in a list
-// checked out of the arena.
+// scan reads table instance idx, records its stored table in the frame,
+// and returns the indexes of the rows its pushed-down filters keep, in a
+// list checked out of the arena.
 func (ex *executor) scan(p *prog, f *frame, idx int) ([]int32, error) {
 	tbl := ex.db.Table(p.tables[idx])
 	if tbl == nil {
 		return nil, rtErrf("relation %q has no storage", p.tables[idx])
 	}
-	f.srcs[idx] = tbl.Rows
-	ex.rowsTouched += int64(len(tbl.Rows))
+	f.e.tabs[idx] = tbl
+	rows := tbl.Len()
+	ex.rowsTouched += int64(rows)
 	filters := p.filters[idx]
 	if len(filters) == 0 {
-		out := slices.Grow(ex.ar.getList(len(tbl.Rows)), len(tbl.Rows))[:len(tbl.Rows)]
+		out := slices.Grow(ex.ar.getList(rows), rows)[:rows]
 		for i := range out {
 			out[i] = int32(i)
 		}
 		return out, nil
 	}
-	w := f.e.rows
-	clear(w)
-	out := ex.ar.getList(len(tbl.Rows))
-	for i, r := range tbl.Rows {
-		w[idx] = r
+	f.unbind()
+	out := ex.ar.getList(rows)
+	for i := 0; i < rows; i++ {
+		f.e.rows[idx] = int32(i)
 		keep, err := ex.all(filters, &f.e)
 		if err != nil {
 			return nil, err
@@ -251,13 +270,12 @@ func (ex *executor) joinPipeline(p *prog, f *frame) ([]int32, error) {
 // arena.
 func (ex *executor) joinStep(j *joinProg, f *frame, tuples, right []int32, rightIdx int) ([]int32, error) {
 	n := f.n
-	rsrc := f.srcs[rightIdx]
-	checkExtra := func(tp []int32, r storage.Row) (bool, error) {
+	checkExtra := func(tp []int32, ri int32) (bool, error) {
 		if len(j.extra) == 0 {
 			return true, nil
 		}
 		f.bind(tp)
-		f.e.rows[rightIdx] = r
+		f.e.rows[rightIdx] = ri
 		return ex.all(j.extra, &f.e)
 	}
 	// Sized for one match per input tuple, as a foreign-key join gives.
@@ -276,14 +294,13 @@ func (ex *executor) joinStep(j *joinProg, f *frame, tuples, right []int32, right
 	}
 	count := len(tuples) / n
 	if j.equi {
-		var null sqltypes.Value
-		lsrc, rcol := f.srcs[j.lt], j.rc
-		hi := ex.ar.buildIndex(rsrc, right, rcol)
+		lcol, rcol := &f.e.tabs[j.lt].Cols[j.lc], &f.e.tabs[rightIdx].Cols[j.rc]
+		hi := ex.ar.buildIndex(rcol, right)
 		for i := 0; i < count; i++ {
 			tp := tupleAt(tuples, i, n)
-			lv := &null
+			lv := sqltypes.Null
 			if li := tp[j.lt]; li >= 0 {
-				lv = &lsrc[li][j.lc]
+				lv = lcol.Value(int(li))
 			}
 			matched := false
 			if !lv.IsNull() {
@@ -292,20 +309,19 @@ func (ex *executor) joinStep(j *joinProg, f *frame, tuples, right []int32, right
 				// on either side equals every number, so no chain holds all
 				// its matches: scan every right row (positions 1..len) and
 				// compare.
-				scan := hi.nan || isNaN(*lv)
-				verify := scan || !exactKey(lv)
+				scan := hi.nan || isNaN(lv)
+				verify := scan || !exactKey(&lv)
 				p := int32(1)
 				if !scan {
-					p = hi.first(lv)
+					p = hi.first(&lv)
 				}
 				for ; p != 0 && int(p) <= len(right); p = advance(hi, p, scan) {
 					ri := right[p-1]
 					if verify || len(j.extra) > 0 {
-						r := rsrc[ri]
-						if verify && !lv.Equal(r[rcol]) {
+						if verify && !lv.Equal(rcol.Value(int(ri))) {
 							continue
 						}
-						ok, err := checkExtra(tp, r)
+						ok, err := checkExtra(tp, ri)
 						if err != nil {
 							return nil, err
 						}
@@ -329,7 +345,7 @@ func (ex *executor) joinStep(j *joinProg, f *frame, tuples, right []int32, right
 		tp := tupleAt(tuples, i, n)
 		matched := false
 		for _, ri := range right {
-			ok, err := checkExtra(tp, rsrc[ri])
+			ok, err := checkExtra(tp, ri)
 			if err != nil {
 				return nil, err
 			}
@@ -355,39 +371,82 @@ func advance(hi *hashIndex, p int32, scan bool) int32 {
 }
 
 // project evaluates the select list per tuple (non-aggregate queries) and
-// applies ORDER BY. All output rows share one backing array.
-func (ex *executor) project(p *prog, f *frame, tuples []int32) (*Result, error) {
-	res := &Result{Columns: p.columns}
+// applies ORDER BY.
+func (ex *executor) project(p *prog, f *frame, tuples []int32, countOnly bool) (*Result, error) {
 	count := len(tuples) / f.n
-	if count == 0 {
-		return res, nil
-	}
-	width := len(p.items)
-	vals := make([]sqltypes.Value, count*width)
-	res.Rows = make([]storage.Row, count)
-	var keys []sqltypes.Value
-	if len(p.orderKeys) > 0 {
-		keys = make([]sqltypes.Value, 0, count*len(p.orderKeys))
-	}
-	e := &f.e
+	out := newOutput(p, count, countOnly)
 	for i := 0; i < count; i++ {
 		f.bind(tupleAt(tuples, i, f.n))
-		row := vals[i*width : (i+1)*width : (i+1)*width]
-		for k, it := range p.items {
-			v, err := it(ex, e)
-			if err != nil {
-				return nil, err
-			}
-			row[k] = v
-		}
-		res.Rows[i] = row
-		var err error
-		if keys, err = ex.appendOrderKeys(keys, p, e); err != nil {
+		if err := ex.emit(p, &f.e, &out); err != nil {
 			return nil, err
 		}
 	}
-	orderRows(res.Rows, keys, p.orderBy)
-	return res, nil
+	return out.result(p), nil
+}
+
+// output collects a query level's output rows, which share one backing
+// array, and their ORDER BY keys, row-major. A countOnly output evaluates
+// every row into one scratch row and keeps nothing.
+type output struct {
+	countOnly bool
+	vals      []sqltypes.Value
+	rows      []storage.Row
+	keys      []sqltypes.Value
+}
+
+// newOutput sizes an output for at most n rows.
+func newOutput(p *prog, n int, countOnly bool) output {
+	width := len(p.items)
+	if countOnly {
+		return output{countOnly: true, vals: make([]sqltypes.Value, width)}
+	}
+	o := output{vals: make([]sqltypes.Value, 0, n*width), rows: make([]storage.Row, 0, n)}
+	if len(p.orderKeys) > 0 {
+		o.keys = make([]sqltypes.Value, 0, n*len(p.orderKeys))
+	}
+	return o
+}
+
+// emit evaluates the select items, then the ORDER BY keys, of the tuple in
+// e, and adds them to o.
+func (ex *executor) emit(p *prog, e *env, o *output) error {
+	width := len(p.items)
+	row := o.vals[:width]
+	if !o.countOnly {
+		k := len(o.vals)
+		o.vals = o.vals[:k+width]
+		row = o.vals[k : k+width : k+width]
+	}
+	for i, it := range p.items {
+		v, err := it(ex, e)
+		if err != nil {
+			return err
+		}
+		row[i] = v
+	}
+	for _, ok := range p.orderKeys {
+		v, err := ok(ex, e)
+		if err != nil {
+			return err
+		}
+		if !o.countOnly {
+			o.keys = append(o.keys, v)
+		}
+	}
+	if !o.countOnly {
+		o.rows = append(o.rows, row)
+	}
+	return nil
+}
+
+// result returns the collected rows in ORDER BY order.
+func (o *output) result(p *prog) *Result {
+	res := &Result{Columns: p.columns}
+	if len(o.rows) > 0 {
+		res.Rows = o.rows
+		orderRows(res.Rows, o.keys, p.orderBy)
+	}
+	return res
 }
 
 // sortable pairs an output row with its ORDER BY keys.
@@ -423,18 +482,6 @@ func orderRows(rows []storage.Row, keys []sqltypes.Value, order []sqlparser.Orde
 	for i := range s {
 		rows[i] = s[i].row
 	}
-}
-
-// appendOrderKeys appends the ORDER BY keys of the tuple in e.
-func (ex *executor) appendOrderKeys(keys []sqltypes.Value, p *prog, e *env) ([]sqltypes.Value, error) {
-	for _, o := range p.orderKeys {
-		v, err := o(ex, e)
-		if err != nil {
-			return nil, err
-		}
-		keys = append(keys, v)
-	}
-	return keys, nil
 }
 
 // dedupe keeps the first of each set of rows that are equal column by
@@ -474,7 +521,7 @@ type cachedSub struct {
 // entry.
 func (ex *executor) runSub(sp *prog, en *env) (*Result, *cachedSub, error) {
 	if sp.cache < 0 {
-		res, err := ex.run(sp, en)
+		res, err := ex.run(sp, en, false)
 		return res, nil, err
 	}
 	if ex.subs == nil {
@@ -484,7 +531,7 @@ func (ex *executor) runSub(sp *prog, en *env) (*Result, *cachedSub, error) {
 	if cs.res != nil {
 		return cs.res, cs, nil
 	}
-	res, err := ex.run(sp, en)
+	res, err := ex.run(sp, en, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -501,7 +548,7 @@ func (cs *cachedSub) lookup(ar *Arena, x sqltypes.Value) (found, ok bool) {
 	}
 	rows := cs.res.Rows
 	if cs.set == nil {
-		cs.set = ar.buildIndex(rows, nil, 0)
+		cs.set = ar.buildRowIndex(rows)
 		if cs.noSet = cs.set.nan; cs.noSet {
 			return false, false
 		}

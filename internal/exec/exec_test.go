@@ -356,19 +356,18 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-// keyDB holds t(id, name, x) whose TEXT and DOUBLE columns mix the values
-// grouping must keep apart or merge: NULL beside the string 'NULL', -0.0
-// beside +0.0 and int 0, float 2.5 beside the string '2.5'. It is not
-// analyzed: the DOUBLE column holds an int and a string on purpose.
+// keyDB holds t(id, name, k, i, f, s): a TEXT column name and a value x
+// of any kind split over mixedColumns (read back through mixedSQL), which
+// mix the values grouping must keep apart or merge: NULL beside the string
+// 'NULL', -0.0 beside +0.0 and int 0, float 2.5 beside the string '2.5'.
 func keyDB(t testing.TB) *storage.Database {
 	t.Helper()
 	schema := &catalog.Schema{
 		Name: "keys",
-		Tables: []*catalog.Table{{Name: "t", Columns: []catalog.Column{
+		Tables: []*catalog.Table{{Name: "t", Columns: append([]catalog.Column{
 			{Name: "id", Type: catalog.TypeInt},
 			{Name: "name", Type: catalog.TypeString},
-			{Name: "x", Type: catalog.TypeFloat},
-		}}},
+		}, mixedColumns...)}},
 	}
 	db := storage.NewDatabase(schema)
 	negZero := sqltypes.NewFloat(math.Copysign(0, -1))
@@ -379,7 +378,7 @@ func keyDB(t testing.TB) *storage.Database {
 		{sqltypes.NewString("a"), sqltypes.NewFloat(2.5)},
 		{sqltypes.Null, sqltypes.NewString("2.5")},
 	} {
-		db.Table("t").Append(storage.Row{sqltypes.NewInt(int64(i)), r.name, r.x})
+		db.Table("t").Append(append(storage.Row{sqltypes.NewInt(int64(i)), r.name}, splitValue(r.x)...))
 	}
 	return db
 }
@@ -390,32 +389,34 @@ func keyDB(t testing.TB) *storage.Database {
 // key (as WHERE x = 0 says), and the number 2.5 is not the string '2.5'.
 func TestGroupAndDistinctKeysFollowSQLEquality(t *testing.T) {
 	db := keyDB(t)
+	x := strings.NewReplacer("$x", "("+mixedSQL("t")+")")
+	run := func(sql string) *Result { t.Helper(); return runSQL(t, db, x.Replace(sql)) }
 	byName := map[string]int64{}
-	for _, r := range runSQL(t, db, "SELECT name, COUNT(*) FROM t GROUP BY name").Rows {
+	for _, r := range run("SELECT name, COUNT(*) FROM t GROUP BY name").Rows {
 		byName[r[0].Kind().String()+":"+r[0].String()] = r[1].Int()
 	}
 	if want := map[string]int64{"NULL:NULL": 2, "TEXT:NULL": 1, "TEXT:a": 2}; fmt.Sprint(byName) != fmt.Sprint(want) {
 		t.Errorf("GROUP BY name = %v, want %v", byName, want)
 	}
-	if n := len(runSQL(t, db, "SELECT DISTINCT name FROM t").Rows); n != 3 {
+	if n := len(run("SELECT DISTINCT name FROM t").Rows); n != 3 {
 		t.Errorf("SELECT DISTINCT name: %d rows, want 3 (NULL, 'NULL', 'a')", n)
 	}
-	if n := len(runSQL(t, db, "SELECT x FROM t WHERE x = 0").Rows); n != 3 {
+	if n := len(run("SELECT $x FROM t WHERE $x = 0").Rows); n != 3 {
 		t.Fatalf("WHERE x = 0: %d rows, want 3", n)
 	}
-	zeros := runSQL(t, db, "SELECT x, COUNT(*) FROM t WHERE x = 0 GROUP BY x").Rows
+	zeros := run("SELECT $x, COUNT(*) FROM t WHERE $x = 0 GROUP BY $x").Rows
 	if len(zeros) != 1 || zeros[0][1].Int() != 3 {
 		t.Errorf("GROUP BY x over the zeros = %v, want one group of 3", zeros)
 	}
-	if n := len(runSQL(t, db, "SELECT DISTINCT x FROM t WHERE x = 0").Rows); n != 1 {
+	if n := len(run("SELECT DISTINCT $x FROM t WHERE $x = 0").Rows); n != 1 {
 		t.Errorf("SELECT DISTINCT x over the zeros: %d rows, want 1", n)
 	}
 	// Two keys: (NULL, -0.0) and ('NULL', 0.0) stay apart; so do the
 	// multi-key forms of the rest.
-	if n := len(runSQL(t, db, "SELECT name, x, COUNT(*) FROM t GROUP BY name, x").Rows); n != 5 {
+	if n := len(run("SELECT name, $x, COUNT(*) FROM t GROUP BY name, $x").Rows); n != 5 {
 		t.Errorf("GROUP BY name, x: %d groups, want 5", n)
 	}
-	r := runSQL(t, db, "SELECT COUNT(DISTINCT x), COUNT(DISTINCT name) FROM t").Rows[0]
+	r := run("SELECT COUNT(DISTINCT $x), COUNT(DISTINCT name) FROM t").Rows[0]
 	if r[0].Int() != 3 || r[1].Int() != 2 {
 		t.Errorf("COUNT(DISTINCT x), COUNT(DISTINCT name) = %v, %v; want 3 (0, 2.5, '2.5') and 2 ('NULL', 'a')", r[0], r[1])
 	}

@@ -58,9 +58,15 @@ func numKey(v *sqltypes.Value) (bits uint64, isInt bool) {
 // equal to every number, so callers that may meet NaN must not use the index.
 func indexKey(v *sqltypes.Value) uint64 {
 	if v.Kind() == sqltypes.KindInt {
-		return math.Float64bits(float64(v.Int()))
+		return intKey(v.Int())
 	}
-	f := v.Float()
+	return floatKey(v.Float())
+}
+
+// intKey and floatKey are indexKey of an int and of a float payload.
+func intKey(i int64) uint64 { return math.Float64bits(float64(i)) }
+
+func floatKey(f float64) uint64 {
 	if f == 0 {
 		f = 0
 	}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"sqlbarber/internal/catalog"
 	"sqlbarber/internal/sqltypes"
 	"sqlbarber/internal/storage"
 )
@@ -74,31 +75,55 @@ func TestKeysAgreeWithCompare(t *testing.T) {
 		}
 	}
 
-	// The join index over every edge value, probed with each non-NULL,
+	// The IN-set index over every edge value, and the join index over the
+	// edge values of each stored column kind, probed with each non-NULL,
 	// non-NaN value, must return exactly the members equal to it.
 	rows := make([]storage.Row, len(vs))
 	for i := range vs {
 		rows[i] = storage.Row{vs[i]}
 	}
 	var ar Arena
-	hi := ar.buildIndex(rows, nil, 0)
-	for _, a := range vs {
+	checkIndex(t, "IN-set index", ar.buildRowIndex(rows), vs)
+	for _, kind := range []sqltypes.Kind{sqltypes.KindInt, sqltypes.KindFloat, sqltypes.KindString} {
+		typ := map[sqltypes.Kind]catalog.ColumnType{sqltypes.KindInt: catalog.TypeInt, sqltypes.KindFloat: catalog.TypeFloat}[kind]
+		if kind == sqltypes.KindString {
+			typ = catalog.TypeString
+		}
+		db := storage.NewDatabase(&catalog.Schema{Tables: []*catalog.Table{{Name: "t", Columns: []catalog.Column{{Name: "c", Type: typ}}}}})
+		var col []sqltypes.Value
+		var sel []int32
+		for _, v := range vs {
+			if v.Kind() == kind || v.IsNull() {
+				db.Table("t").Append(storage.Row{v})
+				col = append(col, v)
+				sel = append(sel, int32(len(sel)))
+			}
+		}
+		checkIndex(t, kind.String()+" join index", ar.buildIndex(&db.Table("t").Cols[0], sel), col)
+	}
+}
+
+// checkIndex probes hi, an index over members, with every non-NULL, non-NaN
+// edge value.
+func checkIndex(t *testing.T, name string, hi *hashIndex, members []sqltypes.Value) {
+	t.Helper()
+	for _, a := range keyEdgeValues() {
 		if a.IsNull() || isNaN(a) {
 			continue
 		}
 		var got, want []int
 		for p := hi.first(&a); p != 0; p = hi.next[p-1] {
-			if exactKey(&a) || a.Equal(vs[p-1]) {
+			if exactKey(&a) || a.Equal(members[p-1]) {
 				got = append(got, int(p-1))
 			}
 		}
-		for j, b := range vs {
+		for j, b := range members {
 			if !b.IsNull() && !isNaN(b) && sameClass(a, b) && a.Compare(b) == 0 {
 				want = append(want, j)
 			}
 		}
 		if !slices.Equal(got, want) {
-			t.Errorf("join index probed with %v (%v) finds rows %v, want %v", a, a.Kind(), got, want)
+			t.Errorf("%s probed with %v (%v) finds rows %v, want %v", name, a, a.Kind(), got, want)
 		}
 	}
 }

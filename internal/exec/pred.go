@@ -187,47 +187,48 @@ func (lv *level) compare(t *sqlparser.BinaryExpr) pred {
 }
 
 // colCompare is `column <m> k` for a current-level column. The typed branch
-// is taken when both values have the column's catalog kind; anything else
-// (NULL, an off-kind value, a mixed int/float pair) goes through
+// compares the payload in the column's vector with k's when the stored
+// column has the catalog's kind and k a kind the branch compares; anything
+// else (a NULL, an off-kind operand, a mixed int/float pair) goes through
 // Value.Compare, so the result is always exactly Compare's.
 func colCompare(ref plan.ColRef, typ catalog.ColumnType, k operand, m cmpMask) pred {
 	t, c := ref.TableIdx, ref.ColIdx
 	switch typ {
 	case catalog.TypeInt:
 		return func(ex *executor, e *env) (tri, error) {
-			r := e.rows[t]
-			if r == nil {
+			ri := e.rows[t]
+			if ri < 0 {
 				return triNull, nil
 			}
-			v, w := r[c], k.get(ex)
-			if v.Kind() == sqltypes.KindInt && w.Kind() == sqltypes.KindInt {
-				return order(m, v.Int(), w.Int()), nil
+			col, w := &e.tabs[t].Cols[c], k.get(ex)
+			if col.Kind == sqltypes.KindInt && w.Kind() == sqltypes.KindInt && !col.Null(int(ri)) {
+				return order(m, col.Ints[ri], w.Int()), nil
 			}
-			return m.values(v, w), nil
+			return m.values(col.Value(int(ri)), w), nil
 		}
 	case catalog.TypeFloat:
 		return func(ex *executor, e *env) (tri, error) {
-			r := e.rows[t]
-			if r == nil {
+			ri := e.rows[t]
+			if ri < 0 {
 				return triNull, nil
 			}
-			v, w := r[c], k.get(ex)
-			if v.Kind() == sqltypes.KindFloat && w.IsNumeric() {
-				return order(m, v.Float(), w.Float()), nil
+			col, w := &e.tabs[t].Cols[c], k.get(ex)
+			if col.Kind == sqltypes.KindFloat && w.IsNumeric() && !col.Null(int(ri)) {
+				return order(m, col.Floats[ri], w.Float()), nil
 			}
-			return m.values(v, w), nil
+			return m.values(col.Value(int(ri)), w), nil
 		}
 	}
 	return func(ex *executor, e *env) (tri, error) {
-		r := e.rows[t]
-		if r == nil {
+		ri := e.rows[t]
+		if ri < 0 {
 			return triNull, nil
 		}
-		v, w := r[c], k.get(ex)
-		if v.Kind() == sqltypes.KindString && w.Kind() == sqltypes.KindString {
-			return order(m, v.Str(), w.Str()), nil
+		col, w := &e.tabs[t].Cols[c], k.get(ex)
+		if col.Kind == sqltypes.KindString && w.Kind() == sqltypes.KindString && !col.Null(int(ri)) {
+			return order(m, col.Strs[ri], w.Str()), nil
 		}
-		return m.values(v, w), nil
+		return m.values(col.Value(int(ri)), w), nil
 	}
 }
 

@@ -63,7 +63,7 @@ func (rx *refExecutor) query(q *plan.Query, parent *refEnv) ([]storage.Row, erro
 	}
 	n := len(q.Binding.Scope.Tables)
 	table := func(ti int) []storage.Row {
-		return rx.db.Table(q.Binding.Scope.Tables[ti].Table.Name).Rows
+		return storedRows(rx.db.Table(q.Binding.Scope.Tables[ti].Table.Name))
 	}
 	tuples := [][]storage.Row{}
 	for _, r := range table(0) {
@@ -675,4 +675,13 @@ func likeRef(s, p string) bool {
 		}
 		return likeRef(s[1:], p[1:])
 	}
+}
+
+// storedRows returns every row of tbl.
+func storedRows(tbl *storage.Table) []storage.Row {
+	out := make([]storage.Row, tbl.Len())
+	for i := range out {
+		out[i] = tbl.Row(i)
+	}
+	return out
 }

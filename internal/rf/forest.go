@@ -102,7 +102,7 @@ func Train(rng *rand.Rand, X [][]float64, y []float64, opts Options) *Forest {
 	}
 	n, dims := len(X), len(X[0])
 	workers := min(opts.Workers, opts.NumTrees)
-	tr := trainers.Get().(*trainer)
+	tr := getTrainer()
 	defer tr.release()
 	tr.reset(X, n, dims, opts.NumTrees, workers)
 	// Serial up-front draws: bootstrap samples and per-tree stream seeds.
@@ -148,11 +148,28 @@ func Train(rng *rand.Rand, X [][]float64, y []float64, opts Options) *Forest {
 // trainers recycles Train scratch across calls: BO refits a small forest
 // after every few observations, so fresh buffers (and a fresh math/rand
 // state per tree) would otherwise cost more than the split search itself.
-var trainers = sync.Pool{New: func() any {
+// It is a free list, last returned first out, rather than a sync.Pool, so
+// which scratch a call gets, and so what it allocates, depends only on the
+// order of the calls, not on the goroutine's P or on GC timing.
+var trainers struct {
+	sync.Mutex
+	free []*trainer
+}
+
+// getTrainer takes the most recently released trainer, or a new one.
+func getTrainer() *trainer {
+	trainers.Lock()
+	defer trainers.Unlock()
+	if k := len(trainers.free); k > 0 {
+		tr := trainers.free[k-1]
+		trainers.free[k-1] = nil
+		trainers.free = trainers.free[:k-1]
+		return tr
+	}
 	tr := new(trainer)
 	tr.fitTask = tr.fit
 	return tr
-}}
+}
 
 // trainer is the scratch of one Train call: the shared read-only inputs every
 // tree builder sees, the serial up-front draws, and one builder per worker.
@@ -219,12 +236,14 @@ func (tr *trainer) reset(X [][]float64, n, dims, trees, workers int) {
 }
 
 // release drops the builders' references to the caller's targets and
-// returns the scratch to the pool.
+// returns the scratch to the free list.
 func (tr *trainer) release() {
 	for _, b := range tr.builders {
 		b.y = nil
 	}
-	trainers.Put(tr)
+	trainers.Lock()
+	trainers.free = append(trainers.free, tr)
+	trainers.Unlock()
 }
 
 // resize returns s with length n, reusing its backing array when it fits.

@@ -6,7 +6,6 @@ package sqltemplate
 
 import (
 	"fmt"
-	"regexp"
 	"strings"
 
 	"sqlbarber/internal/catalog"
@@ -283,25 +282,46 @@ func (t *Template) BindPlaceholders(schema *catalog.Schema) ([]PlaceholderBindin
 	return out, nil
 }
 
-var placeholderRe = regexp.MustCompile(`\{([^{}]+)\}`)
-
 // Instantiate substitutes placeholder values into the template text,
-// returning executable SQL. Missing values are an error.
+// returning executable SQL. Missing values are an error. A placeholder is
+// a '{', one or more bytes that are neither brace, and a '}'; the name is
+// those bytes, trimmed of spaces.
 func (t *Template) Instantiate(vals map[string]sqltypes.Value) (string, error) {
 	var missing []string
-	out := placeholderRe.ReplaceAllStringFunc(t.Text, func(m string) string {
+	var b strings.Builder
+	s := t.Text
+	for {
+		i := strings.IndexByte(s, '{')
+		if i < 0 {
+			break
+		}
+		j := strings.IndexAny(s[i+1:], "{}")
+		if j < 0 {
+			break // no brace closes this one or any later '{'
+		}
+		if j == 0 || s[i+1+j] == '{' {
+			// Empty, or another '{' opens first: no placeholder starts here.
+			b.WriteString(s[:i+1])
+			s = s[i+1:]
+			continue
+		}
+		b.WriteString(s[:i])
+		m := s[i : i+j+2]
+		s = s[i+j+2:]
 		name := strings.TrimSpace(m[1 : len(m)-1])
 		v, ok := vals[name]
 		if !ok {
 			missing = append(missing, name)
-			return m
+			b.WriteString(m)
+			continue
 		}
-		return v.SQLLiteral()
-	})
+		b.WriteString(v.SQLLiteral())
+	}
 	if len(missing) > 0 {
 		return "", fmt.Errorf("sqltemplate: missing values for placeholders %v", missing)
 	}
-	return out, nil
+	b.WriteString(s)
+	return b.String(), nil
 }
 
 // Clone returns a deep copy with a fresh parse of the same text.

@@ -1,6 +1,9 @@
 package sqltemplate
 
 import (
+	"fmt"
+	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -254,4 +257,49 @@ func sanitizeStr(s string) string {
 		out = out[:24]
 	}
 	return string(out)
+}
+
+// regexpInstantiate is the regular-expression substitution Instantiate's
+// scanner replaced, kept as its differential reference.
+func regexpInstantiate(text string, vals map[string]sqltypes.Value) (string, []string) {
+	var missing []string
+	out := regexp.MustCompile(`\{([^{}]+)\}`).ReplaceAllStringFunc(text, func(m string) string {
+		name := strings.TrimSpace(m[1 : len(m)-1])
+		v, ok := vals[name]
+		if !ok {
+			missing = append(missing, name)
+			return m
+		}
+		return v.SQLLiteral()
+	})
+	return out, missing
+}
+
+// TestInstantiateMatchesRegexp checks the placeholder scanner against the
+// regular expression on texts drawn from braces, spaces and name bytes, so
+// empty, nested, unclosed and padded placeholders all occur.
+func TestInstantiateMatchesRegexp(t *testing.T) {
+	vals := map[string]sqltypes.Value{"a": sqltypes.NewInt(1), "b": sqltypes.NewString("x'y"), "a b": sqltypes.NewFloat(2.5)}
+	rng := rand.New(rand.NewSource(1))
+	alphabet := "{}{} ab"
+	for n := 0; n < 20000; n++ {
+		text := make([]byte, rng.Intn(14))
+		for i := range text {
+			text[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		want, missing := regexpInstantiate(string(text), vals)
+		got, err := (&Template{Text: string(text)}).Instantiate(vals)
+		if (err != nil) != (len(missing) > 0) {
+			t.Fatalf("%q: error %v, reference misses %v", text, err, missing)
+		}
+		if err != nil {
+			if want := fmt.Sprintf("sqltemplate: missing values for placeholders %v", missing); err.Error() != want {
+				t.Fatalf("%q: error %q, want %q", text, err, want)
+			}
+			continue
+		}
+		if got != want {
+			t.Fatalf("%q: got %q, want %q", text, got, want)
+		}
+	}
 }

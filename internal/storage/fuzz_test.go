@@ -26,8 +26,11 @@ func withSchema(schema string) []byte {
 // far more bytes or rows than follow: a 1<<62-byte schema (the 19-byte
 // file), a 1<<62-row table, a 1<<62-byte string, and a zero-column table
 // claiming rows. Or their schema names a null table, or one table twice.
+// Or a row holds a value its column cannot: the string '1' in an INTEGER
+// column.
 func corruptSeeds() [][]byte {
 	oneCol := withSchema(`{"Name":"t","Tables":[{"Name":"a","Columns":[{"Name":"s","Type":2}]}]}`)
+	intCol := withSchema(`{"Name":"t","Tables":[{"Name":"a","Columns":[{"Name":"i","Type":0}]}]}`)
 	return [][]byte{
 		corruptPrefix([]byte("SQLBSNAP1"), 1<<62),
 		corruptPrefix(oneCol, 1<<62),
@@ -35,6 +38,7 @@ func corruptSeeds() [][]byte {
 		corruptPrefix(withSchema(`{"Tables":[{"Name":"z"}]}`), 1<<62),
 		withSchema(`{"Tables":[null]}`),
 		append(withSchema(`{"Tables":[{"Name":"a","Columns":[{"Name":"x"}]},{"Name":"A","Columns":[{"Name":"x"},{"Name":"y"}]}]}`), 0, 0),
+		append(corruptPrefix(intCol, 1), 3, 1, '1'),
 	}
 }
 
@@ -51,8 +55,7 @@ func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 // FuzzLoad checks that Load never panics on arbitrary input and that a
 // snapshot it accepts is a fixpoint after one re-save: Save(Load(data))
 // loads back and re-saves to identical bytes. The seed corpus is a small
-// saved TPC-H snapshot plus corrupt length prefixes for the schema, a row
-// count and a string.
+// saved TPC-H snapshot plus the corrupt seeds above.
 func FuzzLoad(f *testing.F) {
 	var snap bytes.Buffer
 	if err := datagen.TPCH(1, 0.0005).Save(&snap); err != nil {

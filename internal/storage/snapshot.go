@@ -14,7 +14,8 @@ import (
 
 // Snapshot format: a magic header, the JSON-encoded catalog schema
 // (length-prefixed), then per table a row count followed by rows encoded as
-// tagged values. Saving and loading a generated dataset is much faster than
+// tagged values, row by row. Load rejects a value whose kind its column
+// cannot hold. Saving and loading a generated dataset is much faster than
 // regenerating and re-analyzing it, and lets workload files reference a
 // frozen dataset by file.
 
@@ -48,12 +49,12 @@ func (db *Database) Save(w io.Writer) error {
 	}
 	for _, meta := range db.Schema.Tables {
 		tbl := db.Table(meta.Name)
-		if err := writeUvarint(bw, uint64(len(tbl.Rows))); err != nil {
+		if err := writeUvarint(bw, uint64(tbl.n)); err != nil {
 			return err
 		}
-		for _, row := range tbl.Rows {
-			for _, v := range row {
-				if err := writeValue(bw, v); err != nil {
+		for i := 0; i < tbl.n; i++ {
+			for j := range tbl.Cols {
+				if err := writeValue(bw, tbl.Cols[j].Value(i)); err != nil {
 					return err
 				}
 			}
@@ -63,13 +64,10 @@ func (db *Database) Save(w io.Writer) error {
 }
 
 // Load never allocates from a length prefix it has not seen the bytes for:
-// a byte string longer than readChunk grows as its bytes arrive, and a row
-// count reserves at most maxRowPrealloc rows up front. So a corrupt or
-// truncated snapshot is an error, never a huge allocation.
-const (
-	readChunk      = 64 << 10
-	maxRowPrealloc = 1 << 16
-)
+// a byte string longer than readChunk grows as its bytes arrive, and the
+// column vectors grow row by row. So a corrupt or truncated snapshot is an
+// error, never a huge allocation.
+const readChunk = 64 << 10
 
 // Load reads a snapshot written by Save.
 func Load(r io.Reader) (*Database, error) {
@@ -115,9 +113,8 @@ func Load(r io.Reader) (*Database, error) {
 			// Zero-width rows carry no bytes, so nothing bounds the count.
 			return nil, fmt.Errorf("storage: %s has no columns but %d rows", meta.Name, n)
 		}
-		tbl.Rows = make([]Row, 0, min(n, maxRowPrealloc))
+		row := make(Row, width)
 		for i := uint64(0); i < n; i++ {
-			row := make(Row, width)
 			for c := 0; c < width; c++ {
 				v, err := readValue(br)
 				if err != nil {
@@ -125,7 +122,9 @@ func Load(r io.Reader) (*Database, error) {
 				}
 				row[c] = v
 			}
-			tbl.Rows = append(tbl.Rows, row)
+			if err := tbl.appendRow(row); err != nil {
+				return nil, fmt.Errorf("storage: %s row %d: %w", meta.Name, i, err)
+			}
 		}
 	}
 	return db, nil

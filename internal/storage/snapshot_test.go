@@ -44,12 +44,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// Row payload round trip, including the NULL.
 	ot, gt := db.Table("data"), back.Table("data")
-	if len(gt.Rows) != len(ot.Rows) {
-		t.Fatalf("rows %d vs %d", len(gt.Rows), len(ot.Rows))
+	if gt.Len() != ot.Len() {
+		t.Fatalf("rows %d vs %d", gt.Len(), ot.Len())
 	}
-	for i := range ot.Rows {
-		for j := range ot.Rows[i] {
-			a, b := ot.Rows[i][j], gt.Rows[i][j]
+	for i := 0; i < ot.Len(); i++ {
+		or, gr := ot.Row(i), gt.Row(i)
+		for j := range or {
+			a, b := or[j], gr[j]
 			if a.IsNull() != b.IsNull() {
 				t.Fatalf("row %d col %d null mismatch", i, j)
 			}

@@ -1,6 +1,6 @@
-// Package storage implements the in-memory row store backing the embedded
-// SQL engine, including the ANALYZE pass that populates optimizer statistics
-// in the catalog.
+// Package storage implements the in-memory column store backing the
+// embedded SQL engine, including the ANALYZE pass that populates optimizer
+// statistics in the catalog.
 package storage
 
 import (
@@ -12,21 +12,140 @@ import (
 	"sqlbarber/internal/sqltypes"
 )
 
-// Row is one tuple; columns are positional per the table schema.
+// Row is one tuple; columns are positional per the table schema. Tables
+// store columns, not rows: a Row is what Append takes and Table.Row returns.
 type Row []sqltypes.Value
 
-// Table couples a catalog schema entry with its rows.
-type Table struct {
-	Meta *catalog.Table
-	Rows []Row
+// Column is one column of a table as a typed vector, chosen by the column's
+// catalog.ColumnType.Kind: Ints for INTEGER, Floats for DOUBLE, Strs for
+// TEXT; the other two stay nil. A NULL row holds the zero payload and sets
+// its bit in Nulls (bit i%64 of word i/64), which stays nil until the column
+// holds a NULL and covers only the rows up to its last NULL.
+type Column struct {
+	Kind   sqltypes.Kind
+	Ints   []int64
+	Floats []float64
+	Strs   []string
+	Nulls  []uint64
 }
 
-// Append adds a row, panicking on arity mismatch (programming error).
-func (t *Table) Append(r Row) {
-	if len(r) != len(t.Meta.Columns) {
-		panic(fmt.Sprintf("storage: row arity %d != %d columns of %s", len(r), len(t.Meta.Columns), t.Meta.Name))
+// Null reports whether row i is NULL.
+func (c *Column) Null(i int) bool {
+	w := i >> 6
+	return w < len(c.Nulls) && c.Nulls[w]>>(i&63)&1 != 0
+}
+
+// Value returns row i as a Value.
+func (c *Column) Value(i int) sqltypes.Value {
+	if c.Null(i) {
+		return sqltypes.Null
 	}
-	t.Rows = append(t.Rows, r)
+	switch c.Kind {
+	case sqltypes.KindInt:
+		return sqltypes.NewInt(c.Ints[i])
+	case sqltypes.KindFloat:
+		return sqltypes.NewFloat(c.Floats[i])
+	}
+	return sqltypes.NewString(c.Strs[i])
+}
+
+// setNull marks row i NULL.
+func (c *Column) setNull(i int) {
+	for len(c.Nulls) <= i>>6 {
+		c.Nulls = append(c.Nulls, 0)
+	}
+	c.Nulls[i>>6] |= 1 << (i & 63)
+}
+
+// Table couples a catalog schema entry with its columns, one per
+// Meta.Columns entry and all of the same length.
+type Table struct {
+	Meta *catalog.Table
+	Cols []Column
+	n    int
+}
+
+func newTable(meta *catalog.Table) *Table {
+	t := &Table{Meta: meta, Cols: make([]Column, len(meta.Columns))}
+	for j, c := range meta.Columns {
+		t.Cols[j].Kind = c.Type.Kind()
+	}
+	return t
+}
+
+// Len returns the number of rows.
+func (t *Table) Len() int { return t.n }
+
+// Row returns a copy of row i.
+func (t *Table) Row(i int) Row {
+	r := make(Row, len(t.Cols))
+	for j := range t.Cols {
+		r[j] = t.Cols[j].Value(i)
+	}
+	return r
+}
+
+// Append adds a row, panicking on an arity mismatch or on a non-null value
+// whose kind is not its column's (programming errors); Load reports the
+// same faults as errors.
+func (t *Table) Append(r Row) {
+	if err := t.appendRow(r); err != nil {
+		panic(err.Error())
+	}
+}
+
+// appendRow checks the whole row before storing any of it, so a rejected
+// row leaves the table as it was.
+func (t *Table) appendRow(r Row) error {
+	if len(r) != len(t.Cols) {
+		return fmt.Errorf("storage: row arity %d != %d columns of %s", len(r), len(t.Cols), t.Meta.Name)
+	}
+	for j, v := range r {
+		if k := v.Kind(); k != t.Cols[j].Kind && k != sqltypes.KindNull {
+			col := &t.Meta.Columns[j]
+			return fmt.Errorf("storage: column %s.%s (%s) cannot hold a value of kind %s", t.Meta.Name, col.Name, col.Type, k)
+		}
+	}
+	for j, v := range r {
+		c := &t.Cols[j]
+		switch c.Kind {
+		case sqltypes.KindInt:
+			c.Ints = append(c.Ints, v.Int())
+		case sqltypes.KindFloat:
+			c.Floats = append(c.Floats, v.Float())
+		default:
+			c.Strs = append(c.Strs, v.Str())
+		}
+		if v.IsNull() {
+			c.setNull(t.n)
+		}
+	}
+	t.n++
+	return nil
+}
+
+// Grow appends n non-null rows of zero payloads, reallocating each vector
+// once. Bulk loaders then write the payloads straight into the vectors.
+func (t *Table) Grow(n int) {
+	for j := range t.Cols {
+		c := &t.Cols[j]
+		switch c.Kind {
+		case sqltypes.KindInt:
+			c.Ints = extend(c.Ints, n)
+		case sqltypes.KindFloat:
+			c.Floats = extend(c.Floats, n)
+		default:
+			c.Strs = extend(c.Strs, n)
+		}
+	}
+	t.n += n
+}
+
+// extend returns a copy of s followed by n zero values, in one allocation.
+func extend[T any](s []T, n int) []T {
+	out := make([]T, len(s)+n)
+	copy(out, s)
+	return out
 }
 
 // Database is a named collection of tables plus the catalog schema.
@@ -40,7 +159,7 @@ type Database struct {
 func NewDatabase(schema *catalog.Schema) *Database {
 	db := &Database{Schema: schema, tables: map[string]*Table{}}
 	for _, t := range schema.Tables {
-		db.tables[lower(t.Name)] = &Table{Meta: t}
+		db.tables[lower(t.Name)] = newTable(t)
 	}
 	return db
 }
@@ -66,9 +185,7 @@ const histogramBuckets = 32
 
 // Analyze recomputes row counts, sizes, and per-column statistics for every
 // table, mirroring PostgreSQL's ANALYZE. It must be called after bulk loads
-// so the planner sees fresh statistics. Every non-null value must have its
-// column's kind (catalog.ColumnType.Kind); Analyze panics otherwise, naming
-// the table and column.
+// so the planner sees fresh statistics.
 func (db *Database) Analyze() {
 	var sc sortScratch
 	for _, t := range db.tables {
@@ -86,11 +203,11 @@ type sortScratch struct {
 
 func analyzeTable(t *Table, sc *sortScratch) {
 	meta := t.Meta
-	meta.RowCount = len(t.Rows)
+	meta.RowCount = t.n
 	var width int64
 	for i := range meta.Columns {
 		col := &meta.Columns[i]
-		col.Stats = columnStats(t, i, sc)
+		col.Stats = columnStats(&t.Cols[i], t.n, sc)
 		switch col.Type {
 		case catalog.TypeString:
 			width += 24
@@ -98,50 +215,44 @@ func analyzeTable(t *Table, sc *sortScratch) {
 			width += 8
 		}
 	}
-	meta.SizeBytes = width * int64(len(t.Rows))
+	meta.SizeBytes = width * int64(t.n)
 }
 
-// columnStats computes one column's statistics from a single sort of its
-// non-null payloads.
-func columnStats(t *Table, idx int, sc *sortScratch) catalog.ColumnStats {
-	if len(t.Rows) == 0 {
+// columnStats computes the statistics of a column of n rows from a single
+// sort of a copy of its non-null payloads.
+func columnStats(c *Column, n int, sc *sortScratch) catalog.ColumnStats {
+	if n == 0 {
 		return catalog.ColumnStats{}
 	}
 	var nulls int
-	switch t.Meta.Columns[idx].Type.Kind() {
+	switch c.Kind {
 	case sqltypes.KindInt:
-		sc.ints, nulls = payloads(sc.ints, t, idx, sqltypes.Value.Int)
-		return sortedStats(sc.ints, nulls, len(t.Rows), sqltypes.NewInt, func(v int64) float64 { return float64(v) })
+		sc.ints, nulls = nonNull(sc.ints, c.Ints, c)
+		return sortedStats(sc.ints, nulls, n, sqltypes.NewInt, func(v int64) float64 { return float64(v) })
 	case sqltypes.KindFloat:
-		sc.floats, nulls = payloads(sc.floats, t, idx, sqltypes.Value.Float)
-		st := sortedStats(sc.floats, nulls, len(t.Rows), sqltypes.NewFloat, func(v float64) float64 { return v })
-		zeroSigns(&st, t.Rows, idx)
+		sc.floats, nulls = nonNull(sc.floats, c.Floats, c)
+		st := sortedStats(sc.floats, nulls, n, sqltypes.NewFloat, func(v float64) float64 { return v })
+		zeroSigns(&st, c)
 		return st
 	default:
-		sc.strs, nulls = payloads(sc.strs, t, idx, sqltypes.Value.Str)
-		return sortedStats(sc.strs, nulls, len(t.Rows), sqltypes.NewString, nil)
+		sc.strs, nulls = nonNull(sc.strs, c.Strs, c)
+		return sortedStats(sc.strs, nulls, n, sqltypes.NewString, nil)
 	}
 }
 
-// payloads refills buf with the payloads of column idx's non-null values in
-// row order and counts the nulls. A value of another kind than the column's
-// is a programming error, like an arity mismatch in Append.
-func payloads[T any](buf []T, t *Table, idx int, get func(sqltypes.Value) T) ([]T, int) {
-	col := &t.Meta.Columns[idx]
-	kind := col.Type.Kind()
-	buf, nulls := slices.Grow(buf[:0], len(t.Rows)), 0
-	for _, r := range t.Rows {
-		v := r[idx]
-		if v.Kind() != kind {
-			if v.IsNull() {
-				nulls++
-				continue
-			}
-			panic(fmt.Sprintf("storage: column %s.%s (%s) holds a value of kind %s", t.Meta.Name, col.Name, col.Type, v.Kind()))
-		}
-		buf = append(buf, get(v))
+// nonNull refills buf with the payloads of c's non-null rows, in row order,
+// from c's vector vec, and counts the nulls.
+func nonNull[T any](buf, vec []T, c *Column) ([]T, int) {
+	if c.Nulls == nil {
+		return append(buf[:0], vec...), 0
 	}
-	return buf, nulls
+	buf = slices.Grow(buf[:0], len(vec))
+	for i, v := range vec {
+		if !c.Null(i) {
+			buf = append(buf, v)
+		}
+	}
+	return buf, len(vec) - len(buf)
 }
 
 // sortedStats sorts vals in place and reads every statistic off the sorted
@@ -205,28 +316,29 @@ func sortedStats[T cmp.Ordered](vals []T, nulls, total int, value func(T) sqltyp
 // zeroSigns gives a zero Min, Max or MCV value its sign from the rows:
 // the sort may place -0.0 and +0.0 in any order, but Min and Max keep the
 // first zero in row order and an MCV value the last one.
-func zeroSigns(st *catalog.ColumnStats, rows []Row, idx int) {
+func zeroSigns(st *catalog.ColumnStats, c *Column) {
 	isZero := func(v sqltypes.Value) bool { return v.Kind() == sqltypes.KindFloat && v.Float() == 0 }
 	mcv := slices.IndexFunc(st.MostCommon, func(e catalog.ValueFreq) bool { return isZero(e.Value) })
 	if !isZero(st.Min) && !isZero(st.Max) && mcv < 0 {
 		return
 	}
-	var first, last sqltypes.Value
-	for _, r := range rows {
-		if v := r[idx]; isZero(v) {
-			if first.IsNull() {
-				first = v
+	var first, last float64
+	seen := false
+	for i, f := range c.Floats {
+		if f == 0 && !c.Null(i) {
+			if !seen {
+				first, seen = f, true
 			}
-			last = v
+			last = f
 		}
 	}
 	if isZero(st.Min) {
-		st.Min = first
+		st.Min = sqltypes.NewFloat(first)
 	}
 	if isZero(st.Max) {
-		st.Max = first
+		st.Max = sqltypes.NewFloat(first)
 	}
 	if mcv >= 0 {
-		st.MostCommon[mcv].Value = last
+		st.MostCommon[mcv].Value = sqltypes.NewFloat(last)
 	}
 }
