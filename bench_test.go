@@ -8,6 +8,7 @@ package sqlbarber
 import (
 	"context"
 	"io"
+	"sort"
 	"testing"
 
 	"sqlbarber/internal/benchmarks"
@@ -179,9 +180,18 @@ func BenchmarkTable2Cost(b *testing.B) {
 // ablationSeeds averages out per-seed noise in the small ablation setups.
 var ablationSeeds = []int64{1, 2, 3, 4, 5}
 
+// ablationBound caps one variant's means. The runs are deterministic, so
+// the bounds are the values measured on the tree that set them: counts
+// exactly, distances rounded up at the fourth significant digit. They only
+// ever tighten.
+type ablationBound struct {
+	distance, metric float64
+}
+
 // runAblation runs the pipeline with the ablation's option across the
-// ablation seeds and reports mean distance plus a mean secondary metric.
-func runAblation(b *testing.B, metricName string, opt pipeline.Option, metric func(*pipeline.Result) float64) {
+// ablation seeds, reports mean distance plus a mean secondary metric, and
+// fails when either mean exceeds its bound.
+func runAblation(b *testing.B, metricName string, opt pipeline.Option, metric func(*pipeline.Result) float64, bound ablationBound) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		var distSum, metricSum float64
@@ -202,6 +212,10 @@ func runAblation(b *testing.B, metricName string, opt pipeline.Option, metric fu
 		n := float64(len(ablationSeeds))
 		b.ReportMetric(distSum/n, "mean_distance")
 		b.ReportMetric(metricSum/n, metricName)
+		if distSum/n > bound.distance || metricSum/n > bound.metric {
+			b.Fatalf("mean_distance %.4g, %s %.6g: bound is %.4g, %.6g",
+				distSum/n, metricName, metricSum/n, bound.distance, bound.metric)
+		}
 	}
 }
 
@@ -209,13 +223,14 @@ func runAblation(b *testing.B, metricName string, opt pipeline.Option, metric fu
 // profiling samples (mean over seeds).
 func BenchmarkAblationLHS(b *testing.B) {
 	for _, mode := range []struct {
-		name string
-		ind  bool
-	}{{"LHS", false}, {"Independent", true}} {
+		name  string
+		ind   bool
+		bound ablationBound
+	}{{"LHS", false, ablationBound{1.499, 1449.8}}, {"Independent", true, ablationBound{1.499, 1616.2}}} {
 		b.Run(mode.name, func(b *testing.B) {
 			runAblation(b, "mean_db_calls",
 				pipeline.WithAblations(pipeline.Ablations{IndependentSampling: mode.ind}),
-				func(r *pipeline.Result) float64 { return float64(r.DBCalls) })
+				func(r *pipeline.Result) float64 { return float64(r.DBCalls) }, mode.bound)
 		})
 	}
 }
@@ -226,11 +241,12 @@ func BenchmarkAblationHistory(b *testing.B) {
 	for _, mode := range []struct {
 		name       string
 		phase1Only bool
-	}{{"WithHistory", false}, {"Phase1Only", true}} {
+		bound      ablationBound
+	}{{"WithHistory", false, ablationBound{1.499, 6}}, {"Phase1Only", true, ablationBound{2.038, 3}}} {
 		b.Run(mode.name, func(b *testing.B) {
 			runAblation(b, "mean_accepted_templates",
 				pipeline.WithAblations(pipeline.Ablations{Phase1Only: mode.phase1Only}),
-				func(r *pipeline.Result) float64 { return float64(r.RefineStats.Accepted) })
+				func(r *pipeline.Result) float64 { return float64(r.RefineStats.Accepted) }, mode.bound)
 		})
 	}
 }
@@ -242,12 +258,64 @@ func BenchmarkAblationCloseness(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
 		uniform bool
-	}{{"Weighted10", false}, {"AllTemplates", true}} {
+		bound   ablationBound
+	}{{"Weighted10", false, ablationBound{1.499, 893}}, {"AllTemplates", true, ablationBound{2.491, 923}}} {
 		b.Run(mode.name, func(b *testing.B) {
 			runAblation(b, "mean_search_evals",
 				pipeline.WithAblations(pipeline.Ablations{UniformTemplates: mode.uniform}),
-				func(r *pipeline.Result) float64 { return float64(r.SearchStats.Evaluations) })
+				func(r *pipeline.Result) float64 { return float64(r.SearchStats.Evaluations) }, mode.bound)
 		})
+	}
+}
+
+// ---- Paper-claim gate ----
+
+// Bounds of BenchmarkClaims, measured on the tree that set them. The sweep
+// is deterministic, so they are exact; they only ever tighten.
+const (
+	claimsMaxShortPanels    = 33
+	claimsMaxMedianSeedEval = 28851.5
+)
+
+// BenchmarkClaims gates the paper's headline claim, that SQLBarber drives
+// the distance to 0 within few DBMS evaluations. It runs every quick-scale
+// Figure 5 and 6 panel (benchmark × dataset), SQLBarber only, at seeds
+// 1–20, and fails if more panels stop short of distance 0, or if the median
+// over seeds of the evaluations a seed spends on all its panels is higher,
+// than the bounds allow. No seed or panel is left out: the short panels are
+// the signal.
+func BenchmarkClaims(b *testing.B) {
+	methods := []benchmarks.Method{benchmarks.SQLBarber}
+	for i := 0; i < b.N; i++ {
+		short := 0
+		var perSeed []float64
+		for seed := int64(1); seed <= 20; seed++ {
+			r := benchmarks.NewRunner(benchmarks.Quick, seed)
+			fig5, err := r.RunFigure5(context.Background(), io.Discard, methods)
+			if err != nil {
+				b.Fatal(err)
+			}
+			fig6, err := r.RunFigure6(context.Background(), io.Discard, methods)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var evals int64
+			for _, res := range append(fig5, fig6...) {
+				if res.FinalDistance > 0 {
+					short++
+				}
+				evals += res.Evaluations
+			}
+			perSeed = append(perSeed, float64(evals))
+		}
+		sort.Float64s(perSeed)
+		median := (perSeed[len(perSeed)/2-1] + perSeed[len(perSeed)/2]) / 2
+		b.ReportMetric(float64(short), "short_panels")
+		b.ReportMetric(median, "median_evals_per_seed")
+		if short > claimsMaxShortPanels || median > claimsMaxMedianSeedEval {
+			b.Fatalf("%d panels short of 0 and %.1f median evaluations per seed: bound is %d and %.1f",
+				short, median, claimsMaxShortPanels, claimsMaxMedianSeedEval)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|fig5|fig6|fig7queries|fig7intervals|fig8a|fig8b|table2|analyzer|parallel|probe|measured|obs|intervals|resilience|surrogate|all")
+		exp       = flag.String("exp", "all", "experiment: table1|fig5|fig6|fig7queries|fig7intervals|fig8a|fig8b|table2|analyzer|parallel|probe|measured|obs|resilience|surrogate|all")
 		scale     = flag.String("scale", "quick", "scale: quick|full")
 		seed      = flag.Int64("seed", 1, "random seed")
 		methods   = flag.String("methods", "", "comma-separated method subset (default: all five)")
@@ -31,7 +31,6 @@ func main() {
 		probeJSON = flag.String("probejson", "BENCH_probe.json", "where -exp probe writes its JSON result (empty to skip)")
 		probes    = flag.Int("probes", 0, "probes per template per arm for -exp probe/measured (0 = default)")
 		measJSON  = flag.String("measuredjson", "BENCH_measured.json", "where -exp measured writes its JSON result (empty to skip)")
-		intvJSON  = flag.String("intervalsjson", "BENCH_intervals.json", "where -exp intervals writes its JSON result (empty to skip)")
 		resilJSON = flag.String("resiliencejson", "BENCH_resilience.json", "where -exp resilience writes its JSON result (empty to skip)")
 		surrJSON  = flag.String("surrogatejson", "BENCH_surrogate.json", "where -exp surrogate writes its JSON result (empty to skip)")
 	)
@@ -149,7 +148,6 @@ func main() {
 	run("probe", func() error { _, err := r.RunProbeBench(ctx, w, *probeJSON, *probes); return err })
 	run("measured", func() error { _, err := r.RunMeasuredBench(ctx, w, *measJSON, *probes); return err })
 	run("obs", func() error { _, err := r.RunObsOverhead(ctx, w); return err })
-	run("intervals", func() error { _, err := r.RunIntervalsBench(ctx, w, *intvJSON); return err })
 	run("resilience", func() error { _, err := r.RunResilienceBench(ctx, w, *resilJSON); return err })
 	run("surrogate", func() error { _, err := r.RunSurrogateBench(ctx, w, *surrJSON); return err })
 }

@@ -11,6 +11,9 @@
 // Everything here is a pure function of (template, catalog, target): no
 // randomness, no probe results, no shared mutable state — which is what lets
 // the pipeline make identical prune/flat/box decisions at any parallelism.
+//
+// The pipeline no longer runs this analysis; the package stays only because
+// the bench/ harness replays Analyze, and goes when that replay row does.
 package intervals
 
 import (

@@ -89,9 +89,8 @@ const (
 	// Baseline methods (internal/baselines).
 	MBaselineEvals = "baseline_evaluations"
 
-	// Static cost-interval analysis (internal/analyzer/intervals).
-	MIntervalsPruned      = "intervals_pruned"
-	MIntervalsFlat        = "intervals_flat"
+	// MIntervalsProbesSaved is never counted now that the pipeline runs no
+	// cost-interval stage; it stays only because the bench/ harness reads it.
 	MIntervalsProbesSaved = "intervals_probes_saved"
 
 	// Run-level gauges, set by the pipeline at assembly.

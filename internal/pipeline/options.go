@@ -142,9 +142,9 @@ func New(db *engine.DB, oracle llm.Oracle, specs []spec.Spec, target *stats.Targ
 	return &Pipeline{cfg: cfg}, nil
 }
 
-// Run executes the pipeline: generate → intervals → profile →
-// refine/search → assemble. Cancelling ctx stops work at the next stage (or
-// intra-stage wave) boundary and returns a partial Result — Partial is set,
+// Run executes the pipeline: generate → profile → refine/search →
+// assemble. Cancelling ctx stops work at the next stage (or intra-stage
+// wave) boundary and returns a partial Result — Partial is set,
 // CancelledStage names the stage that observed the cancellation, and the
 // workload holds the best queries gathered before the cut. Hard failures (no
 // valid templates, oracle breakdown) return an error.

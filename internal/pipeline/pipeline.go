@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"sqlbarber/internal/analyzer/intervals"
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/generator"
 	"sqlbarber/internal/llm"
@@ -38,10 +37,6 @@ type Ablations struct {
 	NaiveSearch bool
 	// IndependentSampling disables LHS during profiling (ablation).
 	IndependentSampling bool
-	// DisableIntervals turns off the static cost-interval stage: no
-	// pre-profiling pruning, no flat-template probe skip, no BO search-box
-	// narrowing (the "No-Interval-Prune" arm benchmarks compare against).
-	DisableIntervals bool
 	// Phase1Only cuts Algorithm 2's history-aware phase 2 to one iteration
 	// refining one template per interval (k=m=1).
 	Phase1Only bool
@@ -66,9 +61,6 @@ func (a Ablations) String() string {
 	}
 	if a.IndependentSampling {
 		parts = append(parts, "Independent-Sampling")
-	}
-	if a.DisableIntervals {
-		parts = append(parts, "No-Interval-Prune")
 	}
 	if a.Phase1Only {
 		parts = append(parts, "Phase1-Only")
@@ -150,9 +142,8 @@ type Result struct {
 	Templates []*workload.TemplateState
 	// GenResults holds per-spec generation traces (Algorithm 1 attempts).
 	GenResults []*generator.Result
-	// PrunedTemplates lists template IDs the static cost-interval stage
-	// proved unable to reach any requested band (I001) and therefore never
-	// profiled, in template order.
+	// PrunedTemplates is always empty: no stage prunes templates before
+	// profiling. It stays only because the bench/ harness still reads it.
 	PrunedTemplates []int
 	// RefineStats and SearchStats report component behaviour.
 	RefineStats refine.Stats
@@ -190,10 +181,6 @@ type RunState struct {
 	// Prof is the §5.1 profiler (built by the profile stage, reused by
 	// refinement).
 	Prof *profiler.Profiler
-	// Intervals holds the per-template static cost-interval analyses keyed
-	// by template ID (nil when the stage is disabled). Profiling and search
-	// read their prune / flat / box verdicts from here.
-	Intervals map[int]*intervals.Analysis
 	// States are the live templates flowing through profile → refine →
 	// search.
 	States []*workload.TemplateState
@@ -232,7 +219,7 @@ type Stage interface {
 // Stages returns the standard pipeline in execution order. Assembly is not
 // listed: it is unconditional and runs after the stage loop.
 func Stages() []Stage {
-	return []Stage{generateStage{}, intervalsStage{}, profileStage{}, refineSearchStage{}}
+	return []Stage{generateStage{}, profileStage{}, refineSearchStage{}}
 }
 
 // run executes the pipeline over a configuration New has validated and

@@ -3,11 +3,14 @@ package pipeline
 import (
 	"context"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
 	"sqlbarber/internal/engine"
+	"sqlbarber/internal/generator"
 	"sqlbarber/internal/llm"
+	"sqlbarber/internal/obs"
 	"sqlbarber/internal/spec"
 	"sqlbarber/internal/stats"
 )
@@ -44,7 +47,7 @@ func TestPipelineStageTimings(t *testing.T) {
 	if res.Partial {
 		t.Fatalf("uncancelled run marked partial (stage %q)", res.CancelledStage)
 	}
-	want := []string{"generate", "intervals", "profile", "refine-search", "assemble"}
+	want := []string{"generate", "profile", "refine-search", "assemble"}
 	if len(res.StageTimings) != len(want) {
 		t.Fatalf("stage timings: %+v, want %v", res.StageTimings, want)
 	}
@@ -58,6 +61,63 @@ func TestPipelineStageTimings(t *testing.T) {
 	}
 	if len(res.Workload) == 0 {
 		t.Fatal("empty workload from full run")
+	}
+}
+
+// TestProfileStageSweepsEveryTemplate checks that the profile stage gives
+// every template with placeholders the full per-template LHS budget (§5.1),
+// read from the probe count each profile span records. Seed 21 generates a
+// template whose cost does not vary over its slot domain; it gets the full
+// sweep too, never a single probe.
+func TestProfileStageSweepsEveryTemplate(t *testing.T) {
+	col := obs.NewCollector()
+	target := stats.Uniform(0, 1200, 4, 30)
+	p, err := New(engine.OpenTPCH(21, 0.05), llm.NewSim(llm.SimOptions{Seed: 21}), smallSpecs(), target,
+		WithSeed(21), WithCostKind(engine.Cardinality), WithObs(col))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := generator.ValidResults(res.GenResults)
+	budget := min(max(int(0.15*float64(target.Total())/float64(len(valid))), 4), 64)
+	slots := map[string]int{}
+	for _, tmpl := range valid {
+		slots[strconv.Itoa(tmpl.ID)] = len(tmpl.Placeholders())
+	}
+
+	attr := func(e obs.Event, key string) string {
+		for _, a := range e.Attrs {
+			if a.Key == key {
+				return a.Value
+			}
+		}
+		return ""
+	}
+	var stage int64
+	template := map[int64]string{} // profile span -> template ID
+	swept := 0
+	for _, e := range col.Events() {
+		switch {
+		case e.Kind == obs.KindSpanStart && e.Name == "stage:profile":
+			stage = e.Span
+		case e.Kind == obs.KindSpanStart && e.Name == "profile" && e.Parent == stage:
+			template[e.Span] = attr(e, "template")
+		case e.Kind == obs.KindSpanEnd && e.Name == "profile" && e.Parent == stage:
+			id := template[e.Span]
+			if slots[id] == 0 {
+				continue
+			}
+			swept++
+			if got := attr(e, "probes"); got != strconv.Itoa(budget) {
+				t.Errorf("template %s (%d placeholders) profiled with %s probes, want the full budget %d", id, slots[id], got, budget)
+			}
+		}
+	}
+	if swept == 0 {
+		t.Fatal("no template with placeholders was profiled")
 	}
 }
 

@@ -3,10 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"sqlbarber/internal/analyzer/intervals"
-	"sqlbarber/internal/bo"
 	"sqlbarber/internal/fanout"
 	"sqlbarber/internal/generator"
 	"sqlbarber/internal/obs"
@@ -38,68 +35,6 @@ func (generateStage) Run(ctx context.Context, rs *RunState) error {
 	return nil
 }
 
-// intervalsStage is the static cost-interval tier: before any probe is
-// issued, every valid template's compiled plan is abstractly interpreted
-// over its slot domains, yielding sound bounds on the profiled metric.
-// Templates whose bounds provably miss every requested band are pruned
-// (I001), provably flat templates are marked for a single-probe profile
-// (I002), and the surviving templates get a BO search box narrowed to the
-// reachable slot region. Every verdict is a pure function of (template,
-// catalog, target) — no randomness, no probe results — so the stage's
-// decisions are identical at any parallelism.
-type intervalsStage struct{}
-
-func (intervalsStage) Name() string { return "intervals" }
-
-func (intervalsStage) Run(ctx context.Context, rs *RunState) error {
-	cfg := rs.Cfg
-	if cfg.Ablations.DisableIntervals {
-		return nil
-	}
-	sink := obs.FromContext(ctx)
-	rs.Intervals = map[int]*intervals.Analysis{}
-	for _, gr := range rs.Res.GenResults {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !gr.Valid || gr.Template == nil {
-			continue
-		}
-		a := intervals.Analyze(cfg.DB.Schema(), gr.Template, cfg.CostKind, cfg.Target)
-		rs.Intervals[gr.Template.ID] = a
-		// Surface the I-series verdicts on the template's final attempt
-		// trace, next to the X/B/T/... codes earlier tiers recorded.
-		if len(a.Diagnostics) > 0 && len(gr.Trace) > 0 {
-			last := &gr.Trace[len(gr.Trace)-1]
-			last.Diagnostics = append(last.Diagnostics, a.Diagnostics...)
-			for _, d := range a.Diagnostics {
-				last.Codes = mergeCode(last.Codes, string(d.Code))
-			}
-		}
-		if a.Pruned {
-			rs.Res.PrunedTemplates = append(rs.Res.PrunedTemplates, gr.Template.ID)
-			sink.Count(obs.MIntervalsPruned, 1)
-		}
-		if a.Flat {
-			sink.Count(obs.MIntervalsFlat, 1)
-		}
-	}
-	return nil
-}
-
-// mergeCode inserts a code into a sorted, de-duplicated code list (the
-// AttemptTrace.Codes invariant).
-func mergeCode(codes []string, code string) []string {
-	i := sort.SearchStrings(codes, code)
-	if i < len(codes) && codes[i] == code {
-		return codes
-	}
-	codes = append(codes, "")
-	copy(codes[i+1:], codes[i:])
-	codes[i] = code
-	return codes
-}
-
 // profileStage is §5.1: Latin Hypercube profiling of every valid template.
 // Templates fan across Config.Parallel workers; each template's probes come
 // from a random stream keyed by its SQL text, so worker count never changes
@@ -126,11 +61,6 @@ func (profileStage) Run(ctx context.Context, rs *RunState) error {
 	if len(valid) == 0 {
 		return fmt.Errorf("pipeline: no valid templates to profile")
 	}
-	// The per-template budget is computed over ALL valid templates — pruned
-	// ones included — so interval pruning never changes the probe schedule
-	// of the templates that survive: their profiles stay byte-identical to a
-	// run without the intervals stage, and every pruned template saves its
-	// full budget.
 	perTemplate := int(cfg.ProfileFraction * float64(cfg.Target.Total()) / float64(len(valid)))
 	if perTemplate < 4 {
 		perTemplate = 4
@@ -138,34 +68,6 @@ func (profileStage) Run(ctx context.Context, rs *RunState) error {
 	if perTemplate > 64 {
 		perTemplate = 64
 	}
-	sink := obs.FromContext(ctx)
-	flat := map[int]bool{}
-	prunedCount := 0
-	kept := valid[:0]
-	for _, gr := range valid {
-		if a := rs.Intervals[gr.Template.ID]; a != nil {
-			if a.Pruned {
-				prunedCount++
-				continue
-			}
-			if a.Flat {
-				flat[gr.Template.ID] = true
-			}
-		}
-		kept = append(kept, gr)
-	}
-	if prunedCount > 0 {
-		sink.Count(obs.MIntervalsProbesSaved, int64(prunedCount*perTemplate))
-	}
-	if len(flat) > 0 {
-		// A flat template gets one midpoint probe instead of the full sweep.
-		sink.Count(obs.MIntervalsProbesSaved, int64(len(flat)*(perTemplate-1)))
-		rs.Prof.Flat = flat
-	}
-	if len(kept) == 0 {
-		return fmt.Errorf("pipeline: interval analysis pruned all %d valid templates — no requested cost band is reachable", len(valid))
-	}
-	valid = kept
 
 	profiles := make([]*profiler.Profile, len(valid))
 	perr := make([]error, len(valid))
@@ -209,16 +111,6 @@ func (refineSearchStage) Name() string { return "refine-search" }
 func (refineSearchStage) Run(ctx context.Context, rs *RunState) error {
 	cfg := rs.Cfg
 	res := rs.Res
-	// Seed BO's search box from the interval projection: dimensions are
-	// narrowed to the slot cells whose static bounds can still reach a
-	// wanted band. Templates without a box (or refined templates born after
-	// the intervals stage) keep their full space.
-	boxes := map[int]bo.Space{}
-	for id, a := range rs.Intervals {
-		if a.Box != nil {
-			boxes[id] = a.Box
-		}
-	}
 	ref := &refine.Refiner{Oracle: cfg.Oracle, Prof: rs.Prof, Phase1Only: cfg.Ablations.Phase1Only}
 	sink := obs.FromContext(ctx)
 
@@ -247,7 +139,6 @@ func (refineSearchStage) Run(ctx context.Context, rs *RunState) error {
 			Seed:             cfg.Seed + 2,
 			Naive:            cfg.Ablations.NaiveSearch,
 			UniformTemplates: cfg.Ablations.UniformTemplates,
-			SearchBox:        boxes,
 			Parallel:         cfg.Parallel,
 		}
 		srch.Progress = func(qs []workload.Query) {

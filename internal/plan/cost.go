@@ -17,7 +17,8 @@ package plan
 // differ per domain. A value-dependent condition evaluates to an outcome:
 // where a domain reaches both branches the code takes the hull of both, so
 // the same text is the exact estimator for points and the abstract one for
-// intervals.
+// intervals. The generic num[T]/domain[T] form stays only while interval.go
+// does; with it gone this becomes plain float64 code.
 
 import (
 	"math"

@@ -29,6 +29,9 @@ package plan
 //
 // Interval arithmetic treats correlated subexpressions (the same slot
 // appearing twice) as independent; that loses tightness, never soundness.
+//
+// Only package intervals calls EstimateBounds, and it stays only for the
+// bench/ harness's replay row; this file goes when that row does.
 
 import (
 	"math"

@@ -170,11 +170,6 @@ type Profiler struct {
 	// lock-free. The probe schedule, observations, and counter movement are
 	// identical at every setting.
 	Parallel int
-	// Flat marks template IDs the static cost-interval analysis proved
-	// (near-)constant over their whole slot domain: the LHS sweep collapses
-	// to a single deterministic midpoint probe, since every probe would
-	// observe the same cost anyway.
-	Flat map[int]bool
 }
 
 // Profile instantiates the template at n space-filling sample points and
@@ -213,23 +208,12 @@ func (p *Profiler) Profile(ctx context.Context, t *sqltemplate.Template, n int) 
 		return nil, err
 	}
 	boSpace := space.BOSpace()
+	rng := prand.New(p.Seed, prand.StageProfile, prand.HashString(t.SQL()))
 	var unit [][]float64
-	if p.Flat[t.ID] {
-		// Provably flat template: one midpoint probe replaces the sweep.
-		// The point is fixed (no stream consumed), so the observation is
-		// identical regardless of worker count or profiling order.
-		mid := make([]float64, len(space.Dims))
-		for i := range mid {
-			mid[i] = 0.5
-		}
-		unit = [][]float64{mid}
+	if p.IndependentSampling {
+		unit = stats.IndependentUniform(rng, n, len(space.Dims))
 	} else {
-		rng := prand.New(p.Seed, prand.StageProfile, prand.HashString(t.SQL()))
-		if p.IndependentSampling {
-			unit = stats.IndependentUniform(rng, n, len(space.Dims))
-		} else {
-			unit = stats.LatinHypercube(rng, n, len(space.Dims))
-		}
+		unit = stats.LatinHypercube(rng, n, len(space.Dims))
 	}
 	prof := &Profile{Template: t, Space: space, Prep: prep}
 	// The LHS sweep instantiates all probe bindings up front and costs them

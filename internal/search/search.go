@@ -74,12 +74,6 @@ type Searcher struct {
 	// UniformTemplates widens the closeness-weighted template sample to
 	// uniformSample, so weighting stops mattering (ablation).
 	UniformTemplates bool
-	// SearchBox, when non-nil, replaces a template's full BO space with a
-	// statically narrowed one, keyed by template ID (the cost-interval
-	// analysis projection: only slot regions whose bounds can still reach a
-	// wanted band). A box is applied only when its dimensionality matches
-	// the template's space; templates without an entry keep the full space.
-	SearchBox map[int]bo.Space
 	// Parallel runs each wave's template optimizations on this many
 	// goroutines; zero or one runs them on the caller's goroutine. Results
 	// are byte-identical for every value: wave membership, budgets, and
@@ -328,13 +322,6 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 	sp.Observe(obs.HSearchBudget, float64(budget))
 	space := t.Profile.Space
 	boSpace := space.BOSpace()
-	if box, ok := s.SearchBox[t.Profile.Template.ID]; ok && len(box) == len(boSpace) {
-		// Statically narrowed search box: candidate points denormalize into
-		// the reachable region only. Warm-start observations outside the box
-		// normalize outside the unit cube, which the surrogate tolerates —
-		// suggestions are always drawn inside the cube, hence inside the box.
-		boSpace = box
-	}
 
 	// Warm start: re-score the template's historical observations under the
 	// current interval (no DBMS calls needed — costs are already known).

@@ -94,20 +94,7 @@
 #                              BENCH_measured.json by hand).
 #                              Timing-sensitive, so it gets the same 3-attempt
 #                              fresh-process retry
-#  11. cmd/benchmarks -exp intervals
-#                            — the static cost-interval smoke: runs the
-#                              pipeline with the intervals stage on and off
-#                              against a low-band plan-cost target, failing
-#                              unless ≥20% of baseline profiling probes are
-#                              eliminated, every pruned template survives a
-#                              dense false-prune re-probe (zero observations
-#                              in any wanted band), and 1/2/8-worker runs
-#                              produce byte-identical workloads. Gates only
-#                              (refresh BENCH_intervals.json by hand).
-#                              Retried like the other smokes for consistency
-#                              (its gates are all deterministic, so retries
-#                              should never differ)
-#  12. cmd/benchmarks -exp resilience
+#  11. cmd/benchmarks -exp resilience
 #                            — the oracle-resilience smoke: runs the pipeline
 #                              through the retry/fault-injection middleware
 #                              chain with a deterministic 20% fault schedule,
@@ -119,7 +106,7 @@
 #                              Gates only (refresh BENCH_resilience.json by
 #                              hand). Retried like the other smokes for
 #                              consistency (its gates are deterministic)
-#  13. cmd/benchmarks -exp surrogate
+#  12. cmd/benchmarks -exp surrogate
 #                            — the surrogate-engine smoke: fits and probes the
 #                              flat random-forest engine against the naive
 #                              pointer reference on a fixed synthetic corpus
@@ -132,7 +119,7 @@
 #                              BENCH_surrogate.json by hand).
 #                              Timing-sensitive, so it gets the same 3-attempt
 #                              fresh-process retry
-#  14. go test -bench BenchmarkAblation -benchtime 1x
+#  13. go test -bench BenchmarkAblation -benchtime 1x
 #                            — runs the three design-choice ablation
 #                              benchmarks of the root package once each
 #                              (LHS, history-aware refinement, closeness
@@ -140,7 +127,19 @@
 #                              switch that stops running fails here, and
 #                              prints the metric lines EXPERIMENTS.md's
 #                              "Design-choice ablations" table records.
-#                              `go test ./...` only compiles benchmarks
+#                              Each variant fails if its mean distance or
+#                              secondary metric exceeds its recorded bound
+#                              (the runs are deterministic, so the bounds
+#                              are exact). `go test ./...` only compiles
+#                              benchmarks
+#  14. go test -bench BenchmarkClaims -benchtime 1x
+#                            — the paper-claim gate: every quick-scale
+#                              Figure 5 and 6 panel, SQLBarber only, at
+#                              seeds 1-20 (480 runs). Fails if more panels
+#                              stop short of distance 0, or the median DBMS
+#                              evaluations per seed are higher, than the
+#                              bounds in bench_test.go. Deterministic, so
+#                              the bounds are exact; they only tighten
 #
 # Run it from anywhere; it changes to the repo root first. Any failure stops
 # the chain with a non-zero exit.
@@ -181,7 +180,7 @@ go test -run '^$' -fuzz '^FuzzExecutorDifferential$' -fuzztime 10s ./internal/ex
 echo "== scripts/covergate.sh (per-package coverage floors) =="
 ./scripts/covergate.sh
 
-# Steps 8-13: the benchmark smokes, in order. Each row is
+# Steps 8-12: the benchmark smokes, in order. Each row is
 # name|description|extra flags; every smoke gets up to 3 attempts, each in a
 # fresh process, and fails the chain only when all 3 fail. The empty JSON
 # paths make the smokes gate without rewriting the BENCH_*.json files, so a
@@ -191,7 +190,6 @@ smokes=(
   "obs|observability overhead smoke|"
   "probe|compiled-probing smoke|-probejson="
   "measured|measured-probe smoke|-measuredjson="
-  "intervals|static cost-interval smoke|-intervalsjson="
   "resilience|oracle resilience smoke|-resiliencejson="
   "surrogate|surrogate-engine smoke|-surrogatejson="
 )
@@ -215,5 +213,8 @@ done
 
 echo "== go test -bench BenchmarkAblation -benchtime 1x (design-choice ablations) =="
 go test -run '^$' -bench 'BenchmarkAblation' -benchtime 1x .
+
+echo "== go test -bench BenchmarkClaims -benchtime 1x (paper-claim gate) =="
+go test -run '^$' -bench 'BenchmarkClaims' -benchtime 1x .
 
 echo "== all checks passed =="
