@@ -46,12 +46,10 @@
 //	      llm.Clock abstraction so a FakeClock keeps oracle-stack tests
 //	      deterministic and wall-clock free.
 //	R010  allocation in recursion in internal/rf: a make() call inside a
-//	      self-recursive function anywhere under internal/rf except
-//	      reference.go. Tree growing recurses once per node, so per-node
-//	      scratch must live on the tree builder and be reused across the
-//	      recursion; reference.go is exempt because the naive pointer
-//	      engine allocates per node on purpose (differential oracle and
-//	      benchmark baseline).
+//	      self-recursive function in a non-test file under internal/rf.
+//	      Tree growing recurses once per node, so per-node scratch must
+//	      live on the tree builder and be reused across the recursion; the
+//	      naive pointer oracle lives in a test file and may allocate.
 //	R011  goroutine outside the fan-out: a `go` statement in an internal/
 //	      package other than internal/fanout and internal/server. Indexed
 //	      work fans out through fanout.Run, whose callers merge results in

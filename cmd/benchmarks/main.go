@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|fig5|fig6|fig7queries|fig7intervals|fig8a|fig8b|table2|analyzer|parallel|probe|measured|obs|resilience|surrogate|all")
+		exp       = flag.String("exp", "all", "experiment: table1|fig5|fig6|fig7queries|fig7intervals|fig8a|fig8b|table2|analyzer|parallel|probe|measured|obs|resilience|all")
 		scale     = flag.String("scale", "quick", "scale: quick|full")
 		seed      = flag.Int64("seed", 1, "random seed")
 		methods   = flag.String("methods", "", "comma-separated method subset (default: all five)")
@@ -32,7 +32,6 @@ func main() {
 		probes    = flag.Int("probes", 0, "probes per template per arm for -exp probe/measured (0 = default)")
 		measJSON  = flag.String("measuredjson", "BENCH_measured.json", "where -exp measured writes its JSON result (empty to skip)")
 		resilJSON = flag.String("resiliencejson", "BENCH_resilience.json", "where -exp resilience writes its JSON result (empty to skip)")
-		surrJSON  = flag.String("surrogatejson", "BENCH_surrogate.json", "where -exp surrogate writes its JSON result (empty to skip)")
 	)
 	flag.Parse()
 	if *csvDir != "" {
@@ -58,10 +57,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	known := false
 	run := func(name string, fn func() error) {
 		if *exp != "all" && *exp != name {
 			return
 		}
+		known = true
 		if err := fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
@@ -149,7 +150,10 @@ func main() {
 	run("measured", func() error { _, err := r.RunMeasuredBench(ctx, w, *measJSON, *probes); return err })
 	run("obs", func() error { _, err := r.RunObsOverhead(ctx, w); return err })
 	run("resilience", func() error { _, err := r.RunResilienceBench(ctx, w, *resilJSON); return err })
-	run("surrogate", func() error { _, err := r.RunSurrogateBench(ctx, w, *surrJSON); return err })
+	if !known {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		os.Exit(2)
+	}
 }
 
 // figure7Methods reduces to the three-series legend of Figure 7

@@ -6,7 +6,7 @@
 //
 // The acquisition step is batched and allocation-free: Suggest generates the
 // full candidate pool up front into buffers reused across calls, scores it
-// in one Surrogate.PredictBatch sweep, and returns the LCB argmin. The
+// in one rf.Forest.PredictBatch sweep, and returns the LCB argmin. The
 // running best observation is tracked incrementally in Observe, so ranking
 // candidates never rescans the history.
 package bo
@@ -92,60 +92,25 @@ type Observation struct {
 	Y float64   // objective value (lower is better)
 }
 
-// Surrogate is the model contract the acquisition loop scores candidates
-// against: batched mean/uncertainty prediction over unit-cube points.
-// *rf.Forest implements it; *rf.ReferenceForest implements it too, for
-// differential benchmarking.
-type Surrogate interface {
-	PredictBatch(X [][]float64, means, stds []float64)
-	Empty() bool
-}
-
-// TrainFunc fits a surrogate to the observation history. The default is the
-// flat random forest (rf.Train); benchmarks swap in the pointer reference to
-// pin end-to-end search equality.
-type TrainFunc func(rng *rand.Rand, X [][]float64, y []float64, opts rf.Options) Surrogate
-
-// Acquisition parameters.
+// Acquisition and fit parameters. initSamples and the serial fit are the one
+// configuration the search runs (Algorithm 3).
 const (
-	candidates = 64  // acquisition candidates per step
-	kappa      = 1.0 // exploration weight in the lower confidence bound
+	candidates  = 64  // acquisition candidates per step
+	kappa       = 1.0 // exploration weight in the lower confidence bound
+	initSamples = 4   // LHS warm-up evaluations
 )
-
-// Options tunes the optimizer.
-type Options struct {
-	InitSamples int // LHS warm-up evaluations, default 8
-	Forest      rf.Options
-	// Train overrides the surrogate fit (default rf.Train). Any override
-	// must consume the optimizer rng identically to rf.Train for runs to be
-	// comparable draw for draw.
-	Train TrainFunc
-}
-
-func (o Options) withDefaults() Options {
-	if o.InitSamples <= 0 {
-		o.InitSamples = 8
-	}
-	if o.Train == nil {
-		o.Train = func(rng *rand.Rand, X [][]float64, y []float64, opts rf.Options) Surrogate {
-			return rf.Train(rng, X, y, opts)
-		}
-	}
-	return o
-}
 
 // Optimizer minimizes an objective over a Space.
 type Optimizer struct {
 	space Space
 	rng   *rand.Rand
-	opts  Options
 	obs   []Observation
 	init  [][]float64 // pending LHS initialization points
 
 	best    Observation // running minimum, maintained by Observe
 	hasBest bool
 
-	forest       Surrogate
+	forest       *rf.Forest
 	forestObsLen int // observation count the cached forest was trained on
 
 	// Buffers reused across Suggest calls: the candidate pool (candX rows
@@ -162,12 +127,12 @@ type Optimizer struct {
 
 // New creates an optimizer; pass prior observations (e.g. re-evaluated
 // history from earlier runs) to warm-start the surrogate.
-func New(space Space, rng *rand.Rand, opts Options, warmStart []Observation) *Optimizer {
-	o := &Optimizer{space: space, rng: rng, opts: opts.withDefaults()}
+func New(space Space, rng *rand.Rand, warmStart []Observation) *Optimizer {
+	o := &Optimizer{space: space, rng: rng}
 	for _, ob := range warmStart {
 		o.Observe(ob.X, ob.Y)
 	}
-	n := o.opts.InitSamples - len(warmStart)
+	n := initSamples - len(warmStart)
 	if n > 0 {
 		o.init = stats.LatinHypercube(rng, n, len(space))
 	}
@@ -239,7 +204,9 @@ func (o *Optimizer) Suggest() []float64 {
 			o.trainX = append(o.trainX, ob.X)
 			o.trainY = append(o.trainY, ob.Y)
 		}
-		o.forest = o.opts.Train(o.rng, o.trainX, o.trainY, o.opts.Forest)
+		// Serial fit: the search waves already parallelize across
+		// templates, so forest workers would only oversubscribe.
+		o.forest = rf.Train(o.rng, o.trainX, o.trainY, rf.Options{Workers: 1})
 		o.forestObsLen = len(o.obs)
 	}
 	if cap(o.candFlat) < candidates*dims {
@@ -297,17 +264,13 @@ func (o *Optimizer) mutateBestInto(x []float64) {
 	}
 }
 
-// Run drives the full minimize loop for budget evaluations, stopping early
-// when stop (optional) returns true after an observation.
-func (o *Optimizer) Run(budget int, objective func(vals []float64) (float64, bool), stop func() bool) {
+// Run drives the full minimize loop for budget evaluations.
+func (o *Optimizer) Run(budget int, objective func(vals []float64) (float64, bool)) {
 	for i := 0; i < budget; i++ {
 		x := o.Suggest()
 		y, ok := objective(o.space.Denormalize(x))
 		if ok {
 			o.Observe(x, y)
-		}
-		if stop != nil && stop() {
-			return
 		}
 	}
 }

@@ -69,8 +69,8 @@ func TestOptimizerConvergesOnQuadratic(t *testing.T) {
 		return (v[0]-7)*(v[0]-7) + (v[1]-2)*(v[1]-2), true
 	}
 	rng := rand.New(rand.NewSource(5))
-	opt := New(space, rng, Options{InitSamples: 8}, nil)
-	opt.Run(60, objective, nil)
+	opt := New(space, rng, nil)
+	opt.Run(60, objective)
 	best, ok := opt.Best()
 	if !ok {
 		t.Fatal("no observations")
@@ -95,8 +95,8 @@ func TestOptimizerBeatsRandomOnAverage(t *testing.T) {
 	boTotal, rndTotal := 0.0, 0.0
 	for trial := 0; trial < 5; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		opt := New(space, rng, Options{}, nil)
-		opt.Run(budget, func(v []float64) (float64, bool) { return obj(v), true }, nil)
+		opt := New(space, rng, nil)
+		opt.Run(budget, func(v []float64) (float64, bool) { return obj(v), true })
 		b, _ := opt.Best()
 		boTotal += b.Y
 
@@ -123,7 +123,7 @@ func TestWarmStartSkipsInit(t *testing.T) {
 		warm[i] = Observation{X: []float64{x}, Y: (x - 0.5) * (x - 0.5)}
 	}
 	rng := rand.New(rand.NewSource(1))
-	opt := New(space, rng, Options{InitSamples: 8}, warm)
+	opt := New(space, rng, warm)
 	if len(opt.init) != 0 {
 		t.Fatalf("warm start should cover initialization, %d LHS points pending", len(opt.init))
 	}
@@ -132,7 +132,7 @@ func TestWarmStartSkipsInit(t *testing.T) {
 	opt.Run(10, func(v []float64) (float64, bool) {
 		evals++
 		return (v[0] - 0.5) * (v[0] - 0.5), true
-	}, nil)
+	})
 	best, _ := opt.Best()
 	if best.Y > 0.01 {
 		t.Fatalf("warm-started best %.4f, want near 0 quickly", best.Y)
@@ -156,7 +156,7 @@ func TestBestMatchesLinearScan(t *testing.T) {
 		sequences["random"] = append(sequences["random"], rng.NormFloat64())
 	}
 	for name, ys := range sequences {
-		opt := New(space, rand.New(rand.NewSource(1)), Options{}, nil)
+		opt := New(space, rand.New(rand.NewSource(1)), nil)
 		for i, y := range ys {
 			opt.Observe([]float64{float64(i)}, y)
 
@@ -177,7 +177,7 @@ func TestBestMatchesLinearScan(t *testing.T) {
 			}
 		}
 	}
-	opt := New(space, rand.New(rand.NewSource(1)), Options{}, nil)
+	opt := New(space, rand.New(rand.NewSource(1)), nil)
 	if _, ok := opt.Best(); ok {
 		t.Fatal("Best must report ok=false before any observation")
 	}
@@ -189,10 +189,10 @@ func TestBestMatchesLinearScan(t *testing.T) {
 func TestSuggestAllocationFree(t *testing.T) {
 	space := Space{{Name: "x", Lo: 0, Hi: 1}, {Name: "y", Lo: 0, Hi: 1}, {Name: "z", Lo: 0, Hi: 1}}
 	rng := rand.New(rand.NewSource(23))
-	opt := New(space, rng, Options{InitSamples: 4}, nil)
+	opt := New(space, rng, nil)
 	opt.Run(12, func(v []float64) (float64, bool) {
 		return (v[0]-0.4)*(v[0]-0.4) + v[1]*v[2], true
-	}, nil)
+	})
 	// Warm up once so the pool buffers exist and the surrogate is current
 	// (no Observe between measured calls, so no retrain mid-measurement).
 	opt.Suggest()
@@ -223,25 +223,11 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	}
 }
 
-func TestRunStopsEarly(t *testing.T) {
-	space := Space{{Name: "x", Lo: 0, Hi: 1}}
-	rng := rand.New(rand.NewSource(1))
-	opt := New(space, rng, Options{InitSamples: 2}, nil)
-	evals := 0
-	opt.Run(100, func(v []float64) (float64, bool) {
-		evals++
-		return v[0], true
-	}, func() bool { return evals >= 5 })
-	if evals != 5 {
-		t.Fatalf("stop callback ignored: %d evals", evals)
-	}
-}
-
 func TestFailedEvaluationsSkipped(t *testing.T) {
 	space := Space{{Name: "x", Lo: 0, Hi: 1}}
 	rng := rand.New(rand.NewSource(1))
-	opt := New(space, rng, Options{InitSamples: 2}, nil)
-	opt.Run(10, func(v []float64) (float64, bool) { return 0, false }, nil)
+	opt := New(space, rng, nil)
+	opt.Run(10, func(v []float64) (float64, bool) { return 0, false })
 	if len(opt.Observations()) != 0 {
 		t.Fatal("failed evaluations must not be recorded")
 	}

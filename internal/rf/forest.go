@@ -20,9 +20,9 @@
 // count. Builders, their buffers and their prand.Source live in a pooled
 // trainer and are reused across trees and Train calls: a tree reseeds its
 // builder's source (O(1), by jump-ahead) instead of allocating a fresh
-// math/rand state. reference.go keeps a deliberately naive pointer-based
-// implementation of the same algorithm as the differential-testing oracle
-// and benchmark baseline.
+// math/rand state. reference_test.go keeps a deliberately naive pointer-
+// based implementation of the same algorithm as the differential-testing
+// oracle and the baseline of BenchmarkForestVsReference.
 package rf
 
 import (
@@ -616,6 +616,3 @@ func (f *Forest) traverse(i int32, x []float64) float64 {
 	}
 	return nd.threshold
 }
-
-// Empty reports whether the forest has no trees (untrained).
-func (f *Forest) Empty() bool { return len(f.roots) == 0 }

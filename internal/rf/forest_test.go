@@ -77,7 +77,7 @@ func TestForestUncertaintyHigherOffData(t *testing.T) {
 
 func TestEmptyForest(t *testing.T) {
 	f := Train(rand.New(rand.NewSource(1)), nil, nil, Options{})
-	if !f.Empty() {
+	if f.NumTrees() != 0 {
 		t.Fatal("empty training set must yield empty forest")
 	}
 	mean, std := f.Predict([]float64{0.5})

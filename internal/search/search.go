@@ -29,7 +29,6 @@ import (
 	"sqlbarber/internal/obs"
 	"sqlbarber/internal/prand"
 	"sqlbarber/internal/profiler"
-	"sqlbarber/internal/rf"
 	"sqlbarber/internal/sqltypes"
 	"sqlbarber/internal/stats"
 	"sqlbarber/internal/workload"
@@ -418,11 +417,9 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 		evaluateWave(units, nil)
 		return res
 	}
-	// Workers: 1 keeps tree fitting serial inside each BO slot — the search
-	// waves already parallelize across templates, so nesting forest workers
-	// would oversubscribe without speedup; candidate scoring still goes
-	// through the batched PredictBatch path inside Suggest.
-	opt := bo.New(boSpace, rng, bo.Options{InitSamples: 4, Forest: rf.Options{Workers: 1}}, warm)
+	// bo fits its forest serially inside each slot: the search waves
+	// already parallelize across templates.
+	opt := bo.New(boSpace, rng, warm)
 	// The LHS initialization design is rng-neutral to evaluate as a batch:
 	// it was drawn inside bo.New, and evaluation consumes no optimizer
 	// randomness, so batching the init wave then running the remaining
@@ -433,7 +430,7 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 		init = init[:budget]
 	}
 	evaluateWave(init, opt.Observe)
-	opt.Run(budget-len(init), evaluate, nil)
+	opt.Run(budget-len(init), evaluate)
 	return res
 }
 

@@ -106,17 +106,16 @@
 #                              Gates only (refresh BENCH_resilience.json by
 #                              hand). Retried like the other smokes for
 #                              consistency (its gates are deterministic)
-#  12. cmd/benchmarks -exp surrogate
-#                            — the surrogate-engine smoke: fits and probes the
-#                              flat random-forest engine against the naive
-#                              pointer reference on a fixed synthetic corpus
-#                              at 1/2/8 goroutines, failing on any per-tree
-#                              prediction divergence, batched-vs-point
-#                              prediction mismatch, BO search-hash divergence
-#                              between the two engines, or if the flat engine
-#                              falls below 2x fit / 3x batched-predict speed
-#                              at 8 goroutines. Gates only (refresh
-#                              BENCH_surrogate.json by hand).
+#  12. go test -bench BenchmarkForestVsReference -benchtime 1x ./internal/rf
+#                            — the random-forest speed gate: fits and probes
+#                              the flat engine against the naive pointer
+#                              oracle (reference_test.go) on a fixed 3000x6
+#                              corpus, failing if the flat engine falls below
+#                              2x fit / 3x batched-predict speed at 8
+#                              goroutines. Bit-equality of the two engines,
+#                              batched-vs-point parity and equal rng
+#                              consumption are gated by
+#                              TestDifferentialFlatVsReference in steps 4-5.
 #                              Timing-sensitive, so it gets the same 3-attempt
 #                              fresh-process retry
 #  13. go test -bench BenchmarkAblation -benchtime 1x
@@ -181,32 +180,32 @@ echo "== scripts/covergate.sh (per-package coverage floors) =="
 ./scripts/covergate.sh
 
 # Steps 8-12: the benchmark smokes, in order. Each row is
-# name|description|extra flags; every smoke gets up to 3 attempts, each in a
-# fresh process, and fails the chain only when all 3 fail. The empty JSON
-# paths make the smokes gate without rewriting the BENCH_*.json files, so a
-# diff to one of them means someone refreshed it on purpose, with
-# `go run ./cmd/benchmarks -exp X` (whose flag defaults write the file).
+# description|command; every smoke gets up to 3 attempts, each in a fresh
+# process, and fails the chain only when all 3 fail. The empty JSON paths
+# make the cmd/benchmarks smokes gate without rewriting the BENCH_*.json
+# files, so a diff to one of them means someone refreshed it on purpose,
+# with `go run ./cmd/benchmarks -exp X` (whose flag defaults write the file).
 smokes=(
-  "obs|observability overhead smoke|"
-  "probe|compiled-probing smoke|-probejson="
-  "measured|measured-probe smoke|-measuredjson="
-  "resilience|oracle resilience smoke|-resiliencejson="
-  "surrogate|surrogate-engine smoke|-surrogatejson="
+  "observability overhead smoke|go run ./cmd/benchmarks -exp obs"
+  "compiled-probing smoke|go run ./cmd/benchmarks -exp probe -probejson="
+  "measured-probe smoke|go run ./cmd/benchmarks -exp measured -measuredjson="
+  "oracle resilience smoke|go run ./cmd/benchmarks -exp resilience -resiliencejson="
+  "random-forest speed gate|go test -run ^\$ -bench ^BenchmarkForestVsReference\$ -benchtime 1x ./internal/rf"
 )
 for smoke in "${smokes[@]}"; do
-  IFS='|' read -r name desc flags <<<"${smoke}"
-  echo "== cmd/benchmarks -exp ${name} (${desc}) =="
+  IFS='|' read -r desc cmd <<<"${smoke}"
+  echo "== ${cmd} (${desc}) =="
   ok=0
   for attempt in 1 2 3; do
-    # ${flags} is deliberately unquoted: it is a list of words.
-    if go run ./cmd/benchmarks -exp "${name}" ${flags}; then
+    # ${cmd} is deliberately unquoted: it is a list of words.
+    if ${cmd}; then
       ok=1
       break
     fi
-    echo "${name} smoke attempt ${attempt} failed; retrying in a fresh process" >&2
+    echo "${desc} attempt ${attempt} failed; retrying in a fresh process" >&2
   done
   if [ "${ok}" -ne 1 ]; then
-    echo "${name} smoke failed 3 consecutive attempts — treating as a real regression" >&2
+    echo "${desc} failed 3 consecutive attempts — treating as a real regression" >&2
     exit 1
   fi
 done
