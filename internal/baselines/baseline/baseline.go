@@ -55,8 +55,12 @@ type Env struct {
 	// Progress, when non-nil, is called periodically with all queries.
 	Progress func(queries []workload.Query)
 
-	ctx     context.Context
-	evals   int
+	ctx   context.Context
+	evals int
+	// memo maps an evaluated query to its cost under a repeatable Kind
+	// (engine.CostKind.Repeatable), so a repeat spends budget but no DBMS
+	// call, under the same rule as SQLBarber's search.
+	memo    map[string]float64
 	queries []workload.Query
 	unique  []map[string]bool
 	d       []int
@@ -67,7 +71,7 @@ type Env struct {
 // for the lifetime of the run it scopes: cancellation makes the environment
 // report itself exhausted, so baseline loops stop at their next evaluation.
 func NewEnv(ctx context.Context, db *engine.DB, kind engine.CostKind, target *stats.TargetDistribution, library []*sqltemplate.Template, maxEvals int) (*Env, error) {
-	e := &Env{DB: db, Kind: kind, Target: target, MaxEvals: maxEvals, ctx: ctx}
+	e := &Env{DB: db, Kind: kind, Target: target, MaxEvals: maxEvals, ctx: ctx, memo: map[string]float64{}}
 	for _, t := range library {
 		b, err := t.BindPlaceholders(db.Schema())
 		if err != nil || len(b) == 0 {
@@ -118,7 +122,9 @@ func (e *Env) Filled() bool {
 
 // Eval instantiates template space si at the raw predicate vector and
 // evaluates its cost, recording the query. ok is false when the budget is
-// exhausted or the query failed.
+// exhausted or the query failed. Every call counts against MaxEvals, but a
+// query already costed under a repeatable Kind is answered from the memo
+// without a DBMS call.
 func (e *Env) Eval(si int, raw []float64) (cost float64, ok bool) {
 	if e.Exhausted() {
 		return 0, false
@@ -130,9 +136,14 @@ func (e *Env) Eval(si int, raw []float64) (cost float64, ok bool) {
 	}
 	e.evals++
 	obs.FromContext(e.ctx).Count(obs.MBaselineEvals, 1)
-	c, err := e.DB.Cost(e.ctx, sql, e.Kind)
-	if err != nil {
-		return 0, false
+	c, known := e.memo[sql]
+	if !known {
+		if c, err = e.DB.Cost(e.ctx, sql, e.Kind); err != nil {
+			return 0, false
+		}
+		if e.Kind.Repeatable() {
+			e.memo[sql] = c
+		}
 	}
 	if j := e.Target.Intervals.Index(c); j >= 0 && !e.unique[j][sql] {
 		e.unique[j][sql] = true

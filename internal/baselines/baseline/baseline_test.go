@@ -153,3 +153,32 @@ func TestHeuristicString(t *testing.T) {
 		t.Fatal("heuristic names")
 	}
 }
+
+// TestEnvMemoSavesRepeatCalls checks that a repeated query spends budget but,
+// under a repeatable metric, no second DBMS call; ExecTimeMS measures it
+// again.
+func TestEnvMemoSavesRepeatCalls(t *testing.T) {
+	for _, tc := range []struct {
+		kind      engine.CostKind
+		wantCalls int64
+	}{{engine.Cardinality, 1}, {engine.ExecTimeMS, 2}} {
+		kind := tc.kind
+		db, seeds := seedsAndDB(t)
+		env, err := NewEnv(context.Background(), db, kind, stats.Uniform(0, 10000, 2, 20), seeds, 50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := env.Spaces[0].BOSpace().Denormalize([]float64{0.5, 0.5})
+		c1, ok1 := env.Eval(0, raw)
+		c2, ok2 := env.Eval(0, raw)
+		if !ok1 || !ok2 || env.Evals() != 2 {
+			t.Fatalf("%v: evals %d, ok %v %v", kind, env.Evals(), ok1, ok2)
+		}
+		if calls := db.ExplainCalls() + db.ExecCalls(); calls != tc.wantCalls {
+			t.Fatalf("%v: %d DBMS calls for one query evaluated twice, want %d", kind, calls, tc.wantCalls)
+		}
+		if kind == engine.Cardinality && c1 != c2 {
+			t.Fatalf("%v: costs %v and %v for one query", kind, c1, c2)
+		}
+	}
+}

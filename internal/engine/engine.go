@@ -46,6 +46,12 @@ func (k CostKind) Measured() bool {
 	return k == ExecTimeMS || k == RowsProcessed
 }
 
+// Repeatable reports whether the cost is a pure function of the query text
+// and the dataset, so probing the same query twice returns the same float.
+// Every kind is but ExecTimeMS, whose wall time differs from run to run;
+// callers may reuse a repeatable kind's earlier cost instead of probing.
+func (k CostKind) Repeatable() bool { return k != ExecTimeMS }
+
 // String names the cost kind.
 func (k CostKind) String() string {
 	switch k {

@@ -80,11 +80,18 @@ const (
 	MRefineAccepted     = "refine_accepted"
 	MRefineProfileFails = "refine_profile_fails"
 
-	// Predicate search (Algorithm 3).
+	// Predicate search (Algorithm 3). MSearchEvals counts every probe BO
+	// observes; MSearchMemoHits counts the ones answered from the
+	// template's cost memo (profiler.Profile.Known) without a DBMS call.
 	MSearchRounds    = "search_bo_rounds"
 	MSearchEvals     = "search_evaluations"
+	MSearchMemoHits  = "search_memo_hits"
 	MSearchSkipped   = "search_skipped_intervals"
 	MSearchBadCombos = "search_bad_combinations"
+
+	// Profiling (§5.1): sample points whose query an earlier point of the
+	// same sweep already costs, so the DBMS is asked once for both.
+	MProfileDedupedProbes = "profiler_deduped_probes"
 
 	// Baseline methods (internal/baselines).
 	MBaselineEvals = "baseline_evaluations"

@@ -63,14 +63,14 @@ var reportSections = []reportSection{
 	}},
 	{"DBMS budget", []string{
 		MDBExplainCalls, MDBExecCalls, MDBValidateCalls,
-		MDBPlanCacheHits, MDBPlanCacheMisses,
+		MDBPlanCacheHits, MDBPlanCacheMisses, MProfileDedupedProbes,
 	}},
 	{"Generator / static analyzer", []string{
 		MGenAttempts, MStaticSpecCatches, MStaticExecCatches,
 	}},
 	{"Refine + search", []string{
 		MRefineIterations, MRefineGenerated, MRefineAccepted, MRefineProfileFails,
-		MSearchRounds, MSearchEvals, MSearchSkipped, MSearchBadCombos,
+		MSearchRounds, MSearchEvals, MSearchMemoHits, MSearchSkipped, MSearchBadCombos,
 	}},
 }
 

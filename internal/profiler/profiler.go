@@ -143,6 +143,41 @@ type Profile struct {
 	// without re-planning. Profile always sets it; downstream BO search costs
 	// candidate values through it instead of re-parsing rendered SQL.
 	Prep *engine.Prepared
+
+	// memo maps an instantiated query to its cost. It holds the queries of
+	// Obs[:memoed] plus those passed to Remember, and catches up with Obs
+	// lazily in Known.
+	memo   map[string]float64
+	memoed int
+}
+
+// Known returns the cost already observed for the instantiated query sql,
+// whether from Obs or from Remember, so a caller can skip the DBMS. It is
+// sound only for a repeatable cost kind (engine.CostKind.Repeatable). Obs
+// grows in slot order, so what Known answers is the same at every worker
+// count. A Profile is not safe for concurrent use: search touches each
+// template from one wave slot at a time.
+func (p *Profile) Known(sql string) (float64, bool) {
+	if p.memoed < len(p.Obs) {
+		if p.memo == nil {
+			p.memo = make(map[string]float64, len(p.Obs))
+		}
+		for _, o := range p.Obs[p.memoed:] {
+			p.memo[o.SQL] = o.Cost
+		}
+		p.memoed = len(p.Obs)
+	}
+	c, ok := p.memo[sql]
+	return c, ok
+}
+
+// Remember records a probe's cost before the probe reaches Obs, so later
+// probes of the same query in the same search slot are answered by Known.
+func (p *Profile) Remember(sql string, cost float64) {
+	if p.memo == nil {
+		p.memo = map[string]float64{}
+	}
+	p.memo[sql] = cost
 }
 
 // Costs returns the observed cost vector (the C_i of §5.2).
@@ -231,20 +266,48 @@ func (p *Profiler) Profile(ctx context.Context, t *sqltemplate.Template, n int) 
 		}
 		raws[i], sqls[i], valsList[i] = raw, sql, vals
 	}
+	// A repeatable metric costs each distinct query once: integer and
+	// categorical dimensions can send two sample points to the same query,
+	// and the later point takes the earlier one's cost. pos maps a query to
+	// its place in the probed sweep.
+	probed := valsList
+	var pos map[string]int
+	if p.Kind.Repeatable() {
+		pos = make(map[string]int, len(sqls))
+		for _, sql := range sqls {
+			if _, ok := pos[sql]; !ok {
+				pos[sql] = len(pos)
+			}
+		}
+		if len(pos) < len(sqls) {
+			probed = make([]map[string]sqltypes.Value, 0, len(pos))
+			for i, sql := range sqls {
+				if pos[sql] == len(probed) {
+					probed = append(probed, valsList[i])
+				}
+			}
+			sp.Count(obs.MProfileDedupedProbes, int64(len(sqls)-len(probed)))
+		}
+	}
 	var costs []float64
 	if p.Kind.Measured() {
 		// Measured sweeps fan across sessions. Routing through the parallel
 		// batch even at parallelism 1 keeps counter movement (attempt-all)
 		// invariant across worker counts.
-		costs, err = prep.CostBatchParallel(ctx, valsList, p.Kind, p.Parallel)
+		costs, err = prep.CostBatchParallel(ctx, probed, p.Kind, p.Parallel)
 	} else {
-		costs, err = prep.CostBatch(ctx, valsList, p.Kind)
+		costs, err = prep.CostBatch(ctx, probed, p.Kind)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("profiler: template %d probe failed: %w", t.ID, err)
 	}
-	for i, cost := range costs {
-		prof.Obs = append(prof.Obs, Observation{Raw: raws[i], SQL: sqls[i], Cost: cost})
+	prof.Obs = make([]Observation, len(sqls))
+	for i, sql := range sqls {
+		k := i
+		if len(probed) < len(sqls) {
+			k = pos[sql]
+		}
+		prof.Obs[i] = Observation{Raw: raws[i], SQL: sql, Cost: costs[k]}
 	}
 	sp.Observe(obs.HProfileProbes, float64(len(prof.Obs)))
 	sp.Annotate(obs.A("probes", strconv.Itoa(len(prof.Obs))))

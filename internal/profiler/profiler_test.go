@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sqlbarber/internal/engine"
+	"sqlbarber/internal/obs"
 	"sqlbarber/internal/sqltemplate"
 )
 
@@ -161,5 +162,56 @@ func TestIndependentSamplingMode(t *testing.T) {
 	prof, err := p.Profile(context.Background(), tm, 8)
 	if err != nil || len(prof.Obs) != 8 {
 		t.Fatalf("independent sampling profile: %v", err)
+	}
+}
+
+// TestProfileCostsEachQueryOnce profiles a one-placeholder categorical
+// template with more sample points than the column has values: every point
+// keeps its observation and its query's cost, but a repeatable metric asks
+// the DBMS once per distinct query, while ExecTimeMS executes every point.
+func TestProfileCostsEachQueryOnce(t *testing.T) {
+	tm := sqltemplate.MustParse("SELECT o_orderkey FROM orders WHERE o_orderstatus = {p_1}")
+	for _, tc := range []struct {
+		kind    engine.CostKind
+		dedupes bool
+	}{{engine.Cardinality, true}, {engine.RowsProcessed, true}, {engine.ExecTimeMS, false}} {
+		kind := tc.kind
+		p := newProfiler(t, kind)
+		collector := obs.NewCollector()
+		prof, err := p.Profile(obs.NewContext(context.Background(), collector), tm, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prof.Obs) != 10 {
+			t.Fatalf("%v: %d observations, want 10", kind, len(prof.Obs))
+		}
+		distinct := map[string]bool{}
+		for _, o := range prof.Obs {
+			distinct[o.SQL] = true
+		}
+		if len(distinct) >= 10 {
+			t.Fatalf("%v: %d distinct queries in 10 points; the test needs repeats", kind, len(distinct))
+		}
+		calls := p.DB.ExplainCalls() + p.DB.ExecCalls()
+		deduped := collector.Snapshot().Counter(obs.MProfileDedupedProbes)
+		if !tc.dedupes {
+			if calls != 10 || deduped != 0 {
+				t.Fatalf("%v: %d DBMS calls, %d deduped; want 10 and 0", kind, calls, deduped)
+			}
+			continue
+		}
+		if calls != int64(len(distinct)) || deduped != int64(10-len(distinct)) {
+			t.Fatalf("%v: %d DBMS calls, %d deduped for %d distinct queries", kind, calls, deduped, len(distinct))
+		}
+		ref := engine.OpenTPCH(1, 0.05)
+		for _, o := range prof.Obs {
+			want, err := ref.Cost(context.Background(), o.SQL, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.Cost != want {
+				t.Fatalf("%v: %s observed at %v, a DBMS call gives %v", kind, o.SQL, o.Cost, want)
+			}
+		}
 	}
 }

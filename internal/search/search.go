@@ -96,6 +96,9 @@ type optResult struct {
 	costs   []float64
 	obs     []profiler.Observation
 	queries []workload.Query
+	// hits counts the staged probes answered from the template's cost memo
+	// instead of the DBMS; they are staged like any other probe.
+	hits int
 }
 
 // Run generates queries until the target distribution is filled, no
@@ -255,6 +258,7 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 				dOld := d[jStar]
 				st.Evaluations += len(res.costs)
 				ssp.Count(obs.MSearchEvals, int64(len(res.costs)))
+				ssp.Count(obs.MSearchMemoHits, int64(res.hits))
 				c.t.Profile.Obs = append(c.t.Profile.Obs, res.obs...)
 				for _, q := range res.queries {
 					addQuery(q)
@@ -340,38 +344,85 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 		warm = warm[:32]
 	}
 
+	// A repeatable metric's probes go through the template's cost memo: a
+	// query the template has already costed takes that cost instead of a
+	// DBMS call, and is staged and reported to BO as if it were probed.
+	memo := s.Kind.Repeatable()
 	var res optResult
+	record := func(raw []float64, sql string, cost float64) {
+		res.costs = append(res.costs, cost)
+		res.obs = append(res.obs, profiler.Observation{Raw: raw, SQL: sql, Cost: cost})
+		res.queries = append(res.queries, workload.Query{SQL: sql, Cost: cost, TemplateID: t.Profile.Template.ID})
+	}
 	evaluate := func(raw []float64) (float64, bool) {
 		vals := space.ValuesFor(raw)
 		sql, err := space.Template.Instantiate(vals)
 		if err != nil {
 			return 0, false
 		}
-		cost, err := t.Profile.Prep.Cost(ctx, vals, s.Kind)
-		if err != nil {
-			return 0, false
+		cost, known := 0.0, false
+		if memo {
+			cost, known = t.Profile.Known(sql)
 		}
-		res.costs = append(res.costs, cost)
-		res.obs = append(res.obs, profiler.Observation{Raw: raw, SQL: sql, Cost: cost})
-		res.queries = append(res.queries, workload.Query{SQL: sql, Cost: cost, TemplateID: t.Profile.Template.ID})
+		if known {
+			// A hit fails like a probe once the run is cancelled.
+			if ctx.Err() != nil {
+				return 0, false
+			}
+			res.hits++
+		} else {
+			if cost, err = t.Profile.Prep.Cost(ctx, vals, s.Kind); err != nil {
+				return 0, false
+			}
+			if memo {
+				t.Profile.Remember(sql, cost)
+			}
+		}
+		record(raw, sql, cost)
 		return objective(cost, iv), true
 	}
 
-	// evaluateWave costs a wave of unit-cube points through the template's
-	// compiled statement in one Prepared.CostBatch sweep per contiguous run
-	// of successful probes, staging results exactly like evaluate and
-	// reporting each success (unit point, objective value) to report. Failed
-	// probes are skipped and the sweep resumes after them, so the staged
-	// outcome is identical to calling evaluate point by point — only the
-	// per-probe call overhead is gone.
+	// evaluateWave costs a wave of unit-cube points, staging results exactly
+	// like evaluate and reporting each success (unit point, objective value)
+	// to report. Points the memo does not hold queue for one
+	// Prepared.CostBatch sweep per contiguous run of successful probes;
+	// failed probes are skipped and the sweep resumes after them. A memo
+	// hit first drains the queue, so it is staged, and checks cancellation,
+	// after every point before it, as in evaluate. The staged outcome is
+	// the one evaluate gives point by point; the only difference is that a
+	// repeat of a query still queued is sent again. Waves run only for the
+	// Naive ablation and for BO's init design, which is empty once a
+	// template holds four observations (profiling takes at least four).
 	evaluateWave := func(units [][]float64, report func(u []float64, y float64)) {
 		type probe struct {
 			unit []float64
 			raw  []float64
 			sql  string
-			vals map[string]sqltypes.Value
 		}
-		probes := make([]probe, 0, len(units))
+		stage := func(p probe, cost float64) {
+			record(p.raw, p.sql, cost)
+			if report != nil {
+				report(p.unit, objective(cost, iv))
+			}
+		}
+		var queued []probe
+		var valsList []map[string]sqltypes.Value
+		flush := func() {
+			for j := 0; j < len(queued); {
+				costs, err := t.Profile.Prep.CostBatch(ctx, valsList[j:], s.Kind)
+				for i, c := range costs {
+					if memo {
+						t.Profile.Remember(queued[j+i].sql, c)
+					}
+					stage(queued[j+i], c)
+				}
+				if err == nil {
+					break
+				}
+				j += len(costs) + 1 // skip the failed probe and resume after it
+			}
+			queued, valsList = queued[:0], valsList[:0]
+		}
 		for _, u := range units {
 			raw := boSpace.Denormalize(u)
 			vals := space.ValuesFor(raw)
@@ -379,30 +430,21 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 			if err != nil {
 				continue
 			}
-			probes = append(probes, probe{unit: u, raw: raw, sql: sql, vals: vals})
-		}
-		record := func(p probe, cost float64) {
-			res.costs = append(res.costs, cost)
-			res.obs = append(res.obs, profiler.Observation{Raw: p.raw, SQL: p.sql, Cost: cost})
-			res.queries = append(res.queries, workload.Query{SQL: p.sql, Cost: cost, TemplateID: t.Profile.Template.ID})
-			if report != nil {
-				report(p.unit, objective(cost, iv))
+			p := probe{unit: u, raw: raw, sql: sql}
+			if memo {
+				if cost, ok := t.Profile.Known(sql); ok {
+					flush()
+					if ctx.Err() == nil {
+						res.hits++
+						stage(p, cost)
+					}
+					continue
+				}
 			}
+			queued = append(queued, p)
+			valsList = append(valsList, vals)
 		}
-		valsList := make([]map[string]sqltypes.Value, len(probes))
-		for i, p := range probes {
-			valsList[i] = p.vals
-		}
-		for j := 0; j < len(probes); {
-			costs, err := t.Profile.Prep.CostBatch(ctx, valsList[j:], s.Kind)
-			for i, c := range costs {
-				record(probes[j+i], c)
-			}
-			if err == nil {
-				return
-			}
-			j += len(costs) + 1 // skip the failed probe and resume after it
-		}
+		flush()
 	}
 
 	if s.Naive {
