@@ -278,7 +278,9 @@ func TestCLIDaemonDrainsOnSigterm(t *testing.T) {
 // rather than silently run cardinality. plan_cost is the spelling a
 // workload file's annotations use, so it is the likely mistake. The
 // -llm-policy grammar fails just as early: a hedge key, which the grammar
-// does not have, is reported ahead of the unknown dataset.
+// does not have, is reported ahead of the unknown dataset. cmd/benchmarks
+// runs only the paper's experiments: a retired layer-smoke name exits 2
+// and a retired flag fails flag parsing.
 func TestCLIRejectsUnknownCostKind(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test skipped in -short mode")
@@ -286,6 +288,7 @@ func TestCLIRejectsUnknownCostKind(t *testing.T) {
 	dir := t.TempDir()
 	gen := buildTool(t, dir, "sqlbarber", "./cmd/sqlbarber")
 	replay := buildTool(t, dir, "replay", "./cmd/replay")
+	benchmarks := buildTool(t, dir, "benchmarks", "./cmd/benchmarks")
 	workloadFile := filepath.Join(dir, "w.sql")
 	if err := os.WriteFile(workloadFile, []byte("-- template=1 cardinality=5.00\nSELECT r_regionkey FROM region;\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -294,19 +297,22 @@ func TestCLIRejectsUnknownCostKind(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cmd  *exec.Cmd
+		code int
 		want string
 	}{
 		{"sqlbarber -cost plan_cost", exec.Command(gen, "-cost", "plan_cost",
-			"-dataset", "tpch", "-sf", "0.01", "-queries", "4", "-intervals", "2", "-range", "100"), costKinds},
+			"-dataset", "tpch", "-sf", "0.01", "-queries", "4", "-intervals", "2", "-range", "100"), 1, costKinds},
 		{"replay -cost bogus", exec.Command(replay, "-cost", "bogus",
-			"-dataset", "tpch", "-sf", "0.01", "-tol", "1e12", "-in", workloadFile), costKinds},
+			"-dataset", "tpch", "-sf", "0.01", "-tol", "1e12", "-in", workloadFile), 1, costKinds},
 		{"sqlbarber -llm-policy hedge=500ms", exec.Command(gen, "-llm-policy", "hedge=500ms",
-			"-dataset", "oracle11g"), `unknown key "hedge"`},
+			"-dataset", "oracle11g"), 1, `unknown key "hedge"`},
+		{"benchmarks -exp probe", exec.Command(benchmarks, "-exp", "probe"), 2, `unknown experiment "probe"`},
+		{"benchmarks -probejson=x", exec.Command(benchmarks, "-probejson=x"), 2, "flag provided but not defined: -probejson"},
 	} {
 		out, err := tc.cmd.CombinedOutput()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-			t.Errorf("%s: exit = %v, want exit status 1\n%s", tc.name, err, out)
+		if !errors.As(err, &exit) || exit.ExitCode() != tc.code {
+			t.Errorf("%s: exit = %v, want exit status %d\n%s", tc.name, err, tc.code, out)
 			continue
 		}
 		if !strings.Contains(string(out), tc.want) {

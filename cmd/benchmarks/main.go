@@ -23,15 +23,11 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|fig5|fig6|fig7queries|fig7intervals|fig8a|fig8b|table2|analyzer|parallel|probe|measured|obs|resilience|all")
-		scale     = flag.String("scale", "quick", "scale: quick|full")
-		seed      = flag.Int64("seed", 1, "random seed")
-		methods   = flag.String("methods", "", "comma-separated method subset (default: all five)")
-		csvDir    = flag.String("csvdir", "", "when set, also write plot-ready CSV files to this directory")
-		probeJSON = flag.String("probejson", "BENCH_probe.json", "where -exp probe writes its JSON result (empty to skip)")
-		probes    = flag.Int("probes", 0, "probes per template per arm for -exp probe/measured (0 = default)")
-		measJSON  = flag.String("measuredjson", "BENCH_measured.json", "where -exp measured writes its JSON result (empty to skip)")
-		resilJSON = flag.String("resiliencejson", "BENCH_resilience.json", "where -exp resilience writes its JSON result (empty to skip)")
+		exp     = flag.String("exp", "all", "experiment: table1|fig5|fig6|fig7queries|fig7intervals|fig8a|fig8b|table2|analyzer|all")
+		scale   = flag.String("scale", "quick", "scale: quick|full")
+		seed    = flag.Int64("seed", 1, "random seed")
+		methods = flag.String("methods", "", "comma-separated method subset (default: all five)")
+		csvDir  = flag.String("csvdir", "", "when set, also write plot-ready CSV files to this directory")
 	)
 	flag.Parse()
 	if *csvDir != "" {
@@ -145,11 +141,6 @@ func main() {
 	run("fig8b", func() error { _, err := r.RunFigure8Ablation(ctx, w); return err })
 	run("table2", func() error { _, err := r.RunTable2(ctx, w); return err })
 	run("analyzer", func() error { _, err := r.RunAnalyzerSavings(ctx, w); return err })
-	run("parallel", func() error { _, err := r.RunParallelScaling(ctx, w, nil); return err })
-	run("probe", func() error { _, err := r.RunProbeBench(ctx, w, *probeJSON, *probes); return err })
-	run("measured", func() error { _, err := r.RunMeasuredBench(ctx, w, *measJSON, *probes); return err })
-	run("obs", func() error { _, err := r.RunObsOverhead(ctx, w); return err })
-	run("resilience", func() error { _, err := r.RunResilienceBench(ctx, w, *resilJSON); return err })
 	if !known {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)

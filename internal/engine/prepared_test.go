@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +14,10 @@ import (
 // prepared-template layer: for every cost kind and a value sweep covering
 // negatives, floats, integral floats, and quoted strings, Prepared.Cost must
 // return bit-identical costs to the re-parse path (Instantiate + DB.Cost).
+// The same holds for the scheduled bindings of BenchmarkPreparedVsReparse's
+// two mixes, whose joins, BETWEEN ranges and uncorrelated EXISTS and IN
+// subqueries the sweep does not reach, and each measured probe moves
+// SessionProbes by exactly one.
 func TestPreparedCostMatchesReparse(t *testing.T) {
 	db := testDB(t)
 	ctx := context.Background()
@@ -51,6 +56,40 @@ func TestPreparedCostMatchesReparse(t *testing.T) {
 			}
 		}
 	}
+	for _, tmpl := range slices.Concat(estimateMix, measuredMix) {
+		prep, err := db.Prepare(tmpl.sql)
+		if err != nil {
+			t.Fatalf("Prepare %q: %v", tmpl.sql, err)
+		}
+		for i := range 4 {
+			vals := tmpl.vals(1, i)
+			sql, err := sqltemplate.MustParse(tmpl.sql).Instantiate(vals)
+			if err != nil {
+				t.Fatalf("instantiate %q: %v", tmpl.sql, err)
+			}
+			for _, kind := range kinds {
+				want, err := db.Cost(ctx, sql, kind)
+				if err != nil {
+					t.Fatalf("%v: reparse cost of %q: %v", kind, sql, err)
+				}
+				sessions := db.SessionProbes()
+				got, err := prep.Cost(ctx, vals, kind)
+				if err != nil {
+					t.Fatalf("%v: prepared cost of %q: %v", kind, sql, err)
+				}
+				if got != want {
+					t.Fatalf("%v: prepared cost %v != reparse cost %v (sql %q)", kind, got, want, sql)
+				}
+				wantSessions := int64(0)
+				if kind.Measured() {
+					wantSessions = 1
+				}
+				if moved := db.SessionProbes() - sessions; moved != wantSessions {
+					t.Fatalf("%v: one probe moved SessionProbes by %d, want %d", kind, moved, wantSessions)
+				}
+			}
+		}
+	}
 }
 
 // TestPreparedCountsEvaluationsLikeCost checks call parity: a prepared probe
@@ -77,8 +116,9 @@ func TestPreparedCountsEvaluationsLikeCost(t *testing.T) {
 	if _, err := prep.Cost(ctx, vals, RowsProcessed); err != nil {
 		t.Fatal(err)
 	}
-	if db.ExplainCalls() != 2 || db.ExecCalls() != 1 {
-		t.Fatalf("prepared counter parity broken: explain=%d exec=%d, want 2/1", db.ExplainCalls(), db.ExecCalls())
+	if db.ExplainCalls() != 2 || db.ExecCalls() != 1 || db.SessionProbes() != 1 {
+		t.Fatalf("prepared counter parity broken: explain=%d exec=%d session=%d, want 2/1/1",
+			db.ExplainCalls(), db.ExecCalls(), db.SessionProbes())
 	}
 }
 

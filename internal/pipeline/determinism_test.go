@@ -10,6 +10,7 @@ import (
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/llm"
 	"sqlbarber/internal/obs"
+	"sqlbarber/internal/realworld"
 	"sqlbarber/internal/stats"
 )
 
@@ -145,6 +146,43 @@ func TestParallelByteIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParallelOverlapsOracleLatency checks what the worker pool buys when
+// the oracle is slow: on the quick-scale TPC-H task (SF 0.5, the Redset
+// specifications, five intervals over [0, 2500), 60 queries) with every
+// simulated LLM call sleeping 25 ms like a hosted-model round trip, 4
+// workers must finish at least 1.2x faster than 1, with the same run
+// signature. It measures wall clock, so it is skipped under -short.
+func TestParallelOverlapsOracleLatency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock test skipped in -short mode")
+	}
+	run := func(workers int) (string, time.Duration) {
+		db := engine.OpenTPCH(1, 0.5)
+		start := time.Now()
+		p, err := New(db, llm.NewSim(llm.SimOptions{Seed: 1, Latency: 25 * time.Millisecond}),
+			realworld.RedsetSpecs(1), stats.Uniform(0, 2500, 5, 60),
+			WithSeed(1), WithCostKind(engine.Cardinality), WithParallel(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return runSignature(res), time.Since(start)
+	}
+	seq, seqTime := run(1)
+	par, parTime := run(4)
+	if par != seq {
+		t.Fatalf("4 workers diverged from 1\n%s", firstDiff(seq, par))
+	}
+	speedup := float64(seqTime) / float64(parTime)
+	t.Logf("1 worker %s, 4 workers %s: %.2fx", seqTime.Round(time.Millisecond), parTime.Round(time.Millisecond), speedup)
+	if speedup < 1.2 {
+		t.Fatalf("4 workers only %.2fx faster than 1 (latency overlap broken)", speedup)
 	}
 }
 

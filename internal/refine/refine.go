@@ -128,7 +128,7 @@ func (r *Refiner) refineForIntervals(ctx context.Context, templates *[]*workload
 				Schema:      r.Prof.DB.Schema(),
 				TemplateSQL: t.Profile.Template.SQL(),
 				Spec:        t.Spec,
-				Costs:       t.Costs(),
+				Costs:       t.Profile.Costs(),
 				Target:      iv,
 				History:     history,
 			}
@@ -178,22 +178,21 @@ func (r *Refiner) profileCandidate(ctx context.Context, sql string, parent *work
 	if err != nil {
 		return nil, llm.RefineAttempt{}, err
 	}
-	costs := prof.Costs()
 	attempt := llm.RefineAttempt{TemplateSQL: sql}
-	if len(costs) > 0 {
-		attempt.MinCost, attempt.MaxCost = costs[0], costs[0]
-		for _, c := range costs {
-			if c < attempt.MinCost {
-				attempt.MinCost = c
+	if len(prof.Obs) > 0 {
+		attempt.MinCost, attempt.MaxCost = prof.Obs[0].Cost, prof.Obs[0].Cost
+		for _, o := range prof.Obs {
+			if o.Cost < attempt.MinCost {
+				attempt.MinCost = o.Cost
 			}
-			if c > attempt.MaxCost {
-				attempt.MaxCost = c
+			if o.Cost > attempt.MaxCost {
+				attempt.MaxCost = o.Cost
 			}
 		}
 	}
 	iv := target.Intervals[targetIdx]
-	for _, c := range costs {
-		if iv.Contains(c) {
+	for _, o := range prof.Obs {
+		if iv.Contains(o.Cost) {
 			attempt.Hit = true
 			break
 		}
@@ -205,8 +204,8 @@ func (r *Refiner) profileCandidate(ctx context.Context, sql string, parent *work
 	// reduces the overall distribution distance D(d_c + v_new, d*) < D(d_c, d*).
 	before := stats.Wasserstein(target.Intervals, target.Counts, curCounts)
 	withNew := append([]int(nil), curCounts...)
-	for _, c := range costs {
-		if j := target.Intervals.Index(c); j >= 0 {
+	for _, o := range prof.Obs {
+		if j := target.Intervals.Index(o.Cost); j >= 0 {
 			withNew[j]++
 		}
 	}
@@ -225,7 +224,7 @@ func (r *Refiner) topByCloseness(templates []*workload.TemplateState, iv stats.I
 	}
 	all := make([]scored, 0, len(templates))
 	for _, t := range templates {
-		all = append(all, scored{t, workload.Closeness(t.Costs(), iv)})
+		all = append(all, scored{t, workload.Closeness(t.Profile.Obs, iv)})
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].s > all[j].s })
 	if m > len(all) {
@@ -245,8 +244,8 @@ func Prune(templates []*workload.TemplateState, target *stats.TargetDistribution
 	var out []*workload.TemplateState
 	for _, t := range templates {
 		keep := false
-		for _, c := range t.Costs() {
-			if c >= lo && c <= hi {
+		for _, o := range t.Profile.Obs {
+			if o.Cost >= lo && o.Cost <= hi {
 				keep = true
 				break
 			}

@@ -67,7 +67,7 @@ func TestRefinerStopsWhenCovered(t *testing.T) {
 	s := spec.Spec{NumJoins: spec.Int(0), NumPredicates: spec.Int(1)}
 	// Wide-range template covering a matching small target.
 	seed := profiled(t, p, "SELECT o_orderkey FROM orders WHERE o_orderkey <= {p_1}", s, 1)
-	costs := seed.Costs()
+	costs := seed.Profile.Costs()
 	lo, hi := costs[0], costs[0]
 	for _, c := range costs {
 		if c < lo {

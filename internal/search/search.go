@@ -198,13 +198,13 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 				if remaining[t.Profile.Template.ID] < float64(spaceFactor*gap) {
 					continue
 				}
-				if workload.Variety(t.Costs()) < minVariety {
+				if workload.Variety(t.Profile.Obs) < minVariety {
 					continue
 				}
 			}
 			score := 1.0
 			if !s.Naive {
-				score = workload.Closeness(t.Costs(), iv)
+				score = workload.Closeness(t.Profile.Obs, iv)
 			}
 			cands = append(cands, scoredTemplate{t, score})
 		}

@@ -17,9 +17,6 @@ type TemplateState struct {
 	Spec    spec.Spec
 }
 
-// Costs returns the template's observed cost vector.
-func (t *TemplateState) Costs() []float64 { return t.Profile.Costs() }
-
 // Query is one generated SQL query with its measured cost.
 type Query struct {
 	SQL        string
@@ -30,39 +27,36 @@ type Query struct {
 // Closeness computes Equation (2): how well-positioned a template is to
 // generate queries inside the interval — inverse mean distance of its
 // observed costs to the interval, scaled by its cost-diversity ratio.
-func Closeness(costs []float64, iv stats.Interval) float64 {
-	if len(costs) == 0 {
+func Closeness(obs []profiler.Observation, iv stats.Interval) float64 {
+	if len(obs) == 0 {
 		return 0
 	}
 	sum := 0.0
-	unique := map[float64]bool{}
-	for _, c := range costs {
-		sum += iv.Dist(c)
-		unique[c] = true
+	for _, o := range obs {
+		sum += iv.Dist(o.Cost)
 	}
-	meanDist := sum / float64(len(costs))
-	variety := float64(len(unique)) / float64(len(costs))
-	return 1 / (1 + meanDist) * variety
+	meanDist := sum / float64(len(obs))
+	return 1 / (1 + meanDist) * Variety(obs)
 }
 
 // Variety returns the distinct-cost ratio v_i of Equation (2).
-func Variety(costs []float64) float64 {
-	if len(costs) == 0 {
+func Variety(obs []profiler.Observation) float64 {
+	if len(obs) == 0 {
 		return 0
 	}
 	unique := map[float64]bool{}
-	for _, c := range costs {
-		unique[c] = true
+	for _, o := range obs {
+		unique[o.Cost] = true
 	}
-	return float64(len(unique)) / float64(len(costs))
+	return float64(len(unique)) / float64(len(obs))
 }
 
 // CountsOf bins all template observations into interval counts (Equation 1).
 func CountsOf(templates []*TemplateState, ivs stats.Intervals) []int {
 	counts := make([]int, len(ivs))
 	for _, t := range templates {
-		for _, c := range t.Costs() {
-			if j := ivs.Index(c); j >= 0 {
+		for _, o := range t.Profile.Obs {
+			if j := ivs.Index(o.Cost); j >= 0 {
 				counts[j]++
 			}
 		}

@@ -6,13 +6,23 @@ import (
 	"testing"
 	"testing/quick"
 
+	"sqlbarber/internal/profiler"
 	"sqlbarber/internal/stats"
 )
 
+// observations wraps costs as profile observations.
+func observations(costs ...float64) []profiler.Observation {
+	out := make([]profiler.Observation, len(costs))
+	for i, c := range costs {
+		out[i].Cost = c
+	}
+	return out
+}
+
 func TestClosenessPrefersNearbyTemplates(t *testing.T) {
 	iv := stats.Interval{Lo: 100, Hi: 200}
-	near := Closeness([]float64{120, 150, 180}, iv)
-	far := Closeness([]float64{5000, 6000, 7000}, iv)
+	near := Closeness(observations(120, 150, 180), iv)
+	far := Closeness(observations(5000, 6000, 7000), iv)
 	if near <= far {
 		t.Fatalf("closeness near=%v far=%v", near, far)
 	}
@@ -24,8 +34,8 @@ func TestClosenessPrefersNearbyTemplates(t *testing.T) {
 
 func TestClosenessPenalizesLowVariety(t *testing.T) {
 	iv := stats.Interval{Lo: 100, Hi: 200}
-	diverse := Closeness([]float64{110, 150, 190}, iv)
-	constant := Closeness([]float64{150, 150, 150}, iv)
+	diverse := Closeness(observations(110, 150, 190), iv)
+	constant := Closeness(observations(150, 150, 150), iv)
 	if constant >= diverse {
 		t.Fatalf("variety penalty broken: const=%v diverse=%v", constant, diverse)
 	}
@@ -38,10 +48,10 @@ func TestClosenessEmpty(t *testing.T) {
 }
 
 func TestVariety(t *testing.T) {
-	if Variety([]float64{1, 1, 1, 1}) != 0.25 {
+	if Variety(observations(1, 1, 1, 1)) != 0.25 {
 		t.Fatal("variety of constant vector")
 	}
-	if Variety([]float64{1, 2, 3, 4}) != 1 {
+	if Variety(observations(1, 2, 3, 4)) != 1 {
 		t.Fatal("variety of distinct vector")
 	}
 	if Variety(nil) != 0 {
@@ -59,7 +69,7 @@ func TestClosenessBoundedProperty(t *testing.T) {
 		for i, r := range raw {
 			costs[i] = float64(r)
 		}
-		c := Closeness(costs, iv)
+		c := Closeness(observations(costs...), iv)
 		return c >= 0 && c <= 1 && !math.IsNaN(c)
 	}
 	if err := quick.Check(f, nil); err != nil {

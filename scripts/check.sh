@@ -58,55 +58,33 @@
 #                              Floors sit ~5 points below measured coverage,
 #                              so routine churn passes but deleting tests or
 #                              landing a large untested surface fails
-#   8. cmd/benchmarks -exp obs
-#                            — the observability overhead smoke: runs the
-#                              pipeline with and without a live collector,
-#                              fails if the workloads differ byte-for-byte or
-#                              collector CPU overhead exceeds 3%. The gate
-#                              measures process CPU time (not wall clock) and
-#                              takes the minimum over alternating paired
-#                              rounds, but process-lifetime placement bias
-#                              (CPU affinity, NUMA) on busy shared machines
-#                              can still skew one process, so the step retries
-#                              in a fresh process up to 3 times; a real
-#                              regression fails all attempts
-#   9. cmd/benchmarks -exp probe
-#                            — the compiled-probing smoke: costs the same
-#                              deterministic probe schedule through compiled
-#                              parametric plans and through the re-parse
-#                              baseline at 1/2/8 goroutines, failing on any
-#                              cost divergence, probe-hash drift, counter
-#                              disparity, or if compiled probing does not
-#                              beat re-parsing. Gates only (refresh
-#                              BENCH_probe.json by hand).
-#                              Timing-sensitive like the obs smoke, so it
-#                              gets the same 3-attempt fresh-process retry
-#  10. cmd/benchmarks -exp measured
-#                            — the measured-probe smoke: executes the same
-#                              deterministic probe schedule through per-session
-#                              value-environment execution and through the
-#                              re-parse baseline at 1/2/8
-#                              goroutines on a fixed small TPC-H instance,
-#                              failing on any RowsProcessed divergence,
-#                              probe-hash drift, counter disparity, or if the
-#                              session arm falls below 2x baseline throughput
-#                              at 8 goroutines. Gates only (refresh
-#                              BENCH_measured.json by hand).
-#                              Timing-sensitive, so it gets the same 3-attempt
-#                              fresh-process retry
-#  11. cmd/benchmarks -exp resilience
-#                            — the oracle-resilience smoke: runs the pipeline
-#                              through the retry/fault-injection middleware
-#                              chain with a deterministic 20% fault schedule,
-#                              failing unless the workload hash matches the
-#                              fault-free baseline at 1/2/8 workers, and runs
-#                              a cold-then-warm persistent prompt-cache pair,
-#                              failing unless the warm rerun pays ≥30% fewer
-#                              LLM calls while reproducing the same workload.
-#                              Gates only (refresh BENCH_resilience.json by
-#                              hand). Retried like the other smokes for
-#                              consistency (its gates are deterministic)
-#  12. go test -bench BenchmarkForestVsReference -benchtime 1x ./internal/rf
+#   8. go test -bench BenchmarkObsOverhead -benchtime 1x ./internal/pipeline
+#                            — the observability overhead gate: runs the
+#                              pipeline with and without a live collector and
+#                              fails if collector CPU overhead exceeds 3%. The
+#                              gate measures process CPU time (not wall clock)
+#                              and takes the minimum over 3-15 alternating
+#                              paired rounds with the GC paused, but
+#                              process-lifetime placement bias (CPU affinity,
+#                              NUMA) on busy shared machines can still skew
+#                              one process, so the step retries in a fresh
+#                              process up to 3 times; a real regression fails
+#                              all attempts. Byte identity with the collector
+#                              on and off is gated by TestParallelByteIdentical
+#                              in steps 4-5
+#   9. go test -bench BenchmarkPreparedVsReparse -benchtime 1x ./internal/engine
+#                            — the prepared-probe speed gate: costs the same
+#                              deterministic probe schedules through
+#                              Prepared.Cost and through the re-parse path
+#                              (Instantiate + DB.Cost) at 1/2/8 goroutines,
+#                              failing unless compiled estimates beat
+#                              re-parsing at every level and session-executed
+#                              RowsProcessed probes beat it at every level and
+#                              by 2x at 8 goroutines. Cost parity and counter
+#                              movement are gated by the engine tests in
+#                              steps 4-5. Timing-sensitive, so it gets the
+#                              same 3-attempt fresh-process retry
+#  10. go test -bench BenchmarkForestVsReference -benchtime 1x ./internal/rf
 #                            — the random-forest speed gate: fits and probes
 #                              the flat engine against the naive pointer
 #                              oracle (reference_test.go) on a fixed 3000x6
@@ -118,7 +96,7 @@
 #                              TestDifferentialFlatVsReference in steps 4-5.
 #                              Timing-sensitive, so it gets the same 3-attempt
 #                              fresh-process retry
-#  13. go test -bench BenchmarkAblation -benchtime 1x
+#  11. go test -bench BenchmarkAblation -benchtime 1x
 #                            — runs the three design-choice ablation
 #                              benchmarks of the root package once each
 #                              (LHS, history-aware refinement, closeness
@@ -131,7 +109,7 @@
 #                              (the runs are deterministic, so the bounds
 #                              are exact). `go test ./...` only compiles
 #                              benchmarks
-#  14. go test -bench BenchmarkClaims -benchtime 1x
+#  12. go test -bench BenchmarkClaims -benchtime 1x
 #                            — the paper-claim gate: every quick-scale
 #                              Figure 5 and 6 panel, SQLBarber only, at
 #                              seeds 1-20 (480 runs). Fails if more panels
@@ -179,17 +157,12 @@ go test -run '^$' -fuzz '^FuzzExecutorDifferential$' -fuzztime 10s ./internal/ex
 echo "== scripts/covergate.sh (per-package coverage floors) =="
 ./scripts/covergate.sh
 
-# Steps 8-12: the benchmark smokes, in order. Each row is
-# description|command; every smoke gets up to 3 attempts, each in a fresh
-# process, and fails the chain only when all 3 fail. The empty JSON paths
-# make the cmd/benchmarks smokes gate without rewriting the BENCH_*.json
-# files, so a diff to one of them means someone refreshed it on purpose,
-# with `go run ./cmd/benchmarks -exp X` (whose flag defaults write the file).
+# Steps 8-10: the speed gates, in order. Each row is description|command;
+# every gate gets up to 3 attempts, each in a fresh process, and fails the
+# chain only when all 3 fail.
 smokes=(
-  "observability overhead smoke|go run ./cmd/benchmarks -exp obs"
-  "compiled-probing smoke|go run ./cmd/benchmarks -exp probe -probejson="
-  "measured-probe smoke|go run ./cmd/benchmarks -exp measured -measuredjson="
-  "oracle resilience smoke|go run ./cmd/benchmarks -exp resilience -resiliencejson="
+  "observability overhead gate|go test -run ^\$ -bench ^BenchmarkObsOverhead\$ -benchtime 1x ./internal/pipeline"
+  "prepared-probe speed gate|go test -run ^\$ -bench ^BenchmarkPreparedVsReparse\$ -benchtime 1x ./internal/engine"
   "random-forest speed gate|go test -run ^\$ -bench ^BenchmarkForestVsReference\$ -benchtime 1x ./internal/rf"
 )
 for smoke in "${smokes[@]}"; do
