@@ -41,8 +41,8 @@ func (h Heuristic) String() string {
 }
 
 // Env is the budgeted evaluation environment baselines run in. It tracks
-// the generated query set, the current distribution, and the DBMS call
-// budget.
+// the DBMS call budget and adds every evaluated query to its pool, which
+// owns the generated query set and the current distribution.
 type Env struct {
 	DB     *engine.DB
 	Kind   engine.CostKind
@@ -52,18 +52,17 @@ type Env struct {
 	// MaxEvals is the total DBMS evaluation budget (the stand-in for the
 	// paper's per-iteration one-hour time budget).
 	MaxEvals int
-	// Progress, when non-nil, is called periodically with all queries.
-	Progress func(queries []workload.Query)
+	// Progress, when non-nil, is called every 64 evaluations; the caller
+	// reads Pool().
+	Progress func()
 
 	ctx   context.Context
+	pool  *workload.Pool
 	evals int
 	// memo maps an evaluated query to its cost under a repeatable Kind
 	// (engine.CostKind.Repeatable), so a repeat spends budget but no DBMS
 	// call, under the same rule as SQLBarber's search.
-	memo    map[string]float64
-	queries []workload.Query
-	unique  []map[string]bool
-	d       []int
+	memo map[string]float64
 }
 
 // NewEnv prepares an environment, deriving search spaces from the template
@@ -71,7 +70,7 @@ type Env struct {
 // for the lifetime of the run it scopes: cancellation makes the environment
 // report itself exhausted, so baseline loops stop at their next evaluation.
 func NewEnv(ctx context.Context, db *engine.DB, kind engine.CostKind, target *stats.TargetDistribution, library []*sqltemplate.Template, maxEvals int) (*Env, error) {
-	e := &Env{DB: db, Kind: kind, Target: target, MaxEvals: maxEvals, ctx: ctx, memo: map[string]float64{}}
+	e := &Env{DB: db, Kind: kind, Target: target, MaxEvals: maxEvals, ctx: ctx, pool: workload.NewPool(target), memo: map[string]float64{}}
 	for _, t := range library {
 		b, err := t.BindPlaceholders(db.Schema())
 		if err != nil || len(b) == 0 {
@@ -86,11 +85,6 @@ func NewEnv(ctx context.Context, db *engine.DB, kind engine.CostKind, target *st
 	if len(e.Spaces) == 0 {
 		return nil, fmt.Errorf("baseline: no usable templates in library")
 	}
-	e.unique = make([]map[string]bool, len(target.Intervals))
-	for i := range e.unique {
-		e.unique[i] = map[string]bool{}
-	}
-	e.d = make([]int, len(target.Intervals))
 	return e, nil
 }
 
@@ -101,24 +95,11 @@ func (e *Env) Exhausted() bool { return e.evals >= e.MaxEvals || e.ctx.Err() != 
 // Evals returns the number of DBMS evaluations consumed.
 func (e *Env) Evals() int { return e.evals }
 
-// Queries returns all recorded queries.
-func (e *Env) Queries() []workload.Query { return e.queries }
-
-// Counts returns the current per-interval unique-query counts.
-func (e *Env) Counts() []int { return e.d }
+// Pool returns the queries generated so far and their distribution.
+func (e *Env) Pool() *workload.Pool { return e.pool }
 
 // Deficit returns d*[j] - d[j].
-func (e *Env) Deficit(j int) int { return e.Target.Counts[j] - e.d[j] }
-
-// Filled reports whether every interval reached its target.
-func (e *Env) Filled() bool {
-	for j := range e.d {
-		if e.Deficit(j) > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (e *Env) Deficit(j int) int { return e.Target.Counts[j] - e.pool.Count(j) }
 
 // Eval instantiates template space si at the raw predicate vector and
 // evaluates its cost, recording the query. ok is false when the budget is
@@ -145,13 +126,9 @@ func (e *Env) Eval(si int, raw []float64) (cost float64, ok bool) {
 			e.memo[sql] = c
 		}
 	}
-	if j := e.Target.Intervals.Index(c); j >= 0 && !e.unique[j][sql] {
-		e.unique[j][sql] = true
-		e.d[j]++
-		e.queries = append(e.queries, workload.Query{SQL: sql, Cost: c, TemplateID: sp.Template.ID})
-	}
+	e.pool.Add(workload.Query{SQL: sql, Cost: c, TemplateID: sp.Template.ID})
 	if e.Progress != nil && e.evals%64 == 0 {
-		e.Progress(e.queries)
+		e.Progress()
 	}
 	return c, true
 }

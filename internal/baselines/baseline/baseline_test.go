@@ -93,15 +93,8 @@ func TestEnvBudgetAndRecording(t *testing.T) {
 	if !env.Exhausted() {
 		t.Fatal("env must be exhausted")
 	}
-	if len(env.Queries()) == 0 {
+	if len(env.Pool().Workload()) == 0 {
 		t.Fatal("no queries recorded")
-	}
-	total := 0
-	for _, c := range env.Counts() {
-		total += c
-	}
-	if total != len(env.Queries()) {
-		t.Fatalf("counts %d != queries %d", total, len(env.Queries()))
 	}
 }
 
@@ -116,8 +109,8 @@ func TestEnvDeduplicatesQueries(t *testing.T) {
 	raw := space.Denormalize([]float64{0.5, 0.5})
 	env.Eval(0, raw)
 	env.Eval(0, raw) // identical SQL
-	if len(env.Queries()) != 1 {
-		t.Fatalf("duplicate SQL recorded twice: %d", len(env.Queries()))
+	if n := env.Pool().Count(0) + env.Pool().Count(1); n != 1 {
+		t.Fatalf("duplicate SQL recorded twice: %d", n)
 	}
 }
 

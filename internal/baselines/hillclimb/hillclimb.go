@@ -11,7 +11,6 @@ import (
 
 	"sqlbarber/internal/baselines/baseline"
 	"sqlbarber/internal/stats"
-	"sqlbarber/internal/workload"
 )
 
 // Options configures a run.
@@ -50,7 +49,7 @@ type Stats struct {
 // Run executes hill climbing over the environment. The number of
 // optimization iterations equals the number of intervals (per §6.1);
 // each iteration targets one interval chosen by the heuristic.
-func Run(env *baseline.Env, opts Options) ([]workload.Query, Stats) {
+func Run(env *baseline.Env, opts Options) Stats {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var st Stats
 	iterations := len(env.Target.Intervals)
@@ -66,7 +65,7 @@ func Run(env *baseline.Env, opts Options) ([]workload.Query, Stats) {
 		climbInterval(env, rng, j, opts.budget(), &st)
 	}
 	st.Evaluations = env.Evals()
-	return env.Queries(), st
+	return st
 }
 
 // climbInterval spends one iteration budget pulling queries into interval j.

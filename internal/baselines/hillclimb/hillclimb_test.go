@@ -32,15 +32,14 @@ func newEnv(t testing.TB, target *stats.TargetDistribution, budget int) *baselin
 func TestHillClimbGeneratesQueries(t *testing.T) {
 	target := stats.Uniform(0, 1500, 5, 25)
 	env := newEnv(t, target, 800)
-	queries, st := Run(env, Options{Heuristic: baseline.Priority, BudgetPerInterval: 160, Seed: 1})
-	if len(queries) == 0 {
+	st := Run(env, Options{Heuristic: baseline.Priority, BudgetPerInterval: 160, Seed: 1})
+	if len(env.Pool().Workload()) == 0 {
 		t.Fatal("no queries generated")
 	}
 	if st.Evaluations == 0 {
 		t.Fatal("no evaluations recorded")
 	}
-	sel := workload.SelectWorkload(queries, target)
-	d := workload.Distance(sel, target)
+	d := env.Pool().Distance()
 	full := workload.Distance(nil, target)
 	if d >= full {
 		t.Fatalf("hill climbing made no progress: %v vs empty %v", d, full)
@@ -60,8 +59,8 @@ func TestHillClimbBothHeuristics(t *testing.T) {
 	for _, h := range []baseline.Heuristic{baseline.Order, baseline.Priority} {
 		target := stats.Uniform(0, 1000, 4, 16)
 		env := newEnv(t, target, 400)
-		queries, _ := Run(env, Options{Heuristic: h, BudgetPerInterval: 100, Seed: 2})
-		if len(queries) == 0 {
+		Run(env, Options{Heuristic: h, BudgetPerInterval: 100, Seed: 2})
+		if len(env.Pool().Workload()) == 0 {
 			t.Errorf("heuristic %s produced nothing", h)
 		}
 	}

@@ -12,7 +12,6 @@ import (
 
 	"sqlbarber/internal/baselines/baseline"
 	"sqlbarber/internal/stats"
-	"sqlbarber/internal/workload"
 )
 
 // Options configures a run.
@@ -71,7 +70,7 @@ type qKey struct {
 
 // Run executes the RL generator over the environment, one learning phase
 // per interval in heuristic order.
-func Run(env *baseline.Env, opts Options) ([]workload.Query, Stats) {
+func Run(env *baseline.Env, opts Options) Stats {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var st Stats
 	iterations := len(env.Target.Intervals)
@@ -87,7 +86,7 @@ func Run(env *baseline.Env, opts Options) ([]workload.Query, Stats) {
 		learnInterval(env, rng, j, opts.budget(), &st)
 	}
 	st.Evaluations = env.Evals()
-	return env.Queries(), st
+	return st
 }
 
 // learnInterval runs Q-learning episodes targeting interval j until the

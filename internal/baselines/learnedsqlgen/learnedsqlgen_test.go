@@ -32,15 +32,14 @@ func newEnv(t testing.TB, target *stats.TargetDistribution, budget int) *baselin
 func TestRLGeneratesQueries(t *testing.T) {
 	target := stats.Uniform(0, 1500, 5, 25)
 	env := newEnv(t, target, 800)
-	queries, st := Run(env, Options{Heuristic: baseline.Priority, BudgetPerInterval: 160, Seed: 1})
-	if len(queries) == 0 {
+	st := Run(env, Options{Heuristic: baseline.Priority, BudgetPerInterval: 160, Seed: 1})
+	if len(env.Pool().Workload()) == 0 {
 		t.Fatal("no queries generated")
 	}
 	if st.Episodes == 0 || st.Evaluations == 0 {
 		t.Fatalf("stats: %+v", st)
 	}
-	sel := workload.SelectWorkload(queries, target)
-	if workload.Distance(sel, target) >= workload.Distance(nil, target) {
+	if env.Pool().Distance() >= workload.Distance(nil, target) {
 		t.Fatal("RL made no progress over empty")
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"sqlbarber/internal/spec"
 	"sqlbarber/internal/sqltemplate"
 	"sqlbarber/internal/stats"
-	"sqlbarber/internal/workload"
 )
 
 // Method names one of the five compared systems.
@@ -181,24 +180,21 @@ func (r *Runner) runMethodOn(ctx context.Context, m Method, b Benchmark, ds Data
 		if err != nil {
 			return res, err
 		}
-		env.Progress = func(qs []workload.Query) {
-			sel := workload.SelectWorkload(qs, target)
-			res.Trajectory = append(res.Trajectory, TrajectoryPoint{time.Since(start), workload.Distance(sel, target)})
+		env.Progress = func() {
+			res.Trajectory = append(res.Trajectory, TrajectoryPoint{time.Since(start), env.Pool().Distance()})
 		}
 		h := baseline.Order
 		if m == HillClimbPrio || m == LearnedSQLPrio {
 			h = baseline.Priority
 		}
 		perInterval := budget / len(target.Intervals)
-		var queries []workload.Query
 		if m == HillClimbOrder || m == HillClimbPrio {
-			queries, _ = hillclimb.Run(env, hillclimb.Options{Heuristic: h, BudgetPerInterval: perInterval, Seed: r.Seed})
+			hillclimb.Run(env, hillclimb.Options{Heuristic: h, BudgetPerInterval: perInterval, Seed: r.Seed})
 		} else {
-			queries, _ = learnedsqlgen.Run(env, learnedsqlgen.Options{Heuristic: h, BudgetPerInterval: perInterval, Seed: r.Seed})
+			learnedsqlgen.Run(env, learnedsqlgen.Options{Heuristic: h, BudgetPerInterval: perInterval, Seed: r.Seed})
 		}
-		sel := workload.SelectWorkload(queries, target)
-		res.FinalDistance = workload.Distance(sel, target)
-		res.Queries = len(sel)
+		res.FinalDistance = env.Pool().Distance()
+		res.Queries = len(env.Pool().Workload())
 	default:
 		return res, fmt.Errorf("benchmarks: unknown method %q", m)
 	}

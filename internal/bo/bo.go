@@ -150,24 +150,6 @@ func (o *Optimizer) Observe(x []float64, y float64) {
 	}
 }
 
-// TakeInit hands the caller the pending LHS initialization design and clears
-// it, so the init wave can be evaluated as one batch (Prepared.CostBatch)
-// instead of point by point through Run. The design was drawn in New, and
-// evaluation consumes no optimizer randomness, so
-//
-//	init := o.TakeInit(); «evaluate batch»; o.Observe each; o.Run(budget-len(init), ...)
-//
-// is observation-for-observation identical to o.Run(budget, ...) with the
-// init points drained through Suggest.
-func (o *Optimizer) TakeInit() [][]float64 {
-	init := o.init
-	o.init = nil
-	return init
-}
-
-// Observations returns all recorded evaluations.
-func (o *Optimizer) Observations() []Observation { return o.obs }
-
 // Best returns the observation with minimal objective, or ok=false when
 // nothing has been observed. O(1): the minimum is maintained incrementally
 // by Observe (first-observed wins ties, matching a linear scan with <).

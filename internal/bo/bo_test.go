@@ -161,12 +161,12 @@ func TestBestMatchesLinearScan(t *testing.T) {
 			opt.Observe([]float64{float64(i)}, y)
 
 			scanIdx := -1
-			for j, ob := range opt.Observations() {
-				if scanIdx < 0 || ob.Y < opt.Observations()[scanIdx].Y {
+			for j, ob := range opt.obs {
+				if scanIdx < 0 || ob.Y < opt.obs[scanIdx].Y {
 					scanIdx = j
 				}
 			}
-			want := opt.Observations()[scanIdx]
+			want := opt.obs[scanIdx]
 			got, ok := opt.Best()
 			if !ok {
 				t.Fatalf("%s step %d: Best reported no observations", name, i)
@@ -228,7 +228,7 @@ func TestFailedEvaluationsSkipped(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	opt := New(space, rng, nil)
 	opt.Run(10, func(v []float64) (float64, bool) { return 0, false })
-	if len(opt.Observations()) != 0 {
+	if len(opt.obs) != 0 {
 		t.Fatal("failed evaluations must not be recorded")
 	}
 	if _, ok := opt.Best(); ok {

@@ -184,9 +184,11 @@ type RunState struct {
 	// States are the live templates flowing through profile → refine →
 	// search.
 	States []*workload.TemplateState
-	// Queries accumulates every distribution-countable query produced so
-	// far (profiling observations + search probes).
-	Queries []workload.Query
+	// Pool is the current distribution: every distribution-countable query
+	// produced so far (profiling observations + search probes), deduplicated
+	// per interval. Search fills it, and assembly reads the workload and its
+	// distance from it.
+	Pool *workload.Pool
 
 	startCalls    int64
 	seenTemplates map[int]bool
@@ -203,7 +205,7 @@ func (rs *RunState) CollectProfileQueries() {
 		}
 		rs.seenTemplates[id] = true
 		for _, o := range st.Profile.Obs {
-			rs.Queries = append(rs.Queries, workload.Query{SQL: o.SQL, Cost: o.Cost, TemplateID: id})
+			rs.Pool.Add(workload.Query{SQL: o.SQL, Cost: o.Cost, TemplateID: id})
 		}
 	}
 }
@@ -264,6 +266,7 @@ func run(ctx context.Context, cfg Config) (*Result, error) {
 		Sink:          runSpan,
 		Start:         runSpan.Now(),
 		Res:           &Result{},
+		Pool:          workload.NewPool(cfg.Target),
 		startCalls:    cfg.DB.ExplainCalls() + cfg.DB.ExecCalls(),
 		seenTemplates: map[int]bool{},
 	}
@@ -305,8 +308,8 @@ func run(ctx context.Context, cfg Config) (*Result, error) {
 func assemble(rs *RunState) {
 	res := rs.Res
 	res.Templates = rs.States
-	res.Workload = workload.SelectWorkload(rs.Queries, rs.Cfg.Target)
-	res.Distance = workload.Distance(res.Workload, rs.Cfg.Target)
+	res.Workload = rs.Pool.Workload()
+	res.Distance = rs.Pool.Distance()
 	res.Elapsed = rs.Sink.Now().Sub(rs.Start)
 	res.DBCalls = rs.Cfg.DB.ExplainCalls() + rs.Cfg.DB.ExecCalls() - rs.startCalls
 	res.Trajectory = append(res.Trajectory, ProgressPoint{Elapsed: res.Elapsed, Distance: res.Distance})

@@ -141,24 +141,20 @@ func (refineSearchStage) Run(ctx context.Context, rs *RunState) error {
 			UniformTemplates: cfg.Ablations.UniformTemplates,
 			Parallel:         cfg.Parallel,
 		}
-		srch.Progress = func(qs []workload.Query) {
-			sel := workload.SelectWorkload(qs, cfg.Target)
-			dist := workload.Distance(sel, cfg.Target)
-			pt := ProgressPoint{Elapsed: sink.Now().Sub(rs.Start), Distance: dist}
+		srch.Progress = func() {
+			pt := ProgressPoint{Elapsed: sink.Now().Sub(rs.Start), Distance: rs.Pool.Distance()}
 			res.Trajectory = append(res.Trajectory, pt)
 			// Progress watchers (the CLI's -v through obs.OnEvent, the
 			// daemon's SSE stream) read the trajectory from this event.
 			sink.Emit(obs.Event{Kind: obs.KindProgress, Name: "distance", Value: pt.Distance, Dur: pt.Elapsed})
 		}
-		var sstats search.Stats
-		rs.Queries, sstats = srch.Run(ctx, rs.States, cfg.Target, rs.Queries)
+		sstats := srch.Run(ctx, rs.States, rs.Pool)
 		res.SearchStats.Rounds += sstats.Rounds
 		res.SearchStats.Evaluations += sstats.Evaluations
 		res.SearchStats.SkippedIntervals += sstats.SkippedIntervals
 		res.SearchStats.BadCombinations += sstats.BadCombinations
 
-		sel := workload.SelectWorkload(rs.Queries, cfg.Target)
-		if workload.Distance(sel, cfg.Target) == 0 {
+		if rs.Pool.Distance() == 0 {
 			break
 		}
 	}

@@ -63,17 +63,14 @@ func warmWith(t testing.TB, ref *engine.DB, st *workload.TemplateState, raw floa
 // TestMemoSpendsOneCallPerQuery runs a 20-probe slot over a two-query space.
 // The slot still stages all 20 probes, each with the cost a fresh DBMS call
 // returns for its query, so BO sees the same objective values as without the
-// memo and the staged output is unchanged; only the engine calls fall.
+// memo and the staged output is unchanged; only the engine calls fall, to
+// one per distinct query the template had not costed before the slot.
 //
 // "profiled" is the pipeline's case: the history holds four observations of
-// one query (profiling takes at least four), so BO has no init wave, every
-// probe takes the point-by-point path and only the other query reaches the
-// engine, once. The other cases drive evaluateWave, where a query still
-// queued for the sweep is sent again: a cold BO slot sends its whole
-// four-point init design and nothing after it, a cold Naive slot sends its
-// whole 20-point wave, and a warm Naive slot stages the same wave in the
-// same order but sends only the first run of unseen probes, which the first
-// memo hit drains.
+// one query (profiling takes at least four), so only the other query reaches
+// the engine, once. A cold slot, BO or Naive, sends each of the two queries
+// once, and a warm Naive slot stages the cold Naive slot's wave in the same
+// order but sends only the unseen query.
 func TestMemoSpendsOneCallPerQuery(t *testing.T) {
 	ref := engine.OpenTPCH(1, 0.05)
 	var naiveOrder []string // the cold Naive slot's staged queries
@@ -81,8 +78,8 @@ func TestMemoSpendsOneCallPerQuery(t *testing.T) {
 		name      string
 		naive     bool
 		warm      bool
-		wantCalls int64 // -1: the length of the first run of unseen probes
-	}{{"profiled", false, true, 1}, {"bo-cold", false, false, 4}, {"naive-cold", true, false, 20}, {"naive-warm", true, true, -1}} {
+		wantCalls int64
+	}{{"profiled", false, true, 1}, {"bo-cold", false, false, 2}, {"naive-cold", true, false, 2}, {"naive-warm", true, true, 1}} {
 		db := engine.OpenTPCH(1, 0.05)
 		st := twoQueryState(t, db)
 		warmSQL := ""
@@ -93,8 +90,8 @@ func TestMemoSpendsOneCallPerQuery(t *testing.T) {
 		before := dbCalls(db)
 		res := s.optimizeTemplate(context.Background(), rand.New(rand.NewSource(1)), st, stats.Interval{Lo: 0, Hi: 100}, 20)
 		calls := dbCalls(db) - before
-		if len(res.costs) != 20 || len(res.obs) != 20 || len(res.queries) != 20 {
-			t.Fatalf("%s: staged %d costs, %d obs, %d queries; want 20 each", tc.name, len(res.costs), len(res.obs), len(res.queries))
+		if len(res.obs) != 20 {
+			t.Fatalf("%s: staged %d probes, want 20", tc.name, len(res.obs))
 		}
 		// A Naive slot draws its wave from rng alone, so the warm slot
 		// must stage the cold slot's queries in the same order.
@@ -107,22 +104,14 @@ func TestMemoSpendsOneCallPerQuery(t *testing.T) {
 				}
 			}
 		}
-		want := tc.wantCalls
-		if want < 0 {
-			want = 0
-			i := 0
-			for i < len(res.obs) && res.obs[i].SQL == warmSQL {
-				i++
-			}
-			for ; i < len(res.obs) && res.obs[i].SQL != warmSQL; i++ {
-				want++
-			}
-			if want == 0 || want == 20 {
-				t.Fatalf("%s: the slot's first unseen run has %d probes; the case needs both queries", tc.name, want)
+		unseen := map[string]bool{}
+		for _, o := range res.obs {
+			if o.SQL != warmSQL {
+				unseen[o.SQL] = true
 			}
 		}
-		if calls != want {
-			t.Errorf("%s: %d engine evaluations, want %d", tc.name, calls, want)
+		if calls != tc.wantCalls || calls != int64(len(unseen)) {
+			t.Errorf("%s: %d engine evaluations for %d distinct unseen queries, want %d", tc.name, calls, len(unseen), tc.wantCalls)
 		}
 		if int64(res.hits) != 20-calls {
 			t.Errorf("%s: %d memo hits, want %d", tc.name, res.hits, 20-calls)
@@ -132,8 +121,8 @@ func TestMemoSpendsOneCallPerQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if o.Cost != want || res.costs[i] != want || res.queries[i].Cost != want || res.queries[i].SQL != o.SQL {
-				t.Fatalf("%s: probe %d staged cost %v (query %v), a DBMS call gives %v", tc.name, i, o.Cost, res.queries[i].Cost, want)
+			if o.Cost != want {
+				t.Fatalf("%s: probe %d staged cost %v, a DBMS call gives %v", tc.name, i, o.Cost, want)
 			}
 		}
 	}
@@ -147,7 +136,7 @@ func TestMemoSpendsOneCallPerQuery(t *testing.T) {
 	warmWith(t, ref, st, 0, 4)
 	collector := obs.NewCollector()
 	s := &Searcher{Kind: engine.Cardinality, Naive: true}
-	_, rst := s.Run(obs.NewContext(context.Background(), collector), []*workload.TemplateState{st}, stats.Uniform(0, 1500, 5, 60), nil)
+	rst := s.Run(obs.NewContext(context.Background(), collector), []*workload.TemplateState{st}, workload.NewPool(stats.Uniform(0, 1500, 5, 60)))
 	if rst.Evaluations < 20 || rst.Evaluations+4 != len(st.Profile.Obs) {
 		t.Fatalf("Stats.Evaluations = %d, observations = %d (4 profiled)", rst.Evaluations, len(st.Profile.Obs))
 	}
@@ -165,8 +154,8 @@ func TestMemoBypassedForExecTime(t *testing.T) {
 		st := twoQueryState(t, db)
 		s := &Searcher{Kind: engine.ExecTimeMS, Naive: naive}
 		res := s.optimizeTemplate(context.Background(), rand.New(rand.NewSource(1)), st, stats.Interval{Lo: 0, Hi: 1}, 20)
-		if len(res.costs) != 20 || res.hits != 0 {
-			t.Fatalf("naive=%v: staged %d probes with %d memo hits; want 20 and 0", naive, len(res.costs), res.hits)
+		if len(res.obs) != 20 || res.hits != 0 {
+			t.Fatalf("naive=%v: staged %d probes with %d memo hits; want 20 and 0", naive, len(res.obs), res.hits)
 		}
 		if got := db.ExecCalls(); got != 20 {
 			t.Fatalf("naive=%v: %d executions for 20 ExecTimeMS probes", naive, got)
@@ -200,8 +189,8 @@ func TestMemoHitFailsWhenCancelled(t *testing.T) {
 		cancel()
 		before := dbCalls(db)
 		res := s.optimizeTemplate(ctx, rand.New(rand.NewSource(2)), st, iv, 20)
-		if len(res.costs) != 0 || len(res.obs) != 0 || res.hits != 0 {
-			t.Fatalf("naive=%v: cancelled slot staged %d probes, %d memo hits", naive, len(res.costs), res.hits)
+		if len(res.obs) != 0 || res.hits != 0 {
+			t.Fatalf("naive=%v: cancelled slot staged %d probes, %d memo hits", naive, len(res.obs), res.hits)
 		}
 		if calls := dbCalls(db) - before; calls != 0 {
 			t.Fatalf("naive=%v: cancelled slot made %d engine evaluations", naive, calls)

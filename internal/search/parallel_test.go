@@ -10,12 +10,21 @@ import (
 	"sqlbarber/internal/workload"
 )
 
-// signature renders a run's observable output — the exact query sequence
-// (SQL and cost, in emission order) plus the final stats — as one string so
-// runs can be compared byte-for-byte.
-func signature(queries []workload.Query, st Stats) string {
+// signature renders a run's observable output — every template's probes
+// (SQL and cost, in emission order), the pool's per-interval counts and
+// workload, and the final stats — as one string so runs can be compared
+// byte-for-byte.
+func signature(states []*workload.TemplateState, pool *workload.Pool, st Stats) string {
 	out := fmt.Sprintf("stats=%+v\n", st)
-	for i, q := range queries {
+	for _, s := range states {
+		for i, o := range s.Profile.Obs {
+			out += fmt.Sprintf("t%d.%d\t%.6f\t%s\n", s.Profile.Template.ID, i, o.Cost, o.SQL)
+		}
+	}
+	for j := range pool.Target().Counts {
+		out += fmt.Sprintf("d%d=%d\n", j, pool.Count(j))
+	}
+	for i, q := range pool.Workload() {
 		out += fmt.Sprintf("%d\t%.6f\t%s\n", i, q.Cost, q.SQL)
 	}
 	return out
@@ -29,8 +38,9 @@ func TestSearchParallelByteIdentical(t *testing.T) {
 		states := setup(t)
 		target := stats.Uniform(0, 1500, 5, 60)
 		s := &Searcher{Kind: engine.Cardinality, Seed: 5, Parallel: par}
-		queries, st := s.Run(context.Background(), states, target, nil)
-		return signature(queries, st)
+		pool := workload.NewPool(target)
+		st := s.Run(context.Background(), states, pool)
+		return signature(states, pool, st)
 	}
 	seq := run(1)
 	for _, par := range []int{2, 4, 8} {
@@ -41,18 +51,19 @@ func TestSearchParallelByteIdentical(t *testing.T) {
 }
 
 // TestSearchCancelReturnsPartial verifies cancellation stops the round loop
-// promptly and still returns whatever queries were accumulated so far.
+// before it adds anything to the pool.
 func TestSearchCancelReturnsPartial(t *testing.T) {
 	states := setup(t)
 	target := stats.Uniform(0, 1500, 5, 60)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := &Searcher{Kind: engine.Cardinality, Seed: 5}
-	queries, st := s.Run(ctx, states, target, nil)
+	pool := workload.NewPool(target)
+	st := s.Run(ctx, states, pool)
 	if st.Rounds != 0 {
 		t.Fatalf("cancelled search still ran %d rounds", st.Rounds)
 	}
-	if queries == nil {
-		t.Fatal("cancelled search must return a (possibly empty) slice, not nil")
+	if w := pool.Workload(); len(w) != 0 {
+		t.Fatalf("cancelled search added %d queries to the pool", len(w))
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"sqlbarber/internal/obs"
 	"sqlbarber/internal/prand"
 	"sqlbarber/internal/profiler"
-	"sqlbarber/internal/sqltypes"
 	"sqlbarber/internal/stats"
 	"sqlbarber/internal/workload"
 )
@@ -79,9 +78,9 @@ type Searcher struct {
 	// random streams are fixed before the wave starts, and probe results
 	// merge in slot order afterwards.
 	Parallel int
-	// Progress, when non-nil, is called after every round with the queries
-	// generated so far (used to record distance-over-time curves).
-	Progress func(queries []workload.Query)
+	// Progress, when non-nil, is called after every round; the caller reads
+	// the pool it passed to Run (used to record distance-over-time curves).
+	Progress func()
 }
 
 type comboKey struct {
@@ -93,47 +92,21 @@ type comboKey struct {
 // staged here and merged into the shared distribution in slot order once the
 // whole wave has finished, so merge order never depends on goroutine timing.
 type optResult struct {
-	costs   []float64
-	obs     []profiler.Observation
-	queries []workload.Query
+	obs []profiler.Observation
 	// hits counts the staged probes answered from the template's cost memo
 	// instead of the DBMS; they are staged like any other probe.
 	hits int
 }
 
-// Run generates queries until the target distribution is filled, no
-// improvable interval remains, or the context is cancelled (the queries
-// gathered so far are returned either way). Seed queries (e.g. from
-// profiling) are counted into the starting distribution.
-func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState, target *stats.TargetDistribution, seed []workload.Query) ([]workload.Query, Stats) {
+// Run adds generated queries to the pool until its target distribution is
+// filled, no improvable interval remains, or the context is cancelled. The
+// pool's queries so far (e.g. from profiling) are the starting distribution
+// d: Algorithm 3 works on the pool's counts, which it never owns a copy of.
+func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState, pool *workload.Pool) Stats {
 	ctx, ssp := obs.StartSpan(ctx, "search")
 	defer ssp.End()
 	var st Stats
-
-	queries := append(make([]workload.Query, 0, len(seed)), seed...)
-	// Current distribution d counts unique queries per interval.
-	unique := make([]map[string]bool, len(target.Intervals))
-	for i := range unique {
-		unique[i] = map[string]bool{}
-	}
-	d := make([]int, len(target.Intervals))
-	addQuery := func(q workload.Query) bool {
-		j := target.Intervals.Index(q.Cost)
-		if j < 0 || unique[j][q.SQL] {
-			return false
-		}
-		unique[j][q.SQL] = true
-		d[j]++
-		queries = append(queries, q)
-		return true
-	}
-	for _, q := range seed {
-		j := target.Intervals.Index(q.Cost)
-		if j >= 0 && !unique[j][q.SQL] {
-			unique[j][q.SQL] = true
-			d[j]++
-		}
-	}
+	target := pool.Target()
 
 	bad := map[comboKey]bool{}
 	skip := map[int]bool{}
@@ -159,7 +132,7 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 			if skip[j] {
 				continue
 			}
-			if g := want - d[j]; g > gap {
+			if g := want - pool.Count(j); g > gap {
 				gap = g
 				jStar = j
 			}
@@ -169,7 +142,7 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 			// intervals get a limited second chance: observations gathered
 			// since (new templates, fresh profiling points) may have made
 			// them reachable.
-			if jStar < 0 && revivals < 2 && anyDeficit(target.Counts, d, skip) {
+			if jStar < 0 && revivals < 2 && anyDeficit(pool, skip) {
 				skip = map[int]bool{}
 				failures = map[int]int{}
 				revivals++
@@ -233,7 +206,7 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 		// Searcher.Parallel) against private result buffers; the merge below
 		// replays the slots in order.
 		for lo := 0; lo < len(selected); lo += batchSize {
-			if d[jStar] >= target.Counts[jStar] || ctx.Err() != nil {
+			if pool.Count(jStar) >= target.Counts[jStar] || ctx.Err() != nil {
 				break
 			}
 			hi := lo + batchSize
@@ -241,7 +214,7 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 				hi = len(selected)
 			}
 			wave := selected[lo:hi]
-			budget := budgetFor(target.Counts[jStar] - d[jStar])
+			budget := budgetFor(target.Counts[jStar] - pool.Count(jStar))
 			results := make([]optResult, len(wave))
 
 			waveCtx := obs.NewContext(ctx, rsp)
@@ -255,29 +228,30 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 			// which slot.
 			for k, c := range wave {
 				res := results[k]
-				dOld := d[jStar]
-				st.Evaluations += len(res.costs)
-				ssp.Count(obs.MSearchEvals, int64(len(res.costs)))
+				id := c.t.Profile.Template.ID
+				dOld := pool.Count(jStar)
+				st.Evaluations += len(res.obs)
+				ssp.Count(obs.MSearchEvals, int64(len(res.obs)))
 				ssp.Count(obs.MSearchMemoHits, int64(res.hits))
 				c.t.Profile.Obs = append(c.t.Profile.Obs, res.obs...)
-				for _, q := range res.queries {
-					addQuery(q)
+				for _, o := range res.obs {
+					pool.Add(workload.Query{SQL: o.SQL, Cost: o.Cost, TemplateID: id})
 				}
-				remaining[c.t.Profile.Template.ID] -= float64(len(res.costs))
-				if d[jStar] > dOld {
+				remaining[id] -= float64(len(res.obs))
+				if pool.Count(jStar) > dOld {
 					improved = true
 				}
 				// Utility ratio (Equation 6): fraction of new costs that
 				// filled any still-deficient interval.
-				if len(res.costs) > 0 {
+				if len(res.obs) > 0 {
 					useful := 0
-					for _, cost := range res.costs {
-						if j := target.Intervals.Index(cost); j >= 0 && d[j] <= target.Counts[j] {
+					for _, o := range res.obs {
+						if j := target.Intervals.Index(o.Cost); j >= 0 && pool.Count(j) <= target.Counts[j] {
 							useful++
 						}
 					}
-					if float64(useful)/float64(len(res.costs)) < utilityThreshold {
-						bad[comboKey{jStar, c.t.Profile.Template.ID}] = true
+					if float64(useful)/float64(len(res.obs)) < utilityThreshold {
+						bad[comboKey{jStar, id}] = true
 						st.BadCombinations++
 						ssp.Count(obs.MSearchBadCombos, 1)
 					}
@@ -294,10 +268,10 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 		}
 		rsp.End()
 		if s.Progress != nil {
-			s.Progress(queries)
+			s.Progress()
 		}
 	}
-	return queries, st
+	return st
 }
 
 // budgetFor scales the BO budget to the interval's deficit.
@@ -349,11 +323,6 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 	// DBMS call, and is staged and reported to BO as if it were probed.
 	memo := s.Kind.Repeatable()
 	var res optResult
-	record := func(raw []float64, sql string, cost float64) {
-		res.costs = append(res.costs, cost)
-		res.obs = append(res.obs, profiler.Observation{Raw: raw, SQL: sql, Cost: cost})
-		res.queries = append(res.queries, workload.Query{SQL: sql, Cost: cost, TemplateID: t.Profile.Template.ID})
-	}
 	evaluate := func(raw []float64) (float64, bool) {
 		vals := space.ValuesFor(raw)
 		sql, err := space.Template.Instantiate(vals)
@@ -378,101 +347,23 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 				t.Profile.Remember(sql, cost)
 			}
 		}
-		record(raw, sql, cost)
+		res.obs = append(res.obs, profiler.Observation{Raw: raw, SQL: sql, Cost: cost})
 		return objective(cost, iv), true
 	}
 
-	// evaluateWave costs a wave of unit-cube points, staging results exactly
-	// like evaluate and reporting each success (unit point, objective value)
-	// to report. Points the memo does not hold queue for one
-	// Prepared.CostBatch sweep per contiguous run of successful probes;
-	// failed probes are skipped and the sweep resumes after them. A memo
-	// hit first drains the queue, so it is staged, and checks cancellation,
-	// after every point before it, as in evaluate. The staged outcome is
-	// the one evaluate gives point by point; the only difference is that a
-	// repeat of a query still queued is sent again. Waves run only for the
-	// Naive ablation and for BO's init design, which is empty once a
-	// template holds four observations (profiling takes at least four).
-	evaluateWave := func(units [][]float64, report func(u []float64, y float64)) {
-		type probe struct {
-			unit []float64
-			raw  []float64
-			sql  string
-		}
-		stage := func(p probe, cost float64) {
-			record(p.raw, p.sql, cost)
-			if report != nil {
-				report(p.unit, objective(cost, iv))
-			}
-		}
-		var queued []probe
-		var valsList []map[string]sqltypes.Value
-		flush := func() {
-			for j := 0; j < len(queued); {
-				costs, err := t.Profile.Prep.CostBatch(ctx, valsList[j:], s.Kind)
-				for i, c := range costs {
-					if memo {
-						t.Profile.Remember(queued[j+i].sql, c)
-					}
-					stage(queued[j+i], c)
-				}
-				if err == nil {
-					break
-				}
-				j += len(costs) + 1 // skip the failed probe and resume after it
-			}
-			queued, valsList = queued[:0], valsList[:0]
-		}
-		for _, u := range units {
-			raw := boSpace.Denormalize(u)
-			vals := space.ValuesFor(raw)
-			sql, err := space.Template.Instantiate(vals)
-			if err != nil {
-				continue
-			}
-			p := probe{unit: u, raw: raw, sql: sql}
-			if memo {
-				if cost, ok := t.Profile.Known(sql); ok {
-					flush()
-					if ctx.Err() == nil {
-						res.hits++
-						stage(p, cost)
-					}
-					continue
-				}
-			}
-			queued = append(queued, p)
-			valsList = append(valsList, vals)
-		}
-		flush()
-	}
-
 	if s.Naive {
-		units := make([][]float64, budget)
-		for i := range units {
+		for range budget {
 			x := make([]float64, len(boSpace))
 			for d := range x {
 				x[d] = rng.Float64()
 			}
-			units[i] = x
+			evaluate(boSpace.Denormalize(x))
 		}
-		evaluateWave(units, nil)
 		return res
 	}
 	// bo fits its forest serially inside each slot: the search waves
 	// already parallelize across templates.
-	opt := bo.New(boSpace, rng, warm)
-	// The LHS initialization design is rng-neutral to evaluate as a batch:
-	// it was drawn inside bo.New, and evaluation consumes no optimizer
-	// randomness, so batching the init wave then running the remaining
-	// budget is observation-for-observation identical to the sequential
-	// loop.
-	init := opt.TakeInit()
-	if len(init) > budget {
-		init = init[:budget]
-	}
-	evaluateWave(init, opt.Observe)
-	opt.Run(budget-len(init), evaluate)
+	bo.New(boSpace, rng, warm).Run(budget, evaluate)
 	return res
 }
 
@@ -504,9 +395,9 @@ func objective(c float64, iv stats.Interval) float64 {
 }
 
 // anyDeficit reports whether a skipped interval still wants queries.
-func anyDeficit(want, have []int, skip map[int]bool) bool {
-	for j := range want {
-		if skip[j] && want[j] > have[j] {
+func anyDeficit(pool *workload.Pool, skip map[int]bool) bool {
+	for j, want := range pool.Target().Counts {
+		if skip[j] && want > pool.Count(j) {
 			return true
 		}
 	}

@@ -40,9 +40,10 @@ func TestSearchFillsUniformTarget(t *testing.T) {
 	states := setup(t)
 	target := stats.Uniform(0, 1500, 5, 50)
 	s := &Searcher{Kind: engine.Cardinality, Seed: 1}
-	queries, st := s.Run(context.Background(), states, target, nil)
-	sel := workload.SelectWorkload(queries, target)
-	d := workload.Distance(sel, target)
+	pool := workload.NewPool(target)
+	st := s.Run(context.Background(), states, pool)
+	sel := pool.Workload()
+	d := pool.Distance()
 	if d > 50 {
 		t.Fatalf("distance %v after search; counts=%v", d, target.Intervals.CountInto(costsOf(sel)))
 	}
@@ -58,7 +59,7 @@ func TestSearchSkipsUnreachableIntervals(t *testing.T) {
 	ivs := stats.SplitRange(0, 100000, 2)
 	target := &stats.TargetDistribution{Intervals: ivs, Counts: []int{10, 10}}
 	s := &Searcher{Kind: engine.Cardinality, Seed: 1}
-	_, st := s.Run(context.Background(), states, target, nil)
+	st := s.Run(context.Background(), states, workload.NewPool(target))
 	if st.SkippedIntervals == 0 {
 		t.Fatalf("unreachable interval not skipped: %+v", st)
 	}
@@ -67,12 +68,15 @@ func TestSearchSkipsUnreachableIntervals(t *testing.T) {
 func TestSearchSeedsCountedIntoDistribution(t *testing.T) {
 	states := setup(t)
 	target := stats.Uniform(0, 1000, 2, 4)
-	seed := []workload.Query{
+	pool := workload.NewPool(target)
+	for _, q := range []workload.Query{
 		{SQL: "s1", Cost: 100}, {SQL: "s2", Cost: 200},
 		{SQL: "s3", Cost: 600}, {SQL: "s4", Cost: 700},
+	} {
+		pool.Add(q)
 	}
 	s := &Searcher{Kind: engine.Cardinality, Seed: 1}
-	_, st := s.Run(context.Background(), states, target, seed)
+	st := s.Run(context.Background(), states, pool)
 	if st.Evaluations > 20 {
 		t.Fatalf("target was pre-filled by seeds; search still ran %d evals", st.Evaluations)
 	}
@@ -123,9 +127,9 @@ func TestNaiveSearchWorseOrEqualOnHardTarget(t *testing.T) {
 		states := setup(t)
 		target := stats.Uniform(0, 1500, 15, 45)
 		s := &Searcher{Kind: engine.Cardinality, Seed: 3, Naive: naive}
-		queries, _ := s.Run(context.Background(), states, target, nil)
-		sel := workload.SelectWorkload(queries, target)
-		return workload.Distance(sel, target)
+		pool := workload.NewPool(target)
+		s.Run(context.Background(), states, pool)
+		return pool.Distance()
 	}
 	boD := run(false)
 	naiveD := run(true)
@@ -187,8 +191,9 @@ func TestUniformTemplatesWidensSample(t *testing.T) {
 			states = append(states, &workload.TemplateState{Profile: prof})
 		}
 		s := &Searcher{Kind: engine.Cardinality, Seed: 1, UniformTemplates: uniform}
-		queries, st := s.Run(context.Background(), states, stats.Uniform(0, 1500, 5, 50), nil)
-		return signature(queries, st)
+		pool := workload.NewPool(stats.Uniform(0, 1500, 5, 50))
+		st := s.Run(context.Background(), states, pool)
+		return signature(states, pool, st)
 	}
 	if run(false) == run(true) {
 		t.Fatal("UniformTemplates had no effect with more than ten candidate templates")

@@ -142,24 +142,3 @@ func normalizeOrPointMass(counts []int) []float64 {
 	}
 	return out
 }
-
-// DeficitDistance is the complementary gap metric used for progress
-// reporting: the total shortfall of queries across intervals, weighted by
-// interval width (so it is in cost units and reaches 0 exactly when every
-// interval is filled to target).
-func DeficitDistance(target *TargetDistribution, have []int) float64 {
-	d := 0.0
-	for i, want := range target.Counts {
-		if have[i] < want {
-			d += float64(want-have[i]) * target.Intervals[i].Width() / float64(maxInt(1, target.Total())) * float64(len(target.Counts))
-		}
-	}
-	return d
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

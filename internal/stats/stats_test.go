@@ -210,16 +210,6 @@ func TestWassersteinCosts(t *testing.T) {
 	}
 }
 
-func TestDeficitDistanceZeroWhenFilled(t *testing.T) {
-	target := Uniform(0, 100, 4, 8)
-	if d := DeficitDistance(target, []int{2, 2, 2, 2}); d != 0 {
-		t.Fatalf("filled deficit = %v", d)
-	}
-	if d := DeficitDistance(target, []int{0, 0, 0, 0}); d <= 0 {
-		t.Fatalf("empty deficit = %v, want > 0", d)
-	}
-}
-
 func TestLatinHypercubeStratification(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n, dims := 64, 3

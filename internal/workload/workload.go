@@ -64,41 +64,84 @@ func CountsOf(templates []*TemplateState, ivs stats.Intervals) []int {
 	return counts
 }
 
-// QueriesByInterval bins queries per interval index; queries outside the
-// range are dropped.
-func QueriesByInterval(queries []Query, ivs stats.Intervals) [][]Query {
-	out := make([][]Query, len(ivs))
-	for _, q := range queries {
-		if j := ivs.Index(q.Cost); j >= 0 {
-			out[j] = append(out[j], q)
-		}
+// Pool is the current distribution d of Algorithm 3 together with the
+// queries behind it: per cost interval, the queries whose SQL is new to that
+// interval, in the order they were added. Search, the pipeline and the
+// baselines all count, assemble and score through one Pool, so the rule
+// "dedupe by SQL within an interval, count, take up to the quota" has one
+// owner.
+type Pool struct {
+	target *stats.TargetDistribution
+	byIv   [][]Query
+	seen   map[poolKey]struct{}
+}
+
+type poolKey struct {
+	interval int
+	sql      string
+}
+
+// NewPool returns an empty pool over the target's intervals and quotas.
+func NewPool(target *stats.TargetDistribution) *Pool {
+	return &Pool{target: target, byIv: make([][]Query, len(target.Intervals)), seen: map[poolKey]struct{}{}}
+}
+
+// Add records q and reports whether it counted: its cost must fall in an
+// interval of the target and its SQL must be new to that interval.
+func (p *Pool) Add(q Query) bool {
+	j := p.target.Intervals.Index(q.Cost)
+	if j < 0 {
+		return false
+	}
+	k := poolKey{j, q.SQL}
+	if _, dup := p.seen[k]; dup {
+		return false
+	}
+	p.seen[k] = struct{}{}
+	p.byIv[j] = append(p.byIv[j], q)
+	return true
+}
+
+// Target returns the distribution the pool counts against.
+func (p *Pool) Target() *stats.TargetDistribution { return p.target }
+
+// Count returns interval j's number of unique queries, d[j], which may
+// exceed the target's quota.
+func (p *Pool) Count(j int) int { return len(p.byIv[j]) }
+
+// Workload assembles the N-query workload: the first Counts[j] queries of
+// each interval, in interval order.
+func (p *Pool) Workload() []Query {
+	var out []Query
+	for j, want := range p.target.Counts {
+		out = append(out, p.byIv[j][:p.taken(j, want)]...)
 	}
 	return out
 }
 
-// SelectWorkload assembles the final workload: for each interval, up to the
-// target count of queries (deduplicated by SQL text). The returned slice is
-// the N-query workload whose cost histogram the evaluation compares against
-// the target.
-func SelectWorkload(queries []Query, target *stats.TargetDistribution) []Query {
-	byIv := QueriesByInterval(queries, target.Intervals)
-	var out []Query
-	for j, want := range target.Counts {
-		seen := map[string]bool{}
-		taken := 0
-		for _, q := range byIv[j] {
-			if taken >= want {
-				break
-			}
-			if seen[q.SQL] {
-				continue
-			}
-			seen[q.SQL] = true
-			out = append(out, q)
-			taken++
-		}
+// Distance is the Wasserstein distance between Workload's cost histogram
+// and the target (Definition 2.12), computed from the counts alone.
+func (p *Pool) Distance() float64 {
+	have := make([]int, len(p.byIv))
+	for j, want := range p.target.Counts {
+		have[j] = p.taken(j, want)
 	}
-	return out
+	return stats.Wasserstein(p.target.Intervals, p.target.Counts, have)
+}
+
+// taken is how many of interval j's queries the workload takes.
+func (p *Pool) taken(j, want int) int {
+	return max(0, min(want, len(p.byIv[j])))
+}
+
+// SelectWorkload assembles the workload of a query list: the Workload of a
+// Pool the queries are added to in order.
+func SelectWorkload(queries []Query, target *stats.TargetDistribution) []Query {
+	p := NewPool(target)
+	for _, q := range queries {
+		p.Add(q)
+	}
+	return p.Workload()
 }
 
 // Distance measures the Wasserstein distance between the workload's cost

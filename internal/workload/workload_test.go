@@ -133,12 +133,127 @@ func TestDistancePositiveOnMismatch(t *testing.T) {
 	}
 }
 
-func TestQueriesByInterval(t *testing.T) {
-	ivs := stats.SplitRange(0, 100, 2)
-	byIv := QueriesByInterval(queriesFor([]float64{10, 60, 70, 500}), ivs)
-	if len(byIv[0]) != 1 || len(byIv[1]) != 2 {
-		t.Fatalf("binning: %v", byIv)
+func TestPoolCountsPerInterval(t *testing.T) {
+	p := NewPool(&stats.TargetDistribution{Intervals: stats.SplitRange(0, 100, 2), Counts: []int{1, 1}})
+	for _, q := range queriesFor([]float64{10, 60, 70, 500}) {
+		p.Add(q)
 	}
+	if p.Count(0) != 1 || p.Count(1) != 2 {
+		t.Fatalf("counts %d, %d; want 1, 2 (uncapped, 500 out of range)", p.Count(0), p.Count(1))
+	}
+	if p.Add(Query{SQL: "q1", Cost: 61}) || !p.Add(Query{SQL: "q1", Cost: 10}) {
+		t.Fatal("a SQL text must count once per interval, and again in another interval")
+	}
+}
+
+// referenceSelect is SelectWorkload as it stood before Pool: bin every
+// query by interval, then take each interval's first Counts[j] distinct SQL
+// texts, in interval order.
+func referenceSelect(queries []Query, target *stats.TargetDistribution) []Query {
+	byIv := make([][]Query, len(target.Intervals))
+	for _, q := range queries {
+		if j := target.Intervals.Index(q.Cost); j >= 0 {
+			byIv[j] = append(byIv[j], q)
+		}
+	}
+	var out []Query
+	for j, want := range target.Counts {
+		seen := map[string]bool{}
+		taken := 0
+		for _, q := range byIv[j] {
+			if taken >= want {
+				break
+			}
+			if seen[q.SQL] {
+				continue
+			}
+			seen[q.SQL] = true
+			out = append(out, q)
+			taken++
+		}
+	}
+	return out
+}
+
+// poolCase decodes fuzz input into a target and a query list. shape[0]
+// picks one to six intervals over [0, 100) and each later shape byte one
+// quota of 0-3. data is read as (sql, cost) byte pairs: sql picks one of
+// eight SQL texts, so repeats are common; a cost byte below 220 is c/2, in
+// and past the range with the top interval's Hi (100) among them, and the
+// rest are -1, NaN or +Inf.
+func poolCase(shape, data []byte) (*stats.TargetDistribution, []Query) {
+	n := 1
+	if len(shape) > 0 {
+		n += int(shape[0]) % 6
+	}
+	counts := make([]int, n)
+	for j := range counts {
+		if j+1 < len(shape) {
+			counts[j] = int(shape[j+1]) % 4
+		}
+	}
+	target := &stats.TargetDistribution{Intervals: stats.SplitRange(0, 100, n), Counts: counts}
+	var qs []Query
+	for i := 0; i+1 < len(data); i += 2 {
+		c := float64(data[i+1]) / 2
+		switch {
+		case data[i+1] >= 250:
+			c = math.Inf(1)
+		case data[i+1] >= 240:
+			c = math.NaN()
+		case data[i+1] >= 220:
+			c = -1
+		}
+		qs = append(qs, Query{SQL: fmt.Sprintf("q%d", data[i]%8), Cost: c, TemplateID: i / 2})
+	}
+	return target, qs
+}
+
+// FuzzPoolMatchesReference checks that a Pool fed a query list in order
+// assembles referenceSelect's workload element by element, counts each
+// interval's distinct SQL texts uncapped, and reports exactly (==) the
+// Distance of the reference workload.
+func FuzzPoolMatchesReference(f *testing.F) {
+	f.Add([]byte{3, 2, 2, 2}, []byte{0, 10, 0, 10, 1, 10, 2, 10, 3, 10})  // duplicates, quota overflow
+	f.Add([]byte{1, 1, 1}, []byte{0, 230, 1, 219, 2, 245, 3, 255, 4, 50}) // out of range, NaN, +Inf
+	f.Add([]byte{3, 1, 0, 3, 1}, []byte{0, 200, 1, 200, 2, 199, 0, 200})  // the top interval's Hi
+	f.Add([]byte{1, 2, 2}, []byte{5, 20, 5, 150, 5, 30, 6, 150})          // one SQL in two intervals
+	f.Add([]byte{0, 0}, []byte{})
+	f.Fuzz(func(t *testing.T, shape, data []byte) {
+		target, qs := poolCase(shape, data)
+		want := referenceSelect(qs, target)
+		p := NewPool(target)
+		for _, q := range qs {
+			p.Add(q)
+		}
+		got := p.Workload()
+		if len(got) != len(want) {
+			t.Fatalf("workload has %d queries, reference %d", len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.SQL != w.SQL || g.TemplateID != w.TemplateID || math.Float64bits(g.Cost) != math.Float64bits(w.Cost) {
+				t.Fatalf("query %d is %+v, reference %+v", i, g, w)
+			}
+		}
+		if d, ref := p.Distance(), Distance(want, target); d != ref {
+			t.Fatalf("Distance() = %v, Distance(reference) = %v", d, ref)
+		}
+		for j := range target.Intervals {
+			distinct := map[string]bool{}
+			for _, q := range qs {
+				if target.Intervals.Index(q.Cost) == j {
+					distinct[q.SQL] = true
+				}
+			}
+			if p.Count(j) != len(distinct) {
+				t.Fatalf("Count(%d) = %d, %d distinct SQL texts in the interval", j, p.Count(j), len(distinct))
+			}
+		}
+		if sel := SelectWorkload(qs, target); len(sel) != len(got) {
+			t.Fatalf("SelectWorkload has %d queries, the pool's workload %d", len(sel), len(got))
+		}
+	})
 }
 
 func costsOf(qs []Query) []float64 {

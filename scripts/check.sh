@@ -21,7 +21,7 @@
 #                              out scheduling-dependent results the default
 #                              pass can miss
 #   6. go test -fuzz (fuzz smokes)
-#                            — 10-second native-fuzzing smokes over nine
+#                            — 10-second native-fuzzing smokes over ten
 #                              targets. FuzzParse checks the render ∘ parse
 #                              round-trip fixpoint on arbitrary input, and
 #                              FuzzPlaceholderRewrite checks that placeholder
@@ -52,7 +52,12 @@
 #                              compiled executor returns the rows of the
 #                              brute-force AST-interpreting reference on
 #                              generated join, GROUP BY and subquery queries
-#                              (exec)
+#                              (exec), and FuzzPoolMatchesReference checks
+#                              that workload.Pool assembles the workload, in
+#                              order, and the exact distance of the
+#                              bin-then-dedupe reference selection on
+#                              arbitrary query lists with repeats and
+#                              out-of-range costs (workload)
 #   7. scripts/covergate.sh  — per-package statement-coverage floors over
 #                              internal/, from scripts/coverage_baseline.txt.
 #                              Floors sit ~5 points below measured coverage,
@@ -153,6 +158,7 @@ go test -run '^$' -fuzz '^FuzzJobRequest$' -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/storage
 go test -run '^$' -fuzz '^FuzzAnalyzeDifferential$' -fuzztime 10s ./internal/storage
 go test -run '^$' -fuzz '^FuzzExecutorDifferential$' -fuzztime 10s ./internal/exec
+go test -run '^$' -fuzz '^FuzzPoolMatchesReference$' -fuzztime 10s ./internal/workload
 
 echo "== scripts/covergate.sh (per-package coverage floors) =="
 ./scripts/covergate.sh
