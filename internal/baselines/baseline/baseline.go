@@ -59,9 +59,8 @@ type Env struct {
 	ctx   context.Context
 	pool  *workload.Pool
 	evals int
-	// memo maps an evaluated query to its cost under a repeatable Kind
-	// (engine.CostKind.Repeatable), so a repeat spends budget but no DBMS
-	// call, under the same rule as SQLBarber's search.
+	// memo maps an evaluated query to its cost, so a repeat spends budget
+	// but no DBMS call, under the same rule as SQLBarber's search.
 	memo map[string]float64
 }
 
@@ -104,8 +103,7 @@ func (e *Env) Deficit(j int) int { return e.Target.Counts[j] - e.pool.Count(j) }
 // Eval instantiates template space si at the raw predicate vector and
 // evaluates its cost, recording the query. ok is false when the budget is
 // exhausted or the query failed. Every call counts against MaxEvals, but a
-// query already costed under a repeatable Kind is answered from the memo
-// without a DBMS call.
+// query already costed is answered from the memo without a DBMS call.
 func (e *Env) Eval(si int, raw []float64) (cost float64, ok bool) {
 	if e.Exhausted() {
 		return 0, false
@@ -122,9 +120,7 @@ func (e *Env) Eval(si int, raw []float64) (cost float64, ok bool) {
 		if c, err = e.DB.Cost(e.ctx, sql, e.Kind); err != nil {
 			return 0, false
 		}
-		if e.Kind.Repeatable() {
-			e.memo[sql] = c
-		}
+		e.memo[sql] = c
 	}
 	e.pool.Add(workload.Query{SQL: sql, Cost: c, TemplateID: sp.Template.ID})
 	if e.Progress != nil && e.evals%64 == 0 {

@@ -193,7 +193,7 @@ func (r *Runner) RunFigure8Rewrite(ctx context.Context, w io.Writer) (RewriteCur
 // AblationSeries is one Figure 8(b) convergence curve.
 type AblationSeries struct {
 	Variant    string
-	Trajectory []TrajectoryPoint
+	Trajectory []pipeline.ProgressPoint
 	Final      float64
 	E2E        time.Duration
 }
@@ -226,10 +226,7 @@ func (r *Runner) RunFigure8Ablation(ctx context.Context, w io.Writer) ([]Ablatio
 		if err != nil {
 			return out, err
 		}
-		series := AblationSeries{Variant: a.String(), Final: res.Distance, E2E: res.Elapsed}
-		for _, p := range res.Trajectory {
-			series.Trajectory = append(series.Trajectory, TrajectoryPoint{p.Elapsed, p.Distance})
-		}
+		series := AblationSeries{Variant: a.String(), Trajectory: res.Trajectory, Final: res.Distance, E2E: res.Elapsed}
 		out = append(out, series)
 		fmt.Fprintf(w, "%-18s time=%-12s final_distance=%-8.1f dbcalls=%-7d projected@100ms/eval=%s (trajectory: %d points)\n",
 			a.String(), res.Elapsed.Round(time.Millisecond), res.Distance, res.DBCalls,

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sqlbarber/internal/pipeline"
 )
 
 func sampleResults() []MethodResult {
@@ -12,7 +14,7 @@ func sampleResults() []MethodResult {
 		{
 			Method: SQLBarber, Benchmark: "uniform", Dataset: TPCH,
 			E2ETime: 1500 * time.Millisecond, FinalDistance: 0, Queries: 100, Evaluations: 500,
-			Trajectory: []TrajectoryPoint{
+			Trajectory: []pipeline.ProgressPoint{
 				{Elapsed: 500 * time.Millisecond, Distance: 120},
 				{Elapsed: 1500 * time.Millisecond, Distance: 0},
 			},
@@ -20,7 +22,7 @@ func sampleResults() []MethodResult {
 		{
 			Method: HillClimbOrder, Benchmark: "uniform", Dataset: TPCH,
 			E2ETime: 3 * time.Second, FinalDistance: 80, Queries: 90, Evaluations: 2000,
-			Trajectory: []TrajectoryPoint{{Elapsed: 3 * time.Second, Distance: 80}},
+			Trajectory: []pipeline.ProgressPoint{{Elapsed: 3 * time.Second, Distance: 80}},
 		},
 	}
 }

@@ -34,12 +34,6 @@ const (
 // AllMethods lists the methods in the paper's legend order.
 var AllMethods = []Method{HillClimbOrder, HillClimbPrio, LearnedSQLOrder, LearnedSQLPrio, SQLBarber}
 
-// TrajectoryPoint samples the distance-over-time curve.
-type TrajectoryPoint struct {
-	Elapsed  time.Duration
-	Distance float64
-}
-
 // MethodResult is one cell of a Figure 5/6 panel.
 type MethodResult struct {
 	Method        Method
@@ -49,7 +43,7 @@ type MethodResult struct {
 	FinalDistance float64
 	Queries       int
 	Evaluations   int64
-	Trajectory    []TrajectoryPoint
+	Trajectory    []pipeline.ProgressPoint
 }
 
 // realDBMSLatency is the assumed per-evaluation cost on the paper's testbed
@@ -170,9 +164,7 @@ func (r *Runner) runMethodOn(ctx context.Context, m Method, b Benchmark, ds Data
 		}
 		res.FinalDistance = out.Distance
 		res.Queries = len(out.Workload)
-		for _, p := range out.Trajectory {
-			res.Trajectory = append(res.Trajectory, TrajectoryPoint{p.Elapsed, p.Distance})
-		}
+		res.Trajectory = append(res.Trajectory, out.Trajectory...)
 	case HillClimbOrder, HillClimbPrio, LearnedSQLOrder, LearnedSQLPrio:
 		lib := r.Library(ctx, ds)
 		budget := r.Scale.BaselineEvalsPerQuery * target.Total()
@@ -181,7 +173,7 @@ func (r *Runner) runMethodOn(ctx context.Context, m Method, b Benchmark, ds Data
 			return res, err
 		}
 		env.Progress = func() {
-			res.Trajectory = append(res.Trajectory, TrajectoryPoint{time.Since(start), env.Pool().Distance()})
+			res.Trajectory = append(res.Trajectory, pipeline.ProgressPoint{Elapsed: time.Since(start), Distance: env.Pool().Distance()})
 		}
 		h := baseline.Order
 		if m == HillClimbPrio || m == LearnedSQLPrio {
@@ -200,6 +192,6 @@ func (r *Runner) runMethodOn(ctx context.Context, m Method, b Benchmark, ds Data
 	}
 	res.E2ETime = time.Since(start)
 	res.Evaluations = db.ExplainCalls() + db.ExecCalls() - startEvals
-	res.Trajectory = append(res.Trajectory, TrajectoryPoint{res.E2ETime, res.FinalDistance})
+	res.Trajectory = append(res.Trajectory, pipeline.ProgressPoint{Elapsed: res.E2ETime, Distance: res.FinalDistance})
 	return res, nil
 }

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"time"
+
+	"sqlbarber/internal/pipeline"
 )
 
 // sparkLevels are the eighth-block characters used for inline charts.
@@ -40,7 +42,7 @@ func Sparkline(values []float64) string {
 
 // resampleTrajectory picks n evenly spaced distance samples over the
 // trajectory's time axis so curves of different lengths compare visually.
-func resampleTrajectory(tr []TrajectoryPoint, n int) []float64 {
+func resampleTrajectory(tr []pipeline.ProgressPoint, n int) []float64 {
 	if len(tr) == 0 || n <= 0 {
 		return nil
 	}

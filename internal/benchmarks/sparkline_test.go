@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sqlbarber/internal/pipeline"
 )
 
 func TestSparkline(t *testing.T) {
@@ -25,7 +27,7 @@ func TestSparkline(t *testing.T) {
 }
 
 func TestResampleTrajectory(t *testing.T) {
-	tr := []TrajectoryPoint{
+	tr := []pipeline.ProgressPoint{
 		{Elapsed: 0, Distance: 100},
 		{Elapsed: time.Second, Distance: 50},
 		{Elapsed: 2 * time.Second, Distance: 0},

@@ -1,7 +1,10 @@
 // Package engine exposes the embedded relational engine behind the same
 // narrow surface SQLBarber uses on PostgreSQL: Execute, Explain (estimated
 // cardinality and plan cost), and syntax/semantic validation with DBMS-style
-// error messages.
+// error messages. Its one measured cost kind, RowsProcessed, stands in for
+// execution time and is deterministic, so every cost kind is a pure function
+// of the query and the dataset. Templates are probed through Prepare;
+// ad-hoc SQL is parsed and planned afresh on every call.
 package engine
 
 import (
@@ -10,7 +13,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"time"
 
 	"sqlbarber/internal/catalog"
 	"sqlbarber/internal/datagen"
@@ -18,7 +20,6 @@ import (
 	"sqlbarber/internal/obs"
 	"sqlbarber/internal/plan"
 	"sqlbarber/internal/sqlparser"
-	"sqlbarber/internal/sqltypes"
 	"sqlbarber/internal/storage"
 )
 
@@ -31,26 +32,16 @@ const (
 	Cardinality CostKind = iota
 	// PlanCost is the optimizer-estimated total plan cost.
 	PlanCost
-	// ExecTimeMS is the measured execution wall time in milliseconds
-	// (requires actually running the query).
-	ExecTimeMS
-	// RowsProcessed is the deterministic execution-effort metric: tuples
+	// RowsProcessed is the measured execution-effort metric: tuples
 	// scanned plus intermediate join tuples while actually running the
-	// query. Unlike ExecTimeMS it is reproducible across machines.
+	// query. It stands in for execution time and, unlike a wall clock, is
+	// reproducible across runs and machines.
 	RowsProcessed
 )
 
 // Measured reports whether the kind requires actually executing the query
 // (as opposed to an optimizer estimate).
-func (k CostKind) Measured() bool {
-	return k == ExecTimeMS || k == RowsProcessed
-}
-
-// Repeatable reports whether the cost is a pure function of the query text
-// and the dataset, so probing the same query twice returns the same float.
-// Every kind is but ExecTimeMS, whose wall time differs from run to run;
-// callers may reuse a repeatable kind's earlier cost instead of probing.
-func (k CostKind) Repeatable() bool { return k != ExecTimeMS }
+func (k CostKind) Measured() bool { return k == RowsProcessed }
 
 // String names the cost kind.
 func (k CostKind) String() string {
@@ -59,8 +50,6 @@ func (k CostKind) String() string {
 		return "cardinality"
 	case PlanCost:
 		return "plan_cost"
-	case ExecTimeMS:
-		return "exec_time_ms"
 	case RowsProcessed:
 		return "rows_processed"
 	}
@@ -93,7 +82,6 @@ type ExplainResult struct {
 // underlying data is immutable after load.
 type DB struct {
 	store *storage.Database
-	plans *planCache
 	// sessions is the free list of execution sessions for measured probes,
 	// last returned first out: arenas survive across borrowings instead of
 	// being rebuilt per probe, and which arena a probe gets depends only on
@@ -121,19 +109,8 @@ type DB struct {
 	sessionProbes  obs.Counter
 }
 
-// planCacheSize bounds the ad-hoc plan LRU's entry count; templates go
-// through Prepare instead, so this only needs to absorb repeated
-// validation/re-scoring SQL. planCacheMaxBytes additionally caps the cache's
-// approximate memory footprint (see entryBytes).
-const (
-	planCacheSize     = 256
-	planCacheMaxBytes = 4 << 20 // 4 MiB
-)
-
 // Open wraps a loaded storage database.
-func Open(store *storage.Database) *DB {
-	return &DB{store: store, plans: newPlanCache(planCacheSize, planCacheMaxBytes)}
-}
+func Open(store *storage.Database) *DB { return &DB{store: store} }
 
 // OpenTPCH opens the TPC-H-shaped evaluation database.
 func OpenTPCH(seed int64, sf float64) *DB { return Open(datagen.TPCH(seed, sf)) }
@@ -211,53 +188,48 @@ func (db *DB) ResetCounters() {
 	db.preparedBatches.Store(0)
 	db.sessionsOpened.Store(0)
 	db.sessionProbes.Store(0)
-	db.plans.hits.Store(0)
-	db.plans.misses.Store(0)
 }
 
-// PlanCacheHits reports how many ad-hoc plan lookups were served from the
-// LRU. Scheduling-dependent under parallelism (two workers may race on the
-// same SQL), so obs binds it as volatile.
-func (db *DB) PlanCacheHits() int64 { return db.plans.hits.Load() }
+// PlanCacheHits is always 0: the engine keeps no ad-hoc plan cache. It stays
+// only because the bench/ harness still reads it.
+func (db *DB) PlanCacheHits() int64 { return 0 }
 
-// PlanCacheMisses reports how many ad-hoc plan lookups had to parse+plan.
-func (db *DB) PlanCacheMisses() int64 { return db.plans.misses.Load() }
+// PlanCacheMisses is always 0, for the same reason as PlanCacheHits.
+func (db *DB) PlanCacheMisses() int64 { return 0 }
 
 // BindObs adopts the database's live counters into an observability binder
 // under the canonical db_* metric names. Snapshots read the counters
 // directly, so exported totals always equal ExplainCalls/ExecCalls/
-// ValidateCalls exactly — one source, no drift. The plan-cache pair is
-// bound volatile: cache hits legitimately depend on goroutine scheduling.
+// ValidateCalls exactly — one source, no drift. Sessions opened is bound
+// volatile: it depends on goroutine scheduling.
 func (db *DB) BindObs(b obs.Binder) {
 	b.BindCounter(obs.MDBExplainCalls, &db.explainCount, false)
 	b.BindCounter(obs.MDBExecCalls, &db.execCount, false)
 	b.BindCounter(obs.MDBValidateCalls, &db.validateCount, false)
-	b.BindCounter(obs.MDBPlanCacheHits, &db.plans.hits, true)
-	b.BindCounter(obs.MDBPlanCacheMisses, &db.plans.misses, true)
 	b.BindCounter(obs.MDBPreparedProbes, &db.preparedProbes, false)
 	b.BindCounter(obs.MDBPreparedBatches, &db.preparedBatches, false)
 	b.BindCounter(obs.MDBSessionsOpened, &db.sessionsOpened, true)
 	b.BindCounter(obs.MDBSessionProbes, &db.sessionProbes, false)
 }
 
-// planSQL parses and plans ad-hoc SQL, memoizing successful plans in a
-// bounded LRU. Plans are immutable after Build and exec.Run keeps all
-// per-run state in the executor, so one cached *plan.Query may serve
-// concurrent Explain and Execute calls.
+// planSQL parses and plans ad-hoc SQL.
 func (db *DB) planSQL(sql string) (*plan.Query, error) {
-	if q, ok := db.plans.get(sql); ok {
-		return q, nil
-	}
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	q, err := plan.Build(db.store.Schema, stmt)
+	return plan.Build(db.store.Schema, stmt)
+}
+
+// compile parses and plan-compiles template SQL, placeholders included. It is
+// the one check behind both Prepare and ValidateSyntax, so a template is
+// valid exactly when it is preparable.
+func (db *DB) compile(templateSQL string) (*plan.CompiledQuery, error) {
+	stmt, err := sqlparser.Parse(templateSQL)
 	if err != nil {
 		return nil, err
 	}
-	db.plans.put(sql, q)
-	return q, nil
+	return plan.Compile(db.store.Schema, stmt)
 }
 
 // Explain parses and plans the query, returning optimizer estimates without
@@ -286,8 +258,9 @@ func (db *DB) Execute(sql string) (*exec.Result, error) {
 }
 
 // Cost returns the query's cost under the requested metric. Cardinality and
-// PlanCost come from the optimizer (EXPLAIN); ExecTimeMS actually executes
-// the query. A cancelled context aborts before any evaluation is counted.
+// PlanCost come from the optimizer (EXPLAIN); RowsProcessed actually
+// executes the query. A cancelled context aborts before any evaluation is
+// counted.
 func (db *DB) Cost(ctx context.Context, sql string, kind CostKind) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -302,12 +275,6 @@ func (db *DB) Cost(ctx context.Context, sql string, kind CostKind) (float64, err
 			return res.Cardinality, nil
 		}
 		return res.Cost, nil
-	case ExecTimeMS:
-		start := time.Now()
-		if _, err := db.Execute(sql); err != nil {
-			return 0, err
-		}
-		return float64(time.Since(start).Microseconds()) / 1000, nil
 	case RowsProcessed:
 		res, err := db.Execute(sql)
 		if err != nil {
@@ -321,26 +288,11 @@ func (db *DB) Cost(ctx context.Context, sql string, kind CostKind) (float64, err
 // ValidateSyntax checks that the SQL parses and binds against the schema,
 // returning (true, "") on success or (false, message) with a DBMS-style
 // error. This is the D.ValidateSyntax of Algorithm 1; template placeholders
-// are permitted — they are substituted with neutral probe literals before
-// planning.
+// are permitted. It runs Prepare's compile, so a template validates exactly
+// when Prepare accepts it, with the same message.
 func (db *DB) ValidateSyntax(sql string) (bool, string) {
 	db.validateCount.Add(1)
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return false, err.Error()
-	}
-	// Substitute placeholders on the AST, never in the SQL text: a textual
-	// rewrite cannot tell a placeholder token from a brace that happens to
-	// sit inside a string literal, and corrupting such a literal flips the
-	// verdict. The statement is freshly parsed and private to this call, so
-	// rewriting it in place is safe.
-	stmt.RewriteExprs(func(e sqlparser.Expr) sqlparser.Expr {
-		if _, ok := e.(*sqlparser.Placeholder); ok {
-			return &sqlparser.Literal{Value: sqltypes.NewInt(0)}
-		}
-		return e
-	})
-	if _, err := plan.Build(db.store.Schema, stmt); err != nil {
+	if _, err := db.compile(sql); err != nil {
 		return false, err.Error()
 	}
 	return true, ""

@@ -85,7 +85,6 @@ func TestCostKindStrings(t *testing.T) {
 	cases := map[CostKind]string{
 		Cardinality:   "cardinality",
 		PlanCost:      "plan_cost",
-		ExecTimeMS:    "exec_time_ms",
 		RowsProcessed: "rows_processed",
 	}
 	for k, want := range cases {

@@ -1,17 +1,13 @@
 package engine
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"sqlbarber/internal/exec"
 	"sqlbarber/internal/fanout"
-	"sqlbarber/internal/obs"
 	"sqlbarber/internal/plan"
-	"sqlbarber/internal/sqlparser"
 	"sqlbarber/internal/sqltypes"
 )
 
@@ -19,10 +15,9 @@ import (
 // bound, and plan-compiled exactly once (plan.Compile). Every probe kind runs
 // lock-free against the immutable compiled skeleton: optimizer-estimated
 // probes (Cardinality, PlanCost) evaluate through the parametric-plan
-// estimator, and measured probes (ExecTimeMS, RowsProcessed) run the
-// template's executor program (exec.Compile, built once on the first
-// measured probe) at the probe's bound parameter vector with an execution
-// session's scratch arena. Nothing is written into the AST after Compile, so
+// estimator, and measured probes (RowsProcessed) run the template's executor
+// program (exec.Compile, built once on the first measured probe) at the
+// probe's bound parameter vector with an execution session's scratch arena. Nothing is written into the AST after Compile, so
 // any number of goroutines may mix probe kinds on one Prepared concurrently —
 // this is the hot path of §5.1 profiling sweeps and §5.3 BO search.
 type Prepared struct {
@@ -38,15 +33,12 @@ type Prepared struct {
 
 // Prepare parses and plan-compiles the template SQL once. The compiled
 // statement is validated by planning it with neutral zero values, so defects
-// surface at prepare time rather than on the first probe. Prepare itself
+// surface at prepare time rather than on the first probe; ValidateSyntax runs
+// the same compile, so its verdict and message agree with Prepare's. Prepare itself
 // performs no DBMS evaluation — the explain/execute counters are untouched,
 // preserving call parity with the re-parse path.
 func (db *DB) Prepare(templateSQL string) (*Prepared, error) {
-	stmt, err := sqlparser.Parse(templateSQL)
-	if err != nil {
-		return nil, fmt.Errorf("engine: prepare: %w", err)
-	}
-	cq, err := plan.Compile(db.store.Schema, stmt)
+	cq, err := db.compile(templateSQL)
 	if err != nil {
 		return nil, fmt.Errorf("engine: prepare: %w", err)
 	}
@@ -184,18 +176,13 @@ func (p *Prepared) probe(s *session, params []sqltypes.Value, kind CostKind) (fl
 	}
 	p.progOnce.Do(func() { p.prog = exec.Compile(p.cq.Query(), p.cq.Slot) })
 	db.execCount.Add(1)
-	start := time.Now()
 	touched, err := p.prog.Probe(db.store, params, &s.arena)
 	if err != nil {
 		return 0, err
 	}
-	cost := float64(touched)
-	if kind == ExecTimeMS {
-		cost = float64(time.Since(start).Microseconds()) / 1000
-	}
 	db.preparedProbes.Add(1)
 	db.sessionProbes.Add(1)
-	return cost, nil
+	return float64(touched), nil
 }
 
 // session is a per-goroutine execution context for measured-kind probes. It
@@ -233,135 +220,4 @@ func (db *DB) putSession(s *session) {
 	db.sessionsMu.Lock()
 	db.sessions = append(db.sessions, s)
 	db.sessionsMu.Unlock()
-}
-
-// planCache is a sharded, bounded LRU of parsed-and-planned ad-hoc SQL. It
-// caps both entry count and approximate memory (entryBytes), enforced per
-// shard; sharding by SQL hash keeps concurrent goroutines off one mutex.
-// Templates dominate probe traffic through Prepared, while repeated ad-hoc
-// statements (validation probes, workload re-scoring) hit the cache instead
-// of re-lexing. The hit/miss counters are exported as volatile obs metrics:
-// under parallel runs the LRU's contents depend on goroutine interleaving,
-// so these two counts are legitimately scheduling-dependent and excluded
-// from the deterministic snapshot.
-type planCache struct {
-	shards []*planShard
-
-	hits   obs.Counter
-	misses obs.Counter
-}
-
-// planCacheShardCount is the shard fan-out for full-size caches. Tiny caches
-// (tests) collapse to one shard so the entry bound stays exact.
-const planCacheShardCount = 8
-
-type planShard struct {
-	mu         sync.Mutex
-	maxEntries int
-	maxBytes   int64
-	ll         *list.List
-	m          map[string]*list.Element
-	bytes      int64
-}
-
-type planEntry struct {
-	sql   string
-	q     *plan.Query
-	bytes int64
-}
-
-// entryBytes approximates one cached plan's memory footprint: a fixed
-// overhead for the entry, list element, and plan skeleton, plus terms
-// proportional to the SQL text (the key copy and the roughly text-sized
-// AST/plan structures).
-func entryBytes(sql string) int64 {
-	return 512 + 2*int64(len(sql))
-}
-
-func newPlanCache(maxEntries int, maxBytes int64) *planCache {
-	n := planCacheShardCount
-	if maxEntries < n {
-		n = 1
-	}
-	c := &planCache{shards: make([]*planShard, n)}
-	for i := range c.shards {
-		c.shards[i] = &planShard{
-			maxEntries: maxEntries / n,
-			maxBytes:   maxBytes / int64(n),
-			ll:         list.New(),
-			m:          map[string]*list.Element{},
-		}
-	}
-	return c
-}
-
-// shard picks the shard for a SQL string via FNV-1a (allocation-free).
-func (c *planCache) shard(sql string) *planShard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(sql); i++ {
-		h ^= uint32(sql[i])
-		h *= prime32
-	}
-	return c.shards[h%uint32(len(c.shards))]
-}
-
-func (c *planCache) get(sql string) (*plan.Query, bool) {
-	s := c.shard(sql)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.m[sql]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	s.ll.MoveToFront(el)
-	return el.Value.(*planEntry).q, true
-}
-
-func (c *planCache) put(sql string, q *plan.Query) {
-	s := c.shard(sql)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.m[sql]; ok {
-		s.ll.MoveToFront(el)
-		el.Value.(*planEntry).q = q
-		return
-	}
-	e := &planEntry{sql: sql, q: q, bytes: entryBytes(sql)}
-	s.m[sql] = s.ll.PushFront(e)
-	s.bytes += e.bytes
-	for s.ll.Len() > s.maxEntries || (s.bytes > s.maxBytes && s.ll.Len() > 1) {
-		last := s.ll.Back()
-		le := last.Value.(*planEntry)
-		s.ll.Remove(last)
-		delete(s.m, le.sql)
-		s.bytes -= le.bytes
-	}
-}
-
-// len reports the number of cached plans across shards (used by tests).
-func (c *planCache) len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// approxBytes reports the cache's approximate memory footprint (tests).
-func (c *planCache) approxBytes() int64 {
-	var n int64
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.bytes
-		s.mu.Unlock()
-	}
-	return n
 }

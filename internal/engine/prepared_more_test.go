@@ -212,50 +212,3 @@ func TestPreparedConcurrentProbes(t *testing.T) {
 		}
 	}
 }
-
-// TestPlanCacheByteCapEviction checks the memory bound: with a byte budget
-// smaller than the entry budget allows, eviction is driven by approximate
-// bytes, and the accounting shrinks when entries leave.
-func TestPlanCacheByteCapEviction(t *testing.T) {
-	sql := func(i int) string {
-		return "SELECT COUNT(*) FROM orders WHERE o_orderkey <= " + itoa(i) + strings.Repeat(" ", 200)
-	}
-	per := entryBytes(sql(0))
-	// Entry cap of 4 collapses to one shard; byte cap fits only 2 entries.
-	c := newPlanCache(4, 2*per+per/2)
-	for i := 0; i < 5; i++ {
-		c.put(sql(i), nil)
-	}
-	if n := c.len(); n != 2 {
-		t.Fatalf("byte cap should hold 2 entries, got %d", n)
-	}
-	if b := c.approxBytes(); b != 2*per {
-		t.Fatalf("byte accounting drifted: %d != %d", b, 2*per)
-	}
-	// The newest entries survive, the oldest were evicted.
-	if _, ok := c.get(sql(4)); !ok {
-		t.Fatal("newest entry missing after byte-cap eviction")
-	}
-	if _, ok := c.get(sql(0)); ok {
-		t.Fatal("oldest entry should have been evicted by the byte cap")
-	}
-}
-
-// TestPlanCacheShardedBound checks that the sharded full-size cache still
-// honors the global entry bound and serves hits.
-func TestPlanCacheShardedBound(t *testing.T) {
-	c := newPlanCache(planCacheSize, planCacheMaxBytes)
-	if len(c.shards) != planCacheShardCount {
-		t.Fatalf("full-size cache should shard %d ways, got %d", planCacheShardCount, len(c.shards))
-	}
-	for i := 0; i < planCacheSize+100; i++ {
-		c.put("SELECT "+itoa(i), nil)
-	}
-	if n := c.len(); n > planCacheSize {
-		t.Fatalf("sharded cache exceeded global bound: %d > %d", n, planCacheSize)
-	}
-	c.put("SELECT 1 FROM orders", nil)
-	if _, ok := c.get("SELECT 1 FROM orders"); !ok {
-		t.Fatal("sharded cache lost a fresh entry")
-	}
-}

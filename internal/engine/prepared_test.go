@@ -163,52 +163,3 @@ func TestPreparedCancelledContext(t *testing.T) {
 		t.Fatalf("cancelled probes must not count as evaluations, got %d", db.ExplainCalls())
 	}
 }
-
-// TestPlanCacheBoundedAndHit checks the ad-hoc LRU: repeated SQL is served
-// from cache (same plan, counters still advance) and the cache never exceeds
-// its bound.
-func TestPlanCacheBoundedAndHit(t *testing.T) {
-	db := testDB(t)
-	ctx := context.Background()
-	sql := "SELECT COUNT(*) FROM orders WHERE o_orderkey <= 100"
-	a, err := db.Cost(ctx, sql, Cardinality)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.plans.len() != 1 {
-		t.Fatalf("expected 1 cached plan, got %d", db.plans.len())
-	}
-	b, err := db.Cost(ctx, sql, Cardinality)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("cached plan cost %v != first cost %v", b, a)
-	}
-	if db.ExplainCalls() != 2 {
-		t.Fatalf("cache hits must still count evaluations, got %d", db.ExplainCalls())
-	}
-	for i := 0; i < planCacheSize+50; i++ {
-		q := "SELECT COUNT(*) FROM orders WHERE o_orderkey <= " + itoa(i)
-		if _, err := db.Cost(ctx, q, Cardinality); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if db.plans.len() > planCacheSize {
-		t.Fatalf("plan cache exceeded bound: %d > %d", db.plans.len(), planCacheSize)
-	}
-}
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [8]byte
-	n := len(b)
-	for i > 0 {
-		n--
-		b[n] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[n:])
-}

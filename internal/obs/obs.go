@@ -56,9 +56,6 @@ const (
 	MDBExplainCalls  = "db_explain_calls"
 	MDBExecCalls     = "db_exec_calls"
 	MDBValidateCalls = "db_validate_calls"
-	// Prepared-plan LRU behaviour (volatile: scheduling-dependent).
-	MDBPlanCacheHits   = "db_plan_cache_hits"
-	MDBPlanCacheMisses = "db_plan_cache_misses"
 	// Compiled-template probe traffic (deterministic: probe schedules are
 	// fixed by seed, so these are stable across worker counts).
 	MDBPreparedProbes  = "db_prepared_probes"

@@ -63,7 +63,7 @@ var reportSections = []reportSection{
 	}},
 	{"DBMS budget", []string{
 		MDBExplainCalls, MDBExecCalls, MDBValidateCalls,
-		MDBPlanCacheHits, MDBPlanCacheMisses, MProfileDedupedProbes,
+		MProfileDedupedProbes,
 	}},
 	{"Generator / static analyzer", []string{
 		MGenAttempts, MStaticSpecCatches, MStaticExecCatches,

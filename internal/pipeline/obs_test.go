@@ -124,9 +124,6 @@ func TestObsCountersMatchSubsystemGetters(t *testing.T) {
 	if got, want := snap.Counter(obs.MDBValidateCalls), db.ValidateCalls(); got != want {
 		t.Errorf("%s = %d, DB reports %d", obs.MDBValidateCalls, got, want)
 	}
-	if got, want := snap.Counter(obs.MDBPlanCacheHits), db.PlanCacheHits(); got != want {
-		t.Errorf("%s = %d, DB reports %d", obs.MDBPlanCacheHits, got, want)
-	}
 	if got, want := snap.Counter(obs.MDBPreparedProbes), db.PreparedProbes(); got != want {
 		t.Errorf("%s = %d, DB reports %d", obs.MDBPreparedProbes, got, want)
 	}

@@ -64,7 +64,7 @@ func WithParallel(n int) Option {
 func WithCostKind(kind engine.CostKind) Option {
 	return func(c *Config) error {
 		switch kind {
-		case engine.Cardinality, engine.PlanCost, engine.ExecTimeMS, engine.RowsProcessed:
+		case engine.Cardinality, engine.PlanCost, engine.RowsProcessed:
 			c.CostKind = kind
 			return nil
 		}

@@ -152,8 +152,8 @@ type Profile struct {
 }
 
 // Known returns the cost already observed for the instantiated query sql,
-// whether from Obs or from Remember, so a caller can skip the DBMS. It is
-// sound only for a repeatable cost kind (engine.CostKind.Repeatable). Obs
+// whether from Obs or from Remember, so a caller can skip the DBMS: every
+// cost kind is a pure function of the query and the dataset. Obs
 // grows in slot order, so what Known answers is the same at every worker
 // count. A Profile is not safe for concurrent use: search touches each
 // template from one wave slot at a time.
@@ -266,28 +266,25 @@ func (p *Profiler) Profile(ctx context.Context, t *sqltemplate.Template, n int) 
 		}
 		raws[i], sqls[i], valsList[i] = raw, sql, vals
 	}
-	// A repeatable metric costs each distinct query once: integer and
-	// categorical dimensions can send two sample points to the same query,
-	// and the later point takes the earlier one's cost. pos maps a query to
-	// its place in the probed sweep.
+	// Each distinct query is costed once: integer and categorical
+	// dimensions can send two sample points to the same query, and the
+	// later point takes the earlier one's cost. pos maps a query to its
+	// place in the probed sweep.
 	probed := valsList
-	var pos map[string]int
-	if p.Kind.Repeatable() {
-		pos = make(map[string]int, len(sqls))
-		for _, sql := range sqls {
-			if _, ok := pos[sql]; !ok {
-				pos[sql] = len(pos)
+	pos := make(map[string]int, len(sqls))
+	for _, sql := range sqls {
+		if _, ok := pos[sql]; !ok {
+			pos[sql] = len(pos)
+		}
+	}
+	if len(pos) < len(sqls) {
+		probed = make([]map[string]sqltypes.Value, 0, len(pos))
+		for i, sql := range sqls {
+			if pos[sql] == len(probed) {
+				probed = append(probed, valsList[i])
 			}
 		}
-		if len(pos) < len(sqls) {
-			probed = make([]map[string]sqltypes.Value, 0, len(pos))
-			for i, sql := range sqls {
-				if pos[sql] == len(probed) {
-					probed = append(probed, valsList[i])
-				}
-			}
-			sp.Count(obs.MProfileDedupedProbes, int64(len(sqls)-len(probed)))
-		}
+		sp.Count(obs.MProfileDedupedProbes, int64(len(sqls)-len(probed)))
 	}
 	var costs []float64
 	if p.Kind.Measured() {
@@ -303,11 +300,7 @@ func (p *Profiler) Profile(ctx context.Context, t *sqltemplate.Template, n int) 
 	}
 	prof.Obs = make([]Observation, len(sqls))
 	for i, sql := range sqls {
-		k := i
-		if len(probed) < len(sqls) {
-			k = pos[sql]
-		}
-		prof.Obs[i] = Observation{Raw: raws[i], SQL: sql, Cost: costs[k]}
+		prof.Obs[i] = Observation{Raw: raws[i], SQL: sql, Cost: costs[pos[sql]]}
 	}
 	sp.Observe(obs.HProfileProbes, float64(len(prof.Obs)))
 	sp.Annotate(obs.A("probes", strconv.Itoa(len(prof.Obs))))

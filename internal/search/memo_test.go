@@ -146,23 +146,6 @@ func TestMemoSpendsOneCallPerQuery(t *testing.T) {
 	}
 }
 
-// TestMemoBypassedForExecTime checks that ExecTimeMS, whose cost is not a
-// function of the query, executes every probe: a repeat is measured again.
-func TestMemoBypassedForExecTime(t *testing.T) {
-	for _, naive := range []bool{false, true} {
-		db := engine.OpenTPCH(1, 0.05)
-		st := twoQueryState(t, db)
-		s := &Searcher{Kind: engine.ExecTimeMS, Naive: naive}
-		res := s.optimizeTemplate(context.Background(), rand.New(rand.NewSource(1)), st, stats.Interval{Lo: 0, Hi: 1}, 20)
-		if len(res.obs) != 20 || res.hits != 0 {
-			t.Fatalf("naive=%v: staged %d probes with %d memo hits; want 20 and 0", naive, len(res.obs), res.hits)
-		}
-		if got := db.ExecCalls(); got != 20 {
-			t.Fatalf("naive=%v: %d executions for 20 ExecTimeMS probes", naive, got)
-		}
-	}
-}
-
 // TestMemoHitFailsWhenCancelled checks that a memo hit behaves like a probe
 // under cancellation: it is neither staged nor reported, and nothing reaches
 // the engine.

@@ -318,10 +318,9 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 		warm = warm[:32]
 	}
 
-	// A repeatable metric's probes go through the template's cost memo: a
-	// query the template has already costed takes that cost instead of a
-	// DBMS call, and is staged and reported to BO as if it were probed.
-	memo := s.Kind.Repeatable()
+	// Probes go through the template's cost memo: a query the template has
+	// already costed takes that cost instead of a DBMS call, and is staged
+	// and reported to BO as if it were probed.
 	var res optResult
 	evaluate := func(raw []float64) (float64, bool) {
 		vals := space.ValuesFor(raw)
@@ -329,10 +328,7 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 		if err != nil {
 			return 0, false
 		}
-		cost, known := 0.0, false
-		if memo {
-			cost, known = t.Profile.Known(sql)
-		}
+		cost, known := t.Profile.Known(sql)
 		if known {
 			// A hit fails like a probe once the run is cancelled.
 			if ctx.Err() != nil {
@@ -343,9 +339,7 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 			if cost, err = t.Profile.Prep.Cost(ctx, vals, s.Kind); err != nil {
 				return 0, false
 			}
-			if memo {
-				t.Profile.Remember(sql, cost)
-			}
+			t.Profile.Remember(sql, cost)
 		}
 		res.obs = append(res.obs, profiler.Observation{Raw: raw, SQL: sql, Cost: cost})
 		return objective(cost, iv), true

@@ -21,7 +21,7 @@
 #                              out scheduling-dependent results the default
 #                              pass can miss
 #   6. go test -fuzz (fuzz smokes)
-#                            — 10-second native-fuzzing smokes over ten
+#                            — 10-second native-fuzzing smokes over eleven
 #                              targets. FuzzParse checks the render ∘ parse
 #                              round-trip fixpoint on arbitrary input, and
 #                              FuzzPlaceholderRewrite checks that placeholder
@@ -57,7 +57,11 @@
 #                              order, and the exact distance of the
 #                              bin-then-dedupe reference selection on
 #                              arbitrary query lists with repeats and
-#                              out-of-range costs (workload)
+#                              out-of-range costs (workload), and
+#                              FuzzValidateAgreesWithPrepare checks that a
+#                              template validates exactly when Prepare accepts
+#                              it, with Prepare's message, on the TPC-H and
+#                              IMDB schemas (engine)
 #   7. scripts/covergate.sh  — per-package statement-coverage floors over
 #                              internal/, from scripts/coverage_baseline.txt.
 #                              Floors sit ~5 points below measured coverage,
@@ -159,6 +163,7 @@ go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s ./internal/storage
 go test -run '^$' -fuzz '^FuzzAnalyzeDifferential$' -fuzztime 10s ./internal/storage
 go test -run '^$' -fuzz '^FuzzExecutorDifferential$' -fuzztime 10s ./internal/exec
 go test -run '^$' -fuzz '^FuzzPoolMatchesReference$' -fuzztime 10s ./internal/workload
+go test -run '^$' -fuzz '^FuzzValidateAgreesWithPrepare$' -fuzztime 10s ./internal/engine
 
 echo "== scripts/covergate.sh (per-package coverage floors) =="
 ./scripts/covergate.sh
