@@ -24,7 +24,9 @@ import (
 // concurrently, each with its own parameter vector and arena. Errors the
 // interpreter raised while evaluating (an unknown function, an unresolved
 // column, a scalar subquery with two rows) are compiled into the expression
-// and still surface only when, and if, it is evaluated.
+// and still surface only when, and if, it is evaluated. The compiler counts
+// every closure it builds that can return an error or run a subquery (see
+// level.fallible), which tells Program.Probe what it may leave unevaluated.
 type Program struct {
 	root *prog
 	// nCache is the number of uncorrelated subqueries in the tree; each owns
@@ -39,6 +41,15 @@ type prog struct {
 	filters  [][]pred // pushed-down WHERE conjuncts per instance
 	joins    []joinProg
 	residual []pred
+
+	// inertResidual and inertOutput record that no closure of the residual
+	// conjuncts, or of the output phase (GROUP BY keys, aggregate arguments,
+	// HAVING, select items and ORDER BY keys, with no SELECT * under
+	// aggregation), can return an error or run a subquery: evaluating them
+	// changes neither a run's error nor its RowsTouched. Program.Probe reads
+	// them at the root.
+	inertResidual bool
+	inertOutput   bool
 
 	aggregated bool
 	groupBy    []expr
@@ -129,6 +140,9 @@ func Compile(q *plan.Query, slot func(*sqlparser.Literal) (int, bool)) *Program 
 type compiler struct {
 	slot   func(*sqlparser.Literal) (int, bool)
 	nCache int
+	// fallible counts the closures built so far that can return an error or
+	// run a subquery.
+	fallible int
 }
 
 // level is the compile-time scope of one query level.
@@ -140,6 +154,9 @@ type level struct {
 	// BY to its position among the group results; nil for a level that does
 	// not aggregate.
 	aggPos map[*sqlparser.FuncCall]int
+	// grouped is set while compiling the HAVING, select items and ORDER BY
+	// of an aggregating level, where the group results are bound.
+	grouped bool
 }
 
 func (c *compiler) query(q *plan.Query) *prog {
@@ -181,12 +198,16 @@ func (c *compiler) query(q *plan.Query) *prog {
 		}
 		p.joins = append(p.joins, jp)
 	}
+	mark := c.fallible
 	p.residual = lv.preds(q.Residual)
+	p.inertResidual = c.fallible == mark
+	mark = c.fallible
 	if q.Aggregated {
 		lv.collectAggs(p)
 		for _, g := range stmt.GroupBy {
 			p.groupBy = append(p.groupBy, lv.expr(g))
 		}
+		lv.grouped = true
 		if stmt.Having != nil {
 			p.having = lv.pred(stmt.Having)
 		}
@@ -215,8 +236,13 @@ func (c *compiler) query(q *plan.Query) *prog {
 	for _, o := range stmt.OrderBy {
 		p.orderKeys = append(p.orderKeys, lv.expr(o.Expr))
 	}
+	p.inertOutput = c.fallible == mark && !p.starAgg
 	return p
 }
+
+// fallible records that the closure being built can return an error or run
+// a subquery.
+func (lv *level) fallible() { lv.c.fallible++ }
 
 // collectAggs resolves the outermost aggregate calls of the select list,
 // HAVING and ORDER BY, in that order, to function codes and positions.
@@ -243,7 +269,7 @@ func (lv *level) collectAggs(p *prog) {
 			// The parser accepts SUM(): a call with no argument has
 			// nothing to accumulate, so reaching one is an error.
 			if len(f.Args) == 0 {
-				ac.arg = errExpr(rtErrf("aggregate %s has no argument", f.Name))
+				ac.arg = lv.errExpr(rtErrf("aggregate %s has no argument", f.Name))
 			} else {
 				ac.arg = lv.expr(f.Args[0])
 			}
@@ -263,7 +289,8 @@ func (lv *level) preds(cs []sqlparser.Expr) []pred {
 	return out
 }
 
-func errExpr(err error) expr {
+func (lv *level) errExpr(err error) expr {
+	lv.fallible()
 	return func(*executor, *env) (sqltypes.Value, error) { return sqltypes.Null, err }
 }
 
@@ -292,7 +319,7 @@ func (lv *level) expr(x sqlparser.Expr) expr {
 			return func(ex *executor, _ *env) (sqltypes.Value, error) { return ex.params[i], nil }
 		}
 	case *sqlparser.Placeholder:
-		return errExpr(rtErrf("placeholder {%s} reached the executor", t.Name))
+		return lv.errExpr(rtErrf("placeholder {%s} reached the executor", t.Name))
 	case *sqlparser.ColumnRef:
 		if ref, ok := lv.q.Binding.Cols[t]; ok {
 			return lv.column(ref)
@@ -303,7 +330,7 @@ func (lv *level) expr(x sqlparser.Expr) expr {
 		if alias, ok := lv.q.Binding.Aliases[strings.ToLower(t.Name)]; ok {
 			return lv.expr(alias)
 		}
-		return errExpr(rtErrf("unresolved column %q", t.Name))
+		return lv.errExpr(rtErrf("unresolved column %q", t.Name))
 	case *sqlparser.BinaryExpr:
 		if t.Op == sqlparser.OpAnd || t.Op == sqlparser.OpOr || t.Op.IsComparison() {
 			return boxed(lv.pred(t))
@@ -331,8 +358,9 @@ func (lv *level) expr(x sqlparser.Expr) expr {
 	case *sqlparser.SubqueryExpr:
 		sp := lv.subs[t.Sub]
 		if sp == nil {
-			return errExpr(rtErrf("subquery was not planned"))
+			return lv.errExpr(rtErrf("subquery was not planned"))
 		}
+		lv.fallible()
 		return func(ex *executor, e *env) (sqltypes.Value, error) {
 			res, _, err := ex.runSub(sp, e)
 			if err != nil {
@@ -347,7 +375,7 @@ func (lv *level) expr(x sqlparser.Expr) expr {
 			return res.Rows[0][0], nil
 		}
 	}
-	return errExpr(rtErrf("unsupported expression %T", x))
+	return lv.errExpr(rtErrf("unsupported expression %T", x))
 }
 
 // column compiles a read of a resolved column. A current-level read loads
@@ -434,6 +462,8 @@ func (lv *level) arith(t *sqlparser.BinaryExpr) expr {
 		op = sqltypes.Value.Div
 	case sqlparser.OpMod:
 		op = sqltypes.Value.Mod
+	default:
+		lv.fallible()
 	}
 	unsupported := rtErrf("unsupported operator %s", t.Op)
 	return func(ex *executor, e *env) (sqltypes.Value, error) {
@@ -455,11 +485,17 @@ func (lv *level) arith(t *sqlparser.BinaryExpr) expr {
 // aggRef compiles a reference to an aggregate call's group result. Only a
 // collected call of an aggregating level has one, and only once its group
 // is computed; anywhere else the call is an error, as in the interpreter.
+// A reference compiled outside the grouped clauses (GROUP BY through an
+// alias, an aggregate argument) is evaluated before the group results
+// exist, so it may fail.
 func (lv *level) aggRef(f *sqlparser.FuncCall) expr {
 	pos, ok := lv.aggPos[f]
 	outside := rtErrf("aggregate %s evaluated outside aggregation context", f.Name)
 	if !ok {
-		return errExpr(outside)
+		return lv.errExpr(outside)
+	}
+	if !lv.grouped {
+		lv.fallible()
 	}
 	return func(_ *executor, e *env) (sqltypes.Value, error) {
 		if e.aggs == nil {
@@ -515,6 +551,9 @@ func (lv *level) scalarFunc(t *sqlparser.FuncCall) expr {
 		args[i] = lv.expr(a)
 	}
 	fn := scalarFuncs[t.Name]
+	if !total(fn, len(args)) {
+		lv.fallible()
+	}
 	missing := rtErrf("function %q does not exist", t.Name)
 	return func(ex *executor, e *env) (sqltypes.Value, error) {
 		var buf [4]sqltypes.Value
@@ -531,6 +570,19 @@ func (lv *level) scalarFunc(t *sqlparser.FuncCall) expr {
 		}
 		return sqltypes.Null, missing
 	}
+}
+
+// total reports whether applyScalar answers every call of fn with nargs
+// arguments: COALESCE always, LENGTH, UPPER and LOWER with one argument.
+// ABS and ROUND fail on a non-numeric value.
+func total(fn, nargs int) bool {
+	switch fn {
+	case fnCoalesce:
+		return true
+	case fnLength, fnUpper, fnLower:
+		return nargs == 1
+	}
+	return false
 }
 
 // applyScalar implements the non-aggregate builtins; ok is false where the

@@ -184,11 +184,12 @@ func genQuery(rng *rand.Rand) string {
 
 // checkDifferential runs sql, which must be valid, through the compiled
 // executor and the reference and fails on an error from either or on any
-// difference in the row multiset (values compared with their kinds).
+// difference in the row multiset (values compared with their kinds). It
+// also fails unless Program.Probe returns Run's RowsTouched and error.
 func checkDifferential(t testing.TB, db *storage.Database, sql string) {
 	t.Helper()
 	q := planSQL(t, db, sql)
-	got, err := Run(db, q)
+	got, err := probeLikeRun(t, db, q)
 	if err != nil {
 		t.Fatalf("executor: %v\nSQL: %s", err, sql)
 	}
@@ -207,6 +208,22 @@ func checkDifferential(t testing.TB, db *storage.Database, sql string) {
 	}
 }
 
+// probeLikeRun runs q's program through Run and through Probe and fails
+// unless both return the same error and, on success, the same RowsTouched.
+func probeLikeRun(t testing.TB, db *storage.Database, q *plan.Query) (*Result, error) {
+	t.Helper()
+	prog := Compile(q, nil)
+	res, err := prog.Run(db, nil, new(Arena))
+	touched, probeErr := prog.Probe(db, nil, new(Arena))
+	if fmt.Sprint(err) != fmt.Sprint(probeErr) {
+		t.Fatalf("Run error %v, Probe error %v\nSQL: %s", err, probeErr, q.Stmt.SQL())
+	}
+	if err == nil && res.RowsTouched != touched {
+		t.Fatalf("Run touched %d rows, Probe %d\nSQL: %s", res.RowsTouched, touched, q.Stmt.SQL())
+	}
+	return res, err
+}
+
 func planSQL(t testing.TB, db *storage.Database, sql string) *plan.Query {
 	t.Helper()
 	stmt, err := sqlparser.Parse(sql)
@@ -221,7 +238,8 @@ func planSQL(t testing.TB, db *storage.Database, sql string) *plan.Query {
 }
 
 // TestExecutorFailsWhereReferenceFails lists statements that plan but must
-// fail at execution, and checks that both executors reject each one.
+// fail at execution, and checks that both executors, and a measured probe,
+// reject each one.
 func TestExecutorFailsWhereReferenceFails(t *testing.T) {
 	db := datagen.TPCH(2, 0.1)
 	for _, sql := range []string{
@@ -231,11 +249,40 @@ func TestExecutorFailsWhereReferenceFails(t *testing.T) {
 		"SELECT r_regionkey FROM region WHERE NOSUCHFN(r_regionkey) > 0",
 	} {
 		q := planSQL(t, db, sql)
-		if _, err := Run(db, q); err == nil {
-			t.Errorf("executor accepts %s", sql)
+		if _, err := probeLikeRun(t, db, q); err == nil {
+			t.Errorf("executor and probe accept %s", sql)
 		}
 		if _, err := refEval(t, db, q); err == nil {
 			t.Errorf("reference accepts %s", sql)
+		}
+	}
+}
+
+// TestCompilerMarksInertPhases pins which root phases the compiler proves
+// inert, so that Program.Probe keeps skipping them on the common shapes:
+// plain comparisons, CASE, COALESCE, arithmetic and grouped aggregates are
+// inert; subqueries, failing builtins and misplaced aggregates are not.
+func TestCompilerMarksInertPhases(t *testing.T) {
+	db := datagen.TPCH(2, 0.02)
+	for _, tc := range []struct {
+		sql              string
+		residual, output bool
+	}{
+		{"SELECT r_name FROM region WHERE r_regionkey > 1 ORDER BY r_name LIMIT 2", true, true},
+		{"SELECT n_name, r_name FROM nation JOIN region ON n_regionkey = r_regionkey WHERE n_nationkey < r_regionkey * 3", true, true},
+		{"SELECT n_regionkey, COUNT(*) AS c, SUM(n_nationkey) FROM nation GROUP BY n_regionkey HAVING COUNT(*) > 1 ORDER BY c", true, true},
+		{"SELECT CASE WHEN n_nationkey > 3 THEN COALESCE(n_name, 'x') ELSE UPPER(n_name) END, -n_nationkey % 4 FROM nation", true, true},
+		{"SELECT n_name FROM nation WHERE n_nationkey IN (SELECT r_regionkey FROM region)", false, true},
+		{"SELECT n_name FROM nation JOIN region ON n_regionkey = r_regionkey WHERE n_nationkey + r_regionkey IN (SELECT c_custkey FROM customer)", false, true},
+		{"SELECT n_name, (SELECT MAX(r_name) FROM region) FROM nation", true, false},
+		{"SELECT ABS(n_nationkey) FROM nation", true, false},
+		{"SELECT n_name FROM nation ORDER BY LENGTH(n_name, n_name)", true, false},
+		{"SELECT COUNT(*) AS c FROM nation GROUP BY c", true, false},
+		{"SELECT * FROM region GROUP BY r_regionkey", true, false},
+	} {
+		p := Compile(planSQL(t, db, tc.sql), nil).root
+		if p.inertResidual != tc.residual || p.inertOutput != tc.output {
+			t.Errorf("%s: inert residual %v output %v, want %v %v", tc.sql, p.inertResidual, p.inertOutput, tc.residual, tc.output)
 		}
 	}
 }

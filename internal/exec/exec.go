@@ -56,24 +56,35 @@ func Run(db *storage.Database, q *plan.Query) (*Result, error) {
 // owns its rows and never aliases the arena. The caller must keep params
 // unchanged until Run returns.
 func (p *Program) Run(db *storage.Database, params []sqltypes.Value, a *Arena) (*Result, error) {
-	return p.exec(db, params, a, false)
+	res, touched, err := p.exec(db, params, a, false)
+	if err != nil {
+		return nil, err
+	}
+	res.RowsTouched = touched
+	return res, nil
 }
 
 // Probe executes the program like Run for a measured probe, which reads only
 // the work done: it returns Run's RowsTouched and error, but the root query
-// stores no output row. Every select item and ORDER BY key of the root is
-// still evaluated, in Run's order, since one can fail or run a subquery that
-// adds to RowsTouched; DISTINCT, ORDER BY and LIMIT, which only reshape the
-// output, are skipped.
+// produces no output. After its scans and joins, the root runs only what the
+// compiler could not prove inert, that is, free of error sites and
+// subqueries (see prog.inertOutput). With an inert output phase, Probe
+// returns right after the join pipeline if the residual conjuncts are inert
+// too, and right after the residual otherwise. With a fallible output phase,
+// it evaluates the root's output in Run's order without storing it and
+// skips DISTINCT, ORDER BY and LIMIT, which only reshape it. Subqueries run
+// and materialise as under Run.
 func (p *Program) Probe(db *storage.Database, params []sqltypes.Value, a *Arena) (int64, error) {
-	res, err := p.exec(db, params, a, true)
+	_, touched, err := p.exec(db, params, a, true)
 	if err != nil {
 		return 0, err
 	}
-	return res.RowsTouched, nil
+	return touched, nil
 }
 
-func (p *Program) exec(db *storage.Database, params []sqltypes.Value, a *Arena, countOnly bool) (*Result, error) {
+// exec runs the root query and returns its result (nil when countOnly) and
+// the tuples it touched.
+func (p *Program) exec(db *storage.Database, params []sqltypes.Value, a *Arena, countOnly bool) (*Result, int64, error) {
 	ex := &executor{db: db, params: params, ar: a, nCache: p.nCache}
 	res, err := ex.run(p.root, nil, countOnly)
 	for i := range ex.subs {
@@ -81,11 +92,7 @@ func (p *Program) exec(db *storage.Database, params []sqltypes.Value, a *Arena, 
 			a.putIndex(set)
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	res.RowsTouched = ex.rowsTouched
-	return res, nil
+	return res, ex.rowsTouched, err
 }
 
 type executor struct {
@@ -137,8 +144,9 @@ func (f *frame) unbind() {
 	}
 }
 
-// run executes one query level. countOnly evaluates the output without
-// storing it (see Program.Probe); subqueries always materialise.
+// run executes one query level. countOnly returns a nil result: it skips
+// the phases the compiler proved inert and evaluates the rest of the output
+// without storing it (see Program.Probe); subqueries always materialise.
 func (ex *executor) run(p *prog, parent *env, countOnly bool) (*Result, error) {
 	n := p.n
 	f := &frame{n: n, e: env{tabs: make([]*storage.Table, n), rows: make([]int32, n), parent: parent}}
@@ -146,9 +154,10 @@ func (ex *executor) run(p *prog, parent *env, countOnly bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	skipOutput := countOnly && p.inertOutput
 	// Residual predicates (multi-table and subquery conjuncts), compacting
 	// the surviving tuples in place.
-	if len(p.residual) > 0 {
+	if len(p.residual) > 0 && !(skipOutput && p.inertResidual) {
 		kept := 0
 		for i := 0; i < len(tuples)/n; i++ {
 			tp := tupleAt(tuples, i, n)
@@ -164,6 +173,10 @@ func (ex *executor) run(p *prog, parent *env, countOnly bool) (*Result, error) {
 		}
 		tuples = tuples[:kept*n]
 	}
+	if skipOutput {
+		ex.ar.putList(tuples)
+		return nil, nil
+	}
 	var out *Result
 	if p.aggregated {
 		out, err = ex.aggregate(p, f, tuples, countOnly)
@@ -171,10 +184,10 @@ func (ex *executor) run(p *prog, parent *env, countOnly bool) (*Result, error) {
 		out, err = ex.project(p, f, tuples, countOnly)
 	}
 	ex.ar.putList(tuples)
-	if err != nil {
+	if err != nil || countOnly {
 		return nil, err
 	}
-	if p.distinct && !countOnly {
+	if p.distinct {
 		out.Rows = dedupe(out.Rows)
 	}
 	if p.limit >= 0 && len(out.Rows) > p.limit {

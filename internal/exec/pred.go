@@ -55,8 +55,9 @@ func (lv *level) pred(x sqlparser.Expr) pred {
 	case *sqlparser.ExistsExpr:
 		sp := lv.subs[t.Sub]
 		if sp == nil {
-			return errPred(rtErrf("subquery was not planned"))
+			return lv.errPred(rtErrf("subquery was not planned"))
 		}
+		lv.fallible()
 		not := t.Not
 		return func(ex *executor, e *env) (tri, error) {
 			res, _, err := ex.runSub(sp, e)
@@ -73,7 +74,8 @@ func (lv *level) pred(x sqlparser.Expr) pred {
 	}
 }
 
-func errPred(err error) pred {
+func (lv *level) errPred(err error) pred {
+	lv.fallible()
 	return func(*executor, *env) (tri, error) { return triNull, err }
 }
 
@@ -306,8 +308,9 @@ func (lv *level) inList(t *sqlparser.InExpr) pred {
 func (lv *level) inSub(t *sqlparser.InExpr) pred {
 	sp := lv.subs[t.Sub]
 	if sp == nil {
-		return errPred(rtErrf("subquery was not planned"))
+		return lv.errPred(rtErrf("subquery was not planned"))
 	}
+	lv.fallible()
 	x, not := lv.expr(t.X), t.Not
 	return func(ex *executor, e *env) (tri, error) {
 		v, err := x(ex, e)

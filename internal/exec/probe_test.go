@@ -21,8 +21,10 @@ import (
 
 // TestProbeCountsLikeRun checks the count-only path of measured probes
 // against Run: on generated TPC-H templates at LHS-sampled bindings, and on
-// statements whose select list, ORDER BY key or HAVING fails or runs a
-// subquery, Program.Probe must return Run's RowsTouched and Run's error.
+// one statement per construct that makes a skippable phase fallible (a
+// failing builtin, a misplaced aggregate, SELECT * under GROUP BY, a
+// subquery in the select list, ORDER BY, HAVING or a two-table residual),
+// Program.Probe must return Run's RowsTouched and Run's error.
 func TestProbeCountsLikeRun(t *testing.T) {
 	db := engine.OpenTPCH(4, 0.02)
 	schema, store := db.Schema(), db.Store()
@@ -76,25 +78,53 @@ func TestProbeCountsLikeRun(t *testing.T) {
 			compared++
 		}
 	}
-	// Statements whose output evaluation fails or runs subqueries.
-	for _, sql := range []string{
-		"SELECT r_name, (SELECT n_name FROM nation) FROM region",
-		"SELECT r_name FROM region ORDER BY (SELECT n_name FROM nation)",
-		"SELECT r_name FROM region ORDER BY (SELECT MAX(n_nationkey) FROM nation WHERE n_regionkey = r_regionkey)",
-		"SELECT DISTINCT n_regionkey, (SELECT COUNT(*) FROM customer WHERE c_nationkey = n_nationkey) FROM nation ORDER BY n_regionkey LIMIT 2",
-		"SELECT n_regionkey, COUNT(*) FROM nation GROUP BY n_regionkey HAVING COUNT(*) > (SELECT COUNT(*) FROM region WHERE r_regionkey < n_regionkey)",
-		"SELECT n_regionkey, (SELECT r_name FROM region) FROM nation GROUP BY n_regionkey",
-		"SELECT NOSUCH(r_name) FROM region",
+	// Statements whose residual or output evaluation can fail or run
+	// subqueries; fails pins whether Run fails, so each case keeps
+	// exercising its construct.
+	for _, tc := range []struct {
+		sql   string
+		fails bool
+	}{
+		{"SELECT r_name, (SELECT n_name FROM nation) FROM region", true},
+		{"SELECT r_name FROM region ORDER BY (SELECT n_name FROM nation)", true},
+		{"SELECT r_name FROM region ORDER BY (SELECT MAX(n_nationkey) FROM nation WHERE n_regionkey = r_regionkey)", false},
+		{"SELECT DISTINCT n_regionkey, (SELECT COUNT(*) FROM customer WHERE c_nationkey = n_nationkey) FROM nation ORDER BY n_regionkey LIMIT 2", false},
+		{"SELECT n_regionkey, COUNT(*) FROM nation GROUP BY n_regionkey HAVING COUNT(*) > (SELECT COUNT(*) FROM region WHERE r_regionkey < n_regionkey)", false},
+		{"SELECT n_regionkey, (SELECT r_name FROM region) FROM nation GROUP BY n_regionkey", true},
+		{"SELECT NOSUCH(r_name) FROM region", true},
+		// ABS and ROUND fail on a string value only.
+		{"SELECT ABS(r_name) FROM region", true},
+		{"SELECT r_name, ROUND(r_name) FROM region", true},
+		{"SELECT ABS(r_regionkey), ROUND(r_regionkey) FROM region", false},
+		{"SELECT r_name FROM region ORDER BY NOSUCH(r_regionkey)", true},
+		{"SELECT LENGTH(r_name, r_comment) FROM region", true},
+		// GROUP BY through an alias evaluates the aggregate before any
+		// group result exists, as does an aggregate's argument.
+		{"SELECT COUNT(*) AS c FROM nation GROUP BY c", true},
+		{"SELECT n_regionkey, SUM(COUNT(*)) FROM nation GROUP BY n_regionkey", true},
+		{"SELECT * FROM region GROUP BY r_regionkey", true},
+		{"SELECT * FROM region GROUP BY r_regionkey HAVING COUNT(*) > 1", false},
+		{"SELECT n_regionkey FROM nation GROUP BY n_regionkey HAVING COUNT(*) > (SELECT r_regionkey FROM region)", true},
+		// Subqueries in a residual conjunct that spans two tables add the
+		// rows they scan, whether or not the output can be skipped.
+		{"SELECT n_name FROM nation JOIN region ON n_regionkey = r_regionkey WHERE n_nationkey + r_regionkey IN (SELECT c_custkey FROM customer)", false},
+		{"SELECT n_name FROM nation JOIN region ON n_regionkey = r_regionkey " +
+			"WHERE EXISTS (SELECT c_custkey FROM customer WHERE c_nationkey = n_nationkey AND c_custkey < r_regionkey * 10)", false},
+		{"SELECT n_name FROM nation JOIN region ON n_regionkey = r_regionkey WHERE n_nationkey < (SELECT c_custkey FROM customer)", true},
 	} {
-		stmt, err := sqlparser.Parse(sql)
+		stmt, err := sqlparser.Parse(tc.sql)
 		if err != nil {
 			t.Fatal(err)
 		}
 		q, err := plan.Build(schema, stmt)
 		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
+			t.Fatalf("%s: %v", tc.sql, err)
 		}
-		compareProbe(t, sql, exec.Compile(q, nil), store, nil, &arena)
+		prog := exec.Compile(q, nil)
+		if _, err := prog.Run(store, nil, new(exec.Arena)); (err != nil) != tc.fails {
+			t.Fatalf("%s: Run error %v, want failure %v", tc.sql, err, tc.fails)
+		}
+		compareProbe(t, tc.sql, prog, store, nil, &arena)
 		compared++
 	}
 	t.Logf("%d probes counted like Run", compared)

@@ -223,8 +223,10 @@ func (r *Refiner) topByCloseness(templates []*workload.TemplateState, iv stats.I
 		s float64
 	}
 	all := make([]scored, 0, len(templates))
+	var scorer workload.Scorer
 	for _, t := range templates {
-		all = append(all, scored{t, workload.Closeness(t.Profile.Obs, iv)})
+		score, _ := scorer.Closeness(t.Profile.Obs, iv)
+		all = append(all, scored{t, score})
 	}
 	sort.SliceStable(all, func(i, j int) bool { return all[i].s > all[j].s })
 	if m > len(all) {

@@ -113,6 +113,7 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 	failures := map[int]int{}
 	revivals := 0
 	remaining := map[int]float64{}
+	var scorer workload.Scorer
 	for _, t := range templates {
 		if t.Profile.Space != nil {
 			remaining[t.Profile.Template.ID] = t.Profile.Space.Size()
@@ -167,17 +168,15 @@ func (s *Searcher) Run(ctx context.Context, templates []*workload.TemplateState,
 			if bad[comboKey{jStar, t.Profile.Template.ID}] {
 				continue
 			}
+			score := 1.0
 			if !s.Naive {
 				if remaining[t.Profile.Template.ID] < float64(spaceFactor*gap) {
 					continue
 				}
-				if workload.Variety(t.Profile.Obs) < minVariety {
+				var variety float64
+				if score, variety = scorer.Closeness(t.Profile.Obs, iv); variety < minVariety {
 					continue
 				}
-			}
-			score := 1.0
-			if !s.Naive {
-				score = workload.Closeness(t.Profile.Obs, iv)
 			}
 			cands = append(cands, scoredTemplate{t, score})
 		}

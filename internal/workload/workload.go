@@ -4,6 +4,8 @@
 package workload
 
 import (
+	"slices"
+
 	"sqlbarber/internal/profiler"
 	"sqlbarber/internal/spec"
 	"sqlbarber/internal/stats"
@@ -24,31 +26,51 @@ type Query struct {
 	TemplateID int
 }
 
+// Scorer evaluates Equation (2) for template after template, counting
+// distinct costs in one reused scratch buffer. The zero value is ready to
+// use; a Scorer is not safe for concurrent use.
+type Scorer struct {
+	costs []float64
+}
+
 // Closeness computes Equation (2): how well-positioned a template is to
 // generate queries inside the interval — inverse mean distance of its
-// observed costs to the interval, scaled by its cost-diversity ratio.
-func Closeness(obs []profiler.Observation, iv stats.Interval) float64 {
+// observed costs to the interval, scaled by its cost-diversity ratio, which
+// it also returns (see variety).
+func (s *Scorer) Closeness(obs []profiler.Observation, iv stats.Interval) (score, variety float64) {
 	if len(obs) == 0 {
-		return 0
+		return 0, 0
 	}
 	sum := 0.0
 	for _, o := range obs {
 		sum += iv.Dist(o.Cost)
 	}
 	meanDist := sum / float64(len(obs))
-	return 1 / (1 + meanDist) * Variety(obs)
+	variety = s.variety(obs)
+	return 1 / (1 + meanDist) * variety, variety
 }
 
-// Variety returns the distinct-cost ratio v_i of Equation (2).
-func Variety(obs []profiler.Observation) float64 {
+// variety returns the distinct-cost ratio v_i of Equation (2). Costs are
+// distinct as float64 map keys are: every NaN is distinct from every value,
+// itself included, and +0 and -0 are one value.
+func (s *Scorer) variety(obs []profiler.Observation) float64 {
 	if len(obs) == 0 {
 		return 0
 	}
-	unique := map[float64]bool{}
+	s.costs = s.costs[:0]
 	for _, o := range obs {
-		unique[o.Cost] = true
+		s.costs = append(s.costs, o.Cost)
 	}
-	return float64(len(unique)) / float64(len(obs))
+	// Sorting puts equal values (±0 included) next to each other; a NaN
+	// differs from its neighbours, NaNs included.
+	slices.Sort(s.costs)
+	distinct := 0
+	for i, c := range s.costs {
+		if i == 0 || c != s.costs[i-1] {
+			distinct++
+		}
+	}
+	return float64(distinct) / float64(len(obs))
 }
 
 // CountsOf bins all template observations into interval counts (Equation 1).

@@ -21,8 +21,9 @@ func observations(costs ...float64) []profiler.Observation {
 
 func TestClosenessPrefersNearbyTemplates(t *testing.T) {
 	iv := stats.Interval{Lo: 100, Hi: 200}
-	near := Closeness(observations(120, 150, 180), iv)
-	far := Closeness(observations(5000, 6000, 7000), iv)
+	var s Scorer
+	near, _ := s.Closeness(observations(120, 150, 180), iv)
+	far, _ := s.Closeness(observations(5000, 6000, 7000), iv)
 	if near <= far {
 		t.Fatalf("closeness near=%v far=%v", near, far)
 	}
@@ -34,28 +35,68 @@ func TestClosenessPrefersNearbyTemplates(t *testing.T) {
 
 func TestClosenessPenalizesLowVariety(t *testing.T) {
 	iv := stats.Interval{Lo: 100, Hi: 200}
-	diverse := Closeness(observations(110, 150, 190), iv)
-	constant := Closeness(observations(150, 150, 150), iv)
+	var s Scorer
+	diverse, _ := s.Closeness(observations(110, 150, 190), iv)
+	constant, _ := s.Closeness(observations(150, 150, 150), iv)
 	if constant >= diverse {
 		t.Fatalf("variety penalty broken: const=%v diverse=%v", constant, diverse)
 	}
 }
 
 func TestClosenessEmpty(t *testing.T) {
-	if Closeness(nil, stats.Interval{Lo: 0, Hi: 1}) != 0 {
+	if score, variety := new(Scorer).Closeness(nil, stats.Interval{Lo: 0, Hi: 1}); score != 0 || variety != 0 {
 		t.Fatal("empty costs must score 0")
 	}
 }
 
 func TestVariety(t *testing.T) {
-	if Variety(observations(1, 1, 1, 1)) != 0.25 {
+	var s Scorer
+	if s.variety(observations(1, 1, 1, 1)) != 0.25 {
 		t.Fatal("variety of constant vector")
 	}
-	if Variety(observations(1, 2, 3, 4)) != 1 {
+	if s.variety(observations(1, 2, 3, 4)) != 1 {
 		t.Fatal("variety of distinct vector")
 	}
-	if Variety(nil) != 0 {
+	if s.variety(nil) != 0 {
 		t.Fatal("variety of empty")
+	}
+}
+
+// TestVarietyCountsLikeMapKeys checks the sorted distinct count against a
+// map[float64] key count, the definition it replaced, bit for bit: every NaN
+// is its own value, +0 and -0 are one, and the reused scratch carries nothing
+// from one call to the next.
+func TestVarietyCountsLikeMapKeys(t *testing.T) {
+	mapVariety := func(costs []float64) float64 {
+		unique := map[float64]bool{}
+		for _, c := range costs {
+			unique[c] = true
+		}
+		return float64(len(unique)) / float64(len(costs))
+	}
+	special := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1, -1}
+	var s Scorer
+	f := func(picks []uint8) bool {
+		if len(picks) == 0 {
+			return true
+		}
+		costs := make([]float64, len(picks))
+		for i, p := range picks {
+			if int(p) < len(special) {
+				costs[i] = special[p]
+			} else {
+				costs[i] = float64(p % 16)
+			}
+		}
+		got, want := s.variety(observations(costs...)), mapVariety(costs)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Logf("costs %v: variety %v, map count gives %v", costs, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -69,7 +110,7 @@ func TestClosenessBoundedProperty(t *testing.T) {
 		for i, r := range raw {
 			costs[i] = float64(r)
 		}
-		c := Closeness(observations(costs...), iv)
+		c, _ := new(Scorer).Closeness(observations(costs...), iv)
 		return c >= 0 && c <= 1 && !math.IsNaN(c)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -50,9 +50,10 @@
 #                              float and string columns (storage), and
 #                              FuzzExecutorDifferential checks that the
 #                              compiled executor returns the rows of the
-#                              brute-force AST-interpreting reference on
-#                              generated join, GROUP BY and subquery queries
-#                              (exec), and FuzzPoolMatchesReference checks
+#                              brute-force AST-interpreting reference, and
+#                              that a measured probe (Program.Probe) returns
+#                              Run's RowsTouched and error, on generated
+#                              join, GROUP BY and subquery queries (exec), and FuzzPoolMatchesReference checks
 #                              that workload.Pool assembles the workload, in
 #                              order, and the exact distance of the
 #                              bin-then-dedupe reference selection on
