@@ -4,11 +4,13 @@
 // exploration, Latin-Hypercube initialization, and warm-starting from
 // historical runs. It substitutes for the paper's SMAC3 dependency.
 //
-// The acquisition step is batched and allocation-free: Suggest generates the
-// full candidate pool up front into buffers reused across calls, scores it
-// in one rf.Forest.PredictBatch sweep, and returns the LCB argmin. The
-// running best observation is tracked incrementally in Observe, so ranking
-// candidates never rescans the history.
+// Suggest allocates nothing once its buffers are warm: the optimizer keeps
+// one rf.Forest for its whole run and refits it in place (rf.Forest.Fit)
+// every few observations, generates the full candidate pool into buffers
+// reused across calls, scores it in one rf.Forest.PredictBatch sweep, and
+// returns the LCB argmin. The running best observation is tracked
+// incrementally in Observe, so ranking candidates never rescans the
+// history.
 package bo
 
 import (
@@ -92,8 +94,8 @@ type Observation struct {
 	Y float64   // objective value (lower is better)
 }
 
-// Acquisition and fit parameters. initSamples and the serial fit are the one
-// configuration the search runs (Algorithm 3).
+// Acquisition parameters, fixed at the one configuration the search runs
+// (Algorithm 3).
 const (
 	candidates  = 64  // acquisition candidates per step
 	kappa       = 1.0 // exploration weight in the lower confidence bound
@@ -110,8 +112,10 @@ type Optimizer struct {
 	best    Observation // running minimum, maintained by Observe
 	hasBest bool
 
-	forest       *rf.Forest
-	forestObsLen int // observation count the cached forest was trained on
+	// forest is the surrogate, refitted in place; forestObsLen is the
+	// observation count it was last fitted on (0 before the first fit).
+	forest       rf.Forest
+	forestObsLen int
 
 	// Buffers reused across Suggest calls: the candidate pool (candX rows
 	// alias candFlat), its scores, surrogate training inputs, and the
@@ -179,16 +183,14 @@ func (o *Optimizer) Suggest() []float64 {
 	}
 	// Retrain the surrogate only after a few new observations; refitting on
 	// every suggestion dominates runtime without improving the search.
-	if o.forest == nil || len(o.obs)-o.forestObsLen >= 4 {
+	if o.forestObsLen == 0 || len(o.obs)-o.forestObsLen >= 4 {
 		o.trainX = o.trainX[:0]
 		o.trainY = o.trainY[:0]
 		for _, ob := range o.obs {
 			o.trainX = append(o.trainX, ob.X)
 			o.trainY = append(o.trainY, ob.Y)
 		}
-		// Serial fit: the search waves already parallelize across
-		// templates, so forest workers would only oversubscribe.
-		o.forest = rf.Train(o.rng, o.trainX, o.trainY, rf.Options{Workers: 1})
+		o.forest.Fit(o.rng, o.trainX, o.trainY, rf.Options{})
 		o.forestObsLen = len(o.obs)
 	}
 	if cap(o.candFlat) < candidates*dims {

@@ -187,19 +187,41 @@ func TestBestMatchesLinearScan(t *testing.T) {
 // candidate pool and surrogate are warm, a Suggest call must not allocate in
 // the acquisition loop (candidate generation, batch scoring, argmin).
 func TestSuggestAllocationFree(t *testing.T) {
+	opt := warmOptimizer()
+	// No Observe between measured calls, so no refit mid-measurement.
+	opt.Suggest()
+	allocs := testing.AllocsPerRun(20, func() { opt.Suggest() })
+	if allocs != 0 {
+		t.Fatalf("Suggest allocates %.1f objects/call, want 0", allocs)
+	}
+}
+
+// TestSuggestRefitAllocationFree pins the in-place surrogate: in steady
+// state a Suggest that refits the forest (forced here by marking it four
+// observations stale) allocates nothing either, because the optimizer keeps
+// one forest and its training buffers for its whole run.
+func TestSuggestRefitAllocationFree(t *testing.T) {
+	opt := warmOptimizer()
+	refit := func() {
+		opt.forestObsLen = len(opt.obs) - 4
+		opt.Suggest()
+	}
+	refit()
+	allocs := testing.AllocsPerRun(20, refit)
+	if allocs != 0 {
+		t.Fatalf("a refitting Suggest allocates %.1f objects/call, want 0", allocs)
+	}
+}
+
+// warmOptimizer returns an optimizer past its initialization, with a fitted
+// surrogate, on a three-dimensional quadratic.
+func warmOptimizer() *Optimizer {
 	space := Space{{Name: "x", Lo: 0, Hi: 1}, {Name: "y", Lo: 0, Hi: 1}, {Name: "z", Lo: 0, Hi: 1}}
-	rng := rand.New(rand.NewSource(23))
-	opt := New(space, rng, nil)
+	opt := New(space, rand.New(rand.NewSource(23)), nil)
 	opt.Run(12, func(v []float64) (float64, bool) {
 		return (v[0]-0.4)*(v[0]-0.4) + v[1]*v[2], true
 	})
-	// Warm up once so the pool buffers exist and the surrogate is current
-	// (no Observe between measured calls, so no retrain mid-measurement).
-	opt.Suggest()
-	allocs := testing.AllocsPerRun(20, func() { opt.Suggest() })
-	if allocs > 2 {
-		t.Fatalf("Suggest allocates %.1f objects/call, want <= 2", allocs)
-	}
+	return opt
 }
 
 // TestIntoVariantsMatchAllocating pins DenormalizeInto/NormalizeInto against

@@ -63,8 +63,16 @@ func NormalizeValue(v sqltypes.Value) sqltypes.Value {
 	if v.Kind() != sqltypes.KindFloat {
 		return v
 	}
-	s := strconv.FormatFloat(v.Float(), 'g', -1, 64)
-	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+	var buf [32]byte
+	s := strconv.AppendFloat(buf[:0], v.Float(), 'g', -1, 64)
+	// Only a sign and digits can parse as an integer; a fractional value
+	// returns here without allocating the rendering or a parse error.
+	for _, c := range s {
+		if (c < '0' || c > '9') && c != '-' {
+			return v
+		}
+	}
+	if n, err := strconv.ParseInt(string(s), 10, 64); err == nil {
 		return sqltypes.NewInt(n)
 	}
 	return v

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -97,6 +99,24 @@ func TestNormalizeValueMirrorsLexer(t *testing.T) {
 	}
 	if NormalizeValue(sqltypes.NewFloat(42)).Int() != 42 {
 		t.Fatal("integral float must normalize to the same integer")
+	}
+	// Against the definition (render shortest, keep it if it parses as an
+	// int64) on edge values: signed zero, int64 overflow, exponent
+	// renderings, NaN and infinities.
+	floats := []float64{0, math.Copysign(0, -1), -7, 1e20, 1e21, 9.2e18, 9.3e18, -9.3e18,
+		0.5, -1234.5678, 1e-7, math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64}
+	for _, f := range floats {
+		want := sqltypes.NewFloat(f)
+		if n, err := strconv.ParseInt(strconv.FormatFloat(f, 'g', -1, 64), 10, 64); err == nil {
+			want = sqltypes.NewInt(n)
+		}
+		got := NormalizeValue(sqltypes.NewFloat(f))
+		if got.Kind() != want.Kind() || got.String() != want.String() {
+			t.Fatalf("NormalizeValue(%v) = %v (%v), want %v (%v)", f, got, got.Kind(), want, want.Kind())
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { NormalizeValue(sqltypes.NewFloat(1234.5678)) }); allocs != 0 {
+		t.Fatalf("normalizing a fractional float allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -63,7 +63,13 @@ func (s *SearchSpace) BOSpace() bo.Space {
 
 // ValuesFor maps denormalized parameter values to placeholder substitutions.
 func (s *SearchSpace) ValuesFor(raw []float64) map[string]sqltypes.Value {
-	vals := make(map[string]sqltypes.Value, len(s.Dims))
+	return s.ValuesInto(make(map[string]sqltypes.Value, len(s.Dims)), raw)
+}
+
+// ValuesInto is ValuesFor filling the caller's map, which it clears first
+// and returns. A search slot reuses one map for every probe of its run.
+func (s *SearchSpace) ValuesInto(vals map[string]sqltypes.Value, raw []float64) map[string]sqltypes.Value {
+	clear(vals)
 	for i, d := range s.Dims {
 		vals[d.Binding.Name] = d.Value(raw[i])
 	}

@@ -7,6 +7,7 @@ import (
 	"sqlbarber/internal/engine"
 	"sqlbarber/internal/obs"
 	"sqlbarber/internal/sqltemplate"
+	"sqlbarber/internal/sqltypes"
 )
 
 func newProfiler(t testing.TB, kind engine.CostKind) *Profiler {
@@ -110,6 +111,16 @@ func TestSearchSpaceIntegerVsFloat(t *testing.T) {
 	vals := space.ValuesFor([]float64{10, 0.05})
 	if vals["p_1"].Kind().String() != "INTEGER" {
 		t.Errorf("integer dim value kind: %v", vals["p_1"].Kind())
+	}
+	// ValuesInto refills a reused map, stale keys included, to exactly
+	// what ValuesFor returns, without allocating once the map has grown.
+	reused := map[string]sqltypes.Value{"stale": sqltypes.NewInt(1), "p_1": sqltypes.NewInt(99)}
+	got := space.ValuesInto(reused, []float64{10, 0.05})
+	if len(got) != len(vals) || got["p_1"] != vals["p_1"] || got["p_2"] != vals["p_2"] {
+		t.Fatalf("ValuesInto = %v, want %v", got, vals)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { space.ValuesInto(reused, []float64{12, 0.07}) }); allocs != 0 {
+		t.Fatalf("ValuesInto allocates %.0f times into a grown map, want 0", allocs)
 	}
 }
 

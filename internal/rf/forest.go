@@ -5,35 +5,33 @@
 // The forest is stored flat: every tree is a contiguous run of 16-byte
 // flatNode records in one shared []flatNode (preorder, so a split's left
 // child is always the next record and only the right-child index is stored).
-// Training is allocation-free on the per-node hot path — a column-major
-// feature matrix and the dense rank of every feature value are built once
-// per Train, each tree presorts its bootstrap sample once per feature with a
-// stable counting sort over those ranks, and every node reuses the tree's
-// scratch buffers for gathering, scoring, and stable in-place partitioning.
-// Split search is O(n) per feature per tree for the presort, then a single
-// prefix-sum sweep of (count, Σy, Σy²) scores every candidate threshold at a
-// node in O(n), instead of re-sorting and rescanning per candidate.
+// Forest.Fit refits a forest in place, reusing its node and root slices, so
+// a Bayesian-optimization run that refits one surrogate many times
+// allocates its nodes once; Train is Fit into a new Forest.
 //
-// Trees fit in parallel (Options.Workers) and merge in tree order; because
-// every tree's bootstrap sample and prand stream seed are drawn serially up
-// front from the caller's rng, the forest bytes are identical at any worker
-// count. Builders, their buffers and their prand.Source live in a pooled
-// trainer and are reused across trees and Train calls: a tree reseeds its
-// builder's source (O(1), by jump-ahead) instead of allocating a fresh
-// math/rand state. reference_test.go keeps a deliberately naive pointer-
-// based implementation of the same algorithm as the differential-testing
-// oracle and the baseline of BenchmarkForestVsReference.
+// Trees fit one after another on the caller's goroutine. A tree grows over
+// bootstrap positions p (0 ≤ p < n): its targets yb[p] and feature values
+// xb[f][p] are gathered once per tree, and feature f's block lists the
+// positions stably sorted by that feature — counting-sorted over dense
+// feature-value ranks computed once per fit, then kept sorted through every
+// split by stable partitioning, so nodes never re-sort. There is no row
+// block: a leaf sums its targets over its positions in ascending order,
+// which is bootstrap draw order. A single prefix-sum sweep of (count, Σy,
+// Σy²) scores every candidate threshold of a feature at a node in O(n).
+// Scratch lives in a pooled builder reused across fits, and the builder
+// draws feature permutations from its own reseeded prand.Source, so a warm
+// refit allocates nothing. reference_test.go keeps a deliberately naive
+// pointer-based implementation of the same algorithm as the
+// differential-testing oracle and the baseline of BenchmarkForestVsReference.
 package rf
 
 import (
 	"cmp"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 
-	"sqlbarber/internal/fanout"
 	"sqlbarber/internal/prand"
 )
 
@@ -46,9 +44,9 @@ type Options struct {
 	NumTrees    int // default 16
 	MaxDepth    int // default 10
 	MinLeafSize int // default 2
-	// Workers bounds the goroutines fitting trees concurrently (default
-	// GOMAXPROCS). Pure scheduling: the forest bytes are identical at every
-	// value, because all shared-rng draws happen serially before the fan-out.
+	// Workers has no effect: trees always fit serially on the calling
+	// goroutine. The field remains because the benchmark harness
+	// (bench/trace.go) sets it.
 	Workers int
 }
 
@@ -61,9 +59,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MinLeafSize <= 0 {
 		o.MinLeafSize = 2
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -83,167 +78,88 @@ type flatNode struct {
 	right     int32
 }
 
-// Forest is a trained random-forest regressor.
+// Forest is a trained random-forest regressor. The zero value is an empty
+// forest, ready for Fit.
 type Forest struct {
 	nodes []flatNode
 	roots []int32 // per-tree root index into nodes
-	dims  int
 }
 
-// Train fits a forest to (X, y). X rows must share one length. Training is
-// deterministic for a fixed rng state regardless of Options.Workers: every
-// tree's bootstrap sample and private stream seed are drawn serially from
-// rng up front, then trees fit concurrently on their own prand streams and
-// merge in tree order.
+// Train fits a new forest to (X, y); see Fit.
 func Train(rng *rand.Rand, X [][]float64, y []float64, opts Options) *Forest {
-	opts = opts.withDefaults()
-	if len(X) == 0 {
-		return &Forest{}
-	}
-	n, dims := len(X), len(X[0])
-	workers := min(opts.Workers, opts.NumTrees)
-	tr := getTrainer()
-	defer tr.release()
-	tr.reset(X, n, dims, opts.NumTrees, workers)
-	// Serial up-front draws: bootstrap samples and per-tree stream seeds.
-	// Nothing after this point touches the shared rng, so worker count can
-	// never change what a tree computes.
-	for t := 0; t < opts.NumTrees; t++ {
-		bs := tr.boots[t*n : (t+1)*n]
-		for i := range bs {
-			bs[i] = int32(rng.Intn(n))
-		}
-		tr.seeds[t] = rng.Int63()
-	}
-
-	for _, b := range tr.builders[:workers] {
-		b.reset(tr, y, n, dims, opts)
-	}
-	_ = fanout.Run(workers, opts.NumTrees, tr.fitTask)
-
-	// Ordered merge: copy each tree's node run out of its builder into the
-	// shared array in tree order, rebasing right-child indices.
-	total := 0
-	for _, sp := range tr.spans {
-		total += int(sp.end - sp.start)
-	}
-	f := &Forest{
-		nodes: make([]flatNode, 0, total),
-		roots: make([]int32, opts.NumTrees),
-		dims:  dims,
-	}
-	for t, sp := range tr.spans {
-		off := int32(len(f.nodes))
-		f.roots[t] = off
-		for _, nd := range tr.builders[sp.builder].nodes[sp.start:sp.end] {
-			if nd.feature != leafFeature {
-				nd.right += off - sp.start
-			}
-			f.nodes = append(f.nodes, nd)
-		}
-	}
+	f := new(Forest)
+	f.Fit(rng, X, y, opts)
 	return f
 }
 
-// trainers recycles Train scratch across calls: BO refits a small forest
-// after every few observations, so fresh buffers (and a fresh math/rand
-// state per tree) would otherwise cost more than the split search itself.
-// It is a free list, last returned first out, rather than a sync.Pool, so
-// which scratch a call gets, and so what it allocates, depends only on the
-// order of the calls, not on the goroutine's P or on GC timing.
-var trainers struct {
+// Fit replaces f's trees with a forest fitted to (X, y), reusing f's node
+// and root slices when they are large enough. X rows must share one length.
+// Tree by tree, it draws the bootstrap sample and then the tree's stream
+// seed from rng, so the forest is a function of the rng state and the data
+// alone, and bit-identical to a fresh Train from the same state. Fit must
+// not run concurrently with other use of f.
+func (f *Forest) Fit(rng *rand.Rand, X [][]float64, y []float64, opts Options) {
+	opts = opts.withDefaults()
+	f.nodes, f.roots = f.nodes[:0], f.roots[:0]
+	if len(X) == 0 {
+		return
+	}
+	n := len(X)
+	f.roots = resize(f.roots, opts.NumTrees)
+	if cap(f.nodes) == 0 {
+		// A first fit reserves the worst case (every leaf but a lone root
+		// holds at least MinLeafSize samples), so a one-off Train allocates
+		// its nodes once. A refit appends into the capacity it has, which
+		// grows geometrically and soon covers every later fit.
+		leaves := max(1, n/opts.MinLeafSize)
+		if opts.MaxDepth < 30 {
+			leaves = min(leaves, 1<<opts.MaxDepth)
+		}
+		f.nodes = make([]flatNode, 0, opts.NumTrees*(2*leaves-1))
+	}
+	b := getBuilder()
+	defer b.release()
+	b.reset(f, X, y, opts)
+	for t := range f.roots {
+		for p := range b.boot {
+			b.boot[p] = int32(rng.Intn(n))
+		}
+		f.roots[t] = int32(len(f.nodes))
+		b.build(rng.Int63())
+	}
+}
+
+// builders recycles fit scratch across calls: BO refits a small forest after
+// every few observations, so fresh buffers would otherwise cost more than
+// the split search itself. It is a free list, last returned first out,
+// rather than a sync.Pool, so which scratch a call gets, and so what it
+// allocates, depends only on the order of the calls, not on the goroutine's
+// P or on GC timing.
+var builders struct {
 	sync.Mutex
-	free []*trainer
+	free []*builder
 }
 
-// getTrainer takes the most recently released trainer, or a new one.
-func getTrainer() *trainer {
-	trainers.Lock()
-	defer trainers.Unlock()
-	if k := len(trainers.free); k > 0 {
-		tr := trainers.free[k-1]
-		trainers.free[k-1] = nil
-		trainers.free = trainers.free[:k-1]
-		return tr
+// getBuilder takes the most recently released builder, or a new one.
+func getBuilder() *builder {
+	builders.Lock()
+	defer builders.Unlock()
+	if k := len(builders.free); k > 0 {
+		b := builders.free[k-1]
+		builders.free[k-1] = nil
+		builders.free = builders.free[:k-1]
+		return b
 	}
-	tr := new(trainer)
-	tr.fitTask = tr.fit
-	return tr
+	return new(builder)
 }
 
-// trainer is the scratch of one Train call: the shared read-only inputs every
-// tree builder sees, the serial up-front draws, and one builder per worker.
-type trainer struct {
-	// cols is the column-major feature matrix, cols[f*n+i] = X[i][f]: every
-	// gather during split search walks one contiguous column.
-	cols []float64
-	// ranks[f*n+i] is the dense rank of X[i][f] among column f's distinct
-	// values (== ties, so -0 and +0 share a rank). Tree presorts are counting
-	// sorts over these.
-	ranks    []int32
-	idx      []int32 // rank computation scratch
-	boots    []int32 // per-tree bootstrap samples, n each
-	seeds    []int64 // per-tree prand stream seeds
-	spans    []treeSpan
-	builders []*treeBuilder
-	// fitTask is tr.fit as a fan-out task, bound once per pooled trainer so
-	// a warm Train allocates no closure.
-	fitTask func(w, t int) error
-}
-
-// fit builds tree t on builders[w] and records where its nodes landed. It
-// never fails; the error result makes it a fan-out task.
-func (tr *trainer) fit(w, t int) error {
-	b := tr.builders[w]
-	start := len(b.nodes)
-	b.build(tr.boots[t*b.n:(t+1)*b.n], tr.seeds[t])
-	tr.spans[t] = treeSpan{builder: int32(w), start: int32(start), end: int32(len(b.nodes))}
-	return nil
-}
-
-// treeSpan locates one fitted tree: nodes[start:end] of builders[builder].
-type treeSpan struct{ builder, start, end int32 }
-
-func (tr *trainer) reset(X [][]float64, n, dims, trees, workers int) {
-	tr.cols = resize(tr.cols, dims*n)
-	for i, row := range X {
-		for f := 0; f < dims; f++ {
-			tr.cols[f*n+i] = row[f]
-		}
-	}
-	tr.ranks = resize(tr.ranks, dims*n)
-	tr.idx = resize(tr.idx, n)
-	for f := 0; f < dims; f++ {
-		col := tr.cols[f*n : (f+1)*n]
-		for i := range tr.idx {
-			tr.idx[i] = int32(i)
-		}
-		slices.SortFunc(tr.idx, func(a, b int32) int { return cmp.Compare(col[a], col[b]) })
-		rank, ranks := int32(0), tr.ranks[f*n:(f+1)*n]
-		for k, i := range tr.idx {
-			if k > 0 && col[i] != col[tr.idx[k-1]] {
-				rank++
-			}
-			ranks[i] = rank
-		}
-	}
-	tr.boots = resize(tr.boots, trees*n)
-	tr.seeds = resize(tr.seeds, trees)
-	tr.spans = resize(tr.spans, trees)
-	for len(tr.builders) < workers {
-		tr.builders = append(tr.builders, &treeBuilder{rng: rand.New(prand.NewSource(0))})
-	}
-}
-
-// release drops the builders' references to the caller's targets and
-// returns the scratch to the free list.
-func (tr *trainer) release() {
-	for _, b := range tr.builders {
-		b.y = nil
-	}
-	trainers.Lock()
-	trainers.free = append(trainers.free, tr)
-	trainers.Unlock()
+// release drops the builder's references to the caller's data and returns
+// it to the free list.
+func (b *builder) release() {
+	b.f, b.X, b.y = nil, nil, nil
+	builders.Lock()
+	builders.free = append(builders.free, b)
+	builders.Unlock()
 }
 
 // resize returns s with length n, reusing its backing array when it fits.
@@ -254,127 +170,189 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// treeBuilder owns all scratch state for fitting trees. It lives in a pooled
-// trainer, so its buffers are reused across trees and across Train calls;
-// the per-node recursion never allocates (pinned by barbervet rule R010).
-type treeBuilder struct {
-	cols  []float64 // column-major features, shared and read-only
-	ranks []int32   // dense feature-value ranks, shared and read-only
-	y     []float64 // targets, shared and read-only
-	n     int       // sample count (= bootstrap size)
+// builder owns all scratch state of one fit. It is pooled, so its buffers
+// are reused across trees and across fits; the per-node recursion never
+// allocates (pinned by barbervet rule R010), and it appends nodes straight
+// into the forest being fitted.
+type builder struct {
+	f     *Forest
+	X     [][]float64 // features, read-only
+	y     []float64   // targets, read-only
+	n     int         // sample count (= bootstrap size)
 	dims  int
+	nFeat int // features drawn per split
 	opts  Options
-	// rng runs on a prand.Source reseeded per tree, so a tree's draws are
-	// exactly prand.New(seed)'s without allocating a generator per tree.
-	rng *rand.Rand
+	// ranks[f*n+i] is the dense rank of X[i][f] among column f's distinct
+	// values (== ties, so -0 and +0 share a rank). Tree presorts are counting
+	// sorts over these.
+	ranks []int32
+	idx   []int32 // rank computation scratch
 
-	// order holds dims+1 blocks of n indices over the bootstrap sample.
-	// Block 0 is row order (bootstrap draw order; leaf means and purity
-	// checks read it). Block f+1 is the sample stably sorted by feature f —
-	// counting-sorted by rank once per tree, then kept sorted through every
-	// split by stable partitioning, so nodes never re-sort.
+	// boot[p] is the row drawn at bootstrap position p; yb[p] = y[boot[p]]
+	// and xb[f*n+p] = X[boot[p]][f] are gathered once per tree.
+	boot []int32
+	yb   []float64
+	xb   []float64
+	// order holds one block of n positions per feature (one identity block
+	// when there are no features). Block f is the tree's positions stably
+	// sorted by feature f; every node is a segment [lo, hi) of each block.
 	order    []int32
-	scratch  []int32   // right-half staging for stable partition
+	scratch  []int32   // right-half staging for stable partition; leaf sort
 	counts   []int32   // counting-sort bucket offsets, one per rank
 	vals, ys []float64 // per-node gather buffers for the score sweep
 	featPerm []int     // persistent permutation for per-node feature draws
-	// nodes holds every tree this builder fits in one Train, back to back;
-	// right-child indices are relative to the start of this slice.
-	nodes []flatNode
+	// src is reseeded per tree, so a tree's feature draws are exactly
+	// prand.New(seed)'s (see intn) without a generator per tree.
+	src prand.Source
 }
 
-func (b *treeBuilder) reset(tr *trainer, y []float64, n, dims int, opts Options) {
-	b.cols, b.ranks, b.y = tr.cols, tr.ranks, y
+func (b *builder) reset(forest *Forest, X [][]float64, y []float64, opts Options) {
+	n, dims := len(X), len(X[0])
+	b.f, b.X, b.y = forest, X, y
 	b.n, b.dims, b.opts = n, dims, opts
-	b.order = resize(b.order, (dims+1)*n)
+	b.nFeat = int(math.Ceil(featureFrac * float64(dims)))
+	b.ranks = resize(b.ranks, dims*n)
+	b.idx = resize(b.idx, n)
+	for f := 0; f < dims; f++ {
+		for i := range b.idx {
+			b.idx[i] = int32(i)
+		}
+		slices.SortFunc(b.idx, func(a, c int32) int { return cmp.Compare(X[a][f], X[c][f]) })
+		rank, ranks := int32(0), b.ranks[f*n:(f+1)*n]
+		for k, i := range b.idx {
+			if k > 0 && X[i][f] != X[b.idx[k-1]][f] {
+				rank++
+			}
+			ranks[i] = rank
+		}
+	}
+	b.boot = resize(b.boot, n)
+	b.yb = resize(b.yb, n)
+	b.xb = resize(b.xb, dims*n)
+	b.order = resize(b.order, max(dims, 1)*n)
 	b.scratch = resize(b.scratch, n)
 	b.counts = resize(b.counts, n+1)
 	b.vals = resize(b.vals, n)
 	b.ys = resize(b.ys, n)
 	b.featPerm = resize(b.featPerm, dims)
-	b.nodes = b.nodes[:0]
 }
 
-// block returns the order block for feature f (block -1 is row order).
-func (b *treeBuilder) block(f int) []int32 {
-	return b.order[(f+1)*b.n : (f+2)*b.n]
+// block returns the position block sorted by feature f.
+func (b *builder) block(f int) []int32 {
+	return b.order[f*b.n : (f+1)*b.n]
 }
 
-// build fits one tree on the bootstrap sample, drawing features from the
-// stream prand.New(seed) would give, and appends its nodes to b.nodes.
-func (b *treeBuilder) build(bootstrap []int32, seed int64) {
-	b.rng.Seed(prand.Mix(seed))
+// build fits one tree on the bootstrap sample in b.boot, drawing features
+// from the stream prand.New(seed) would give, and appends its nodes to the
+// forest.
+func (b *builder) build(seed int64) {
+	b.src.Seed(prand.Mix(seed))
 	for f := range b.featPerm {
 		b.featPerm[f] = f
 	}
-	b.presort(bootstrap)
-	b.grow(0, b.n, 0)
+	b.presort()
+	b.grow(0, b.n, 0, 0)
 }
 
-// presort fills the order blocks from the bootstrap sample: block -1 in draw
-// order, block f by a stable counting sort on feature f's ranks. Ties keep
-// bootstrap order, so each block is exactly the permutation
-// sort.SliceStable(<) gives, and every node's sweep sees the same
-// (value, y) sequence the reference oracle produces — in O(n) per feature.
-func (b *treeBuilder) presort(bootstrap []int32) {
-	copy(b.block(-1), bootstrap)
+// intn is math/rand's (*Rand).Intn on b.src, draw for draw, for
+// 0 < n < 2³¹: a power of two masks one Int31, anything else rejects
+// Int31 draws above the largest multiple of n.
+func (b *builder) intn(n int) int {
+	m := int32(n)
+	if m&(m-1) == 0 {
+		return int(int32(b.src.Int63()>>32) & (m - 1))
+	}
+	limit := int32((1 << 31) - 1 - (1<<31)%uint32(m))
+	v := int32(b.src.Int63() >> 32)
+	for v > limit {
+		v = int32(b.src.Int63() >> 32)
+	}
+	return int(v % m)
+}
+
+// presort gathers the tree's targets and feature values by position and
+// fills each feature block by a stable counting sort on that feature's
+// ranks. Ties keep position (bootstrap) order, so each block is exactly the
+// permutation sort.SliceStable(<) gives, and every node's sweep sees the
+// same (value, y) sequence the reference oracle produces — in O(n) per
+// feature.
+func (b *builder) presort() {
+	n := b.n
+	for p, i := range b.boot {
+		b.yb[p] = b.y[i]
+		for f, v := range b.X[i] {
+			b.xb[f*n+p] = v
+		}
+	}
+	if b.dims == 0 {
+		for p := range b.order {
+			b.order[p] = int32(p)
+		}
+	}
 	for f := 0; f < b.dims; f++ {
-		ranks := b.ranks[f*b.n : (f+1)*b.n]
+		ranks := b.ranks[f*n : (f+1)*n]
 		counts := b.counts
 		clear(counts)
-		for _, i := range bootstrap {
+		for _, i := range b.boot {
 			counts[ranks[i]+1]++
 		}
 		for r := 1; r < len(counts); r++ {
 			counts[r] += counts[r-1]
 		}
 		blk := b.block(f)
-		for _, i := range bootstrap {
+		for p, i := range b.boot {
 			r := ranks[i]
-			blk[counts[r]] = i
+			blk[counts[r]] = int32(p)
 			counts[r]++
 		}
 	}
 }
 
-// grow fits the node over rows [lo, hi) of every order block and returns its
-// index. Preorder: the left subtree is emitted immediately after the node,
-// so only the right-child index needs storing.
-func (b *treeBuilder) grow(lo, hi, depth int) int32 {
-	row := b.block(-1)[lo:hi]
-	sum := 0.0
-	for _, i := range row {
-		sum += b.y[i]
+// grow fits the node over positions [lo, hi) and returns its index. Block
+// own's segment always holds the node's positions; every other block's does
+// too unless the parent skipped partitioning because neither child could
+// split, in which case the node is a leaf and reads only block own.
+// Preorder: the left subtree is emitted immediately after the node, so only
+// the right-child index needs storing.
+func (b *builder) grow(lo, hi, depth, own int) int32 {
+	seg := b.block(own)[lo:hi]
+	if !b.canSplit(len(seg), depth) {
+		return b.leaf(seg, false)
 	}
-	mean := sum / float64(len(row))
-	self := int32(len(b.nodes))
-	if depth >= b.opts.MaxDepth || len(row) < 2*b.opts.MinLeafSize || b.pure(row) {
-		b.nodes = append(b.nodes, flatNode{feature: leafFeature, threshold: mean})
-		return self
+	if b.pure(seg) {
+		return b.leaf(seg, true)
 	}
-	nFeat := int(math.Ceil(featureFrac * float64(b.dims)))
-	bestFeat, bestTh, bestScore := -1, 0.0, math.Inf(1)
-	for k := 0; k < nFeat; k++ {
+	n := b.n
+	bestFeat, bestTh, bestScore, bestLn := -1, 0.0, math.Inf(1), 0
+	for k := 0; k < b.nFeat; k++ {
 		// Partial Fisher-Yates over the persistent permutation: nFeat draws
 		// per node, no rng.Perm allocation.
-		j := k + b.rng.Intn(b.dims-k)
+		j := k + b.intn(b.dims-k)
 		b.featPerm[k], b.featPerm[j] = b.featPerm[j], b.featPerm[k]
 		f := b.featPerm[k]
-		base := f * b.n
-		for m, i := range b.block(f)[lo:hi] {
-			b.vals[m] = b.cols[base+int(i)]
-			b.ys[m] = b.y[i]
+		fseg := b.block(f)[lo:hi]
+		xf := b.xb[f*n : (f+1)*n]
+		if xf[fseg[0]] == xf[fseg[len(fseg)-1]] {
+			continue // constant on this node: no threshold separates it
 		}
-		th, score, ok := bestThreshold(b.vals[:len(row)], b.ys[:len(row)], b.opts.MinLeafSize)
-		if ok && score < bestScore {
-			bestFeat, bestTh, bestScore = f, th, score
+		for m, p := range fseg {
+			b.vals[m] = xf[p]
+			b.ys[m] = b.yb[p]
+		}
+		th, score, ln := bestThreshold(b.vals[:len(seg)], b.ys[:len(seg)], b.opts.MinLeafSize)
+		if ln > 0 && score < bestScore {
+			bestFeat, bestTh, bestScore, bestLn = f, th, score, ln
 		}
 	}
 	if bestFeat < 0 {
-		b.nodes = append(b.nodes, flatNode{feature: leafFeature, threshold: mean})
-		return self
+		return b.leaf(seg, false)
 	}
-	mid := b.partition(lo, hi, bestFeat, bestTh)
+	// The winning block is split already: its first bestLn positions are
+	// the left child. The others need partitioning only if a child will
+	// search for a split of its own.
+	if b.canSplit(bestLn, depth+1) || b.canSplit(len(seg)-bestLn, depth+1) {
+		b.partition(lo, hi, bestFeat, bestTh)
+	}
 	if bestTh == 0 {
 		// Store -0 as +0: traversal picks the child via the sign bit of
 		// threshold-x, and sign(-0 - +0) would send an x == threshold == 0
@@ -382,56 +360,84 @@ func (b *treeBuilder) grow(lo, hi, depth int) int32 {
 		// so partition and the reference engine are unaffected.
 		bestTh = 0
 	}
-	b.nodes = append(b.nodes, flatNode{feature: int32(bestFeat), threshold: bestTh})
-	b.grow(lo, mid, depth+1) // left child lands at self+1
-	right := b.grow(mid, hi, depth+1)
-	b.nodes[self].right = right
+	self := int32(len(b.f.nodes))
+	b.f.nodes = append(b.f.nodes, flatNode{feature: int32(bestFeat), threshold: bestTh})
+	mid := lo + bestLn
+	b.grow(lo, mid, depth+1, bestFeat) // left child lands at self+1
+	right := b.grow(mid, hi, depth+1, bestFeat)
+	b.f.nodes[self].right = right
 	return self
 }
 
-func (b *treeBuilder) pure(row []int32) bool {
-	first := b.y[row[0]]
-	for _, i := range row[1:] {
-		if b.y[i] != first {
+// canSplit reports whether a node of size samples at depth may search for
+// a split at all.
+func (b *builder) canSplit(size, depth int) bool {
+	return depth < b.opts.MaxDepth && size >= 2*b.opts.MinLeafSize
+}
+
+func (b *builder) pure(seg []int32) bool {
+	first := b.yb[seg[0]]
+	for _, p := range seg[1:] {
+		if b.yb[p] != first {
 			return false
 		}
 	}
 	return true
 }
 
-// partition stably splits rows [lo, hi) of every order block on
-// x[feat] <= th, in place via the scratch buffer, and returns the boundary.
-// Stability preserves each block's sort invariant (and the row block's
-// bootstrap order) across the split.
-func (b *treeBuilder) partition(lo, hi, feat int, th float64) int {
-	base := feat * b.n
-	mid := lo
-	for blk := -1; blk < b.dims; blk++ {
+// leaf appends a leaf predicting the mean target over seg's positions. The
+// sum runs in ascending position order (bootstrap draw order, the order the
+// reference sums in); a pure segment sums equal values, so its order cannot
+// matter and its sort is skipped.
+func (b *builder) leaf(seg []int32, pure bool) int32 {
+	if !pure {
+		sorted := b.scratch[:len(seg)]
+		copy(sorted, seg)
+		slices.Sort(sorted)
+		seg = sorted
+	}
+	sum := 0.0
+	for _, p := range seg {
+		sum += b.yb[p]
+	}
+	self := int32(len(b.f.nodes))
+	b.f.nodes = append(b.f.nodes, flatNode{feature: leafFeature, threshold: sum / float64(len(seg))})
+	return self
+}
+
+// partition stably splits positions [lo, hi) of every block but feat's on
+// x[feat] <= th, in place via the scratch buffer. Stability preserves each
+// block's sort invariant across the split; feat's own block, sorted on the
+// split feature, is split already.
+func (b *builder) partition(lo, hi, feat int, th float64) {
+	xf := b.xb[feat*b.n : (feat+1)*b.n]
+	for blk := 0; blk < b.dims; blk++ {
+		if blk == feat {
+			continue
+		}
 		seg := b.block(blk)[lo:hi]
 		w, nr := 0, 0
-		for _, i := range seg {
-			if b.cols[base+int(i)] <= th {
-				seg[w] = i
+		for _, p := range seg {
+			if xf[p] <= th {
+				seg[w] = p
 				w++
 			} else {
-				b.scratch[nr] = i
+				b.scratch[nr] = p
 				nr++
 			}
 		}
 		copy(seg[w:], b.scratch[:nr])
-		mid = lo + w
 	}
-	return mid
 }
 
 // bestThreshold scores every candidate split of one feature in a single
 // sweep. vals must be ascending with ys aligned (the feature's stably sorted
 // view of the node's samples). Running prefix sums of (count, Σy, Σy²) give
 // each boundary's splitScore in O(1), so the whole node costs O(n) per
-// feature after the per-tree presort — the O(n log n) contract of the
-// package doc. Thresholds are the left group's maximum value; only splits
-// leaving at least minLeaf samples per side are considered.
-func bestThreshold(vals, ys []float64, minLeaf int) (thresh, score float64, ok bool) {
+// feature after the per-tree presort. Thresholds are the left group's
+// maximum value; only splits leaving at least minLeaf samples per side are
+// considered. ln is the left group's size, 0 when no split qualifies.
+func bestThreshold(vals, ys []float64, minLeaf int) (thresh, score float64, ln int) {
 	m := len(vals)
 	var total, totalSq float64
 	for _, v := range ys {
@@ -447,15 +453,14 @@ func bestThreshold(vals, ys []float64, minLeaf int) (thresh, score float64, ok b
 		if vals[k] == vals[k+1] {
 			continue // not a group boundary: no threshold separates these
 		}
-		ln, rn := k+1, m-k-1
-		if ln < minLeaf || rn < minLeaf {
+		if k+1 < minLeaf || m-k-1 < minLeaf {
 			continue
 		}
-		if s := splitScore(ls, lss, ln, total-ls, totalSq-lss, rn); s < score {
-			thresh, score, ok = vals[k], s, true
+		if s := splitScore(ls, lss, k+1, total-ls, totalSq-lss, m-k-1); s < score {
+			thresh, score, ln = vals[k], s, k+1
 		}
 	}
-	return thresh, score, ok
+	return thresh, score, ln
 }
 
 // splitScore is the weighted sum of child variances (lower is better),

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"sqlbarber/internal/prand"
 )
 
 func TestForestLearnsLinearFunction(t *testing.T) {
@@ -152,11 +154,12 @@ func TestSplitScoreClampsNegativeVariance(t *testing.T) {
 	}
 }
 
-// TestTrainByteIdenticalAcrossWorkers pins the deterministic-parallel-fit
-// contract: identical rng state must yield identical forest bytes at worker
-// counts 1, 2, and 8, because every shared draw happens before the fan-out.
+// TestTrainByteIdenticalAcrossWorkers pins that Options.Workers has no
+// effect: trees fit serially, so identical rng state must yield identical
+// forest bytes, and an identical rng state after the fit, at every worker
+// count.
 func TestTrainByteIdenticalAcrossWorkers(t *testing.T) {
-	build := func(workers int) *Forest {
+	build := func(workers int) (*Forest, int64) {
 		rng := rand.New(rand.NewSource(11))
 		var X [][]float64
 		var y []float64
@@ -165,13 +168,85 @@ func TestTrainByteIdenticalAcrossWorkers(t *testing.T) {
 			X = append(X, x)
 			y = append(y, x[0]*x[1]+math.Sin(x[2]))
 		}
-		return Train(rng, X, y, Options{NumTrees: 16, Workers: workers})
+		f := Train(rng, X, y, Options{NumTrees: 16, Workers: workers})
+		return f, rng.Int63()
 	}
-	base := build(1)
-	for _, w := range []int{2, 8} {
-		got := build(w)
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("Workers=%d forest differs from Workers=1", w)
+	base, baseNext := build(1)
+	for _, w := range []int{0, 2, 8} {
+		got, next := build(w)
+		if !reflect.DeepEqual(base, got) || next != baseNext {
+			t.Fatalf("Workers=%d forest or rng state differs from Workers=1", w)
+		}
+	}
+}
+
+// TestFitInPlaceMatchesTrain refits one forest over corpora of growing and
+// shrinking size, width and depth: each in-place fit must equal a fresh
+// Train from the same rng state, node for node, so nothing of an earlier fit
+// survives in the reused slices.
+func TestFitInPlaceMatchesTrain(t *testing.T) {
+	var f Forest
+	shapes := []struct{ n, dims, trees, depth int }{
+		{50, 3, 8, 10}, {400, 6, 24, 12}, {7, 1, 4, 3}, {0, 2, 8, 10}, {120, 2, 16, 10},
+	}
+	for k, sh := range shapes {
+		X, y := fuzzDataset(rand.New(rand.NewSource(int64(30+k))), sh.n, sh.dims)
+		if sh.n == 0 {
+			X, y = nil, nil
+		}
+		opts := Options{NumTrees: sh.trees, MaxDepth: sh.depth}
+		f.Fit(rand.New(rand.NewSource(int64(40+k))), X, y, opts)
+		want := Train(rand.New(rand.NewSource(int64(40+k))), X, y, opts)
+		if !slices.Equal(f.roots, want.roots) || !slices.Equal(f.nodes, want.nodes) {
+			t.Fatalf("shape %d (%+v): in-place fit differs from a fresh Train", k, sh)
+		}
+	}
+}
+
+// TestFitAllocationFree pins the in-place refit: once a forest and the
+// pooled builder have grown to a corpus, refitting that forest allocates
+// nothing, at the shape the BO loop fits (128 observations x 4 dims, 16
+// trees). The minimum over several runs is taken, like
+// TestTrainAllocationCeiling's.
+func TestFitAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	X := make([][]float64, 128)
+	y := make([]float64, 128)
+	for i := range X {
+		X[i] = []float64{rng.Float64(), rng.Float64(), float64(rng.Intn(5)), rng.Float64()}
+		y[i] = 3*X[i][0] + rng.NormFloat64()
+	}
+	var f Forest
+	fit := func() {
+		rng.Seed(1)
+		f.Fit(rng, X, y, Options{})
+	}
+	fit()
+	allocs := math.Inf(1)
+	for i := 0; i < 10; i++ {
+		allocs = min(allocs, testing.AllocsPerRun(1, fit))
+	}
+	if allocs != 0 {
+		t.Fatalf("warm in-place Fit allocated %.0f times, want 0", allocs)
+	}
+}
+
+// TestIntnMatchesMathRand pins the builder's feature draw to math/rand's
+// Intn over the same seeded source, draw for draw, at powers of two (the
+// mask path) and at other bounds (the rejection path).
+func TestIntnMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{1, 42, 1 << 40} {
+		var b builder
+		b.src.Seed(seed)
+		want := rand.New(prand.NewSource(seed))
+		for k := 0; k < 5000; k++ {
+			n := 1 + k%37
+			if k%5 == 0 {
+				n = 1<<30 + k // large bounds reject often
+			}
+			if got, w := b.intn(n), want.Intn(n); got != w {
+				t.Fatalf("seed %d draw %d: intn(%d) = %d, math/rand Intn = %d", seed, k, n, got, w)
+			}
 		}
 	}
 }
@@ -252,41 +327,61 @@ func TestConcurrentTrainAndPredictBatch(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPresortMatchesSliceStable pins the counting presort to the permutation
-// the stable comparison sort gives, on bootstraps with repeats over
-// duplicate-heavy and signed-zero columns.
+// TestPresortMatchesSliceStable pins the per-tree gather and the counting
+// presort: yb and xb must hold each bootstrap position's target and features,
+// and every feature block must be the permutation of positions the stable
+// comparison sort gives, on bootstraps with repeats over duplicate-heavy and
+// signed-zero columns. With no features, the one block is the identity.
 func TestPresortMatchesSliceStable(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64, 200} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		X, y := fuzzDataset(rng, n, 4)
-		tr := new(trainer)
-		tr.reset(X, n, 4, 1, 1)
-		b := tr.builders[0]
-		b.reset(tr, y, n, 4, Options{}.withDefaults())
-		boot := make([]int32, n)
-		for i := range boot {
-			boot[i] = int32(rng.Intn(n))
-		}
-		b.presort(boot)
-		if !slices.Equal(b.block(-1), boot) {
-			t.Fatalf("n=%d: row block %v != bootstrap %v", n, b.block(-1), boot)
-		}
-		for f := 0; f < 4; f++ {
-			want := slices.Clone(boot)
-			sort.SliceStable(want, func(a, c int) bool { return X[want[a]][f] < X[want[c]][f] })
-			if got := b.block(f); !slices.Equal(got, want) {
-				t.Fatalf("n=%d feature %d: counting presort %v != sort.SliceStable %v", n, f, got, want)
+		for _, dims := range []int{4, 0} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			X, y := fuzzDataset(rng, n, max(dims, 1))
+			for i := range X {
+				X[i] = X[i][:dims]
+			}
+			b := new(builder)
+			b.reset(new(Forest), X, y, Options{}.withDefaults())
+			for p := range b.boot {
+				b.boot[p] = int32(rng.Intn(n))
+			}
+			b.presort()
+			for p, i := range b.boot {
+				if b.yb[p] != y[i] {
+					t.Fatalf("n=%d: yb[%d] = %v, want y[%d] = %v", n, p, b.yb[p], i, y[i])
+				}
+				for f := 0; f < dims; f++ {
+					if got := b.xb[f*n+p]; math.Float64bits(got) != math.Float64bits(X[i][f]) {
+						t.Fatalf("n=%d: xb[%d][%d] = %v, want X[%d][%d] = %v", n, f, p, got, i, f, X[i][f])
+					}
+				}
+			}
+			identity := make([]int32, n)
+			for p := range identity {
+				identity[p] = int32(p)
+			}
+			if dims == 0 {
+				if !slices.Equal(b.block(0), identity) {
+					t.Fatalf("n=%d, no features: block %v is not the identity", n, b.block(0))
+				}
+				continue
+			}
+			for f := 0; f < dims; f++ {
+				want := slices.Clone(identity)
+				sort.SliceStable(want, func(a, c int) bool { return X[b.boot[want[a]]][f] < X[b.boot[want[c]]][f] })
+				if got := b.block(f); !slices.Equal(got, want) {
+					t.Fatalf("n=%d feature %d: counting presort %v != sort.SliceStable %v", n, f, got, want)
+				}
 			}
 		}
 	}
 }
 
 // TestTrainAllocationCeiling pins the cost of a warm refit at the shape the
-// BO loop fits (128 observations x 4 dims, 16 trees, one worker): with
-// pooled builders, only the returned Forest and its two slices allocate
-// (measured 3; the ceiling leaves ~20% headroom). The minimum over
-// several runs is taken because sync.Pool may drop scratch at a GC, and
-// under the race detector it drops Puts at random.
+// BO loop fits (128 observations x 4 dims, 16 trees): with the pooled
+// builder, only the returned Forest and its two slices allocate (measured
+// 3; the ceiling leaves ~20% headroom). The minimum over several runs is
+// taken so a concurrent test holding the pooled builder cannot fail it.
 func TestTrainAllocationCeiling(t *testing.T) {
 	const ceiling = 4
 	rng := rand.New(rand.NewSource(5))

@@ -5,7 +5,9 @@ package rf
 // oracle (per-tree predictions must equal the flat forest's bit for bit) and
 // the baseline arm of BenchmarkForestVsReference. Naive on purpose: pointer
 // nodes, per-node index-slice and pair-slice allocations, a fresh stable
-// sort at every (node, feature) — everything the flat engine eliminates.
+// sort at every (node, feature), a from-scratch sum per candidate threshold —
+// everything the flat engine eliminates. It shares only splitScore, the
+// definition of a split's cost, with forest.go.
 // Keep it simple rather than fast; as a test file it is outside barbervet
 // rule R010's no-allocation-in-recursion check.
 
@@ -20,7 +22,6 @@ import (
 // ReferenceForest is the pointer-based oracle counterpart of Forest.
 type ReferenceForest struct {
 	trees []*refNode
-	dims  int
 }
 
 type refNode struct {
@@ -37,7 +38,8 @@ type refNode struct {
 // ReferenceTrain fits the oracle forest. It consumes the caller's rng
 // exactly like Train (per-tree bootstrap then stream seed, serially) and
 // mirrors every algorithmic decision — feature draws, stable value ordering,
-// prefix-sum threshold scoring, stable partitioning — so the resulting trees
+// threshold scoring (by its own from-scratch scan, refThreshold), stable
+// partitioning — so the resulting trees
 // predict bit-identically to Train's on every input.
 func ReferenceTrain(rng *rand.Rand, X [][]float64, y []float64, opts Options) *ReferenceForest {
 	opts = opts.withDefaults()
@@ -45,7 +47,7 @@ func ReferenceTrain(rng *rand.Rand, X [][]float64, y []float64, opts Options) *R
 		return &ReferenceForest{}
 	}
 	n, dims := len(X), len(X[0])
-	f := &ReferenceForest{dims: dims}
+	f := &ReferenceForest{}
 	for t := 0; t < opts.NumTrees; t++ {
 		idx := make([]int, n)
 		for i := range idx {
@@ -92,7 +94,7 @@ func refBuild(rng *rand.Rand, X [][]float64, y []float64, idx []int, featPerm []
 			vals[m] = X[idx[o]][f]
 			ys[m] = y[idx[o]]
 		}
-		th, score, ok := bestThreshold(vals, ys, opts.MinLeafSize)
+		th, score, ok := refThreshold(vals, ys, opts.MinLeafSize)
 		if ok && score < bestScore {
 			bestFeat, bestTh, bestScore = f, th, score
 		}
@@ -114,6 +116,37 @@ func refBuild(rng *rand.Rand, X [][]float64, y []float64, idx []int, featPerm []
 		left:      refBuild(rng, X, y, li, featPerm, depth+1, opts),
 		right:     refBuild(rng, X, y, ri, featPerm, depth+1, opts),
 	}
+}
+
+// refThreshold is the oracle's own threshold scan, written independently of
+// the flat engine's prefix-sum sweep. For each group boundary k (vals[k] !=
+// vals[k+1]) leaving at least minLeaf samples per side, it sums the left
+// side's Σy and Σy² from scratch in block order, takes the right side as the
+// node totals minus the left side's, and scores the split with splitScore
+// (the algorithm's definition of a split's cost). The lowest score wins; on
+// ties the first boundary does.
+func refThreshold(vals, ys []float64, minLeaf int) (thresh, score float64, ok bool) {
+	var total, totalSq float64
+	for _, v := range ys {
+		total += v
+		totalSq += v * v
+	}
+	score = math.Inf(1)
+	for k := 0; k+1 < len(vals); k++ {
+		ln, rn := k+1, len(vals)-k-1
+		if vals[k] == vals[k+1] || ln < minLeaf || rn < minLeaf {
+			continue
+		}
+		var ls, lss float64
+		for _, v := range ys[:ln] {
+			ls += v
+			lss += v * v
+		}
+		if s := splitScore(ls, lss, ln, total-ls, totalSq-lss, rn); s < score {
+			thresh, score, ok = vals[k], s, true
+		}
+	}
+	return thresh, score, ok
 }
 
 func refPure(y []float64, idx []int) bool {

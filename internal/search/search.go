@@ -29,6 +29,7 @@ import (
 	"sqlbarber/internal/obs"
 	"sqlbarber/internal/prand"
 	"sqlbarber/internal/profiler"
+	"sqlbarber/internal/sqltypes"
 	"sqlbarber/internal/stats"
 	"sqlbarber/internal/workload"
 )
@@ -317,47 +318,61 @@ func (s *Searcher) optimizeTemplate(ctx context.Context, rng *rand.Rand, t *work
 		warm = warm[:32]
 	}
 
-	// Probes go through the template's cost memo: a query the template has
-	// already costed takes that cost instead of a DBMS call, and is staged
-	// and reported to BO as if it were probed.
-	var res optResult
-	evaluate := func(raw []float64) (float64, bool) {
-		vals := space.ValuesFor(raw)
-		sql, err := space.Template.Instantiate(vals)
-		if err != nil {
-			return 0, false
-		}
-		cost, known := t.Profile.Known(sql)
-		if known {
-			// A hit fails like a probe once the run is cancelled.
-			if ctx.Err() != nil {
-				return 0, false
-			}
-			res.hits++
-		} else {
-			if cost, err = t.Profile.Prep.Cost(ctx, vals, s.Kind); err != nil {
-				return 0, false
-			}
-			t.Profile.Remember(sql, cost)
-		}
-		res.obs = append(res.obs, profiler.Observation{Raw: raw, SQL: sql, Cost: cost})
-		return objective(cost, iv), true
-	}
-
+	probe := &slotProbe{ctx: ctx, kind: s.Kind, prof: t.Profile, iv: iv, vals: make(map[string]sqltypes.Value, len(space.Dims))}
 	if s.Naive {
 		for range budget {
 			x := make([]float64, len(boSpace))
 			for d := range x {
 				x[d] = rng.Float64()
 			}
-			evaluate(boSpace.Denormalize(x))
+			probe.evaluate(boSpace.Denormalize(x))
 		}
-		return res
+		return probe.res
 	}
 	// bo fits its forest serially inside each slot: the search waves
 	// already parallelize across templates.
-	bo.New(boSpace, rng, warm).Run(budget, evaluate)
-	return res
+	bo.New(boSpace, rng, warm).Run(budget, probe.evaluate)
+	return probe.res
+}
+
+// slotProbe evaluates one slot's probes. Probes go through the template's
+// cost memo: a query the template has already costed takes that cost
+// instead of a DBMS call, and is staged and reported to BO as if it were
+// probed. One binding map serves every probe of the slot: the prepared
+// statement binds from it without keeping it.
+type slotProbe struct {
+	ctx  context.Context
+	kind engine.CostKind
+	prof *profiler.Profile
+	iv   stats.Interval
+	vals map[string]sqltypes.Value
+	res  optResult
+}
+
+// evaluate is the BO objective: the Equation (5) distance of the cost of
+// the query raw instantiates, or false when it cannot be costed.
+func (p *slotProbe) evaluate(raw []float64) (float64, bool) {
+	prof := p.prof
+	vals := prof.Space.ValuesInto(p.vals, raw)
+	sql, err := prof.Space.Template.Instantiate(vals)
+	if err != nil {
+		return 0, false
+	}
+	cost, known := prof.Known(sql)
+	if known {
+		// A hit fails like a probe once the run is cancelled.
+		if p.ctx.Err() != nil {
+			return 0, false
+		}
+		p.res.hits++
+	} else {
+		if cost, err = prof.Prep.Cost(p.ctx, vals, p.kind); err != nil {
+			return 0, false
+		}
+		prof.Remember(sql, cost)
+	}
+	p.res.obs = append(p.res.obs, profiler.Observation{Raw: raw, SQL: sql, Cost: cost})
+	return objective(cost, p.iv), true
 }
 
 // objective is Equation (5): 0 inside [cl, cr], otherwise a relative

@@ -10,6 +10,7 @@ import (
 	"sqlbarber/internal/profiler"
 	"sqlbarber/internal/spec"
 	"sqlbarber/internal/sqltemplate"
+	"sqlbarber/internal/sqltypes"
 	"sqlbarber/internal/stats"
 	"sqlbarber/internal/workload"
 )
@@ -197,5 +198,44 @@ func TestUniformTemplatesWidensSample(t *testing.T) {
 	}
 	if run(false) == run(true) {
 		t.Fatal("UniformTemplates had no effect with more than ten candidate templates")
+	}
+}
+
+// TestSlotProbeAllocationCeiling pins what one search-slot probe allocates
+// on setup's three templates, almost all probes memo misses: the SQL text
+// (sized once), its literals, the compiled estimate's bindings and the memo
+// entry. The binding map is reused and a fractional float binds without a
+// failed integer parse. Measured 2, 3 and 5 allocations per probe (4, 6 and
+// 12 with a fresh map per probe, a builder grown by doubling and the failed
+// parse); each ceiling leaves one allocation or ~20% of headroom.
+func TestSlotProbeAllocationCeiling(t *testing.T) {
+	ceilings := map[int]float64{1: 3, 2: 4, 3: 6}
+	for _, st := range setup(t) {
+		space := st.Profile.Space
+		boSpace := space.BOSpace()
+		iv := stats.Interval{Lo: 100, Hi: 200}
+		p := &slotProbe{ctx: context.Background(), kind: engine.Cardinality, prof: st.Profile, iv: iv,
+			vals: map[string]sqltypes.Value{}}
+		rng := rand.New(rand.NewSource(3))
+		const probes = 200
+		raws := make([][]float64, probes+1)
+		for i := range raws {
+			x := make([]float64, len(boSpace))
+			for d := range x {
+				x[d] = rng.Float64()
+			}
+			raws[i] = boSpace.Denormalize(x)
+		}
+		p.res.obs = make([]profiler.Observation, 0, len(raws))
+		p.evaluate(raws[0])
+		next := 1
+		allocs := testing.AllocsPerRun(probes, func() {
+			p.evaluate(raws[next%len(raws)])
+			next++
+		})
+		id := st.Profile.Template.ID
+		if allocs > ceilings[id] {
+			t.Fatalf("template %d: a slot probe allocates %.2f times, ceiling %.0f", id, allocs, ceilings[id])
+		}
 	}
 }

@@ -282,14 +282,21 @@ func (t *Template) BindPlaceholders(schema *catalog.Schema) ([]PlaceholderBindin
 	return out, nil
 }
 
+// literalGrowth is Instantiate's per-placeholder allowance for a literal
+// longer than the placeholder it replaces.
+const literalGrowth = 20
+
 // Instantiate substitutes placeholder values into the template text,
 // returning executable SQL. Missing values are an error. A placeholder is
 // a '{', one or more bytes that are neither brace, and a '}'; the name is
 // those bytes, trimmed of spaces.
 func (t *Template) Instantiate(vals map[string]sqltypes.Value) (string, error) {
 	var missing []string
-	var b strings.Builder
 	s := t.Text
+	// Size the output once: the text plus room for each literal to outgrow
+	// its placeholder (a float literal runs to ~24 bytes, `{p_1}` is 5).
+	var b strings.Builder
+	b.Grow(len(s) + literalGrowth*strings.Count(s, "{"))
 	for {
 		i := strings.IndexByte(s, '{')
 		if i < 0 {

@@ -127,6 +127,15 @@
 #                              evaluations per seed are higher, than the
 #                              bounds in bench_test.go. Deterministic, so
 #                              the bounds are exact; they only tighten
+#  13. go vet . && go test . in bench/
+#                            — the end-to-end benchmark is a module of its
+#                              own, outside ./..., built against this
+#                              repository through a replace directive. This
+#                              step vets and tests it offline with the
+#                              environment bench/run.sh sets (module mode,
+#                              no proxy, no workspace, caches under
+#                              .bench_build/), so a product API change that
+#                              breaks the benchmark fails here (~16 s)
 #
 # Run it from anywhere; it changes to the repo root first. Any failure stops
 # the chain with a non-zero exit.
@@ -200,5 +209,15 @@ go test -run '^$' -bench 'BenchmarkAblation' -benchtime 1x .
 
 echo "== go test -bench BenchmarkClaims -benchtime 1x (paper-claim gate) =="
 go test -run '^$' -bench 'BenchmarkClaims' -benchtime 1x .
+
+echo "== go vet . && go test . in bench/ (the end-to-end benchmark module) =="
+(
+  build="$(pwd)/.bench_build"
+  mkdir -p "${build}"
+  export GOCACHE="${build}/gocache" GOPATH="${build}/gopath" XDG_CONFIG_HOME="${build}/config"
+  export GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOFLAGS=-mod=mod
+  go -C bench vet .
+  go -C bench test .
+)
 
 echo "== all checks passed =="
